@@ -7,6 +7,12 @@ host gates; embedded keys travel as CONST nodes. Evaluation is lazy from the
 output nodes, so ITE touches only the selected branch and dead padding nodes
 are never executed.
 
+A host gate may register a decoder for its last argument, a constant blob
+(a key, a nested sealed program). A sealed program (and a simulator handle)
+keeps the decoded constants of its gates for as long as the program lives,
+decoding each blob on the node's first evaluation; a plain `evaluate` call
+without a cache decodes on every call.
+
 Obfuscation here normalizes size and hides constants behind the evaluator
 API. It makes no security claim: all "indistinguishability" content lives in
 functional-equivalence checks (equiv_check).
@@ -120,7 +126,13 @@ _ARITY = {"CONST": 0, "INPUT": 0, "SLICE": 1, "XOR": 2, "EQ": 2, "ITE": 3}
 DEFAULT_REGISTRY: dict[str, object] = {}
 
 
-def register_gate(name: str, fn) -> None:
+def register_gate(name: str, fn, decode=None) -> None:
+    """Register a host gate. With `decode`, the gate's last argument is a
+    constant blob and `fn` receives `decode(blob)` in its place. The decoded
+    value must be immutable (no RandomOracle, whose memo would then outlive
+    a call), since a sealed program reuses it across evaluations."""
+    if decode is not None:
+        fn.decode = decode
     DEFAULT_REGISTRY[name] = fn
 
 
@@ -205,8 +217,26 @@ def validate(p: Program, registry: dict | None = None) -> None:
             raise MalformedCircuit(f"output {o} out of range")
 
 
-def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None) -> list[bytes]:
-    """Lazy evaluation from the outputs; deterministic given gate determinism."""
+def _decoded_const(decode, blob: bytes, i: int, cache: dict | None):
+    if cache is None:
+        return decode(blob)
+    hit = cache.get(i)
+    # a CONST node or embedded constant yields the same object every call; a
+    # blob computed from the inputs is a new object and is decoded afresh
+    if hit is not None and hit[0] is blob:
+        return hit[1]
+    value = decode(blob)
+    cache[i] = (blob, value)
+    return value
+
+
+def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None,
+             cache: dict | None = None) -> list[bytes]:
+    """Lazy evaluation from the outputs; deterministic given gate determinism.
+
+    `cache` maps a node index to (blob, decoded constant) for gates that
+    register a decoder; pass the same dict across calls on one program to
+    decode each blob once. Without it every call decodes afresh."""
     reg = DEFAULT_REGISTRY if registry is None else registry
     if len(inputs) != p.input_arity:
         raise MalformedCircuit(
@@ -240,7 +270,11 @@ def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None) -> l
                 fn = reg.get(node.gate)
                 if fn is None:
                     raise UnknownGate(f"host gate {node.gate!r} not registered")
-                v = fn(*(tuple(ev(a) for a in node.args) + node.consts))
+                args = tuple(ev(a) for a in node.args) + node.consts
+                decode = getattr(fn, "decode", None)
+                if decode is not None:
+                    args = args[:-1] + (_decoded_const(decode, args[-1], i, cache),)
+                v = fn(*args)
         except (MalformedCircuit, UnknownGate):
             raise
         except RecursionError:
@@ -279,9 +313,10 @@ class SealedProgram:
         self.declared_size = program.size
         self.mode = mode
         self.__registry = registry
+        self.__decoded: dict = {}
 
     def run_all(self, *inputs: bytes) -> list[bytes]:
-        return evaluate(self.__program, list(inputs), self.__registry)
+        return evaluate(self.__program, list(inputs), self.__registry, self.__decoded)
 
     def run(self, *inputs: bytes) -> bytes:
         return self.run_all(*inputs)[0]
@@ -307,9 +342,14 @@ def pack_fields_mode(mode: str, declared: int, sealed_prog: bytes) -> bytes:
 
 def unpack_fields_mode(blob: bytes):
     r = Reader(blob)
-    mode = r.field().decode()
+    try:
+        mode = r.field().decode()
+    except UnicodeDecodeError as e:
+        raise MalformedCircuit("sealed program mode is not UTF-8") from e
     declared = r.u32()
     sealed_prog = r.field()
+    if not r.done():
+        raise MalformedCircuit("trailing bytes after sealed program")
     return mode, declared, sealed_prog
 
 
@@ -327,10 +367,11 @@ class SimHandle:
         self.declared_size = declared_size
         self.query_count = 0
         self.__registry = registry
+        self.__decoded: dict = {}
 
     def query(self, *inputs: bytes) -> bytes:
         self.query_count += 1
-        return evaluate(self.__program, list(inputs), self.__registry)[0]
+        return evaluate(self.__program, list(inputs), self.__registry, self.__decoded)[0]
 
 
 def obf_vbb(p: Program, target: int,
@@ -377,9 +418,11 @@ def lockobf(spec: LockSpec, registry: dict | None = None) -> SealedProgram:
     if inner is not None:
         (cx,) = b.inline(inner, [x])
     else:
-        name = f"__lock_closure_{id(fn)}"
-        register_gate(name, fn)
-        cx = b.host(name, x)
+        # the closure lives in this program's own registry copy, never in
+        # DEFAULT_REGISTRY, so it dies with the program
+        registry = dict(DEFAULT_REGISTRY if registry is None else registry)
+        registry["__lock_closure"] = fn
+        cx = b.host("__lock_closure", x)
     u = b.const(spec.lock)
     hit = b.eq(cx, u)
     z = b.const(wrap_some(spec.payload))
@@ -454,7 +497,8 @@ def equiv_check(p1, p2, domain, registry: dict | None = None) -> bool:
     def runner(p):
         if isinstance(p, SealedProgram):
             return p.run_all
-        return lambda *inp: evaluate(p, list(inp), registry)
+        cache: dict = {}
+        return lambda *inp: evaluate(p, list(inp), registry, cache)
 
     r1, r2 = runner(p1), runner(p2)
     for point in domain.points():
@@ -499,17 +543,25 @@ def program_from_bytes(blob: bytes) -> Program:
         raise MalformedCircuit("unknown program format version")
     input_arity = r.u32()
     nodes = []
-    for _ in range(r.u32()):
-        op = _TAG_OPS[r.take(1)[0]]
-        args = tuple(r.u32() for _ in range(r.u32()))
-        value = r.field()
-        slot = r.u32()
-        lo = r.u32()
-        hi = r.u32()
-        gate = r.field().decode()
-        consts = tuple(r.field() for _ in range(r.u32()))
-        nodes.append(Node(op, args, value, slot, lo, hi, gate, consts))
+    # one try around the loop keeps the per-node path free of extra calls
+    try:
+        for _ in range(r.u32()):
+            op = _TAG_OPS[r.take(1)[0]]
+            args = tuple(r.u32() for _ in range(r.u32()))
+            value = r.field()
+            slot = r.u32()
+            lo = r.u32()
+            hi = r.u32()
+            gate = r.field().decode()
+            consts = tuple(r.field() for _ in range(r.u32()))
+            nodes.append(Node(op, args, value, slot, lo, hi, gate, consts))
+    except KeyError as e:
+        raise MalformedCircuit(f"unknown op tag {e.args[0]:#04x}") from e
+    except UnicodeDecodeError as e:
+        raise MalformedCircuit("host gate name is not UTF-8") from e
     outputs = tuple(r.u32() for _ in range(r.u32()))
+    if not r.done():
+        raise MalformedCircuit("trailing bytes after program")
     return Program(tuple(nodes), outputs, input_arity)
 
 

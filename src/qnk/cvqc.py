@@ -543,10 +543,23 @@ def _gate_cvqc_tdverify(tagged_proof: bytes, td_blob: bytes) -> bytes:
     return bytes([td_verify(claim, proof, PrfKey(td_bytes), oracle, proto.decode())])
 
 
-def _gate_toy_verify(proof_bytes: bytes, vk_blob: bytes) -> bytes:
+def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
+    """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates."""
     claim_bytes, r_bytes = unpack_fields(vk_blob, 2)
-    claim = Claim.from_bytes(claim_bytes)
-    r = CvqcVerifyKey.from_bytes(r_bytes)
+    return Claim.from_bytes(claim_bytes), CvqcVerifyKey.from_bytes(r_bytes)
+
+
+def _sealed_toy_gate(gate: str, claim: Claim, r: CvqcVerifyKey,
+                     pad_target: int) -> SealedProgram:
+    b = ProgramBuilder(1)
+    proof = b.input(0)
+    blob = b.const(pack_fields(claim.to_bytes(), r.to_bytes()))
+    out = b.host(gate, proof, blob)
+    return obf_io(b.build([out]), pad_target)
+
+
+def _gate_toy_verify(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> bytes:
+    claim, r = key
     try:
         pi = decode_base_proof(PROTO_TOY, proof_bytes)
         return bytes([toy_verify(claim, pi, r)])
@@ -556,17 +569,13 @@ def _gate_toy_verify(proof_bytes: bytes, vk_blob: bytes) -> bytes:
 
 register_gate("CVQC_VERIFY", _gate_cvqc_verify)
 register_gate("CVQC_TDVERIFY", _gate_cvqc_tdverify)
-register_gate("TOY_VERIFY", _gate_toy_verify)
+register_gate("TOY_VERIFY", _gate_toy_verify, decode=_decode_toy_key)
 
 
 def sealed_toy_verifier(claim: Claim, r: CvqcVerifyKey, pad_target: int = 8) -> SealedProgram:
     """Public-evaluation-only verdict surface for the cryptanalysis module:
     proof bytes in, verdict byte out, key material hidden inside."""
-    b = ProgramBuilder(1)
-    proof = b.input(0)
-    blob = b.const(pack_fields(claim.to_bytes(), r.to_bytes()))
-    out = b.host("TOY_VERIFY", proof, blob)
-    return obf_io(b.build([out]), pad_target)
+    return _sealed_toy_gate("TOY_VERIFY", claim, r, pad_target)
 
 
 def sealed_star_td_verifier(setup: StarSetup, pad_target: int = 8) -> SealedProgram:
@@ -615,10 +624,8 @@ def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
     return drbg.child("salt").bytes(KEY_LEN), toy_prove(pp, witness, drbg)
 
 
-def _gate_toy_verify_stats(proof_bytes: bytes, vk_blob: bytes) -> bytes:
-    claim_bytes, r_bytes = unpack_fields(vk_blob, 2)
-    claim = Claim.from_bytes(claim_bytes)
-    r = CvqcVerifyKey.from_bytes(r_bytes)
+def _gate_toy_verify_stats(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> bytes:
+    claim, r = key
     try:
         salt, pi = stats_decode(proof_bytes)
         return bytes([stats_verify(claim, salt, pi, r)])
@@ -626,16 +633,12 @@ def _gate_toy_verify_stats(proof_bytes: bytes, vk_blob: bytes) -> bytes:
         return b"\x00"
 
 
-register_gate("TOY_VERIFY_STATS", _gate_toy_verify_stats)
+register_gate("TOY_VERIFY_STATS", _gate_toy_verify_stats, decode=_decode_toy_key)
 
 
 def sealed_stats_verifier(claim: Claim, r: CvqcVerifyKey,
                           pad_target: int = 8) -> SealedProgram:
-    b = ProgramBuilder(1)
-    proof = b.input(0)
-    blob = b.const(pack_fields(claim.to_bytes(), r.to_bytes()))
-    out = b.host("TOY_VERIFY_STATS", proof, blob)
-    return obf_io(b.build([out]), pad_target)
+    return _sealed_toy_gate("TOY_VERIFY_STATS", claim, r, pad_target)
 
 
 # ---------------------------------------------------------------------------

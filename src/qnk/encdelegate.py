@@ -142,12 +142,15 @@ class AbeCiphertext:
         return cls(SealedProgram.from_bytes(prog), digest, al[0])
 
 
-def _gate_sealed_eval(*args: bytes) -> bytes:
-    prog = SealedProgram.from_bytes(args[-1])
-    return prog.run(*args[:-1])
+def _decode_sealed(blob: bytes) -> SealedProgram:
+    return SealedProgram.from_bytes(blob)
 
 
-register_gate("SEALED_EVAL", _gate_sealed_eval)
+def _gate_sealed_eval(*args) -> bytes:
+    return args[-1].run(*args[:-1])
+
+
+register_gate("SEALED_EVAL", _gate_sealed_eval, decode=_decode_sealed)
 
 
 def _prg_image_len(attr_len: int) -> int:
@@ -480,13 +483,16 @@ class CprfKeys:
     escrow: dict = field(repr=False, default=None)
 
 
-def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
+def _decode_abe_enc_cfg(cfg: bytes) -> SealedProgram:
     mpk_blob, = unpack_fields(cfg, 1)
-    ct = kp_enc(SealedProgram.from_bytes(mpk_blob), x, m, coins)
-    return ct.to_bytes()
+    return SealedProgram.from_bytes(mpk_blob)
 
 
-register_gate("ABE_ENC", _gate_abe_kp_enc)
+def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, mpk: SealedProgram) -> bytes:
+    return kp_enc(mpk, x, m, coins).to_bytes()
+
+
+register_gate("ABE_ENC", _gate_abe_kp_enc, decode=_decode_abe_enc_cfg)
 
 CPRF_INPUT_BITS = 8
 

@@ -2,6 +2,7 @@ import pytest
 
 from qnk.circuit_ir import (
     BOTTOM,
+    DEFAULT_REGISTRY,
     ExhaustiveDomain,
     ExplicitDomain,
     LockSpec,
@@ -17,6 +18,7 @@ from qnk.circuit_ir import (
     lockobf_sim,
     obf_io,
     obf_vbb,
+    pack_fields_mode,
     pad,
     program_from_bytes,
     program_to_bytes,
@@ -27,6 +29,7 @@ from qnk.circuit_ir import (
 from qnk.errors import MalformedCircuit, TargetTooSmall, UnknownGate
 from qnk.primitives import owf
 from qnk.rand import Drbg
+from qnk.wire import pack_bytes, pack_u32, seal
 
 
 def identity_program():
@@ -176,6 +179,13 @@ class TestLockable:
         assert unwrap(obj.run(u)) == b"payload"
         assert unwrap(obj.run(b"\x00" * 16)) is None
 
+    def test_closure_stays_out_of_default_registry(self):
+        u = bytes(range(16))
+        before = len(DEFAULT_REGISTRY)
+        objs = [lockobf(LockSpec(u, b"p", lambda x: x)) for _ in range(3)]
+        assert len(DEFAULT_REGISTRY) == before
+        assert all(unwrap(o.run(u)) == b"p" for o in objs)
+
     def test_exhaustive_and_sim(self):
         b = ProgramBuilder(1)
         x = b.input(0)
@@ -227,3 +237,40 @@ def test_program_serialization_roundtrip():
     again = program_from_bytes(program_to_bytes(p))
     assert again == p
     assert evaluate(again, [b"a", b"a"]) == evaluate(p, [b"a", b"a"])
+
+
+class TestProgramDecoding:
+    """program_from_bytes and SealedProgram.from_bytes fail closed."""
+
+    @staticmethod
+    def blob():
+        b = ProgramBuilder(1)
+        return program_to_bytes(b.build([b.host("ab", b.input(0))]))
+
+    def test_unknown_op_tag(self):
+        blob = bytearray(self.blob())
+        blob[9] = 0xEE  # version (1) + arity (4) + node count (4), then tag
+        with pytest.raises(MalformedCircuit):
+            program_from_bytes(bytes(blob))
+
+    def test_non_utf8_gate_name(self):
+        blob = self.blob().replace(pack_bytes(b"ab"), pack_bytes(b"\xff\xfe"))
+        with pytest.raises(MalformedCircuit):
+            program_from_bytes(blob)
+
+    def test_trailing_bytes(self):
+        with pytest.raises(MalformedCircuit):
+            program_from_bytes(self.blob() + b"\x00")
+
+    def test_sealed_trailing_bytes(self):
+        sealed = obf_io(identity_program(), 4).to_bytes()
+        with pytest.raises(MalformedCircuit):
+            SealedProgram.from_bytes(sealed + b"\x00")
+
+    def test_sealed_non_utf8_mode(self):
+        body = seal(program_to_bytes(identity_program()), b"sealed-program")
+        good = pack_fields_mode("IO", 1, body)
+        assert SealedProgram.from_bytes(good).run(b"x") == b"x"
+        bad = pack_bytes(b"\xff") + pack_u32(1) + pack_bytes(body)
+        with pytest.raises(MalformedCircuit):
+            SealedProgram.from_bytes(bad)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qnk.circuit_ir import SealedProgram
 from qnk.cvqc import (
     MINI_PARAMS,
     PROTO_TOY,
@@ -21,9 +22,12 @@ from qnk.cvqc import (
     oracle_keygen,
     oracle_prove,
     oracle_verify,
+    sealed_stats_verifier,
+    sealed_toy_verifier,
     sim_gen,
     star_prove,
     star_verify,
+    stats_encode,
     stats_verify,
     td_gen,
     td_verify,
@@ -228,6 +232,76 @@ class TestVariants:
             assert CvqcVerifyKey.from_bytes(r.to_bytes()).to_bytes() == r.to_bytes()
         _, r = oracle_keygen(YES, Drbg(41))
         assert CvqcVerifyKey.from_bytes(r.to_bytes()).to_bytes() == r.to_bytes()
+
+
+def random_pairs(d: Drbg, r: CvqcVerifyKey):
+    return tuple((d.bit(), d.randint(0, (1 << r.body.w) - 1)) for _ in range(r.body.K))
+
+
+def count_calls(monkeypatch, cls, name: str) -> list:
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(_cls, blob):
+        calls.append(blob)
+        return original(blob)
+
+    monkeypatch.setattr(cls, name, classmethod(counted))
+    return calls
+
+
+class TestSealedVerifiers:
+    """Sealed TOY verifiers decode their hidden key once per program."""
+
+    def test_toy_key_decoded_once_and_verdicts_match(self, monkeypatch):
+        pp, r = toy_keygen(YES, Drbg(50))
+        honest = toy_prove(pp, Witness.empty(), Drbg(51))
+        sealed = sealed_toy_verifier(YES, r)
+        claims = count_calls(monkeypatch, Claim, "from_bytes")
+        keys = count_calls(monkeypatch, CvqcVerifyKey, "from_bytes")
+        d = Drbg(52)
+        proofs = [honest] + [random_pairs(d, r) for _ in range(49)]
+        for pi in proofs:
+            got = sealed.run(encode_base_proof(PROTO_TOY, pi))
+            assert got == bytes([toy_verify(YES, pi, r)])
+        assert sealed.run(encode_base_proof(PROTO_TOY, honest)) == b"\x01"
+        assert (len(claims), len(keys)) == (1, 1)
+
+    def test_stats_key_decoded_once_and_verdicts_match(self, monkeypatch):
+        pp, r = toy_keygen(YES, Drbg(53), ToyParams(variant=TOY_STATS))
+        salt, honest = toy_prove_stats(pp, Witness.empty(), Drbg(54))
+        sealed = sealed_stats_verifier(YES, r)
+        keys = count_calls(monkeypatch, CvqcVerifyKey, "from_bytes")
+        d = Drbg(55)
+        salted = [(salt, honest)] + [(d.bytes(16), random_pairs(d, r)) for _ in range(49)]
+        for s, pi in salted:
+            assert sealed.run(stats_encode(s, pi)) == bytes([stats_verify(YES, s, pi, r)])
+        assert sealed.run(stats_encode(salt, honest)) == b"\x01"
+        assert len(keys) == 1
+
+    def test_malformed_proof_bytes_reject(self):
+        _, r = toy_keygen(YES, Drbg(56), ToyParams(variant=TOY_STATS))
+        for sealed in (sealed_toy_verifier(YES, r), sealed_stats_verifier(YES, r)):
+            for bad in (b"", b"garbage", b"T\x05\x00", b"S" + b"\x00" * 20):
+                assert sealed.run(bad) == b"\x00"
+
+    def test_verifiers_with_different_keys_stay_apart(self):
+        pp1, r1 = toy_keygen(YES, Drbg(57))
+        pp2, r2 = toy_keygen(YES, Drbg(58))
+        pi1 = toy_prove(pp1, Witness.empty(), Drbg(59))
+        pi2 = toy_prove(pp2, Witness.empty(), Drbg(60))
+        v1, v2 = sealed_toy_verifier(YES, r1), sealed_toy_verifier(YES, r2)
+        # a round trip through bytes gives a fresh program with its own cache
+        v1_again = SealedProgram.from_bytes(v1.to_bytes())
+        verdicts = set()
+        for _ in range(3):
+            for pi in (pi1, pi2):
+                enc = encode_base_proof(PROTO_TOY, pi)
+                want1, want2 = toy_verify(YES, pi, r1), toy_verify(YES, pi, r2)
+                assert v1.run(enc) == v1_again.run(enc) == bytes([want1])
+                assert v2.run(enc) == bytes([want2])
+                verdicts.add((want1, want2))
+        assert (1, 0) in verdicts and (0, 1) in verdicts
 
 
 class TestBlindWrapper:

@@ -1,6 +1,13 @@
 import pytest
 
-from qnk.circuit_ir import ExplicitDomain, equiv_check, evaluate
+from qnk.circuit_ir import (
+    ExplicitDomain,
+    ProgramBuilder,
+    SealedProgram,
+    equiv_check,
+    evaluate,
+    obf_io,
+)
 from qnk.encdelegate import (
     POLICY_FAMILY,
     AbeCiphertext,
@@ -306,3 +313,22 @@ class TestSecretSharing:
         ss = ss_share(fixture("th23"), 3, 1, 47)
         for i, (r_i, _) in enumerate(ss.shares):
             assert commit(bytes([i + 1]), r_i).payload == ss.commitments[i]
+
+
+def test_sealed_eval_decodes_nested_program_once(monkeypatch):
+    b = ProgramBuilder(1)
+    inner = obf_io(b.build([b.host("OWF", b.input(0))]), 6)
+    b = ProgramBuilder(1)
+    outer = b.build([b.host("SEALED_EVAL", b.input(0), consts=(inner.to_bytes(),))])
+    sealed = obf_io(outer, 4)
+    calls = []
+    original = SealedProgram.from_bytes
+    monkeypatch.setattr(SealedProgram, "from_bytes",
+                        classmethod(lambda cls, blob: calls.append(blob) or original(blob)))
+    first, second = sealed.run(b"x"), sealed.run(b"x")
+    assert first == second == inner.run(b"x")
+    assert len(calls) == 1
+    # a plain evaluate keeps no cache and decodes on every call
+    evaluate(outer, [b"x"])
+    evaluate(outer, [b"x"])
+    assert len(calls) == 3
