@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MalformedCircuit, TargetTooSmall, UnknownGate
+from .primitives import _xor
 from .rand import Drbg
 from .wire import Reader, pack_bytes, pack_u32, seal, unseal
 
@@ -261,7 +262,7 @@ def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None,
                 a, b = ev(node.args[0]), ev(node.args[1])
                 if len(a) != len(b):
                     raise MalformedCircuit("XOR operand lengths differ")
-                v = bytes(x ^ y for x, y in zip(a, b))
+                v = _xor(a, b)
             elif node.op == "EQ":
                 v = b"\x01" if ev(node.args[0]) == ev(node.args[1]) else b"\x00"
             elif node.op == "ITE":

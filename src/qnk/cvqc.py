@@ -216,9 +216,9 @@ def decode_base_proof(proto: str, blob: bytes):
         return blob[1:]
     if blob[:1] != b"T":
         raise MalformedProof("bad measurement proof encoding")
-    k = blob[1]
-    if len(blob) != 2 + 2 * k:
+    if len(blob) < 2 or len(blob) != 2 + 2 * blob[1]:
         raise MalformedProof("bad measurement proof length")
+    k = blob[1]
     return tuple((blob[2 + 2 * i], blob[3 + 2 * i]) for i in range(k))
 
 
@@ -523,7 +523,7 @@ def _gate_cvqc_verify(tagged_proof: bytes, vk_blob: bytes) -> bytes:
     oracle = oracle_from_spec(spec)
     try:
         proof = CvqcProof.decode(proto.decode(), plain)
-    except (MalformedProof, MalformedCiphertext, IndexError):
+    except (MalformedProof, MalformedCiphertext):
         return b"\x00"
     return bytes([star_verify(claim, proof, r, oracle)])
 
@@ -538,7 +538,7 @@ def _gate_cvqc_tdverify(tagged_proof: bytes, td_blob: bytes) -> bytes:
     oracle = oracle_from_spec(spec)
     try:
         proof = CvqcProof.decode(proto.decode(), plain)
-    except (MalformedProof, MalformedCiphertext, IndexError):
+    except (MalformedProof, MalformedCiphertext):
         return b"\x00"
     return bytes([td_verify(claim, proof, PrfKey(td_bytes), oracle, proto.decode())])
 

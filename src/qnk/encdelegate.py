@@ -203,9 +203,13 @@ def abe_enc(keys_mpk: SealedProgram, policy: QmaLanguage, m: bytes, seed,
             attr_len: int) -> AbeCiphertext:
     """Encrypt to a policy language over attributes; decryptable by keys whose
     attribute the policy accepts."""
+    return _abe_enc_blob(keys_mpk.to_bytes(), policy, m, seed, attr_len)
+
+
+def _abe_enc_blob(mpk_blob: bytes, policy: QmaLanguage, m: bytes, seed,
+                  attr_len: int) -> AbeCiphertext:
     drbg = Drbg(seed).child("abe-enc")
     r = prf_gen(drbg.child("r"), 16)
-    mpk_blob = keys_mpk.to_bytes()
     program = _build_encryptor_program(mpk_blob, policy, m, r)
     fam = abe_encryptor_hybrids(mpk_blob, policy, m, m, r, attr_len, 0,
                                 drbg.child("sizing"))
@@ -483,13 +487,15 @@ class CprfKeys:
     escrow: dict = field(repr=False, default=None)
 
 
-def _decode_abe_enc_cfg(cfg: bytes) -> SealedProgram:
+def _decode_abe_enc_cfg(cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
-    return SealedProgram.from_bytes(mpk_blob)
+    SealedProgram.from_bytes(mpk_blob)  # a malformed mpk fails here, not at decryption
+    return mpk_blob
 
 
-def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, mpk: SealedProgram) -> bytes:
-    return kp_enc(mpk, x, m, coins).to_bytes()
+def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, mpk_blob: bytes) -> bytes:
+    return _abe_enc_blob(mpk_blob, make_universal_language(x), m, coins,
+                         KP_ATTR_LEN).to_bytes()
 
 
 register_gate("ABE_ENC", _gate_abe_kp_enc, decode=_decode_abe_enc_cfg)

@@ -12,7 +12,6 @@ classical throughout.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import threading
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .errors import (
     NotBinding,
     PuncturedPoint,
 )
-from .rand import Drbg
+from .rand import Drbg, _hmac
 
 KEY_LEN = 16  # toy security parameter: 128 bits
 DIGEST_LEN = 32
@@ -31,12 +30,13 @@ ORACLE_OUT_BITS = 8 * KEY_LEN + 1  # 129
 GGM_DOMAINS = (8, 16, 32)
 
 
-def _hmac(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
-
-
 def _sha(msg: bytes) -> bytes:
     return hashlib.sha256(msg).digest()
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """XOR of two byte strings of equal length."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ def sbsh_com(keys: SbshKeys, m: bytes, r: bytes) -> bytes:
         pad = _binding_pad(keys.ck0, keys.ck1, r, len(m))
     else:
         pad = _hiding_pad(keys.ck0, keys.ck1, r, len(m))
-    return r + bytes(a ^ b for a, b in zip(m, pad))
+    return r + _xor(m, pad)
 
 
 def sbsh_ext(gen_rand: bytes, ck0: bytes, ck1: bytes, c: bytes,
@@ -321,5 +321,4 @@ def sbsh_ext(gen_rand: bytes, ck0: bytes, ck1: bytes, c: bytes,
     if _hmac(gen_rand, b"ck0")[:KEY_LEN] != ck0:
         raise NotBinding("generation randomness does not match ck0")
     r, ct = c[:KEY_LEN], c[KEY_LEN:]
-    pad = _binding_pad(ck0, ck1, r, len(ct))
-    return bytes(a ^ b for a, b in zip(ct, pad))
+    return _xor(ct, _binding_pad(ck0, ck1, r, len(ct)))

@@ -9,21 +9,15 @@ under encryption. The scheme is leveled; every Eval ticks a depth counter.
 """
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
-from .primitives import KEY_LEN, prg
+from .errors import DepthExceeded, KeyMismatch
+from .primitives import KEY_LEN
 from .qsim import QuantumCircuit, run_circuit
-from .rand import Drbg
-from .wire import Reader, pack_bytes, pack_u32, seal, unseal
+from .rand import Drbg, _hmac
+from .wire import Reader, _seal_keyed, _unseal_keyed, pack_bytes, pack_u32, seal, unseal
 
 DEFAULT_MAX_DEPTH = 8
-
-
-def _hmac(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
 
 
 @dataclass(frozen=True)
@@ -68,32 +62,15 @@ def qfhe_gen(drbg: Drbg) -> QfheKeys:
     return QfheKeys(pk=pk, sk=sk)
 
 
-def _seal_payload(wrap_key: bytes, m: bytes, nonce: bytes) -> bytes:
-    pad = prg(_hmac(wrap_key, b"pad" + nonce)[:KEY_LEN], len(m))
-    body = bytes(a ^ b for a, b in zip(m, pad))
-    tag = _hmac(wrap_key, b"tag" + nonce + body)[:KEY_LEN]
-    return nonce + body + tag
-
-
-def _open_payload(wrap_key: bytes, payload: bytes) -> bytes:
-    if len(payload) < 32:
-        raise MalformedCiphertext("ciphertext payload too short")
-    nonce, body, tag = payload[:16], payload[16:-16], payload[-16:]
-    if _hmac(wrap_key, b"tag" + nonce + body)[:KEY_LEN] != tag:
-        raise MalformedCiphertext("ciphertext failed integrity check")
-    pad = prg(_hmac(wrap_key, b"pad" + nonce)[:KEY_LEN], len(body))
-    return bytes(a ^ b for a, b in zip(body, pad))
-
-
 def qfhe_enc(pk: bytes, m: bytes, drbg: Drbg) -> QfheCiphertext:
     wrap_key = _wrap_key_from_pk(pk)
-    return QfheCiphertext(pk[:8], _seal_payload(wrap_key, m, drbg.bytes(16)))
+    return QfheCiphertext(pk[:8], _seal_keyed(wrap_key, m, drbg.bytes(16)))
 
 
 def qfhe_dec(sk: bytes, ct: QfheCiphertext) -> bytes:
     if _hmac(sk, b"id")[:8] != ct.key_id:
         raise KeyMismatch("secret key does not match ciphertext")
-    return _open_payload(_wrap_key_from_sk(sk), ct.payload)
+    return _unseal_keyed(_wrap_key_from_sk(sk), ct.payload)
 
 
 def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> QfheCiphertext:
@@ -107,7 +84,7 @@ def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> Qfh
     if ct.eval_depth + 1 > ct.max_depth:
         raise DepthExceeded(f"evaluation depth {ct.eval_depth + 1} exceeds {ct.max_depth}")
     wrap_key = _wrap_key_from_pk(pk)
-    m = _open_payload(wrap_key, ct.payload)
+    m = _unseal_keyed(wrap_key, ct.payload)
     if isinstance(C, QuantumCircuit):
         bits = [int(b) for b in m.decode()]
         bit, _ = run_circuit(C, bits, drbg if drbg is not None else Drbg(0))
@@ -115,5 +92,5 @@ def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> Qfh
     else:
         out = C(m)
     nonce_src = drbg.bytes(16) if drbg is not None else _hmac(wrap_key, b"renonce" + ct.payload)[:16]
-    return QfheCiphertext(ct.key_id, _seal_payload(wrap_key, out, nonce_src),
+    return QfheCiphertext(ct.key_id, _seal_keyed(wrap_key, out, nonce_src),
                           ct.eval_depth + 1, ct.max_depth)

@@ -11,24 +11,20 @@ Sealing hides embedded constants from casual inspection of serialized
 programs. It is keyed by a fixed library constant: opacity here is an API
 property (no accessor exposes the plaintext), not a cryptographic boundary,
 and a fixed key keeps serialization byte-identical across runs for a fixed
-seed.
+seed. QFHE payloads use the same construction under their own wrap key.
 """
 from __future__ import annotations
 
 import hashlib
-import hmac
 
 from .errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
-from .primitives import prg
+from .primitives import _xor, prg
+from .rand import _hmac
 
 MAGIC = b"QNK1"
 VERSION = 1
 
 _SEAL_KEY = hashlib.sha256(b"qnk-seal-v1").digest()[:16]
-
-
-def _hmac(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +77,28 @@ def unpack_fields(data: bytes, n: int) -> list[bytes]:
 # sealing
 
 
-def seal(data: bytes, context: bytes = b"") -> bytes:
-    nonce = _hmac(_SEAL_KEY, b"nonce" + context + data)[:16]
-    pad = prg(_hmac(_SEAL_KEY, b"pad" + nonce)[:16], len(data))
-    body = bytes(a ^ b for a, b in zip(data, pad))
-    tag = _hmac(_SEAL_KEY, b"tag" + nonce + body)[:16]
-    return nonce + body + tag
+def _seal_keyed(key: bytes, data: bytes, nonce: bytes) -> bytes:
+    """nonce(16) || data XOR pad || tag(16), pad and tag keyed by `key`."""
+    body = _xor(data, prg(_hmac(key, b"pad" + nonce)[:16], len(data)))
+    return nonce + body + _hmac(key, b"tag" + nonce + body)[:16]
 
 
-def unseal(blob: bytes, context: bytes = b"") -> bytes:
+def _unseal_keyed(key: bytes, blob: bytes) -> bytes:
     if len(blob) < 32:
         raise MalformedCiphertext("sealed blob too short")
     nonce, body, tag = blob[:16], blob[16:-16], blob[-16:]
-    if _hmac(_SEAL_KEY, b"tag" + nonce + body)[:16] != tag:
+    if _hmac(key, b"tag" + nonce + body)[:16] != tag:
         raise MalformedCiphertext("sealed blob failed integrity check")
-    pad = prg(_hmac(_SEAL_KEY, b"pad" + nonce)[:16], len(body))
-    return bytes(a ^ b for a, b in zip(body, pad))
+    return _xor(body, prg(_hmac(key, b"pad" + nonce)[:16], len(body)))
+
+
+def seal(data: bytes, context: bytes = b"") -> bytes:
+    """`context` only feeds the nonce; `unseal` does not check it."""
+    return _seal_keyed(_SEAL_KEY, data, _hmac(_SEAL_KEY, b"nonce" + context + data)[:16])
+
+
+def unseal(blob: bytes, context: bytes = b"") -> bytes:
+    return _unseal_keyed(_SEAL_KEY, blob)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +121,13 @@ def open_envelope(blob: bytes, expect_tag: str | None = None) -> tuple[str, byte
     version = int.from_bytes(r.take(2), "big")
     if version != VERSION:
         raise VersionMismatch(f"envelope version {version}, expected {VERSION}")
-    tag = r.field().decode()
+    try:
+        tag = r.field().decode()
+    except UnicodeDecodeError as e:
+        raise MalformedCiphertext("envelope type tag is not UTF-8") from e
     payload = r.field()
+    if not r.done():
+        raise MalformedCiphertext("trailing bytes after envelope payload")
     if expect_tag is not None and tag != expect_tag:
         raise VersionMismatch(f"envelope holds {tag!r}, expected {expect_tag!r}")
     return tag, payload

@@ -1,10 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
 from qnk.cli import main
-from qnk.errors import BadDigest, BadMagic, VersionMismatch
-from qnk.wire import envelope, open_envelope
+from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
+from qnk.wire import MAGIC, VERSION, envelope, open_envelope, pack_bytes
+
+
+def raw_envelope(tag: bytes, payload: bytes, trailing: bytes = b"") -> bytes:
+    """An envelope with a valid digest over whatever body it is given."""
+    head = MAGIC + VERSION.to_bytes(2, "big") + pack_bytes(tag) + pack_bytes(payload) + trailing
+    return head + hashlib.sha256(head).digest()
 
 
 @pytest.fixture
@@ -29,11 +36,18 @@ class TestEnvelope:
             open_envelope(bytes(blob))
 
     def test_version_mismatch(self):
-        import hashlib
-        from qnk.wire import MAGIC, pack_bytes
         head = MAGIC + (9).to_bytes(2, "big") + pack_bytes(b"t") + pack_bytes(b"p")
         with pytest.raises(VersionMismatch):
             open_envelope(head + hashlib.sha256(head).digest())
+
+    def test_non_utf8_tag(self):
+        with pytest.raises(MalformedCiphertext):
+            open_envelope(raw_envelope(b"\xff\xfe", b"p"))
+
+    def test_trailing_bytes_under_digest(self):
+        assert open_envelope(raw_envelope(b"t", b"p")) == ("t", b"p")
+        with pytest.raises(MalformedCiphertext):
+            open_envelope(raw_envelope(b"t", b"p", trailing=b"\x00"))
 
     def test_wrong_tag(self):
         blob = envelope("a", b"p")
@@ -59,6 +73,22 @@ class TestWeCommands:
         capsys.readouterr()
         assert main(["we", "dec", "--lang", "par8", "--x", "03",
                      "--ct", str(ct), "--seed", "4"]) == 1
+
+
+    @pytest.mark.parametrize("tag, trailing", [(b"\xff", b""), (None, b"\x00")],
+                             ids=["non-utf8-tag", "trailing-bytes"])
+    def test_dec_malformed_envelope_exits_1(self, tmp, capsys, tag, trailing):
+        ct = tmp / "we.bin"
+        main(["we", "enc", "--lang", "par8", "--x", "07", "--m", "1",
+              "--seed", "3", "--out", str(ct)])
+        good_tag, payload = open_envelope(ct.read_bytes())
+        ct.write_bytes(raw_envelope(tag or good_tag.encode(), payload, trailing))
+        capsys.readouterr()
+        assert main(["we", "dec", "--lang", "par8", "--x", "07",
+                     "--ct", str(ct), "--seed", "4"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "MalformedCiphertext"
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestCvqcCommands:

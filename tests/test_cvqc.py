@@ -282,7 +282,8 @@ class TestSealedVerifiers:
     def test_malformed_proof_bytes_reject(self):
         _, r = toy_keygen(YES, Drbg(56), ToyParams(variant=TOY_STATS))
         for sealed in (sealed_toy_verifier(YES, r), sealed_stats_verifier(YES, r)):
-            for bad in (b"", b"garbage", b"T\x05\x00", b"S" + b"\x00" * 20):
+            for bad in (b"", b"T", b"garbage", b"T\x05\x00", b"S" + b"\x00" * 20,
+                        b"S" + bytes(16) + b"T"):
                 assert sealed.run(bad) == b"\x00"
 
     def test_verifiers_with_different_keys_stay_apart(self):

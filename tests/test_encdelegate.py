@@ -332,3 +332,18 @@ def test_sealed_eval_decodes_nested_program_once(monkeypatch):
     evaluate(outer, [b"x"])
     evaluate(outer, [b"x"])
     assert len(calls) == 3
+
+
+def test_abe_enc_gate_does_not_reseal_mpk(ck, monkeypatch):
+    from qnk import circuit_ir
+    from qnk.encdelegate import cprf_ceval
+    kq = cprf_constrain(ck, 1)
+    calls = []
+    original = circuit_ir.seal
+    monkeypatch.setattr(circuit_ir, "seal", lambda *a: calls.append(a) or original(*a))
+    for x in (0b0111, 0b0111, 0b0011):
+        before = len(calls)
+        cprf_ceval(ck.pp, kq, x, Drbg(x))
+        # the ABE ciphertext's program and the WE ciphertext's program; the
+        # mpk the gate carries is passed on as bytes, not sealed again
+        assert len(calls) - before == 2

@@ -32,6 +32,7 @@ from qnk.primitives import (
     sbsh_is_binding,
     sbsh_key,
     verify_open,
+    _xor,
 )
 from qnk.rand import Drbg
 
@@ -110,6 +111,17 @@ class TestGgm:
         kz = ggm_punct(prf_gen(Drbg(8), 16), 0x1234)
         assert len(kz.path_keys) == 16
         assert kz.point == 0x1234
+
+
+class TestXor:
+    @pytest.mark.parametrize("n", [0, 1, 17, 4096])
+    def test_matches_bytewise_xor(self, n):
+        d = Drbg(17).child(str(n))
+        for lead in {0, min(n, 1), min(n, 5)}:  # leading zero bytes
+            a = bytes(lead) + d.bytes(n - lead)
+            b = bytes(lead) + d.bytes(n - lead)
+            for x, y in ((a, b), (a, a), (a, bytes(n))):
+                assert _xor(x, y) == bytes(u ^ v for u, v in zip(x, y))
 
 
 class TestPrg:

@@ -1,0 +1,32 @@
+"""Source checks that keep the crypto plumbing in one place each.
+
+HMAC-SHA256 goes through `rand._hmac` and byte-string XOR through
+`primitives._xor`; a second copy of either fails here.
+"""
+import re
+from pathlib import Path
+
+SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "qnk").glob("*.py"))
+
+BYTEWISE_XOR = re.compile(r"\^.*\bfor\b.*\bin\s+zip\(")
+
+
+def offending_lines(pattern, skip=()):
+    return [f"{p.name}:{n}: {line.strip()}"
+            for p in SRC if p.name not in skip
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if pattern.search(line)]
+
+
+def test_hmac_new_only_in_rand():
+    assert any(p.name == "rand.py" for p in SRC)
+    assert offending_lines(re.compile(r"\bhmac\.new\b"), skip=("rand.py",)) == []
+
+
+def test_no_bytewise_xor_generator():
+    assert offending_lines(BYTEWISE_XOR) == []
+
+
+def test_xor_pattern():
+    assert BYTEWISE_XOR.search("    body = bytes(a ^ b for a, b in zip(data, pad))")
+    assert not BYTEWISE_XOR.search("    for i, (c_i, r_i) in enumerate(zip(commitments, openings)):")
