@@ -1,19 +1,41 @@
 """Known-answer tests: bytes pinned from the reference implementation.
 
 Criterion 11 compares two runs of one build; these pin the bytes across
-builds, so a refactor of the sealing, QFHE, SBSH, IR or ABE-encryption code
-that changes any output byte fails here.
+builds, so a refactor of the sealing, QFHE, SBSH, IR, ABE-encryption, CVQC
+or null-iO code that changes any output byte fails here.
 """
 import hashlib
 
 import pytest
 
 from qnk.circuit_ir import ProgramBuilder, evaluate, obf_io
+from qnk.cvqc import (
+    PROTO_ORACLE,
+    PROTO_TOY,
+    TOY_LINEAR,
+    TOY_STATS,
+    ToyParams,
+    blind_keygen,
+    blind_prove,
+    claim_for,
+    encode_base_proof,
+    sealed_star_td_verifier,
+    sealed_stats_verifier,
+    sealed_toy_verifier,
+    sim_gen,
+    stats_encode,
+    td_gen,
+    toy_keygen,
+    toy_prove,
+    toy_prove_stats,
+)
 from qnk.encdelegate import attr_wire, cprf_gen
+from qnk.nullio import nio_obf_stage, nio_obf_vbb
 from qnk.primitives import SbshKeys, sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
+from qnk.qma import Witness, fixture
 from qnk.rand import Drbg
-from qnk.wire import seal, unseal
+from qnk.wire import pack_fields, seal, unseal
 
 
 def sha(b: bytes) -> str:
@@ -112,3 +134,108 @@ class TestAbeEncGate:
     def test_cprf_ciphertext(self, x, want):
         # the cprf program's output is the ABE_ENC gate's ciphertext
         assert sha(cprf_gen(35).pp.run(attr_wire(x, 8))) == want
+
+
+PAR = fixture("par8")
+YES = claim_for(PAR, b"\x07")
+STAGES = ("honest", "td", "sim", "bottom")
+NIO_STAGE = {
+    (PROTO_ORACLE, None, "honest"):
+        "2cf5ac0e8dfb087ce4d6270304913e08d6035587219faf9bfa1ec3a4f4862bcc",
+    (PROTO_ORACLE, None, "td"):
+        "5600e10af180668734fa9d81961b4f41ebafc72b79907df4f824c94b6c3a9426",
+    (PROTO_ORACLE, None, "sim"):
+        "c05b774dd751dc0710b47b12990852975cf71c1541be36795f6d40d575b739d2",
+    (PROTO_ORACLE, None, "bottom"):
+        "8780c29da356bde45c2e17a9c9732085aa9ccd403cae6d774baa57b5ecc57649",
+    (PROTO_ORACLE, b"payload", "honest"):
+        "1c280b685b1c5f59ab791ae737c82325dcc16ff4fea42a0db5cb056d81597e6c",
+    (PROTO_ORACLE, b"payload", "td"):
+        "98c4e1231a950f1ed18e4d5c5fb69642412de45b3727f5ca0591ee22ab716ef1",
+    (PROTO_ORACLE, b"payload", "sim"):
+        "5d7ee9442b873f71a00871d56d669a8c4ac23708729f7ccb606dd998ecb9ffef",
+    (PROTO_ORACLE, b"payload", "bottom"):
+        "2c3cda98ae473d445280cd688478e39b2d337ca581f2e26f5126f21b48f4c758",
+    (PROTO_TOY, None, "honest"):
+        "6a2ab4f81e0d3466dce9be87da08de780478733268f30f1fb0215c5bf1d03a27",
+    (PROTO_TOY, None, "td"):
+        "9581018864321ffdaffffb1afafb31e443602d91ceaef6b5cd93e996d455d9fd",
+    (PROTO_TOY, None, "sim"):
+        "aa331ef8b613bcabe4c0306ee3d344028e199d65020bb1146f4b6561d388b02f",
+    (PROTO_TOY, None, "bottom"):
+        "49555f246f200ebf6590d8e3e6c1bbb5a7ddbd31e5faa9da159d70a560fbe024",
+    (PROTO_TOY, b"payload", "honest"):
+        "e000cee7b088f0996166d89249ba164845d07fc48464cc5160702a0950fc6973",
+    (PROTO_TOY, b"payload", "td"):
+        "8386405e01154158aeeb88071c708c2d649e4421cdf3c9246c1219cfd6492087",
+    (PROTO_TOY, b"payload", "sim"):
+        "0be2f52991c2ddb63e2baff293ba82d78b44ae97d843a69f56f801ab65b7e298",
+    (PROTO_TOY, b"payload", "bottom"):
+        "1947aa70effda9e31acbc25908245bfabd5f01568e272b5135ae23dd976906be",
+}
+NIO_VBB = {
+    PROTO_ORACLE: "c5a1024651da70c1b7579188e2ba3f309b76242351a920fa89d81b3d21e74348",
+    PROTO_TOY: "64fba6f6214c30094a13140ba9f4512d8997bd7f6396284f389014fb86a3a818",
+}
+NIO_CASES = [(proto, release, stage) for proto in (PROTO_ORACLE, PROTO_TOY)
+             for release in (None, b"payload") for stage in STAGES]
+
+
+class TestNullIo:
+    @pytest.mark.parametrize("proto, release, stage", NIO_CASES,
+                             ids=[f"{p}-{'rel' if r else 'bit'}-{s}" for p, r, s in NIO_CASES])
+    def test_obf_stage(self, proto, release, stage):
+        obf = nio_obf_stage(YES, 21, stage, proto, release=release)
+        assert sha(obf.to_bytes()) == NIO_STAGE[proto, release, stage]
+
+    @pytest.mark.parametrize("proto", [PROTO_ORACLE, PROTO_TOY])
+    def test_obf_vbb(self, proto):
+        assert sha(nio_obf_vbb(YES, 22, proto).sealed_C.to_bytes()) == NIO_VBB[proto]
+
+
+class TestSealedVerifiers:
+    def test_toy(self):
+        _, r = toy_keygen(YES, Drbg(23))
+        assert sha(sealed_toy_verifier(YES, r).to_bytes()) == (
+            "c30883c2ff7750d2063c19a35a5a90f276cb69695219beee687297e79403183a")
+
+    def test_stats(self):
+        _, r = toy_keygen(YES, Drbg(23), ToyParams(variant=TOY_STATS))
+        assert sha(sealed_stats_verifier(YES, r).to_bytes()) == (
+            "9ede1c8bc535529930c33adba6017cbed4c070102d8d0125e74956002bea54ae")
+
+    @pytest.mark.parametrize("proto, gen, want", [
+        (PROTO_ORACLE, td_gen,
+         "e04271165101abd2bb2a48f20da53fa614a172b5d76560da796db3104ff1fe43"),
+        (PROTO_TOY, td_gen,
+         "3541e89144480b6e8317471ff8c8cf57b72ae4aff71bd490c90ca8f1465a8a6b"),
+        (PROTO_TOY, sim_gen,
+         "7538a26fd7973a58230417c8f7e44754583377e76584c75cf11a68d419b1ee3a"),
+    ])
+    def test_star_td(self, proto, gen, want):
+        setup = gen(YES, proto, Drbg(24))
+        assert sha(sealed_star_td_verifier(setup).to_bytes()) == want
+
+
+class TestToyProvers:
+    @pytest.mark.parametrize("variant, want", [
+        ("standard", "5408010e0103000301070006000e01090100"),
+        (TOY_LINEAR, "5408010e0103000300070006000e01090000"),
+    ])
+    def test_toy_prove(self, variant, want):
+        pp, _ = toy_keygen(YES, Drbg(25), ToyParams(variant=variant))
+        pi = toy_prove(pp, Witness.empty(), Drbg(26))
+        assert encode_base_proof(PROTO_TOY, pi).hex() == want
+
+    def test_toy_prove_stats(self):
+        pp, _ = toy_keygen(YES, Drbg(25), ToyParams(variant=TOY_STATS))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(27))
+        assert stats_encode(salt, pi).hex() == (
+            "533a1009e5f923ba61854e5eb71eb54a3954080007010a010e000f010c00030106000c")
+
+    def test_blind_prove(self):
+        bp, _, oracle = blind_keygen(YES, Drbg(28))
+        proof = blind_prove(bp, Witness.empty(), oracle, Drbg(29))
+        assert sha(pack_fields(proof.ct_y.to_bytes(), proof.c,
+                               proof.ct_pi.to_bytes())) == (
+            "60e9f25f01114a8fe15c56edb5e0532d10a5b434ad72232c2741a9a7919fee8e")
