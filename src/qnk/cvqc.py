@@ -38,7 +38,7 @@ from .errors import (
     MalformedProof,
     WidthMismatch,
 )
-from .circuit_ir import ProgramBuilder, SealedProgram, obf_io, register_gate
+from .circuit_ir import ProgramBuilder, SealedProgram, obf_io, register_gate, unwrap
 from .primitives import (
     KEY_LEN,
     MODE_SIMGEN,
@@ -106,6 +106,8 @@ class Claim:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Claim":
         ref, x, reps = unpack_fields(blob, 3)
+        if len(reps) != 1:
+            raise MalformedCiphertext("claim repetition count must be one byte")
         return cls(ref, x, reps[0])
 
     def digest(self) -> bytes:
@@ -131,7 +133,10 @@ class CvqcParams:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CvqcParams":
         proto, pp = unpack_fields(blob, 2)
-        return cls(proto.decode(), pp)
+        try:
+            return cls(proto.decode(), pp)
+        except UnicodeDecodeError as e:
+            raise MalformedCiphertext("protocol name is not UTF-8") from e
 
 
 @dataclass(frozen=True)
@@ -170,18 +175,16 @@ class CvqcVerifyKey:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CvqcVerifyKey":
-        r = Reader(blob)
-        kind = r.field()
-        if kind == b"O":
-            return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(r.field()), r.field()))
-        bases = tuple(r.field())
-        secrets = tuple(r.field())
-        target = tuple(r.field())
-        tau, w = r.field()
-        variant = r.field().decode()
-        subset_key = r.field()
-        return cls(PROTO_TOY, ToyVerifyKey(bases, secrets, target, tau, w,
-                                           variant, subset_key))
+        if Reader(blob).field() == b"O":
+            _, km, claim_digest = unpack_fields(blob, 3)
+            return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(km), claim_digest))
+        _, bases, secrets, target, tau_w, variant, subset_key = unpack_fields(blob, 7)
+        try:
+            (tau, w), variant = tau_w, variant.decode()
+        except ValueError as e:
+            raise MalformedCiphertext("bad verify key parameters") from e
+        return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
+                                           tau, w, variant, subset_key))
 
 
 @dataclass(frozen=True)
@@ -342,14 +345,17 @@ def _toy_open_pp(pp: CvqcParams):
     return claim, tuple(bases), tuple(secrets), kwt[0], kwt[1], kwt[2], variant.decode()
 
 
-def toy_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
+def _toy_pairs(pp: CvqcParams, witness: Witness, drbg: Drbg, draw_d: bool):
+    """Per-position (b, d), shared by `toy_prove` and `_toy_prove1`. With
+    `draw_d`, d is block 0 of the position's stream and masks a checked
+    outcome by <d, s_i>; without it d = 0 and b is the raw outcome. An
+    unchecked position's b is the stream's next block (block 1 or 0)."""
     claim, bases, secrets, K, w, tau, variant = _toy_open_pp(pp)
     pairs = []
     for i in range(K):
         pd = drbg.child(f"pos{i}")
-        d = int.from_bytes(pd.bytes(1), "big") % (1 << w)
-        checked = bases[i] == 1 or variant == TOY_LINEAR
-        if checked:
+        d = int.from_bytes(pd.bytes(1), "big") % (1 << w) if draw_d else 0
+        if bases[i] == 1 or variant == TOY_LINEAR:
             e = _output_check_outcome(claim, witness, pd.child("measure"))
             b = e ^ _dot_bits(d, secrets[i])
         else:
@@ -358,24 +364,34 @@ def toy_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
     return tuple(pairs)
 
 
-def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
-    vk = r.body
+def toy_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
+    return _toy_pairs(pp, witness, drbg, True)
+
+
+def _check_toy_entries(pi, vk: ToyVerifyKey) -> None:
     if not isinstance(pi, tuple) or len(pi) != vk.K:
         raise MalformedProof(f"proof must carry exactly {vk.K} pairs")
     for b, d in pi:
         if b not in (0, 1) or not 0 <= d < (1 << vk.w):
             raise MalformedProof("proof entry out of range")
-    if vk.variant == TOY_LINEAR:
-        checked = set(range(vk.K))
-    else:
-        checked = {i for i in range(vk.K) if vk.bases[i] == 1}
+
+
+def _toy_verdict(pi, vk: ToyVerifyKey, checked) -> int:
+    """Accept iff at most tau of the `checked` positions miss the target."""
     mismatches = 0
     for i in checked:
         b, d = pi[i]
-        e = b ^ _dot_bits(d, vk.secrets[i])
-        if e != vk.target[i]:
+        if b ^ _dot_bits(d, vk.secrets[i]) != vk.target[i]:
             mismatches += 1
     return 1 if mismatches <= vk.tau else 0
+
+
+def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
+    vk = r.body
+    _check_toy_entries(pi, vk)
+    if vk.variant == TOY_LINEAR:
+        return _toy_verdict(pi, vk, range(vk.K))
+    return _toy_verdict(pi, vk, [i for i in range(vk.K) if vk.bases[i] == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -500,47 +516,37 @@ def oracle_from_spec(spec: bytes) -> RandomOracle:
     return RandomOracle(seed, MODE_TDGEN, td, _base_verify_closure(claim, r))
 
 
-def star_vk_blob(setup: StarSetup) -> bytes:
-    """Hidden constant for the CVQC_VERIFY host gate."""
-    return pack_fields(setup.claim.to_bytes(), setup.pp.proto.encode(),
-                       setup.r.to_bytes(), oracle_spec(setup))
+# the two dual-mode verifier gates, keyed by "verifies with the trapdoor"
+_STAR_GATES = {False: "CVQC_VERIFY", True: "CVQC_TDVERIFY"}
 
 
-def star_td_blob(setup: StarSetup) -> bytes:
-    """Hidden constant for the CVQC_TDVERIFY host gate."""
-    return pack_fields(setup.claim.to_bytes(), setup.pp.proto.encode(),
-                       setup.td.bytes, oracle_spec(setup))
+def star_gate(setup: StarSetup, use_td: bool) -> tuple[str, bytes]:
+    """Host gate and hidden constant of a sealed dual-mode verifier: honest
+    verification under r, or (use_td) trapdoor verification under td. The
+    constant is claim | proto | key | oracle spec; the gate reads a tagged
+    proof (`circuit_ir.wrap_some`) and returns the verdict byte."""
+    key = setup.td.bytes if use_td else setup.r.to_bytes()
+    return _STAR_GATES[use_td], pack_fields(
+        setup.claim.to_bytes(), setup.pp.proto.encode(), key, oracle_spec(setup))
 
 
-def _gate_cvqc_verify(tagged_proof: bytes, vk_blob: bytes) -> bytes:
-    from .circuit_ir import unwrap
-    plain = unwrap(tagged_proof)
-    if plain is None:
-        return b"\x00"
-    claim_bytes, proto, r_bytes, spec = unpack_fields(vk_blob, 4)
-    claim = Claim.from_bytes(claim_bytes)
-    r = CvqcVerifyKey.from_bytes(r_bytes)
-    oracle = oracle_from_spec(spec)
-    try:
-        proof = CvqcProof.decode(proto.decode(), plain)
-    except (MalformedProof, MalformedCiphertext):
-        return b"\x00"
-    return bytes([star_verify(claim, proof, r, oracle)])
-
-
-def _gate_cvqc_tdverify(tagged_proof: bytes, td_blob: bytes) -> bytes:
-    from .circuit_ir import unwrap
-    plain = unwrap(tagged_proof)
-    if plain is None:
-        return b"\x00"
-    claim_bytes, proto, td_bytes, spec = unpack_fields(td_blob, 4)
-    claim = Claim.from_bytes(claim_bytes)
-    oracle = oracle_from_spec(spec)
-    try:
-        proof = CvqcProof.decode(proto.decode(), plain)
-    except (MalformedProof, MalformedCiphertext):
-        return b"\x00"
-    return bytes([td_verify(claim, proof, PrfKey(td_bytes), oracle, proto.decode())])
+def _star_gate_fn(use_td: bool):
+    def gate(tagged_proof: bytes, blob: bytes) -> bytes:
+        plain = unwrap(tagged_proof)
+        if plain is None:
+            return b"\x00"
+        claim_bytes, proto, key_bytes, spec = unpack_fields(blob, 4)
+        claim = Claim.from_bytes(claim_bytes)
+        key = PrfKey(key_bytes) if use_td else CvqcVerifyKey.from_bytes(key_bytes)
+        oracle = oracle_from_spec(spec)
+        try:
+            proof = CvqcProof.decode(proto.decode(), plain)
+        except (MalformedProof, MalformedCiphertext):
+            return b"\x00"
+        if use_td:
+            return bytes([td_verify(claim, proof, key, oracle, proto.decode())])
+        return bytes([star_verify(claim, proof, key, oracle)])
+    return gate
 
 
 def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
@@ -549,12 +555,15 @@ def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
     return Claim.from_bytes(claim_bytes), CvqcVerifyKey.from_bytes(r_bytes)
 
 
-def _sealed_toy_gate(gate: str, claim: Claim, r: CvqcVerifyKey,
-                     pad_target: int) -> SealedProgram:
+def _sealed_verdict(gate: str, blob: bytes, pad_target: int) -> SealedProgram:
+    """One-input sealed surface: proof bytes in, the gate's verdict byte out,
+    `blob` hidden inside. The dual-mode gates read a tagged proof, so the
+    input is tagged for them."""
     b = ProgramBuilder(1)
     proof = b.input(0)
-    blob = b.const(pack_fields(claim.to_bytes(), r.to_bytes()))
-    out = b.host(gate, proof, blob)
+    if gate in _STAR_GATES.values():
+        proof = b.concat(b.const(b"\x01"), proof)
+    out = b.host(gate, proof, b.const(blob))
     return obf_io(b.build([out]), pad_target)
 
 
@@ -567,25 +576,22 @@ def _gate_toy_verify(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> by
         return b"\x00"
 
 
-register_gate("CVQC_VERIFY", _gate_cvqc_verify)
-register_gate("CVQC_TDVERIFY", _gate_cvqc_tdverify)
+for _use_td, _name in _STAR_GATES.items():
+    register_gate(_name, _star_gate_fn(_use_td))
 register_gate("TOY_VERIFY", _gate_toy_verify, decode=_decode_toy_key)
 
 
 def sealed_toy_verifier(claim: Claim, r: CvqcVerifyKey, pad_target: int = 8) -> SealedProgram:
     """Public-evaluation-only verdict surface for the cryptanalysis module:
     proof bytes in, verdict byte out, key material hidden inside."""
-    return _sealed_toy_gate("TOY_VERIFY", claim, r, pad_target)
+    return _sealed_verdict("TOY_VERIFY", pack_fields(claim.to_bytes(), r.to_bytes()),
+                           pad_target)
 
 
 def sealed_star_td_verifier(setup: StarSetup, pad_target: int = 8) -> SealedProgram:
     """Trapdoor-verification surface over dual-mode proofs (pi, h); with a
     simulation-mode setup this rejects every input."""
-    b = ProgramBuilder(1)
-    proof = b.input(0)
-    tagged = b.concat(b.const(b"\x01"), proof)
-    out = b.host("CVQC_TDVERIFY", tagged, b.const(star_td_blob(setup)))
-    return obf_io(b.build([out]), pad_target)
+    return _sealed_verdict(*star_gate(setup, True), pad_target)
 
 
 # ---------------------------------------------------------------------------
@@ -607,17 +613,10 @@ def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
     vk = r.body
     if vk.variant != TOY_STATS:
         raise MalformedProof("verification key is not the resampling variant")
-    if not isinstance(pi, tuple) or len(pi) != vk.K:
-        raise MalformedProof(f"proof must carry exactly {vk.K} pairs")
+    _check_toy_entries(pi, vk)
     mask = prf_eval(PrfKey(vk.subset_key), stats_encode(salt, pi))
-    mismatches = 0
-    for i in range(vk.K):
-        if vk.bases[i] != 1 or not (mask[i // 8] >> (7 - i % 8)) & 1:
-            continue
-        b, d = pi[i]
-        if b ^ _dot_bits(d, vk.secrets[i]) != vk.target[i]:
-            mismatches += 1
-    return 1 if mismatches <= vk.tau else 0
+    return _toy_verdict(pi, vk, [i for i in range(vk.K) if vk.bases[i] == 1
+                                 and (mask[i // 8] >> (7 - i % 8)) & 1])
 
 
 def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
@@ -638,7 +637,8 @@ register_gate("TOY_VERIFY_STATS", _gate_toy_verify_stats, decode=_decode_toy_key
 
 def sealed_stats_verifier(claim: Claim, r: CvqcVerifyKey,
                           pad_target: int = 8) -> SealedProgram:
-    return _sealed_toy_gate("TOY_VERIFY_STATS", claim, r, pad_target)
+    return _sealed_verdict("TOY_VERIFY_STATS", pack_fields(claim.to_bytes(), r.to_bytes()),
+                           pad_target)
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +650,7 @@ _PP_PAD_BUCKET = 1024
 
 def _toy_prove1(pp: CvqcParams, witness: Witness, drbg: Drbg):
     """First prover message: raw check outcomes at the checked positions."""
-    claim, bases, secrets, K, w, tau, variant = _toy_open_pp(pp)
-    outcomes = []
-    for i in range(K):
-        pd = drbg.child(f"pos{i}")
-        checked = bases[i] == 1 or variant == TOY_LINEAR
-        if checked:
-            outcomes.append(_output_check_outcome(claim, witness, pd.child("measure")))
-        else:
-            outcomes.append(pd.bit())
-    y = bytes(outcomes)
+    y = bytes(b for b, _ in _toy_pairs(pp, witness, drbg, False))
     return y, y  # (public message, prover state)
 
 

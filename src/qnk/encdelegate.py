@@ -596,12 +596,16 @@ class ShareSet:
         from .wire import Reader
         r = Reader(blob)
         lang_ref = r.field()
-        n = r.field()[0]
+        n = r.field()
+        if len(n) != 1:
+            raise MalformedCiphertext("share count must be one byte")
         shares = []
-        for _ in range(n):
+        for _ in range(n[0]):
             r_i = r.field()
             shares.append((r_i, WeCiphertext.from_bytes(r.field())))
-        commitments = tuple(r.field() for _ in range(n))
+        commitments = tuple(r.field() for _ in range(n[0]))
+        if not r.done():
+            raise MalformedCiphertext("trailing bytes after share set")
         return cls(shares, commitments, lang_ref)
 
 

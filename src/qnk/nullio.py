@@ -43,9 +43,8 @@ from .cvqc import (
     oracle_from_spec,
     oracle_spec,
     sim_gen,
+    star_gate,
     star_prove,
-    star_td_blob,
-    star_vk_blob,
     td_gen,
 )
 from .errors import InsufficientCopies, JudgeReject, KeyMismatch, MalformedCiphertext
@@ -111,8 +110,8 @@ def _verify_program(sk: bytes, setup: StarSetup, release: bytes | None,
     ct = b.input(0)
     sk_c = b.const(sk)
     pt = b.host("QFHE_DEC", sk_c, ct)
-    blob = b.const(star_td_blob(setup) if use_td else star_vk_blob(setup))
-    bit = b.host("CVQC_TDVERIFY" if use_td else "CVQC_VERIFY", pt, blob)
+    gate, blob = star_gate(setup, use_td)
+    bit = b.host(gate, pt, b.const(blob))
     if release is None:
         return b.build([bit])
     hit = b.eq(bit, b.const(b"\x01"))
@@ -127,16 +126,6 @@ def _bottom_program(release: bool):
     return b.build([out])
 
 
-def _pad_target(sk: bytes, honest: StarSetup, trapdoor: StarSetup,
-                release: bytes | None) -> int:
-    variants = [
-        _verify_program(sk, honest, release, False),
-        _verify_program(sk, trapdoor, release, True),
-        _bottom_program(release is not None),
-    ]
-    return max(p.size for p in variants)
-
-
 # ---------------------------------------------------------------------------
 # obfuscation
 
@@ -144,21 +133,20 @@ def _pad_target(sk: bytes, honest: StarSetup, trapdoor: StarSetup,
 def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
            release: bytes | None, stage: str = "honest") -> ObfuscatedNullCircuit:
     keys = qfhe.qfhe_gen(drbg.child("qfhe"))
-    honest = keygen_star(claim, proto, drbg.child("cvqc"), toy_params)
-    trapdoor = td_gen(claim, proto, drbg.child("cvqc"), toy_params)
-    target = _pad_target(keys.sk, honest, trapdoor, release)
     if stage == "honest":
-        setup, program = honest, _verify_program(keys.sk, honest, release, False)
+        setup = keygen_star(claim, proto, drbg.child("cvqc"), toy_params)
     elif stage == "td":
-        setup, program = trapdoor, _verify_program(keys.sk, trapdoor, release, True)
-    elif stage == "sim":
+        setup = td_gen(claim, proto, drbg.child("cvqc"), toy_params)
+    elif stage in ("sim", "bottom"):
         setup = sim_gen(claim, proto, drbg.child("cvqc"), toy_params)
-        program = _verify_program(keys.sk, setup, release, True)
-    elif stage == "bottom":
-        setup, program = sim_gen(claim, proto, drbg.child("cvqc"), toy_params), \
-            _bottom_program(release is not None)
     else:
         raise ValueError(f"unknown stage {stage!r}")
+    # the honest, trapdoor and simulation verifiers share one shape, so every
+    # stage pads to its size; the bottom program is smaller
+    program = _verify_program(keys.sk, setup, release, stage != "honest")
+    target = program.size
+    if stage == "bottom":
+        program = _bottom_program(release is not None)
     ct_pp = qfhe.qfhe_enc(keys.pk, setup.pp.to_bytes(), drbg.child("encpp"))
     sealed = obf_io(program, target)
     return ObfuscatedNullCircuit(
@@ -264,8 +252,8 @@ def nio_obf_vbb(claim: Claim, seed, proto: str = PROTO_ORACLE,
     spec = b.const(oracle_spec(StarSetup(claim, pp, None, oracle, k)))
     ans0 = b.host("RO_SURROGATE", x, spec)
     tagged = b.concat(b.const(b"\x01"), x)
-    vk = b.const(star_vk_blob(setup))
-    ans1 = b.host("CVQC_VERIFY", tagged, vk)
+    gate, vk = star_gate(setup, False)
+    ans1 = b.host(gate, tagged, b.const(vk))
     out = b.ite(is0, ans0, ans1)
     program = b.build([out])
 

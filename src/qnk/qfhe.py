@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, KeyMismatch
+from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
 from .primitives import KEY_LEN
 from .qsim import QuantumCircuit, run_circuit
 from .rand import Drbg, _hmac
@@ -44,7 +44,10 @@ class QfheCiphertext:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "QfheCiphertext":
         r = Reader(blob)
-        return cls(r.field(), r.field(), r.u32(), r.u32())
+        ct = cls(r.field(), r.field(), r.u32(), r.u32())
+        if not r.done():
+            raise MalformedCiphertext("trailing bytes after ciphertext")
+        return ct
 
 
 def _wrap_key_from_sk(sk: bytes) -> bytes:

@@ -5,13 +5,41 @@ import pytest
 
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
-from qnk.wire import MAGIC, VERSION, envelope, open_envelope, pack_bytes
+from qnk.wire import (
+    MAGIC,
+    VERSION,
+    envelope,
+    open_envelope,
+    pack_bytes,
+    pack_fields,
+    unpack_fields,
+)
 
 
 def raw_envelope(tag: bytes, payload: bytes, trailing: bytes = b"") -> bytes:
     """An envelope with a valid digest over whatever body it is given."""
     head = MAGIC + VERSION.to_bytes(2, "big") + pack_bytes(tag) + pack_bytes(payload) + trailing
     return head + hashlib.sha256(head).digest()
+
+
+def empty_claim_reps(setup: bytes) -> bytes:
+    claim, *rest = unpack_fields(setup, 5)
+    ref, x, _reps = unpack_fields(claim, 3)
+    return pack_fields(pack_fields(ref, x, b""), *rest)
+
+
+def non_utf8_proto(setup: bytes) -> bytes:
+    claim, pp, *rest = unpack_fields(setup, 5)
+    _proto, sealed_pp = unpack_fields(pp, 2)
+    return pack_fields(claim, pack_fields(b"\xff", sealed_pp), *rest)
+
+
+# (produce, consume) argv; "{}" is the artifact path
+WE_CMDS = (["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "3",
+            "--out", "{}"],
+           ["we", "dec", "--lang", "par8", "--x", "07", "--ct", "{}", "--seed", "4"])
+CVQC_CMDS = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "--out", "{}"],
+             ["cvqc", "verify", "--setup", "{}", "--proof", "{}"])
 
 
 @pytest.fixture
@@ -75,17 +103,22 @@ class TestWeCommands:
                      "--ct", str(ct), "--seed", "4"]) == 1
 
 
-    @pytest.mark.parametrize("tag, trailing", [(b"\xff", b""), (None, b"\x00")],
-                             ids=["non-utf8-tag", "trailing-bytes"])
-    def test_dec_malformed_envelope_exits_1(self, tmp, capsys, tag, trailing):
-        ct = tmp / "we.bin"
-        main(["we", "enc", "--lang", "par8", "--x", "07", "--m", "1",
-              "--seed", "3", "--out", str(ct)])
-        good_tag, payload = open_envelope(ct.read_bytes())
-        ct.write_bytes(raw_envelope(tag or good_tag.encode(), payload, trailing))
+    @pytest.mark.parametrize("cmds, tag, mutate, trailing", [
+        (WE_CMDS, b"\xff", None, b""),
+        (WE_CMDS, None, None, b"\x00"),
+        (CVQC_CMDS, None, empty_claim_reps, b""),
+        (CVQC_CMDS, None, non_utf8_proto, b""),
+    ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto"])
+    def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
+        path = tmp / "artifact.bin"
+        produce, consume = ([a.format(path) for a in argv] for argv in cmds)
+        assert main(produce) == 0
+        good_tag, payload = open_envelope(path.read_bytes())
+        if mutate is not None:
+            payload = mutate(payload)
+        path.write_bytes(raw_envelope(tag or good_tag.encode(), payload, trailing))
         capsys.readouterr()
-        assert main(["we", "dec", "--lang", "par8", "--x", "07",
-                     "--ct", str(ct), "--seed", "4"]) == 1
+        assert main(consume) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "MalformedCiphertext"
         assert "Traceback" not in captured.out + captured.err

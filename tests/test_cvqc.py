@@ -36,10 +36,11 @@ from qnk.cvqc import (
     toy_prove_stats,
     toy_verify,
 )
-from qnk.errors import JudgeReject, MalformedProof
+from qnk.errors import JudgeReject, MalformedCiphertext, MalformedProof
 from qnk.primitives import ro_query
 from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
+from qnk.wire import pack_fields, unpack_fields
 
 PAR = fixture("par8")
 YES = claim_for(PAR, b"\x07")
@@ -233,6 +234,20 @@ class TestVariants:
         _, r = oracle_keygen(YES, Drbg(41))
         assert CvqcVerifyKey.from_bytes(r.to_bytes()).to_bytes() == r.to_bytes()
 
+    @pytest.mark.parametrize("proto", ["oracle", "toy"])
+    def test_verify_key_trailing_bytes_rejected(self, proto):
+        keygen = oracle_keygen if proto == "oracle" else toy_keygen
+        _, r = keygen(YES, Drbg(41))
+        with pytest.raises(MalformedCiphertext):
+            CvqcVerifyKey.from_bytes(r.to_bytes() + b"junk")
+
+    def test_verify_key_bad_parameters_rejected(self):
+        _, r = toy_keygen(YES, Drbg(41))
+        fields = unpack_fields(r.to_bytes(), 7)
+        for i, bad in ((4, b"\x00"), (5, b"\xff")):  # (tau, w) pair, variant name
+            with pytest.raises(MalformedCiphertext):
+                CvqcVerifyKey.from_bytes(pack_fields(*fields[:i], bad, *fields[i + 1:]))
+
 
 def random_pairs(d: Drbg, r: CvqcVerifyKey):
     return tuple((d.bit(), d.randint(0, (1 << r.body.w) - 1)) for _ in range(r.body.K))
@@ -280,10 +295,17 @@ class TestSealedVerifiers:
         assert len(keys) == 1
 
     def test_malformed_proof_bytes_reject(self):
-        _, r = toy_keygen(YES, Drbg(56), ToyParams(variant=TOY_STATS))
+        pp, r = toy_keygen(YES, Drbg(56), ToyParams(variant=TOY_STATS))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(57))
+        assert stats_verify(YES, salt, pi, r) == 1
+        # an out-of-range entry at an ignored position
+        i = r.body.bases.index(0)
+        out_of_range = pi[:i] + ((7, 200),) + pi[i + 1:]
         for sealed in (sealed_toy_verifier(YES, r), sealed_stats_verifier(YES, r)):
             for bad in (b"", b"T", b"garbage", b"T\x05\x00", b"S" + b"\x00" * 20,
-                        b"S" + bytes(16) + b"T"):
+                        b"S" + bytes(16) + b"T",
+                        encode_base_proof(PROTO_TOY, out_of_range),
+                        stats_encode(salt, out_of_range)):
                 assert sealed.run(bad) == b"\x00"
 
     def test_verifiers_with_different_keys_stay_apart(self):

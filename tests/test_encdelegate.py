@@ -38,7 +38,7 @@ from qnk.encdelegate import (
     ss_rec,
     ss_share,
 )
-from qnk.errors import WidthMismatch
+from qnk.errors import MalformedCiphertext, WidthMismatch
 from qnk.primitives import ggm_eval, prf_gen, prg
 from qnk.qma import (
     PseudoDetCircuit,
@@ -50,6 +50,7 @@ from qnk.qma import (
 )
 from qnk.qsim import QuantumCircuit
 from qnk.rand import Drbg
+from qnk.wire import pack_fields
 
 PARITY4 = QuantumCircuit(5, tuple(("CNOT", (i, 0)) for i in range(1, 5)), n_input=4)
 
@@ -303,6 +304,13 @@ class TestSecretSharing:
         ss = ss_share(fixture("th23"), 3, 1, 44)
         again = ShareSet.from_bytes(ss.to_bytes())
         assert ss_rec(again, {1, 2}, Witness.empty(), Drbg(45)) == 1
+
+    def test_malformed_share_set_rejected(self):
+        ss = ss_share(fixture("th23"), 3, 1, 44)
+        # trailing junk, and an empty share-count field
+        for bad in (ss.to_bytes() + b"junk", pack_fields(ss.lang_ref, b"")):
+            with pytest.raises(MalformedCiphertext):
+                ShareSet.from_bytes(bad)
 
     def test_party_count_cap(self):
         with pytest.raises(WidthMismatch):

@@ -74,9 +74,10 @@ class TestCorrectness:
 
 
 class TestNullGuard:
-    def test_stage_swap_changes_nothing_for_null_claims(self):
+    @pytest.mark.parametrize("release", [None, b"payload"], ids=["no-release", "release"])
+    def test_stage_swap_changes_nothing_for_null_claims(self, release):
         claim = claim_for(NULL, b"\x01")
-        stages = {s: nio_obf_stage(claim, 12, s, PROTO_TOY, MINI_PARAMS)
+        stages = {s: nio_obf_stage(claim, 12, s, PROTO_TOY, MINI_PARAMS, release)
                   for s in ("honest", "td", "sim", "bottom")}
         blobs = {s: o.ct_pp.to_bytes() for s, o in stages.items()}
         assert len(set(blobs.values())) == 1

@@ -38,6 +38,11 @@ class TestRoundTrip:
         again = QfheCiphertext.from_bytes(ct.to_bytes())
         assert qfhe_dec(keys.sk, again) == b"m"
 
+    def test_trailing_bytes_rejected(self, keys):
+        ct = qfhe_enc(keys.pk, b"m", Drbg(6))
+        with pytest.raises(MalformedCiphertext):
+            QfheCiphertext.from_bytes(ct.to_bytes() + b"junk")
+
 
 class TestEval:
     def test_identity(self, keys):

@@ -1,7 +1,9 @@
 """Source checks that keep the crypto plumbing in one place each.
 
 HMAC-SHA256 goes through `rand._hmac` and byte-string XOR through
-`primitives._xor`; a second copy of either fails here.
+`primitives._xor`; a second copy of either fails here. The dual-mode CVQC
+gates are paired with their constants in `cvqc.star_gate` alone, so their
+names appear in no other module.
 """
 import re
 from pathlib import Path
@@ -25,6 +27,11 @@ def test_hmac_new_only_in_rand():
 
 def test_no_bytewise_xor_generator():
     assert offending_lines(BYTEWISE_XOR) == []
+
+
+def test_cvqc_gate_names_only_in_cvqc():
+    assert any(p.name == "cvqc.py" for p in SRC)
+    assert offending_lines(re.compile(r"""["']CVQC_(TD)?VERIFY["']"""), skip=("cvqc.py",)) == []
 
 
 def test_xor_pattern():
