@@ -180,7 +180,8 @@ class CvqcVerifyKey:
             return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(km), claim_digest))
         _, bases, secrets, target, tau_w, variant, subset_key = unpack_fields(blob, 7)
         try:
-            (tau, w), variant = tau_w, variant.decode()
+            tau, w = tau_w
+            variant = variant.decode()
         except ValueError as e:
             raise MalformedCiphertext("bad verify key parameters") from e
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
@@ -368,30 +369,33 @@ def toy_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
     return _toy_pairs(pp, witness, drbg, True)
 
 
-def _check_toy_entries(pi, vk: ToyVerifyKey) -> None:
+_EVERY_POSITION = b"\xff" * 32  # check-subset mask selecting all K < 256 positions
+
+
+def _check_toy_length(pi, vk: ToyVerifyKey) -> None:
     if not isinstance(pi, tuple) or len(pi) != vk.K:
         raise MalformedProof(f"proof must carry exactly {vk.K} pairs")
-    for b, d in pi:
-        if b not in (0, 1) or not 0 <= d < (1 << vk.w):
-            raise MalformedProof("proof entry out of range")
 
 
-def _toy_verdict(pi, vk: ToyVerifyKey, checked) -> int:
-    """Accept iff at most tau of the `checked` positions miss the target."""
+def _toy_verdict(pi, vk: ToyVerifyKey, mask: bytes) -> int:
+    """Range-check every pair, then accept iff at most tau of the positions
+    the key reads (all of them in the linear variant) and bit i of `mask`
+    selects miss the target pattern."""
+    d_bound = 1 << vk.w
+    read_all = vk.variant == TOY_LINEAR
     mismatches = 0
-    for i in checked:
-        b, d = pi[i]
-        if b ^ _dot_bits(d, vk.secrets[i]) != vk.target[i]:
+    for i, (b, d) in enumerate(pi):
+        if b not in (0, 1) or not 0 <= d < d_bound:
+            raise MalformedProof("proof entry out of range")
+        if ((read_all or vk.bases[i] == 1) and mask[i // 8] >> (7 - i % 8) & 1
+                and b ^ _dot_bits(d, vk.secrets[i]) != vk.target[i]):
             mismatches += 1
     return 1 if mismatches <= vk.tau else 0
 
 
 def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
-    vk = r.body
-    _check_toy_entries(pi, vk)
-    if vk.variant == TOY_LINEAR:
-        return _toy_verdict(pi, vk, range(vk.K))
-    return _toy_verdict(pi, vk, [i for i in range(vk.K) if vk.bases[i] == 1])
+    _check_toy_length(pi, r.body)
+    return _toy_verdict(pi, r.body, _EVERY_POSITION)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +617,8 @@ def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
     vk = r.body
     if vk.variant != TOY_STATS:
         raise MalformedProof("verification key is not the resampling variant")
-    _check_toy_entries(pi, vk)
-    mask = prf_eval(PrfKey(vk.subset_key), stats_encode(salt, pi))
-    return _toy_verdict(pi, vk, [i for i in range(vk.K) if vk.bases[i] == 1
-                                 and (mask[i // 8] >> (7 - i % 8)) & 1])
+    _check_toy_length(pi, vk)  # before the mask, which encodes pi
+    return _toy_verdict(pi, vk, prf_eval(PrfKey(vk.subset_key), stats_encode(salt, pi)))
 
 
 def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):

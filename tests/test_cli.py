@@ -34,7 +34,8 @@ def non_utf8_proto(setup: bytes) -> bytes:
     return pack_fields(claim, pack_fields(b"\xff", sealed_pp), *rest)
 
 
-# (produce, consume) argv; "{}" is the artifact path
+# (produce, consume) argv; "{}" is the artifact path (`cvqc verify` fails on
+# the setup before it reads the proof)
 WE_CMDS = (["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "3",
             "--out", "{}"],
            ["we", "dec", "--lang", "par8", "--x", "07", "--ct", "{}", "--seed", "4"])
