@@ -596,14 +596,15 @@ class ShareSet:
         from .wire import Reader
         r = Reader(blob)
         lang_ref = r.field()
-        n = r.field()
-        if len(n) != 1:
+        count = r.field()
+        if len(count) != 1:
             raise MalformedCiphertext("share count must be one byte")
+        n = count[0]
         shares = []
-        for _ in range(n[0]):
+        for _ in range(n):
             r_i = r.field()
             shares.append((r_i, WeCiphertext.from_bytes(r.field())))
-        commitments = tuple(r.field() for _ in range(n[0]))
+        commitments = tuple(r.field() for _ in range(n))
         if not r.done():
             raise MalformedCiphertext("trailing bytes after share set")
         return cls(shares, commitments, lang_ref)
