@@ -1,11 +1,12 @@
 """Known-answer tests: bytes pinned from the reference implementation.
 
 Criterion 11 compares two runs of one build; these pin the bytes across
-builds, so a refactor of the sealing, QFHE, SBSH, IR, ABE-encryption, CVQC
-or null-iO code that changes any output byte fails here.
+builds, so a refactor of the sealing, QFHE, SBSH, IR, ABE-encryption, CVQC,
+null-iO or sampling code that changes any output byte or verdict fails here.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from qnk.circuit_ir import ProgramBuilder, evaluate, obf_io
@@ -30,10 +31,13 @@ from qnk.cvqc import (
     toy_prove_stats,
 )
 from qnk.encdelegate import attr_wire, cprf_gen
-from qnk.nullio import nio_obf_stage, nio_obf_vbb
+from qnk.errors import ProofFailed
+from qnk.nullio import nio_eval, nio_obf, nio_obf_stage, nio_obf_vbb
 from qnk.primitives import SbshKeys, sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
-from qnk.qma import Witness, fixture
+from qnk.proofs import nizk_prove, nizk_setup
+from qnk.qma import Witness, fixture, ghz_witness, make_policy_language
+from qnk.qsim import StateVector, parse_circuit
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, seal, unseal
 
@@ -239,3 +243,55 @@ class TestToyProvers:
         assert sha(pack_fields(proof.ct_y.to_bytes(), proof.c,
                                proof.ct_pi.to_bytes())) == (
             "60e9f25f01114a8fe15c56edb5e0532d10a5b434ad72232c2741a9a7919fee8e")
+
+
+GHZ = fixture("ghz")
+GHZ_YES = claim_for(GHZ, b"\x01")
+# accepted by the GHZ check with probability 0.6, so every sampled verdict
+# depends on the draw
+MIXED = StateVector(3, np.sqrt(0.6) * np.array([2 ** -0.5, 0, 0, 0, 0, 0, 0, 2 ** -0.5])
+                    + np.sqrt(0.4) * np.array([2 ** -0.5, 0, 0, 0, 0, 0, 0, -2 ** -0.5]))
+WITNESS_STATES = {"ghz": ghz_witness, "mixed": lambda: MIXED}
+# output probability (1 - cos(pi/4)) / 2 after the final clock step
+HTH = claim_for(make_policy_language(parse_circuit("qubits 2\ninput 0\nH 0\nT 0\nH 0\n")), b"")
+
+
+class TestSampledProvers:
+    """Verdicts and proofs over seeds 0-15 (0-7 for the NIZK), with witnesses
+    and claims whose acceptance probability is strictly between 0 and 1."""
+
+    @pytest.mark.parametrize("witness, failed, want", [
+        ("ghz", "--------",
+         "ce2693a8f104e51c3e609b9194363b1ddf388a611a4c9eeae318764258d4c189"),
+        ("mixed", "--F-F--F",
+         "68aee15294a70021d6edf68887124514d2a280ef035dbbe30677ffc6e74059ae"),
+    ])
+    def test_nizk_prove(self, witness, failed, want):
+        crs = nizk_setup(GHZ, (30).to_bytes(16, "big"))
+        proofs = []
+        for seed in range(8):
+            try:
+                proofs.append(nizk_prove(crs, Witness(WITNESS_STATES[witness]()),
+                                         b"\x01", Drbg(seed)).pi)
+            except ProofFailed:
+                proofs.append(b"-")
+        assert "".join("F" if p == b"-" else "-" for p in proofs) == failed
+        assert sha(b"".join(proofs)) == want
+
+    @pytest.mark.parametrize("witness, want", [
+        ("ghz", "1111111111111111"),
+        ("mixed", "1101011011111101"),
+    ])
+    def test_nio_eval(self, witness, want):
+        obf = nio_obf(GHZ_YES, 31)
+        assert "".join(str(nio_eval(obf, Witness(WITNESS_STATES[witness]()), Drbg(seed)))
+                       for seed in range(16)) == want
+
+    @pytest.mark.parametrize("variant, want", [
+        ("standard", "a30ceadc17b3f5078df6ca52739ef1883a9a7b333c1f026bb6515f7973dbcb84"),
+        (TOY_LINEAR, "81eb6f58bea2517f216056fc778d5c3cfaa644bed2bb9eff25cda530b28fc0f6"),
+    ])
+    def test_toy_prove(self, variant, want):
+        pp, _ = toy_keygen(HTH, Drbg(32), ToyParams(variant=variant))
+        assert sha(b"".join(encode_base_proof(PROTO_TOY, toy_prove(pp, Witness.empty(), Drbg(s)))
+                            for s in range(16))) == want
