@@ -51,7 +51,7 @@ from .primitives import (
     ro_query,
 )
 from .qma import QmaLanguage, Witness, amplify, resolve_language
-from .qsim import history_state, run_circuit
+from .qsim import accept_probability, history_state, sample_bit
 from .rand import Drbg
 from .wire import Reader, pack_bytes, pack_fields, seal, unpack_fields, unseal
 
@@ -256,11 +256,8 @@ def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg,
         raise JudgeReject(
             f"only {witness.copies} witness copies for {lang.reps} repetitions")
     circ = lang.verifier(claim.x, classical_witness)
-    inp = witness.state if lang.witness_qubits else []
-    hits = 0
-    for i in range(lang.reps):
-        bit, _ = run_circuit(circ, inp, drbg.child(f"judge{i}"))
-        hits += bit
+    p1 = accept_probability(circ, witness.state if lang.witness_qubits else [])
+    hits = sum(sample_bit(p1, drbg.child(f"judge{i}")) for i in range(lang.reps))
     return hits >= lang.threshold
 
 
@@ -303,10 +300,10 @@ def _dot_bits(d: int, s: int) -> int:
     return bin(d & s).count("1") & 1
 
 
-def _output_check_outcome(claim: Claim, witness: Witness, drbg: Drbg) -> int:
-    """Measure one fresh history-state copy: postselect the unary clock onto
-    the final step and read the output qubit. Returns the violation bit
-    (0 = consistent with an accepting run)."""
+def _output_check_probability(claim: Claim, witness: Witness) -> float:
+    """Probability that a fresh history-state copy, with the unary clock
+    postselected onto the final step, reads 1 on the output qubit; 0.0 when
+    the postselection fails."""
     circ = claim.base_language().verifier(claim.x)
     inp = witness.state if circ.n_input else []
     hist = history_state(circ, inp)
@@ -314,11 +311,8 @@ def _output_check_outcome(claim: Claim, witness: Witness, drbg: Drbg) -> int:
     if T:
         hist, p = hist.project({q: 1 for q in range(T)})
         if p < 1e-12:
-            return 1
-    p1 = hist.prob_of(T, 1)
-    u = int.from_bytes(drbg.bytes(8), "big") / 2 ** 64
-    out_bit = 1 if u < p1 else 0
-    return 1 - out_bit
+            return 0.0
+    return hist.prob_of(T, 1)
 
 
 def toy_keygen(claim: Claim, drbg: Drbg,
@@ -352,12 +346,15 @@ def _toy_pairs(pp: CvqcParams, witness: Witness, drbg: Drbg, draw_d: bool):
     outcome by <d, s_i>; without it d = 0 and b is the raw outcome. An
     unchecked position's b is the stream's next block (block 1 or 0)."""
     claim, bases, secrets, K, w, tau, variant = _toy_open_pp(pp)
+    p1 = None  # simulated at the first checked position, shared by the rest
     pairs = []
     for i in range(K):
         pd = drbg.child(f"pos{i}")
         d = int.from_bytes(pd.bytes(1), "big") % (1 << w) if draw_d else 0
         if bases[i] == 1 or variant == TOY_LINEAR:
-            e = _output_check_outcome(claim, witness, pd.child("measure"))
+            if p1 is None:
+                p1 = _output_check_probability(claim, witness)
+            e = 1 - sample_bit(p1, pd.child("measure"))  # violation bit
             b = e ^ _dot_bits(d, secrets[i])
         else:
             b = pd.bit()
@@ -613,12 +610,19 @@ def stats_decode(blob: bytes) -> tuple[bytes, tuple]:
     return blob[1:1 + KEY_LEN], decode_base_proof(PROTO_TOY, blob[1 + KEY_LEN:])
 
 
-def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
+def _stats_verify(pi, encoded: bytes, r: CvqcVerifyKey) -> int:
+    """`stats_verify` with the check mask keyed on `encoded`, the salted
+    encoding of pi that the caller already holds."""
     vk = r.body
     if vk.variant != TOY_STATS:
         raise MalformedProof("verification key is not the resampling variant")
-    _check_toy_length(pi, vk)  # before the mask, which encodes pi
-    return _toy_verdict(pi, vk, prf_eval(PrfKey(vk.subset_key), stats_encode(salt, pi)))
+    _check_toy_length(pi, vk)
+    return _toy_verdict(pi, vk, prf_eval(PrfKey(vk.subset_key), encoded))
+
+
+def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
+    _check_toy_length(pi, r.body)  # before stats_encode reads the pairs
+    return _stats_verify(pi, stats_encode(salt, pi), r)
 
 
 def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
@@ -628,8 +632,9 @@ def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
 def _gate_toy_verify_stats(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> bytes:
     claim, r = key
     try:
-        salt, pi = stats_decode(proof_bytes)
-        return bytes([stats_verify(claim, salt, pi, r)])
+        _, pi = stats_decode(proof_bytes)
+        # stats_decode is canonical, so proof_bytes is stats_encode(salt, pi)
+        return bytes([_stats_verify(pi, proof_bytes, r)])
     except MalformedProof:
         return b"\x00"
 

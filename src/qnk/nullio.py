@@ -95,9 +95,14 @@ class ObfuscatedNullCircuit:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ObfuscatedNullCircuit":
         f = unpack_fields(blob, 8)
-        return cls(qfhe.QfheCiphertext.from_bytes(f[0]),
-                   SealedProgram.from_bytes(f[1]), f[2].decode(), f[3], f[4],
-                   f[5], f[6].decode(), f[7][0])
+        if len(f[7]) != 1:
+            raise MalformedCiphertext("copy count must be one byte")
+        try:
+            variant, proto = f[2].decode(), f[6].decode()
+        except UnicodeDecodeError as e:
+            raise MalformedCiphertext("variant or protocol name is not UTF-8") from e
+        return cls(qfhe.QfheCiphertext.from_bytes(f[0]), SealedProgram.from_bytes(f[1]),
+                   variant, f[3], f[4], f[5], proto, f[7][0])
 
 
 # ---------------------------------------------------------------------------

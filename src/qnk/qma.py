@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import MalformedCiphertext, NotMonotone, WidthMismatch
-from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, run_circuit
+from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, sample_bit
 from .rand import Drbg
 from .wire import pack_fields, unpack_fields
 
@@ -92,12 +92,8 @@ def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg) -> int:
     if w.state.n_qubits != L.witness_qubits:
         raise WidthMismatch(
             f"witness has {w.state.n_qubits} qubits, language takes {L.witness_qubits}")
-    circ = L.verifier(x)
-    inp = w.state if L.witness_qubits else []
-    hits = 0
-    for i in range(L.reps):
-        bit, _ = run_circuit(circ, inp, drbg.child(f"rep{i}"))
-        hits += bit
+    p1 = accept_probability(L.verifier(x), w.state if L.witness_qubits else [])
+    hits = sum(sample_bit(p1, drbg.child(f"rep{i}")) for i in range(L.reps))
     return 1 if hits >= L.threshold else 0
 
 
@@ -283,19 +279,27 @@ def register_language_kind(kind: bytes, resolver) -> None:
     EXTRA_LANGUAGE_KINDS[kind] = resolver
 
 
+def _param_bytes(r, n: int) -> bytes:
+    """The next field of a language reference, which holds `n` parameter bytes."""
+    f = r.field()
+    if len(f) != n:
+        raise MalformedCiphertext(f"language parameter field must be {n} bytes")
+    return f
+
+
 def resolve_language(ref: bytes) -> QmaLanguage:
     from .wire import Reader
     r = Reader(ref)
     kind = r.field()
     if kind == b"par":
-        return make_parity_language(r.field()[0])
+        return make_parity_language(_param_bytes(r, 1)[0])
     if kind == b"ghz":
         return make_ghz_language()
     if kind == b"th":
-        nt = r.field()
-        return make_threshold_language(nt[0], nt[1])
+        n, t = _param_bytes(r, 2)
+        return make_threshold_language(n, t)
     if kind == b"null":
-        return make_null_language(r.field()[0])
+        return make_null_language(_param_bytes(r, 1)[0])
     if kind == b"policy":
         return make_policy_language(parse_circuit(r.field().decode()))
     if kind == b"share":
@@ -334,10 +338,9 @@ class PseudoDetCircuit:
         return _binom_tail(self.reps, p, (self.reps + 1) // 2)
 
     def run(self, x_bits, drbg: Drbg) -> bytes:
-        hits = 0
-        for i in range(self.reps):
-            bit, _ = run_circuit(self.circuit, x_bits, drbg.child(f"rep{i}"))
-            hits += bit
+        # a decoded circuit may carry reps = 0, which draws nothing
+        p1 = accept_probability(self.circuit, x_bits) if self.reps else 0.0
+        hits = sum(sample_bit(p1, drbg.child(f"rep{i}")) for i in range(self.reps))
         return self.output_map[1 if hits > self.reps // 2 else 0]
 
     def to_bytes(self) -> bytes:

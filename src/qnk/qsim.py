@@ -5,6 +5,10 @@ measurement of qubit 0. Also hosts Pauli-term Hamiltonians, the unary-clock
 history-state construction for a circuit's run, and the matching propagation
 Hamiltonian whose kernel contains the history state.
 
+Every Born-rule draw goes through `sample_bit(p1, drbg)`, so a caller that
+needs several independent outcomes of one (circuit, input) pair simulates it
+once and draws each outcome from its own child stream.
+
 Qubit 0 is the most significant index bit. Circuit inputs occupy the LAST
 ``n_input`` qubits; every other qubit (including the output qubit 0) starts
 in |0>.
@@ -136,6 +140,11 @@ def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
         raise MalformedCircuit(f"unknown gate {name!r}")
 
 
+def sample_bit(p1: float, drbg: Drbg) -> int:
+    """Born-rule draw with 64-bit precision: 1 with probability `p1`."""
+    return 1 if int.from_bytes(drbg.bytes(8), "big") / 2 ** 64 < p1 else 0
+
+
 def measure_qubit(state: StateVector, i: int, basis: str, drbg: Drbg) -> tuple[int, StateVector]:
     """Born-rule measurement of one qubit; returns (bit, renormalized post-state).
 
@@ -146,10 +155,7 @@ def measure_qubit(state: StateVector, i: int, basis: str, drbg: Drbg) -> tuple[i
     work = state.copy()
     if basis == "hadamard":
         apply_gate(work, "H", (i,))
-    p1 = work.prob_of(i, 1)
-    # sample with 64-bit precision
-    u = int.from_bytes(drbg.bytes(8), "big") / 2 ** 64
-    bit = 1 if u < p1 else 0
+    bit = sample_bit(work.prob_of(i, 1), drbg)
     post, _ = work.project({i: bit})
     if basis == "hadamard":
         apply_gate(post, "H", (i,))
@@ -216,14 +222,10 @@ def run_unitary(Q: QuantumCircuit, inp) -> StateVector:
 
 def run_circuit(Q: QuantumCircuit, inp, drbg: Drbg | None = None) -> tuple[int, float]:
     """Returns (sampled output bit, exact probability that the output is 1)."""
-    state = run_unitary(Q, inp)
-    p1 = state.prob_of(0, 1)
+    p1 = accept_probability(Q, inp)
     if drbg is None:
-        bit = 1 if p1 > 0.5 else 0
-    else:
-        u = int.from_bytes(drbg.bytes(8), "big") / 2 ** 64
-        bit = 1 if u < p1 else 0
-    return bit, p1
+        return (1 if p1 > 0.5 else 0), p1
+    return sample_bit(p1, drbg), p1
 
 
 def accept_probability(Q: QuantumCircuit, inp) -> float:

@@ -34,11 +34,23 @@ def non_utf8_proto(setup: bytes) -> bytes:
     return pack_fields(claim, pack_fields(b"\xff", sealed_pp), *rest)
 
 
+def nio_empty_copies(obf: bytes) -> bytes:
+    *fields, _copies = unpack_fields(obf, 8)
+    return pack_fields(*fields, b"")
+
+
+def nio_non_utf8_variant(obf: bytes) -> bytes:
+    fields = unpack_fields(obf, 8)
+    return pack_fields(*fields[:2], b"\xff", *fields[3:])
+
+
 # (produce, consume) argv; "{}" is the artifact path (`cvqc verify` fails on
 # the setup before it reads the proof)
 WE_CMDS = (["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "3",
             "--out", "{}"],
            ["we", "dec", "--lang", "par8", "--x", "07", "--ct", "{}", "--seed", "4"])
+NIO_CMDS = (["nio", "obf", "--x", "07", "--seed", "3", "--out", "{}"],
+            ["nio", "eval", "--obf", "{}", "--seed", "4"])
 CVQC_CMDS = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "--out", "{}"],
              ["cvqc", "verify", "--setup", "{}", "--proof", "{}"])
 
@@ -109,7 +121,10 @@ class TestWeCommands:
         (WE_CMDS, None, None, b"\x00"),
         (CVQC_CMDS, None, empty_claim_reps, b""),
         (CVQC_CMDS, None, non_utf8_proto, b""),
-    ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto"])
+        (NIO_CMDS, None, nio_empty_copies, b""),
+        (NIO_CMDS, None, nio_non_utf8_variant, b""),
+    ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
+            "nio-empty-copies", "nio-non-utf8-field"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)

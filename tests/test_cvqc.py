@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qnk import cvqc
 from qnk.circuit_ir import SealedProgram
 from qnk.cvqc import (
     MINI_PARAMS,
@@ -293,6 +294,27 @@ class TestSealedVerifiers:
             assert sealed.run(stats_encode(s, pi)) == bytes([stats_verify(YES, s, pi, r)])
         assert sealed.run(stats_encode(salt, honest)) == b"\x01"
         assert len(keys) == 1
+
+    def test_sealed_stats_verdicts_match_without_reencoding(self, monkeypatch):
+        pp, r = toy_keygen(YES, Drbg(61), ToyParams(variant=TOY_STATS))
+        salt, honest = toy_prove_stats(pp, Witness.empty(), Drbg(62))
+        i = r.body.bases.index(0)
+        d = Drbg(63)
+        salted = [(salt, honest), (salt, honest[:i] + ((7, 200),) + honest[i + 1:]),
+                  (salt, honest[:-1])] + [(d.bytes(16), random_pairs(d, r)) for _ in range(49)]
+        want = []
+        for s, pi in salted:
+            try:
+                want.append(stats_verify(YES, s, pi, r))
+            except MalformedProof:
+                want.append(0)
+        blobs = [stats_encode(s, pi) for s, pi in salted]
+        sealed = sealed_stats_verifier(YES, r)
+        encodes = []
+        monkeypatch.setattr(cvqc, "stats_encode", lambda *a: encodes.append(a))
+        assert [sealed.run(blob)[0] for blob in blobs] == want
+        assert want[0] == 1 and 0 < sum(want[3:]) < 49
+        assert encodes == []
 
     def test_malformed_proof_bytes_reject(self):
         pp, r = toy_keygen(YES, Drbg(56), ToyParams(variant=TOY_STATS))

@@ -2,7 +2,7 @@ import pytest
 
 from qnk.circuit_ir import unwrap
 from qnk.cvqc import MINI_PARAMS, PROTO_TOY, claim_for, encode_base_proof
-from qnk.errors import InsufficientCopies
+from qnk.errors import InsufficientCopies, MalformedCiphertext
 from qnk.nullio import (
     ObfuscatedNullCircuit,
     WeCiphertext,
@@ -21,6 +21,7 @@ from qnk.nullio import (
 )
 from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
+from qnk.wire import pack_fields, unpack_fields
 
 PAR = fixture("par8")
 GHZ = fixture("ghz")
@@ -67,6 +68,19 @@ class TestCorrectness:
         obf = nio_obf(claim_for(PAR, b"\x07"), 8)
         again = ObfuscatedNullCircuit.from_bytes(obf.to_bytes())
         assert nio_eval(again, Witness.empty(), Drbg(9)) == 1
+
+    # field 7 is the copy count, fields 2 and 6 the variant and protocol names
+    @pytest.mark.parametrize("index, value", [
+        (7, b""), (7, b"\x05\x05"), (2, b"\xff"), (6, b"\xff"),
+    ], ids=["empty-copies", "two-byte-copies", "non-utf8-variant", "non-utf8-proto"])
+    def test_malformed_field_rejected(self, index, value):
+        fields = list(unpack_fields(nio_obf(claim_for(PAR, b"\x07"), 8).to_bytes(), 8))
+        fields[index] = value
+        blob = pack_fields(*fields)
+        with pytest.raises(MalformedCiphertext):
+            ObfuscatedNullCircuit.from_bytes(blob)
+        with pytest.raises(MalformedCiphertext):
+            WeCiphertext.from_bytes(pack_fields(blob, b"digest"))
 
     def test_toy_base_protocol(self):
         obf = nio_obf(claim_for(PAR, b"\x07"), 10, PROTO_TOY)

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from qnk.errors import NotMonotone, WidthMismatch
+from qnk.errors import MalformedCiphertext, NotMonotone, WidthMismatch
 from qnk.qma import (
     PseudoDetCircuit,
     QmaLanguage,
@@ -22,6 +22,7 @@ from qnk.qma import (
 )
 from qnk.qsim import QuantumCircuit, StateVector
 from qnk.rand import Drbg
+from qnk.wire import pack_fields
 
 
 class TestParityFixture:
@@ -128,6 +129,14 @@ class TestReferences:
     def test_threshold_ref(self):
         L = make_threshold_language(4, 2)
         assert resolve_language(L.ref).classify(bytes([0b0110])) == "yes"
+
+    @pytest.mark.parametrize("kind, param", [
+        (b"par", b""), (b"par", b"\x04\x04"), (b"th", b""), (b"th", b"\x04"),
+        (b"null", b""),
+    ])
+    def test_bad_parameter_field_rejected(self, kind, param):
+        with pytest.raises(MalformedCiphertext):
+            resolve_language(pack_fields(kind, param))
 
     def test_null_language_rejects(self):
         L = make_null_language(3)

@@ -4,12 +4,22 @@ The judge, the amplified QMA verifier, pseudo-deterministic circuits and the
 TOY prover's output checks each draw several independent bits from the same
 circuit on the same input. These tests write the per-draw simulation out as
 a reference and require the same bits, seed by seed, with witnesses whose
-acceptance probability lies strictly between 0 and 1.
+acceptance probability lies strictly between 0 and 1, and count the
+simulations: one per call.
 """
 import numpy as np
 import pytest
 
-from qnk.cvqc import TOY_LINEAR, ToyParams, _toy_prove1, claim_for, judge_accepts, toy_keygen
+from qnk import cvqc, qma
+from qnk.cvqc import (
+    TOY_LINEAR,
+    ToyParams,
+    _toy_prove1,
+    claim_for,
+    judge_accepts,
+    toy_keygen,
+    toy_prove,
+)
 from qnk.qma import PseudoDetCircuit, Witness, amplify, fixture, make_policy_language, qma_verify
 from qnk.qsim import QuantumCircuit, StateVector, history_state, parse_circuit, run_circuit
 from qnk.rand import Drbg
@@ -91,3 +101,45 @@ def test_toy_output_checks_match_per_position_history_states():
         assert y == want, seed
         ones += sum(want)
     assert 0 < ones < len(SEEDS) * len(y)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace `module.name` with a wrapper that records each call."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def key_with_checks(claim, checked: int):
+    seed = 0
+    while True:
+        pp, r = toy_keygen(claim, Drbg(seed))
+        if sum(r.body.bases) == checked:
+            return pp
+        seed += 1
+
+
+@pytest.mark.parametrize("checked, sims", [(4, 1), (0, 0)])
+def test_toy_prove_simulates_once_per_call(monkeypatch, checked, sims):
+    pp = key_with_checks(claim_for(fixture("par8"), b"\x07"), checked)
+    calls = count_calls(monkeypatch, cvqc, "history_state")
+    toy_prove(pp, Witness.empty(), Drbg(1))
+    assert len(calls) == sims
+
+
+def test_judge_accepts_simulates_once(monkeypatch):
+    calls = count_calls(monkeypatch, cvqc, "accept_probability")
+    judge_accepts(claim_for(GHZ, b"\x01"), Witness(MIXED), Drbg(1))
+    assert len(calls) == 1
+
+
+def test_qma_verify_and_pseudo_det_run_simulate_once(monkeypatch):
+    calls = count_calls(monkeypatch, qma, "accept_probability")
+    qma_verify(amplify(GHZ, 5), b"\x01", Witness(MIXED), Drbg(1))
+    PseudoDetCircuit(HTH, 5, (b"\x00" * 16, b"\xff" * 16)).run([], Drbg(1))
+    assert len(calls) == 2

@@ -3,7 +3,8 @@
 HMAC-SHA256 goes through `rand._hmac` and byte-string XOR through
 `primitives._xor`; a second copy of either fails here. The dual-mode CVQC
 gates are paired with their constants in `cvqc.star_gate` alone, so their
-names appear in no other module.
+names appear in no other module. Born-rule draws go through
+`qsim.sample_bit`, so `2 ** 64` appears in no other module.
 """
 import re
 from pathlib import Path
@@ -32,6 +33,11 @@ def test_no_bytewise_xor_generator():
 def test_cvqc_gate_names_only_in_cvqc():
     assert any(p.name == "cvqc.py" for p in SRC)
     assert offending_lines(re.compile(r"""["']CVQC_(TD)?VERIFY["']"""), skip=("cvqc.py",)) == []
+
+
+def test_born_rule_draw_only_in_qsim():
+    assert any(p.name == "qsim.py" for p in SRC)
+    assert offending_lines(re.compile(r"\b2\s*\*\*\s*64\b"), skip=("qsim.py",)) == []
 
 
 def test_xor_pattern():
