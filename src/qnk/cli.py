@@ -19,7 +19,7 @@ from . import attacks, cvqc, encdelegate as ed, nullio, proofs, selftest
 from .errors import JudgeReject, NoAcceptingProof, ProofFailed, QnkError
 from .qma import Witness, fixture, ghz_witness
 from .rand import Drbg
-from .wire import envelope, open_envelope, pack_fields, seal, unpack_fields, unseal
+from .wire import envelope, fixed, open_envelope, pack_fields, seal, unpack_fields, unseal, utf8
 
 _WITNESSES = {
     "none": lambda copies: Witness.empty(copies),
@@ -82,9 +82,10 @@ def cmd_cvqc(args) -> int:
     # verify
     setup = _unpack_setup(_load(args.setup, "cvqc.setup"))
     proto_b, blob = unpack_fields(_load(args.proof, "cvqc.proof"), 2)
-    proof = cvqc.CvqcProof.decode(proto_b.decode(), blob)
+    proto = utf8(proto_b)
+    proof = cvqc.CvqcProof.decode(proto, blob)
     if setup.td is not None and setup.r is None:
-        bit = cvqc.td_verify(setup.claim, proof, setup.td, setup.oracle, proto_b.decode())
+        bit = cvqc.td_verify(setup.claim, proof, setup.td, setup.oracle, proto)
     else:
         bit = cvqc.star_verify(setup.claim, proof, setup.r, setup.oracle)
     _say(status="ok", accept=bit)
@@ -139,7 +140,7 @@ def cmd_we(args) -> int:
         _say(status="ok", bits=len(cts), out=args.out)
         return 0
     count_b, payload = unpack_fields(_load(args.ct, "we.ct"), 2)
-    blobs = unpack_fields(payload, count_b[0])
+    blobs = unpack_fields(payload, fixed(count_b, 1)[0])
     out_bits = []
     for i, blob in enumerate(blobs):
         ct = nullio.WeCiphertext.from_bytes(blob)
@@ -167,7 +168,7 @@ def cmd_nizk(args) -> int:
         _say(status="ok", out=args.out)
         return 0
     lang_name, sealed_seed = unpack_fields(_load(args.crs, "nizk.crs"), 2)
-    crs = proofs.nizk_setup(fixture(lang_name.decode()), unseal(sealed_seed, b"cli-crs"))
+    crs = proofs.nizk_setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
     x = bytes.fromhex(args.x)
     if args.action == "prove":
         try:
@@ -197,7 +198,7 @@ def cmd_zapr(args) -> int:
         _say(status="ok", out=args.out)
         return 0
     lang_name, sealed_seed = unpack_fields(_load(args.crs, "zapr.crs"), 2)
-    crs = proofs.zapr_setup(fixture(lang_name.decode()), unseal(sealed_seed, b"cli-crs"))
+    crs = proofs.zapr_setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
     x = bytes.fromhex(args.x)
     if args.action == "prove":
         # the prover consumes two batches of witness copies, one per CRS
@@ -238,7 +239,7 @@ def cmd_abe(args) -> int:
         _say(status="ok", out=args.out)
         return 0
     sealed_seed, al, mpk_b = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    keys = ed.abe_gen(al[0], unseal(sealed_seed, b"cli-abe"))
+    keys = ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
     if args.action == "keygen":
         sk = ed.abe_keygen(keys, int(args.attr, 2))
         _store(args.out, "abe.sk", sk.to_bytes())
@@ -287,7 +288,7 @@ def cmd_cprf(args) -> int:
 
 def cmd_pe(args) -> int:
     sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    keys = ed.abe_gen(al[0], unseal(sealed_seed, b"cli-abe"))
+    keys = ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
     if args.action == "enc":
         ct = ed.pe_enc(keys, _policy_circuit(args), bytes.fromhex(args.m),
                        Drbg(args.seed).child("pe").bytes(16))

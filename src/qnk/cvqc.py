@@ -53,7 +53,7 @@ from .primitives import (
 from .qma import QmaLanguage, Witness, amplify, resolve_language
 from .qsim import accept_probability, history_state, sample_bit
 from .rand import Drbg
-from .wire import Reader, pack_bytes, pack_fields, seal, unpack_fields, unseal
+from .wire import Reader, fixed, pack_bytes, pack_fields, seal, unpack_fields, unseal, utf8
 
 PROTO_ORACLE = "ORACLE"
 PROTO_TOY = "TOY"
@@ -106,9 +106,7 @@ class Claim:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Claim":
         ref, x, reps = unpack_fields(blob, 3)
-        if len(reps) != 1:
-            raise MalformedCiphertext("claim repetition count must be one byte")
-        return cls(ref, x, reps[0])
+        return cls(ref, x, fixed(reps, 1)[0])
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.to_bytes()).digest()
@@ -133,10 +131,7 @@ class CvqcParams:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CvqcParams":
         proto, pp = unpack_fields(blob, 2)
-        try:
-            return cls(proto.decode(), pp)
-        except UnicodeDecodeError as e:
-            raise MalformedCiphertext("protocol name is not UTF-8") from e
+        return cls(utf8(proto), pp)
 
 
 @dataclass(frozen=True)
@@ -179,13 +174,9 @@ class CvqcVerifyKey:
             _, km, claim_digest = unpack_fields(blob, 3)
             return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(km), claim_digest))
         _, bases, secrets, target, tau_w, variant, subset_key = unpack_fields(blob, 7)
-        try:
-            tau, w = tau_w
-            variant = variant.decode()
-        except ValueError as e:
-            raise MalformedCiphertext("bad verify key parameters") from e
+        tau, w = fixed(tau_w, 2)
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
-                                           tau, w, variant, subset_key))
+                                           tau, w, utf8(variant), subset_key))
 
 
 @dataclass(frozen=True)
@@ -336,8 +327,8 @@ def toy_keygen(claim: Claim, drbg: Drbg,
 def _toy_open_pp(pp: CvqcParams):
     claim_bytes, bases, secrets, kwt, variant = unpack_fields(
         unseal(pp.pp, b"cvqc-toy-pp"), 5)
-    claim = Claim.from_bytes(claim_bytes)
-    return claim, tuple(bases), tuple(secrets), kwt[0], kwt[1], kwt[2], variant.decode()
+    K, w, tau = fixed(kwt, 3)
+    return Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau, utf8(variant)
 
 
 def _toy_pairs(pp: CvqcParams, witness: Witness, drbg: Drbg, draw_d: bool):
@@ -506,7 +497,7 @@ def oracle_spec(setup: StarSetup) -> bytes:
 
 def oracle_from_spec(spec: bytes) -> RandomOracle:
     mode, seed, td_bytes, claim_bytes, r_bytes = unpack_fields(spec, 5)
-    mode = mode.decode()
+    mode = utf8(mode)
     if mode == MODE_UNIFORM:
         return RandomOracle(seed, MODE_UNIFORM)
     td = PrfKey(td_bytes)
@@ -537,15 +528,16 @@ def _star_gate_fn(use_td: bool):
         if plain is None:
             return b"\x00"
         claim_bytes, proto, key_bytes, spec = unpack_fields(blob, 4)
+        proto = utf8(proto)
         claim = Claim.from_bytes(claim_bytes)
         key = PrfKey(key_bytes) if use_td else CvqcVerifyKey.from_bytes(key_bytes)
         oracle = oracle_from_spec(spec)
         try:
-            proof = CvqcProof.decode(proto.decode(), plain)
+            proof = CvqcProof.decode(proto, plain)
         except (MalformedProof, MalformedCiphertext):
             return b"\x00"
         if use_td:
-            return bytes([td_verify(claim, proof, key, oracle, proto.decode())])
+            return bytes([td_verify(claim, proof, key, oracle, proto)])
         return bytes([star_verify(claim, proof, key, oracle)])
     return gate
 

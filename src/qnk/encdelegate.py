@@ -39,7 +39,7 @@ from .qma import (
     make_share_language,
 )
 from .rand import Drbg
-from .wire import pack_fields, unpack_fields
+from .wire import Reader, fixed, pack_fields, unpack_fields
 
 ATTR_WIRE_BYTES = 2
 MAX_ATTR_BITS = 10
@@ -139,7 +139,7 @@ class AbeCiphertext:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AbeCiphertext":
         prog, digest, al = unpack_fields(blob, 3)
-        return cls(SealedProgram.from_bytes(prog), digest, al[0])
+        return cls(SealedProgram.from_bytes(prog), digest, fixed(al, 1)[0])
 
 
 def _decode_sealed(blob: bytes) -> SealedProgram:
@@ -387,7 +387,8 @@ class QLockObf:
         f = unpack_fields(blob, 5)
         return cls(qfhe.QfheCiphertext.from_bytes(f[0]),
                    SealedProgram.from_bytes(f[1]), f[2],
-                   int.from_bytes(f[3], "big"), int.from_bytes(f[4], "big"))
+                   int.from_bytes(fixed(f[3], 4), "big"),
+                   int.from_bytes(fixed(f[4], 4), "big"))
 
 
 def qlock_obf(Q, u: bytes, z: bytes, seed) -> QLockObf:
@@ -410,7 +411,7 @@ def qlock_eval(obj: QLockObf, x_bits, drbg: Drbg):
     def universal(desc: bytes) -> bytes:
         try:
             circ = PseudoDetCircuit.from_bytes(desc)
-        except (MalformedCiphertext, MalformedCircuit, ValueError, IndexError):
+        except (MalformedCiphertext, MalformedCircuit):
             return b""  # unparseable description (e.g. the simulator's zero fill)
         return circ.run(x_bits, drbg.child("run"))
 
@@ -454,7 +455,7 @@ class PeCiphertext:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PeCiphertext":
         f = unpack_fields(blob, 2)
-        return cls(SealedProgram.from_bytes(f[0]), int.from_bytes(f[1], "big"))
+        return cls(SealedProgram.from_bytes(f[0]), int.from_bytes(fixed(f[1], 4), "big"))
 
 
 def pe_enc(keys: AbeKeys, Q: QuantumCircuit, m: bytes, seed) -> PeCiphertext:
@@ -593,20 +594,12 @@ class ShareSet:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ShareSet":
-        from .wire import Reader
         r = Reader(blob)
         lang_ref = r.field()
-        count = r.field()
-        if len(count) != 1:
-            raise MalformedCiphertext("share count must be one byte")
-        n = count[0]
-        shares = []
-        for _ in range(n):
-            r_i = r.field()
-            shares.append((r_i, WeCiphertext.from_bytes(r.field())))
+        n = fixed(r.field(), 1)[0]
+        shares = [(r.field(), WeCiphertext.from_bytes(r.field())) for _ in range(n)]
         commitments = tuple(r.field() for _ in range(n))
-        if not r.done():
-            raise MalformedCiphertext("trailing bytes after share set")
+        r.end()
         return cls(shares, commitments, lang_ref)
 
 

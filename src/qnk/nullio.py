@@ -51,7 +51,7 @@ from .errors import InsufficientCopies, JudgeReject, KeyMismatch, MalformedCiphe
 from .primitives import MODE_SIMGEN, PrfKey, RandomOracle, prf_gen
 from .qma import QmaLanguage, Witness
 from .rand import Drbg
-from .wire import pack_fields, seal, unpack_fields, unseal
+from .wire import fixed, pack_fields, seal, unpack_fields, unseal, utf8
 
 VARIANT_IO = "IO"
 VARIANT_VBB = "VBB"
@@ -95,14 +95,8 @@ class ObfuscatedNullCircuit:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ObfuscatedNullCircuit":
         f = unpack_fields(blob, 8)
-        if len(f[7]) != 1:
-            raise MalformedCiphertext("copy count must be one byte")
-        try:
-            variant, proto = f[2].decode(), f[6].decode()
-        except UnicodeDecodeError as e:
-            raise MalformedCiphertext("variant or protocol name is not UTF-8") from e
         return cls(qfhe.QfheCiphertext.from_bytes(f[0]), SealedProgram.from_bytes(f[1]),
-                   variant, f[3], f[4], f[5], proto, f[7][0])
+                   utf8(f[2]), f[3], f[4], f[5], utf8(f[6]), fixed(f[7], 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +335,7 @@ def _gate_we_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     from .qma import resolve_language
     lang_ref, proto, reps = unpack_fields(cfg, 3)
     ct = we_enc_bytes(resolve_language(lang_ref), x, m, coins,
-                      proto=proto.decode(), reps=reps[0])
+                      proto=utf8(proto), reps=fixed(reps, 1)[0])
     return ct.to_bytes()
 
 

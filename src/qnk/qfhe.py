@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
+from .errors import DepthExceeded, KeyMismatch
 from .primitives import KEY_LEN
 from .qsim import QuantumCircuit, run_circuit
 from .rand import Drbg, _hmac
@@ -45,8 +45,7 @@ class QfheCiphertext:
     def from_bytes(cls, blob: bytes) -> "QfheCiphertext":
         r = Reader(blob)
         ct = cls(r.field(), r.field(), r.u32(), r.u32())
-        if not r.done():
-            raise MalformedCiphertext("trailing bytes after ciphertext")
+        r.end()
         return ct
 
 

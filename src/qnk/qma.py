@@ -20,7 +20,7 @@ from math import comb
 from .errors import MalformedCiphertext, NotMonotone, WidthMismatch
 from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, sample_bit
 from .rand import Drbg
-from .wire import pack_fields, unpack_fields
+from .wire import Reader, fixed, pack_fields, unpack_fields, utf8
 
 DEFAULT_WITNESS_COPIES = 5
 MAX_WITNESS_QUBITS = 5
@@ -279,29 +279,20 @@ def register_language_kind(kind: bytes, resolver) -> None:
     EXTRA_LANGUAGE_KINDS[kind] = resolver
 
 
-def _param_bytes(r, n: int) -> bytes:
-    """The next field of a language reference, which holds `n` parameter bytes."""
-    f = r.field()
-    if len(f) != n:
-        raise MalformedCiphertext(f"language parameter field must be {n} bytes")
-    return f
-
-
 def resolve_language(ref: bytes) -> QmaLanguage:
-    from .wire import Reader
     r = Reader(ref)
     kind = r.field()
     if kind == b"par":
-        return make_parity_language(_param_bytes(r, 1)[0])
+        return make_parity_language(fixed(r.field(), 1)[0])
     if kind == b"ghz":
         return make_ghz_language()
     if kind == b"th":
-        n, t = _param_bytes(r, 2)
+        n, t = fixed(r.field(), 2)
         return make_threshold_language(n, t)
     if kind == b"null":
-        return make_null_language(_param_bytes(r, 1)[0])
+        return make_null_language(fixed(r.field(), 1)[0])
     if kind == b"policy":
-        return make_policy_language(parse_circuit(r.field().decode()))
+        return make_policy_language(parse_circuit(utf8(r.field())))
     if kind == b"share":
         inner = resolve_language(r.field())
         commitments = []
@@ -350,4 +341,4 @@ class PseudoDetCircuit:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PseudoDetCircuit":
         text, reps, m0, m1 = unpack_fields(blob, 4)
-        return cls(parse_circuit(text.decode()), reps[0], (m0, m1))
+        return cls(parse_circuit(utf8(text)), fixed(reps, 1)[0], (m0, m1))

@@ -252,14 +252,17 @@ def parse_circuit(text: str) -> QuantumCircuit:
             continue
         parts = line.split()
         head = parts[0]
-        if head == "qubits":
-            n_qubits = int(parts[1])
-        elif head == "input":
-            n_input = int(parts[1])
-        elif head.upper() in GATE_ARITY:
-            gates.append((head.upper(), tuple(int(t) for t in parts[1:])))
-        else:
-            raise MalformedCircuit(f"line {lineno}: unknown directive {head!r}")
+        try:
+            if head == "qubits":
+                n_qubits = int(parts[1])
+            elif head == "input":
+                n_input = int(parts[1])
+            elif head.upper() in GATE_ARITY:
+                gates.append((head.upper(), tuple(int(t) for t in parts[1:])))
+            else:
+                raise MalformedCircuit(f"line {lineno}: unknown directive {head!r}")
+        except (IndexError, ValueError) as e:
+            raise MalformedCircuit(f"line {lineno}: missing or non-integer argument") from e
     if n_qubits is None:
         raise MalformedCircuit("missing 'qubits' directive")
     return QuantumCircuit(n_qubits, tuple(gates), n_input)

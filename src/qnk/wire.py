@@ -64,12 +64,30 @@ class Reader:
     def done(self) -> bool:
         return self.pos == len(self.data)
 
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise MalformedCiphertext("trailing bytes after final field")
+
+
+def fixed(f: bytes, n: int) -> bytes:
+    """A fixed-width field (a count, a byte tuple, a u32), exactly `n` bytes."""
+    if len(f) != n:
+        raise MalformedCiphertext(f"field must be {n} bytes, got {len(f)}")
+    return f
+
+
+def utf8(f: bytes) -> str:
+    """A name field (protocol, variant, mode, language), which must be UTF-8."""
+    try:
+        return f.decode()
+    except UnicodeDecodeError as e:
+        raise MalformedCiphertext("name field is not UTF-8") from e
+
 
 def unpack_fields(data: bytes, n: int) -> list[bytes]:
     r = Reader(data)
     out = [r.field() for _ in range(n)]
-    if not r.done():
-        raise MalformedCiphertext("trailing bytes after final field")
+    r.end()
     return out
 
 
@@ -121,13 +139,9 @@ def open_envelope(blob: bytes, expect_tag: str | None = None) -> tuple[str, byte
     version = int.from_bytes(r.take(2), "big")
     if version != VERSION:
         raise VersionMismatch(f"envelope version {version}, expected {VERSION}")
-    try:
-        tag = r.field().decode()
-    except UnicodeDecodeError as e:
-        raise MalformedCiphertext("envelope type tag is not UTF-8") from e
+    tag = utf8(r.field())
     payload = r.field()
-    if not r.done():
-        raise MalformedCiphertext("trailing bytes after envelope payload")
+    r.end()
     if expect_tag is not None and tag != expect_tag:
         raise VersionMismatch(f"envelope holds {tag!r}, expected {expect_tag!r}")
     return tag, payload

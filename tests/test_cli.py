@@ -12,7 +12,9 @@ from qnk.wire import (
     open_envelope,
     pack_bytes,
     pack_fields,
+    seal,
     unpack_fields,
+    unseal,
 )
 
 
@@ -44,6 +46,46 @@ def nio_non_utf8_variant(obf: bytes) -> bytes:
     return pack_fields(*fields[:2], b"\xff", *fields[3:])
 
 
+def we_empty_count(ct: bytes) -> bytes:
+    _count, payload = unpack_fields(ct, 2)
+    return pack_fields(b"", payload)
+
+
+def abe_keys_empty_attr_len(keys: bytes) -> bytes:
+    sealed_seed, _attr_len, mpk = unpack_fields(keys, 3)
+    return pack_fields(sealed_seed, b"", mpk)
+
+
+def abe_ct_empty_attr_len(ct: bytes) -> bytes:
+    prog, digest, _attr_len = unpack_fields(ct, 3)
+    return pack_fields(prog, digest, b"")
+
+
+def pe_ct_empty_payload_len(ct: bytes) -> bytes:
+    cc, _payload_len = unpack_fields(ct, 2)
+    return pack_fields(cc, b"")
+
+
+def non_utf8_first_field(blob: bytes) -> bytes:
+    """`nizk.crs` (language name) and `cvqc.proof` (protocol)."""
+    _, rest = unpack_fields(blob, 2)
+    return pack_fields(b"\xff\xfe", rest)
+
+
+def cvqc_non_utf8_oracle_mode(setup: bytes) -> bytes:
+    *head, spec = unpack_fields(setup, 5)
+    _mode, *rest = unpack_fields(unseal(spec, b"cli-oracle"), 5)
+    return pack_fields(*head, seal(pack_fields(b"\xff\xfe", *rest), b"cli-oracle"))
+
+
+def cvqc_short_kwt(setup: bytes) -> bytes:
+    claim, pp, *rest = unpack_fields(setup, 5)
+    proto, sealed_pp = unpack_fields(pp, 2)
+    c, bases, secrets, kwt, variant = unpack_fields(unseal(sealed_pp, b"cvqc-toy-pp"), 5)
+    sealed_pp = seal(pack_fields(c, bases, secrets, kwt[:2], variant), b"cvqc-toy-pp")
+    return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
+
+
 # (produce, consume) argv; "{}" is the artifact path (`cvqc verify` fails on
 # the setup before it reads the proof)
 WE_CMDS = (["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "3",
@@ -53,6 +95,33 @@ NIO_CMDS = (["nio", "obf", "--x", "07", "--seed", "3", "--out", "{}"],
             ["nio", "eval", "--obf", "{}", "--seed", "4"])
 CVQC_CMDS = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "--out", "{}"],
              ["cvqc", "verify", "--setup", "{}", "--proof", "{}"])
+CVQC_PROVE_CMDS = (CVQC_CMDS[0],
+                   ["cvqc", "prove", "--setup", "{}", "--seed", "6", "--out", "{}.out"])
+ABE_KEYGEN_CMDS = (["abe", "gen", "--attr-len", "4", "--seed", "1", "--out", "{}"],
+                   ["abe", "keygen", "--keys", "{}", "--attr", "0111", "--out", "{}.out"])
+NIZK_CMDS = (["nizk", "setup", "--lang", "par8", "--seed", "1", "--out", "{}"],
+             ["nizk", "prove", "--crs", "{}", "--x", "07", "--seed", "2", "--out", "{}.out"])
+
+# commands that need several produced files; "{name}" is `name.bin` (or
+# `policy.txt`) in the test's directory
+ABE_SETUP = (["abe", "gen", "--attr-len", "4", "--seed", "1", "--out", "{keys}"],
+             ["abe", "keygen", "--keys", "{keys}", "--attr", "0111", "--out", "{sk}"])
+ABE_ENC = ["abe", "enc", "--keys", "{keys}", "--m", "2a", "--seed", "2", "--out", "{ct}"]
+PE_ENC = ["pe", "enc", "--keys", "{keys}", "--m", "2a", "--seed", "2", "--out", "{ct}"]
+CVQC_SETUP = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "--out", "{setup}"],
+              ["cvqc", "prove", "--setup", "{setup}", "--seed", "6", "--out", "{proof}"])
+
+
+def rewrap(name, mutate):
+    """Corrupt the payload of artifact `name` and re-envelope it."""
+    def corrupt(paths):
+        tag, payload = open_envelope(paths[name].read_bytes())
+        paths[name].write_bytes(envelope(tag, mutate(payload)))
+    return corrupt
+
+
+def write_policy(text):
+    return lambda paths: paths["policy"].write_text(text)
 
 
 @pytest.fixture
@@ -123,8 +192,15 @@ class TestWeCommands:
         (CVQC_CMDS, None, non_utf8_proto, b""),
         (NIO_CMDS, None, nio_empty_copies, b""),
         (NIO_CMDS, None, nio_non_utf8_variant, b""),
+        (WE_CMDS, None, we_empty_count, b""),
+        (ABE_KEYGEN_CMDS, None, abe_keys_empty_attr_len, b""),
+        (NIZK_CMDS, None, non_utf8_first_field, b""),
+        (CVQC_CMDS, None, cvqc_non_utf8_oracle_mode, b""),
+        (CVQC_PROVE_CMDS, None, cvqc_short_kwt, b""),
     ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
-            "nio-empty-copies", "nio-non-utf8-field"])
+            "nio-empty-copies", "nio-non-utf8-field", "we-empty-count",
+            "abe-keygen-empty-attr-len", "nizk-non-utf8-lang", "cvqc-non-utf8-oracle-mode",
+            "cvqc-prove-short-kwt"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)
@@ -137,6 +213,31 @@ class TestWeCommands:
         assert main(consume) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "MalformedCiphertext"
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("produce, corrupt, consume, error", [
+        (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_empty_attr_len),
+         ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
+        (ABE_SETUP + (PE_ENC,), rewrap("ct", pe_ct_empty_payload_len),
+         ["pe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
+        (CVQC_SETUP, rewrap("proof", non_utf8_first_field),
+         ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext"),
+        (ABE_SETUP[:1], write_policy("qubits\n"),
+         ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
+         "MalformedCircuit"),
+    ], ids=["abe-dec-empty-attr-len", "pe-dec-empty-payload-len",
+            "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count"])
+    def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
+                                                 error):
+        paths = {name: tmp / f"{name}.bin" for name in ("keys", "sk", "ct", "setup", "proof")}
+        paths["policy"] = tmp / "policy.txt"
+        for argv in produce:
+            assert main([a.format(**paths) for a in argv]) == 0
+        corrupt(paths)
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in consume]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == error
         assert "Traceback" not in captured.out + captured.err
 
 

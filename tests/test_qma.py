@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from qnk.errors import MalformedCiphertext, NotMonotone, WidthMismatch
+from qnk.errors import MalformedCiphertext, MalformedCircuit, NotMonotone, WidthMismatch
 from qnk.qma import (
     PseudoDetCircuit,
     QmaLanguage,
@@ -137,6 +137,14 @@ class TestReferences:
     def test_bad_parameter_field_rejected(self, kind, param):
         with pytest.raises(MalformedCiphertext):
             resolve_language(pack_fields(kind, param))
+
+    @pytest.mark.parametrize("text, error", [
+        (b"qubits", MalformedCircuit), (b"qubits x", MalformedCircuit),
+        (b"qubits 2\nCNOT 0 y", MalformedCircuit), (b"\xff\xfe", MalformedCiphertext),
+    ])
+    def test_bad_policy_field_rejected(self, text, error):
+        with pytest.raises(error):
+            resolve_language(pack_fields(b"policy", text))
 
     def test_null_language_rejects(self):
         L = make_null_language(3)

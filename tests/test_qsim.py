@@ -164,6 +164,11 @@ class TestTextFormat:
         with pytest.raises(MalformedCircuit):
             parse_circuit("H 0\n")
 
+    @pytest.mark.parametrize("text", ["qubits\n", "qubits x\n", "qubits 2\nCNOT 0 y\n"])
+    def test_missing_or_non_integer_argument(self, text):
+        with pytest.raises(MalformedCircuit):
+            parse_circuit(text)
+
 
 def test_accept_probability_matches_sampling():
     Q = QuantumCircuit(2, (("H", (0,)), ("CNOT", (0, 1))), n_input=0)

@@ -4,7 +4,9 @@ HMAC-SHA256 goes through `rand._hmac` and byte-string XOR through
 `primitives._xor`; a second copy of either fails here. The dual-mode CVQC
 gates are paired with their constants in `cvqc.star_gate` alone, so their
 names appear in no other module. Born-rule draws go through
-`qsim.sample_bit`, so `2 ** 64` appears in no other module.
+`qsim.sample_bit`, so `2 ** 64` appears in no other module. A name field
+is decoded by `wire.utf8`, so `except UnicodeDecodeError` appears only in
+`wire.py` and in `circuit_ir.py`, whose decoders raise `MalformedCircuit`.
 """
 import re
 from pathlib import Path
@@ -38,6 +40,11 @@ def test_cvqc_gate_names_only_in_cvqc():
 def test_born_rule_draw_only_in_qsim():
     assert any(p.name == "qsim.py" for p in SRC)
     assert offending_lines(re.compile(r"\b2\s*\*\*\s*64\b"), skip=("qsim.py",)) == []
+
+
+def test_utf8_check_only_in_wire():
+    assert offending_lines(re.compile(r"\bexcept\b.*\bUnicodeDecodeError\b"),
+                           skip=("wire.py", "circuit_ir.py")) == []
 
 
 def test_xor_pattern():
