@@ -1,4 +1,4 @@
-"""Classical gate-DAG circuit IR with a host-gate registry, size padding, and
+"""Classical gate-DAG circuit IR with host gates, size padding, and
 sealed-evaluator obfuscation (functional opacity only).
 
 Programs compute over byte strings. Heavyweight sub-primitives (PRF, WE
@@ -11,7 +11,7 @@ A host gate may register a decoder for its last argument, a constant blob
 (a key, a nested sealed program). A sealed program (and a simulator handle)
 keeps the decoded constants of its gates for as long as the program lives,
 decoding each blob on the node's first evaluation; a plain `evaluate` call
-without a cache decodes on every call.
+without a cache decodes once per call.
 
 Obfuscation here normalizes size and hides constants behind the evaluator
 API. It makes no security claim: all "indistinguishability" content lives in
@@ -120,7 +120,7 @@ class ProgramBuilder:
 
 
 # ---------------------------------------------------------------------------
-# host-gate registry
+# host gates
 
 _ARITY = {"CONST": 0, "INPUT": 0, "SLICE": 1, "XOR": 2, "EQ": 2, "ITE": 3}
 
@@ -195,8 +195,7 @@ def punctured_key_from_bytes(blob: bytes):
 # validation / evaluation / padding
 
 
-def validate(p: Program, registry: dict | None = None) -> None:
-    reg = DEFAULT_REGISTRY if registry is None else registry
+def validate(p: Program) -> None:
     for i, node in enumerate(p.nodes):
         if node.op not in OPS:
             raise MalformedCircuit(f"node {i}: unknown op {node.op!r}")
@@ -211,16 +210,14 @@ def validate(p: Program, registry: dict | None = None) -> None:
             raise MalformedCircuit(f"node {i}: input slot {node.slot} out of range")
         if node.op == "SLICE" and not 0 <= node.lo <= node.hi:
             raise MalformedCircuit(f"node {i}: bad slice range")
-        if node.op == "HOSTGATE" and node.gate not in reg:
+        if node.op == "HOSTGATE" and node.gate not in DEFAULT_REGISTRY:
             raise UnknownGate(f"node {i}: unregistered host gate {node.gate!r}")
     for o in p.outputs:
         if not 0 <= o < len(p.nodes):
             raise MalformedCircuit(f"output {o} out of range")
 
 
-def _decoded_const(decode, blob: bytes, i: int, cache: dict | None):
-    if cache is None:
-        return decode(blob)
+def _decoded_const(decode, blob: bytes, i: int, cache: dict):
     hit = cache.get(i)
     # a CONST node or embedded constant yields the same object every call; a
     # blob computed from the inputs is a new object and is decoded afresh
@@ -231,14 +228,14 @@ def _decoded_const(decode, blob: bytes, i: int, cache: dict | None):
     return value
 
 
-def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None,
-             cache: dict | None = None) -> list[bytes]:
+def evaluate(p: Program, inputs: list[bytes], cache: dict | None = None) -> list[bytes]:
     """Lazy evaluation from the outputs; deterministic given gate determinism.
 
     `cache` maps a node index to (blob, decoded constant) for gates that
     register a decoder; pass the same dict across calls on one program to
     decode each blob once. Without it every call decodes afresh."""
-    reg = DEFAULT_REGISTRY if registry is None else registry
+    if cache is None:
+        cache = {}
     if len(inputs) != p.input_arity:
         raise MalformedCircuit(
             f"program takes {p.input_arity} inputs, got {len(inputs)}")
@@ -268,7 +265,7 @@ def evaluate(p: Program, inputs: list[bytes], registry: dict | None = None,
             elif node.op == "ITE":
                 v = ev(node.args[1]) if ev(node.args[0]) == b"\x01" else ev(node.args[2])
             else:
-                fn = reg.get(node.gate)
+                fn = DEFAULT_REGISTRY.get(node.gate)
                 if fn is None:
                     raise UnknownGate(f"host gate {node.gate!r} not registered")
                 args = tuple(ev(a) for a in node.args) + node.consts
@@ -309,15 +306,14 @@ class SealedProgram:
     evaluation plus (declared_size, mode); embedded constants have no
     accessor and serialize sealed."""
 
-    def __init__(self, program: Program, mode: str, registry: dict | None = None):
+    def __init__(self, program: Program, mode: str):
         self.__program = program
         self.declared_size = program.size
         self.mode = mode
-        self.__registry = registry
         self.__decoded: dict = {}
 
     def run_all(self, *inputs: bytes) -> list[bytes]:
-        return evaluate(self.__program, list(inputs), self.__registry, self.__decoded)
+        return evaluate(self.__program, list(inputs), self.__decoded)
 
     def run(self, *inputs: bytes) -> bytes:
         return self.run_all(*inputs)[0]
@@ -354,33 +350,30 @@ def unpack_fields_mode(blob: bytes):
     return mode, declared, sealed_prog
 
 
-def obf_io(p: Program, target: int, registry: dict | None = None) -> SealedProgram:
-    validate(p, registry)
-    return SealedProgram(pad(p, target), MODE_IO, registry)
+def obf_io(p: Program, target: int) -> SealedProgram:
+    validate(p)
+    return SealedProgram(pad(p, target), MODE_IO)
 
 
 class SimHandle:
     """Black-box simulator handle: answers queries to the plain program and
     reveals only the declared size as metadata."""
 
-    def __init__(self, program: Program, declared_size: int, registry: dict | None):
+    def __init__(self, program: Program, declared_size: int):
         self.__program = program
         self.declared_size = declared_size
         self.query_count = 0
-        self.__registry = registry
         self.__decoded: dict = {}
 
     def query(self, *inputs: bytes) -> bytes:
         self.query_count += 1
-        return evaluate(self.__program, list(inputs), self.__registry, self.__decoded)[0]
+        return evaluate(self.__program, list(inputs), self.__decoded)[0]
 
 
-def obf_vbb(p: Program, target: int,
-            registry: dict | None = None) -> tuple[SealedProgram, SimHandle]:
-    validate(p, registry)
+def obf_vbb(p: Program, target: int) -> tuple[SealedProgram, SimHandle]:
+    validate(p)
     padded = pad(p, target)
-    return (SealedProgram(padded, MODE_VBB, registry),
-            SimHandle(p, padded.size, registry))
+    return SealedProgram(padded, MODE_VBB), SimHandle(p, padded.size)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ _LOCK_BASE_NODES = 6
 class LockSpec:
     lock: bytes               # u, 16 bytes
     payload: bytes            # z
-    inner: object             # Program, or a callable bytes -> bytes for tests
+    inner: Program            # C, one input
 
     def __post_init__(self):
         if len(self.lock) != 16:
@@ -404,34 +397,18 @@ def lock_pad_target(size_c: int, size_z: int) -> int:
     return _LOCK_BASE_NODES + size_c + (size_z + 15) // 16
 
 
-def lockobf(spec: LockSpec, registry: dict | None = None) -> SealedProgram:
-    if callable(spec.inner):
-        fn = spec.inner
-        size_c = 1
-        inner = None
-    else:
-        inner = spec.inner
-        size_c = inner.size
-        fn = None
-    target = lock_pad_target(size_c, len(spec.payload))
+def lockobf(spec: LockSpec) -> SealedProgram:
+    target = lock_pad_target(spec.inner.size, len(spec.payload))
     b = ProgramBuilder(1)
-    x = b.input(0)
-    if inner is not None:
-        (cx,) = b.inline(inner, [x])
-    else:
-        # the closure lives in this program's own registry copy, never in
-        # DEFAULT_REGISTRY, so it dies with the program
-        registry = dict(DEFAULT_REGISTRY if registry is None else registry)
-        registry["__lock_closure"] = fn
-        cx = b.host("__lock_closure", x)
+    (cx,) = b.inline(spec.inner, [b.input(0)])
     u = b.const(spec.lock)
     hit = b.eq(cx, u)
     z = b.const(wrap_some(spec.payload))
     bot = b.const(BOTTOM)
     out = b.ite(hit, z, bot)
     p = b.build([out])
-    validate(p, registry)
-    return SealedProgram(pad(p, target), MODE_LOCK, registry)
+    validate(p)
+    return SealedProgram(pad(p, target), MODE_LOCK)
 
 
 def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
@@ -491,7 +468,7 @@ class ExplicitDomain:
         yield from self.entries
 
 
-def equiv_check(p1, p2, domain, registry: dict | None = None) -> bool:
+def equiv_check(p1, p2, domain) -> bool:
     """True iff both programs agree on every tested point. Accepts Programs or
     SealedPrograms on either side."""
 
@@ -499,7 +476,7 @@ def equiv_check(p1, p2, domain, registry: dict | None = None) -> bool:
         if isinstance(p, SealedProgram):
             return p.run_all
         cache: dict = {}
-        return lambda *inp: evaluate(p, list(inp), registry, cache)
+        return lambda *inp: evaluate(p, list(inp), cache)
 
     r1, r2 = runner(p1), runner(p2)
     for point in domain.points():

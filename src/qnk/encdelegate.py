@@ -32,16 +32,18 @@ from .errors import MalformedCiphertext, WidthMismatch
 from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bqp, we_enc_bytes
 from .primitives import KEY_LEN, PrfKey, commit, ggm_eval, ggm_punct, prf_gen, prg
 from .qma import (
+    ATTR_WIRE_BYTES,
+    POLICY_FAMILY,  # re-exported: the CLI reads ed.POLICY_FAMILY
     QmaLanguage,
     QuantumCircuit,
     Witness,
     make_policy_language,
     make_share_language,
+    make_universal_language,
 )
 from .rand import Drbg
 from .wire import Reader, fixed, pack_fields, unpack_fields
 
-ATTR_WIRE_BYTES = 2
 MAX_ATTR_BITS = 10
 
 
@@ -52,52 +54,6 @@ def attr_wire(x, attr_len: int) -> bytes:
     if not 0 <= x < (1 << attr_len):
         raise WidthMismatch(f"attribute {x} out of range for {attr_len} bits")
     return x.to_bytes(ATTR_WIRE_BYTES, "big")
-
-
-# ---------------------------------------------------------------------------
-# universal policy family (key-policy wrapper support)
-
-POLICY_FAMILY: dict[int, QuantumCircuit] = {}
-
-
-def register_policy(policy_id: int, circuit: QuantumCircuit) -> None:
-    POLICY_FAMILY[policy_id] = circuit
-
-
-def _default_policies():
-    # id 1: odd parity of a 4-bit attribute; id 2: at-least-2-of-3; id 3: never
-    par = QuantumCircuit(5, tuple(("CNOT", (i, 0)) for i in range(1, 5)), n_input=4)
-    register_policy(1, par)
-    th = QuantumCircuit(5, (("CCX", (2, 3, 1)), ("CCX", (2, 4, 1)),
-                            ("CCX", (3, 4, 1)), ("CNOT", (1, 0)),
-                            ("CCX", (2, 3, 1)), ("CCX", (2, 4, 1))), n_input=3)
-    register_policy(2, th)
-    register_policy(3, QuantumCircuit(2, (), n_input=1))
-
-
-def make_universal_language(x_attr: bytes) -> QmaLanguage:
-    """BQP language whose instances are policy-family ids: instance pid is a
-    yes-instance exactly when the registered circuit accepts x_attr."""
-    from .qma import _bits_of
-
-    def build(pid_bytes: bytes, cw: bytes = b""):
-        pid = int.from_bytes(pid_bytes, "big")
-        if pid not in POLICY_FAMILY:
-            return QuantumCircuit(1, (), n_input=0)  # unknown policy: reject
-        circ = POLICY_FAMILY[pid]
-        n = circ.n_input
-        bits = _bits_of(x_attr, n)
-        load = tuple(("X", (circ.n_qubits - n + i,)) for i, b in enumerate(bits) if b)
-        return QuantumCircuit(circ.n_qubits, load + circ.gates, n_input=0)
-
-    return QmaLanguage("upolicy", 8 * ATTR_WIRE_BYTES, 0, 1.0, 0.0, build,
-                       pack_fields(b"upolicy", x_attr))
-
-
-def _install_language_hook():
-    """Extend the language-reference resolver with the universal-policy kind."""
-    from .qma import register_language_kind
-    register_language_kind(b"upolicy", lambda r: make_universal_language(r.field()))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +71,7 @@ class AbeSecretKey:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AbeSecretKey":
         x, key = unpack_fields(blob, 2)
-        return cls(x, key)
+        return cls(fixed(x, ATTR_WIRE_BYTES), fixed(key, KEY_LEN))
 
 
 @dataclass
@@ -123,7 +79,6 @@ class AbeKeys:
     msk: PrfKey
     mpk: SealedProgram     # (attribute, candidate key) -> verdict byte
     attr_len: int
-    escrow: dict = field(repr=False, default=None)
 
 
 @dataclass
@@ -177,8 +132,7 @@ def abe_gen(attr_len: int, seed) -> AbeKeys:
     program = _build_keycheck_program(k, attr_len)
     fam = abe_keycheck_hybrids(k, attr_len, 0, drbg.child("sizing"))
     budget = max(p.size for p in fam.values())
-    return AbeKeys(msk=k, mpk=obf_io(program, budget), attr_len=attr_len,
-                   escrow={"k": k, "seed": seed})
+    return AbeKeys(msk=k, mpk=obf_io(program, budget), attr_len=attr_len)
 
 
 def abe_keygen(keys: AbeKeys, x) -> AbeSecretKey:
@@ -632,6 +586,3 @@ def ss_rec(share_set: ShareSet, subset: set[int], witness: Witness, drbg: Drbg):
     out = we_dec_bytes(ct, witness, drbg, classical_witness=cw)
     return None if out is None else out[0]
 
-
-_default_policies()
-_install_language_hook()

@@ -83,7 +83,6 @@ class ObfuscatedNullCircuit:
     oracle_spec_sealed: bytes
     proto: str
     min_copies: int
-    escrow: object = field(default=None, repr=False, compare=False)  # test-only
 
     def to_bytes(self) -> bytes:
         return pack_fields(

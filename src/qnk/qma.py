@@ -1,5 +1,6 @@
-"""QMA/BQP language descriptors, amplification, named fixtures, and monotone
-access-structure support.
+"""QMA/BQP language descriptors, amplification, named fixtures, the universal
+policy family of the key-policy ABE wrapper, and monotone access-structure
+support.
 
 A language carries a verifier builder (instance -> single-copy check circuit),
 a witness width p, thresholds (alpha, beta), and a repetition count for
@@ -24,6 +25,7 @@ from .wire import Reader, fixed, pack_fields, unpack_fields, utf8
 
 DEFAULT_WITNESS_COPIES = 5
 MAX_WITNESS_QUBITS = 5
+ATTR_WIRE_BYTES = 2  # attributes travel as 2-byte big-endian wires
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,32 @@ def make_share_language(inner: QmaLanguage, commitments: tuple[bytes, ...]) -> Q
                        reps=inner.reps, threshold=inner.threshold)
 
 
-# named fixture registry (CLI `--lang` and serialized references)
+# universal policy family of the key-policy ABE wrapper: id 1 is odd parity
+# of a 4-bit attribute, id 2 at-least-2-of-3, id 3 never
+POLICY_FAMILY: dict[int, QuantumCircuit] = {
+    1: QuantumCircuit(5, tuple(("CNOT", (i, 0)) for i in range(1, 5)), n_input=4),
+    2: QuantumCircuit(5, (("CCX", (2, 3, 1)), ("CCX", (2, 4, 1)),
+                          ("CCX", (3, 4, 1)), ("CNOT", (1, 0)),
+                          ("CCX", (2, 3, 1)), ("CCX", (2, 4, 1))), n_input=3),
+    3: QuantumCircuit(2, (), n_input=1),
+}
+
+
+def make_universal_language(x_attr: bytes) -> QmaLanguage:
+    """BQP language whose instances are policy-family ids: instance pid is a
+    yes-instance exactly when that family circuit accepts the attribute x_attr."""
+
+    def build(pid_bytes: bytes, cw: bytes = b""):
+        circ = POLICY_FAMILY.get(int.from_bytes(pid_bytes, "big"))
+        if circ is None:
+            return QuantumCircuit(1, (), n_input=0)  # unknown policy: reject
+        return make_policy_language(circ).verifier(x_attr)
+
+    return QmaLanguage("upolicy", 8 * ATTR_WIRE_BYTES, 0, 1.0, 0.0, build,
+                       pack_fields(b"upolicy", x_attr))
+
+
+# named fixtures (CLI `--lang` and serialized references)
 
 FIXTURES = {
     "par4": lambda: make_parity_language(4),
@@ -271,37 +298,34 @@ FIXTURES = {
 }
 
 
-# additional reference kinds registered by downstream modules
-EXTRA_LANGUAGE_KINDS: dict[bytes, object] = {}
-
-
-def register_language_kind(kind: bytes, resolver) -> None:
-    EXTRA_LANGUAGE_KINDS[kind] = resolver
-
-
 def resolve_language(ref: bytes) -> QmaLanguage:
+    """Rebuild a language from its reference. Every kind but `share` takes a
+    fixed parameter list; a field after it raises MalformedCiphertext."""
     r = Reader(ref)
     kind = r.field()
-    if kind == b"par":
-        return make_parity_language(fixed(r.field(), 1)[0])
-    if kind == b"ghz":
-        return make_ghz_language()
-    if kind == b"th":
-        n, t = fixed(r.field(), 2)
-        return make_threshold_language(n, t)
-    if kind == b"null":
-        return make_null_language(fixed(r.field(), 1)[0])
-    if kind == b"policy":
-        return make_policy_language(parse_circuit(utf8(r.field())))
     if kind == b"share":
         inner = resolve_language(r.field())
         commitments = []
         while not r.done():
             commitments.append(r.field())
         return make_share_language(inner, tuple(commitments))
-    if kind in EXTRA_LANGUAGE_KINDS:
-        return EXTRA_LANGUAGE_KINDS[kind](r)
-    raise MalformedCiphertext(f"unknown language reference kind {kind!r}")
+    if kind == b"par":
+        L = make_parity_language(fixed(r.field(), 1)[0])
+    elif kind == b"ghz":
+        L = make_ghz_language()
+    elif kind == b"th":
+        n, t = fixed(r.field(), 2)
+        L = make_threshold_language(n, t)
+    elif kind == b"null":
+        L = make_null_language(fixed(r.field(), 1)[0])
+    elif kind == b"policy":
+        L = make_policy_language(parse_circuit(utf8(r.field())))
+    elif kind == b"upolicy":
+        L = make_universal_language(r.field())
+    else:
+        raise MalformedCiphertext(f"unknown language reference kind {kind!r}")
+    r.end()
+    return L
 
 
 def fixture(name: str) -> QmaLanguage:

@@ -2,7 +2,6 @@ import pytest
 
 from qnk.circuit_ir import (
     BOTTOM,
-    DEFAULT_REGISTRY,
     ExhaustiveDomain,
     ExplicitDomain,
     LockSpec,
@@ -175,16 +174,18 @@ class TestSealed:
 class TestLockable:
     def test_identity_lock(self):
         u = bytes(range(16))
-        obj = lockobf(LockSpec(u, b"payload", lambda x: x))
+        obj = lockobf(LockSpec(u, b"payload", identity_program()))
         assert unwrap(obj.run(u)) == b"payload"
         assert unwrap(obj.run(b"\x00" * 16)) is None
 
-    def test_closure_stays_out_of_default_registry(self):
+    def test_lock_survives_serialization(self):
         u = bytes(range(16))
-        before = len(DEFAULT_REGISTRY)
-        objs = [lockobf(LockSpec(u, b"p", lambda x: x)) for _ in range(3)]
-        assert len(DEFAULT_REGISTRY) == before
-        assert all(unwrap(o.run(u)) == b"p" for o in objs)
+        obj = lockobf(LockSpec(u, b"p", identity_program()))
+        again = SealedProgram.from_bytes(obj.to_bytes())
+        assert (again.mode, again.declared_size) == (obj.mode, obj.declared_size)
+        for x in (u, b"\x00" * 16, u[:15], b""):
+            assert again.run(x) == obj.run(x)
+        assert unwrap(again.run(u)) == b"p"
 
     def test_exhaustive_and_sim(self):
         b = ProgramBuilder(1)

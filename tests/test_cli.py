@@ -61,6 +61,11 @@ def abe_ct_empty_attr_len(ct: bytes) -> bytes:
     return pack_fields(prog, digest, b"")
 
 
+def abe_sk_short_attr_wire(sk: bytes) -> bytes:
+    _x, key = unpack_fields(sk, 2)
+    return pack_fields(b"\x07", key)
+
+
 def pe_ct_empty_payload_len(ct: bytes) -> bytes:
     cc, _payload_len = unpack_fields(ct, 2)
     return pack_fields(cc, b"")
@@ -218,6 +223,8 @@ class TestWeCommands:
     @pytest.mark.parametrize("produce, corrupt, consume, error", [
         (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_empty_attr_len),
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
+        (ABE_SETUP + (ABE_ENC,), rewrap("sk", abe_sk_short_attr_wire),
+         ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
         (ABE_SETUP + (PE_ENC,), rewrap("ct", pe_ct_empty_payload_len),
          ["pe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
         (CVQC_SETUP, rewrap("proof", non_utf8_first_field),
@@ -225,7 +232,7 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy("qubits\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCircuit"),
-    ], ids=["abe-dec-empty-attr-len", "pe-dec-empty-payload-len",
+    ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "pe-dec-empty-payload-len",
             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count"])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):

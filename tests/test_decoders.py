@@ -43,7 +43,8 @@ CASES = {
                               "ffffffff", {7: 1}),
     "WeCiphertext": (nullio.WeCiphertext, lambda: nullio.we_enc(PAR, b"\x07", 1, b"c" * 16),
                      "ff", {}),
-    "AbeSecretKey": (ed.AbeSecretKey, lambda: ed.abe_keygen(abe_keys(), 0b0111), "ff", {}),
+    "AbeSecretKey": (ed.AbeSecretKey, lambda: ed.abe_keygen(abe_keys(), 0b0111), "ff",
+                     {0: 2, 1: 16}),
     "AbeCiphertext": (ed.AbeCiphertext,
                       lambda: ed.abe_enc_circuit(abe_keys(), PARITY4, b"\x01", 2), "fff", {2: 1}),
     "PeCiphertext": (ed.PeCiphertext, lambda: ed.pe_enc(abe_keys(), PARITY4, b"m", 3),

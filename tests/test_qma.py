@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from qnk.qma import (
 from qnk.qsim import QuantumCircuit, StateVector
 from qnk.rand import Drbg
 from qnk.wire import pack_fields
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParityFixture:
@@ -137,6 +143,24 @@ class TestReferences:
     def test_bad_parameter_field_rejected(self, kind, param):
         with pytest.raises(MalformedCiphertext):
             resolve_language(pack_fields(kind, param))
+
+    @pytest.mark.parametrize("params", [
+        (b"par", b"\x08"), (b"ghz",), (b"th", b"\x03\x02"), (b"null", b"\x00"),
+        (b"policy", b"qubits 2\ninput 0\nCNOT 1 0\n"), (b"upolicy", b"\x00\x07"),
+    ], ids=lambda params: params[0].decode())
+    def test_field_after_parameters_rejected(self, params):
+        canonical = pack_fields(*params)
+        assert resolve_language(canonical).ref == canonical
+        with pytest.raises(MalformedCiphertext):
+            resolve_language(pack_fields(*params, b"junk"))
+
+    def test_upolicy_resolves_without_encdelegate(self):
+        code = ("import sys; from qnk.qma import resolve_language; from qnk.wire import pack_fields; "
+                "L = resolve_language(pack_fields(b'upolicy', b'\\x00\\x07')); "
+                "assert 'qnk.encdelegate' not in sys.modules; print(L.name)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+        assert out.strip() == "upolicy"
 
     @pytest.mark.parametrize("text, error", [
         (b"qubits", MalformedCircuit), (b"qubits x", MalformedCircuit),

@@ -7,6 +7,9 @@ names appear in no other module. Born-rule draws go through
 `qsim.sample_bit`, so `2 ** 64` appears in no other module. A name field
 is decoded by `wire.utf8`, so `except UnicodeDecodeError` appears only in
 `wire.py` and in `circuit_ir.py`, whose decoders raise `MalformedCircuit`.
+Host gates are the one registry (`circuit_ir.register_gate`); languages and
+policies are resolved by `qma` itself, so no other module defines a
+`register_` hook.
 """
 import re
 from pathlib import Path
@@ -45,6 +48,11 @@ def test_born_rule_draw_only_in_qsim():
 def test_utf8_check_only_in_wire():
     assert offending_lines(re.compile(r"\bexcept\b.*\bUnicodeDecodeError\b"),
                            skip=("wire.py", "circuit_ir.py")) == []
+
+
+def test_register_hooks_only_in_circuit_ir():
+    assert any(p.name == "circuit_ir.py" for p in SRC)
+    assert offending_lines(re.compile(r"\bdef register_"), skip=("circuit_ir.py",)) == []
 
 
 def test_xor_pattern():
