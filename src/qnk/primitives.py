@@ -75,12 +75,7 @@ def prg(s: bytes, out_len: int) -> bytes:
     """
     if out_len > 2 ** 16:
         raise LengthTooLarge(f"requested {out_len} bytes > 65536")
-    out = bytearray()
-    i = 0
-    while len(out) < out_len:
-        out += _hmac(s, i.to_bytes(4, "big"))
-        i += 1
-    return bytes(out[:out_len])
+    return _hmac(s, *[i.to_bytes(4, "big") for i in range((out_len + 31) // 32)])[:out_len]
 
 
 def owf(x: bytes) -> bytes:

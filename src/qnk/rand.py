@@ -1,14 +1,47 @@
 """Deterministic randomness: every sampling operation in the toolkit draws from
 an HMAC-SHA256 counter generator so that a seed fully determines all artifacts.
+
+`_hmac` is the toolkit's one HMAC-SHA256. It starts each message from the
+key's inner and outer SHA-256 states, precomputed once per key as RFC 2104 §4
+suggests, instead of hashing the padded key again for every block. `_keyed`
+memoizes those states in a bounded LRU cache. The cache is pure: it holds
+only values derived from the key, so it changes no output byte, and it never
+grows past `_keyed.cache_info().maxsize` keys.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import hmac
+
+_BLOCK = 64  # SHA-256 block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-def _hmac(key: bytes, msg: bytes) -> bytes:
-    return hmac.new(key, msg, hashlib.sha256).digest()
+@functools.lru_cache(maxsize=256)
+def _keyed(key: bytes) -> tuple:
+    """The inner and outer SHA-256 states of HMAC under `key` (RFC 2104):
+    a key longer than a block is hashed first, then zero-padded to a block.
+    Callers copy the states and never update them, since every caller shares
+    them."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _hmac(key: bytes, *msgs: bytes) -> bytes:
+    """HMAC-SHA256(key, msg) of each message, concatenated; the key's states
+    are looked up once per call."""
+    inner, outer = _keyed(key)
+    out = []
+    for msg in msgs:
+        h = inner.copy()
+        h.update(msg)
+        o = outer.copy()
+        o.update(h.digest())
+        out.append(o.digest())
+    return b"".join(out)
 
 
 class Drbg:
@@ -34,11 +67,13 @@ class Drbg:
         return d
 
     def bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += _hmac(self._key, b"blk" + self._counter.to_bytes(8, "big"))
-            self._counter += 1
-        return bytes(out[:n])
+        c = self._counter
+        if 0 < n <= 32:
+            self._counter = c + 1
+            return _hmac(self._key, b"blk" + c.to_bytes(8, "big"))[:n]
+        blocks = range(c, c + max(0, (n + 31) // 32))
+        self._counter = blocks.stop
+        return _hmac(self._key, *[b"blk" + i.to_bytes(8, "big") for i in blocks])[:n]
 
     def bit(self) -> int:
         return self.bytes(1)[0] & 1

@@ -2,15 +2,18 @@
 
 Every stream in the toolkit is HMAC-SHA256 output, so these pin the bytes of
 `rand._hmac`, `Drbg` and `primitives.prg` to the RFC 2104 construction as
-Python's `hmac` module computes it, whatever `rand` does internally.
+Python's `hmac` module computes it, whatever `rand` does internally. The
+memo of keyed states (`rand._keyed`) must stay bounded and safe to share.
 """
 import hashlib
 import hmac
+import sys
+import threading
 
 import pytest
 
 from qnk.primitives import prg
-from qnk.rand import Drbg, _hmac
+from qnk.rand import Drbg, _hmac, _keyed
 
 KEY_LENS = (0, 1, 16, 32, 63, 64, 65, 200)
 MSG_LENS = (0, 1, 55, 64, 1000)
@@ -101,3 +104,38 @@ def test_child_independent_of_parent_draws():
 def test_prg_matches_reference(n, seed_len):
     s = pattern(seed_len, n % 256)
     assert prg(s, n) == ref_prg(s, n)
+
+
+def test_hmac_of_several_messages_is_the_concatenation():
+    key, msgs = b"k" * 16, (b"", b"a", pattern(100))
+    assert _hmac(key, *msgs) == b"".join(ref_hmac(key, m) for m in msgs)
+    assert _hmac(key) == b""
+
+
+def test_keyed_memo_stays_bounded():
+    for i in range(10_000):
+        _hmac(i.to_bytes(4, "big"), b"m")
+    info = _keyed.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_threads_sharing_one_key_agree():
+    key, msgs = b"shared key", [pattern(n) for n in range(0, 200, 7)]
+    want = [ref_hmac(key, m) for m in msgs]
+    results = []
+
+    def worker():
+        results.append([_hmac(key, m) for _ in range(50) for m in msgs])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want * 50] * 8

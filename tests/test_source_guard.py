@@ -1,7 +1,9 @@
 """Source checks that keep the crypto plumbing in one place each.
 
 HMAC-SHA256 goes through `rand._hmac` and byte-string XOR through
-`primitives._xor`; a second copy of either fails here. The dual-mode CVQC
+`primitives._xor`; a second copy of either fails here. No module imports the
+stdlib `hmac`, and the RFC 2104 pad bytes 0x36/0x5C appear only in `rand.py`,
+so a second keyed-state HMAC cannot creep back in. The dual-mode CVQC
 gates are paired with their constants in `cvqc.star_gate` alone, so their
 names appear in no other module. Born-rule draws go through
 `qsim.sample_bit`, so `2 ** 64` appears in no other module. A name field
@@ -26,9 +28,13 @@ def offending_lines(pattern, skip=()):
             if pattern.search(line)]
 
 
-def test_hmac_new_only_in_rand():
+def test_no_stdlib_hmac():
+    assert offending_lines(re.compile(r"\bhmac\.new\b|^\s*(import|from)\s+hmac\b")) == []
+
+
+def test_hmac_pads_only_in_rand():
     assert any(p.name == "rand.py" for p in SRC)
-    assert offending_lines(re.compile(r"\bhmac\.new\b"), skip=("rand.py",)) == []
+    assert offending_lines(re.compile(r"\b0x(36|5c)\b", re.I), skip=("rand.py",)) == []
 
 
 def test_no_bytewise_xor_generator():
