@@ -446,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("action", choices=["gen", "keygen", "enc", "dec"])
     a.add_argument("--attr-len", type=int, default=4)
     a.add_argument("--attr", default="0111", help="attribute bits")
-    a.add_argument("--policy-id", type=int, default=1)
+    a.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
     a.add_argument("--policy-file")
     a.add_argument("--m", default="01")
     a.add_argument("--keys")
@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("cprf", parents=[common])
     cp.add_argument("action", choices=["gen", "eval", "constrain", "ceval"])
     cp.add_argument("--x", default="00000111", help="input bits")
-    cp.add_argument("--policy-id", type=int, default=1)
+    cp.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
     cp.add_argument("--keys")
     cp.add_argument("--ck")
     cp.add_argument("--out", default="cprf.bin")
@@ -466,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("pe", parents=[common])
     pe.add_argument("action", choices=["enc", "dec"])
-    pe.add_argument("--policy-id", type=int, default=1)
+    pe.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
     pe.add_argument("--policy-file")
     pe.add_argument("--m", default="01")
     pe.add_argument("--keys")

@@ -384,6 +384,15 @@ class TestUsage:
             main(["frobnicate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("cmd", [["abe", "enc"], ["cprf", "constrain"], ["pe", "enc"]])
+    @pytest.mark.parametrize("policy_id", ["0", "9"])
+    def test_unknown_policy_id_exits_2(self, capsys, cmd, policy_id):
+        with pytest.raises(SystemExit) as e:
+            main(cmd + ["--policy-id", policy_id])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
+
     def test_selftest_subset(self, capsys):
         assert main(["selftest", "--only", "1,8", "--params", "mini"]) == 0
         out = capsys.readouterr().out
