@@ -30,7 +30,7 @@ from qnk.cvqc import (
     toy_prove,
     toy_prove_stats,
 )
-from qnk.encdelegate import attr_wire, cprf_gen
+from qnk.encdelegate import abe_gen, attr_wire, cprf_gen
 from qnk.errors import ProofFailed
 from qnk.nullio import nio_eval, nio_obf, nio_obf_stage, nio_obf_vbb
 from qnk.primitives import SbshKeys, sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
@@ -138,6 +138,25 @@ class TestAbeEncGate:
     def test_cprf_ciphertext(self, x, want):
         # the cprf program's output is the ABE_ENC gate's ciphertext
         assert sha(cprf_gen(35).pp.run(attr_wire(x, 8))) == want
+
+
+class TestHybridBaseMembers:
+    """The sealed programs whose padding budget comes from a hybrid family."""
+
+    def test_abe_mpk(self):
+        assert sha(abe_gen(4, 36).mpk.to_bytes()) == (
+            "0d5ac71b5eba3c16858f04038f612784ca13515110117266c0b49ad213c53ea1")
+
+    def test_cprf_pp(self):
+        assert sha(cprf_gen(37).pp.to_bytes()) == (
+            "1adb742f8c31649ccb28be37c0414b7cf64588aa24a5ac895218112c40d38b8c")
+
+    def test_nizk_programs(self):
+        crs = nizk_setup(fixture("par8"), (38).to_bytes(16, "big"))
+        assert sha(crs.p_prog.to_bytes()) == (
+            "c3bcdd1c5eb025de386390a91f49d4bcd78fff3d5eec4ca568f5ef59bc5182f2")
+        assert sha(crs.v_prog.to_bytes()) == (
+            "3c8455af8d295943ef66dfbffdd764da4e46ef136c7221fe665281cbac0aaa63")
 
 
 PAR = fixture("par8")
