@@ -195,11 +195,7 @@ def encode_base_proof(proto: str, pi) -> bytes:
         return REJECT_MARK
     if proto == PROTO_ORACLE:
         return b"O" + pi
-    out = bytearray(b"T")
-    out.append(len(pi))
-    for b, d in pi:
-        out += bytes([b, d])
-    return bytes(out)
+    return b"T" + bytes([len(pi), *[v for b, d in pi for v in (b, d)]])
 
 
 def decode_base_proof(proto: str, blob: bytes):

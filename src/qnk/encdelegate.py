@@ -129,10 +129,9 @@ def abe_gen(attr_len: int, seed) -> AbeKeys:
         raise WidthMismatch(f"attribute length {attr_len} exceeds {MAX_ATTR_BITS}")
     drbg = Drbg(seed).child("abe-gen")
     k = prf_gen(drbg.child("k"), 16)
-    program = _build_keycheck_program(k, attr_len)
     fam = abe_keycheck_hybrids(k, attr_len, 0, drbg.child("sizing"))
     budget = max(p.size for p in fam.values())
-    return AbeKeys(msk=k, mpk=obf_io(program, budget), attr_len=attr_len)
+    return AbeKeys(msk=k, mpk=obf_io(fam["P"], budget), attr_len=attr_len)
 
 
 def abe_keygen(keys: AbeKeys, x) -> AbeSecretKey:
@@ -473,11 +472,10 @@ def cprf_gen(seed) -> CprfKeys:
     k_tilde = prf_gen(drbg.child("ktilde"), 16)
     abe = kp_gen(drbg.child("abe").bytes(16))
     mpk_blob = abe.mpk.to_bytes()
-    program = _build_cprf_program(k, k_tilde, mpk_blob)
     fam = cprf_hybrids(k, k_tilde, mpk_blob, attr_wire(0, CPRF_INPUT_BITS),
                        drbg.child("sizing"))
     budget = max(p.size for p in fam.values())
-    return CprfKeys(k=k, abe=abe, pp=obf_io(program, budget),
+    return CprfKeys(k=k, abe=abe, pp=obf_io(fam["P"], budget),
                     escrow={"k": k, "k_tilde": k_tilde, "seed": seed})
 
 
@@ -578,6 +576,8 @@ def ss_rec(share_set: ShareSet, subset: set[int], witness: Witness, drbg: Drbg):
     """Reconstruct from the shares of `subset` (0-based party indices).
     Returns the secret bit or None."""
     N = len(share_set.shares)
+    if any(i not in range(N) for i in subset):
+        raise WidthMismatch(f"party index outside 0..{N - 1}")
     cw = b"".join(
         share_set.shares[i][0] if i in subset else bytes(KEY_LEN)
         for i in range(N))

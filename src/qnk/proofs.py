@@ -116,15 +116,13 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
     domain = _stmt_domain_bits(L)
     k0 = prf_gen(drbg.child("k0"), domain)
     k1 = prf_gen(drbg.child("k1"), domain)
-    p_prog = _build_p_program(L, ggm_key_blob(k0), ggm_key_blob(k1))
-    v_prog = _build_v_program(ggm_key_blob(k0))
     x_star = bytes(domain // 8)
     fam = nizk_hybrid_programs(L, k0, k1, x_star, drbg.child("pad-sizing"))
     p_budget = max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar"))
     v_budget = max(fam[n].size for n in ("V", "V1", "V2", "Vstar"))
     return NizkCrs(
-        p_prog=obf_io(p_prog, p_budget),
-        v_prog=obf_io(v_prog, v_budget),
+        p_prog=obf_io(fam["P"], p_budget),
+        v_prog=obf_io(fam["V"], v_budget),
         stmt_bytes=domain // 8,
         lang_ref=L.ref,
         escrow={"k0": k0, "k1": k1, "lang": L, "seed": seed},

@@ -120,6 +120,19 @@ class TestToyProtocol:
         pi = toy_prove(pp, Witness.empty(), Drbg(16))
         assert decode_base_proof(PROTO_TOY, encode_base_proof(PROTO_TOY, pi)) == pi
 
+    @pytest.mark.parametrize("pi, error", [
+        (((0, 1), 2), TypeError),
+        (((0, 1), (1, 2, 3)), ValueError),
+        (((0, 1), (1,)), ValueError),
+        (((0, 256),), ValueError),
+        (((-1, 0),), ValueError),
+        (((0.5, 0),), TypeError),
+        (((0, 0),) * 256, ValueError),
+    ], ids=["non-pair", "triple", "single", "over-255", "negative", "float", "too-long"])
+    def test_proof_encoding_rejects_bad_entries(self, pi, error):
+        with pytest.raises(error):
+            encode_base_proof(PROTO_TOY, pi)
+
 
 class TestStarLayer:
     def test_roundtrip(self):

@@ -312,6 +312,12 @@ class TestSecretSharing:
             with pytest.raises(MalformedCiphertext):
                 ShareSet.from_bytes(bad)
 
+    @pytest.mark.parametrize("subset", [{3}, {0, 7}, {-1}])
+    def test_party_index_out_of_range(self, subset):
+        ss = ss_share(fixture("th23"), 3, 1, 44)
+        with pytest.raises(WidthMismatch):
+            ss_rec(ss, subset, Witness.empty(), Drbg(45))
+
     def test_party_count_cap(self):
         with pytest.raises(WidthMismatch):
             ss_share(fixture("th23"), 11, 0, 46)
