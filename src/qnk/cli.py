@@ -5,19 +5,23 @@ Every artifact is written as a QNK1 envelope (magic, version, type tag,
 payload, digest) and every command is a pure function of its flags: a fixed
 --seed reproduces artifacts byte for byte.
 
-Exit codes: 0 success, 1 protocol-level failure (rejection / bottom),
-2 usage errors.
+Exit codes: 0 success; 1 protocol-level failure (rejection / bottom), or a
+malformed, missing or unwritable artifact, reported as a JSON error line;
+2 usage errors, including a malformed flag value.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, selftest
 from .errors import JudgeReject, NoAcceptingProof, ProofFailed, QnkError
-from .qma import Witness, fixture, ghz_witness
+from .primitives import PrfKey
+from .qma import FIXTURES, Witness, fixture, ghz_witness
+from .qsim import parse_circuit
 from .rand import Drbg
 from .wire import envelope, fixed, open_envelope, pack_fields, seal, unpack_fields, unseal, utf8
 
@@ -25,6 +29,49 @@ _WITNESSES = {
     "none": lambda copies: Witness.empty(copies),
     "ghz": lambda copies: Witness(ghz_witness(), copies),
 }
+_PROTOS = {"oracle": cvqc.PROTO_ORACLE, "toy": cvqc.PROTO_TOY}
+
+
+# ---------------------------------------------------------------------------
+# flag value types: a ValueError becomes argparse's "invalid <type> value"
+
+
+def count(s: str) -> int:
+    """A non-negative integer of at most 128 bits, the width of a Drbg seed."""
+    n = int(s)
+    if n < 0 or n >> 128:
+        raise ValueError(s)
+    return n
+
+
+def bits(s: str) -> int:
+    """A non-empty string of 0s and 1s, read as a binary number."""
+    if not s or s.strip("01"):
+        raise ValueError(s)
+    return int(s, 2)
+
+
+def bit_list(s: str) -> list[int]:
+    """One bit per character, at most 255 (the ciphertext count is one byte)."""
+    if s.strip("01") or len(s) > 255:
+        raise ValueError(s)
+    return [int(b) for b in s]
+
+
+def int_set(s: str) -> set[int]:
+    """Comma-separated integers; empty items are skipped."""
+    return {int(v) for v in s.split(",") if v != ""}
+
+
+def protocol(s: str) -> str:
+    """oracle or toy, as the cvqc protocol name."""
+    if s not in _PROTOS:
+        raise ValueError(s)
+    return _PROTOS[s]
+
+
+# ---------------------------------------------------------------------------
+# artifacts and output lines
 
 
 def _store(path: str, tag: str, payload: bytes) -> None:
@@ -39,16 +86,43 @@ def _say(**kv) -> None:
     print(json.dumps(kv))
 
 
+def _saved(args, tag: str, payload: bytes, **fields) -> int:
+    """Write the artifact to --out and print the ok line: `fields`, then
+    `out` unless `fields` places it earlier."""
+    _store(args.out, tag, payload)
+    fields.setdefault("out", args.out)
+    _say(status="ok", **fields)
+    return 0
+
+
+def _verdict(key: str, bit: int) -> int:
+    _say(**{"status": "ok", key: bit})
+    return 0 if bit == 1 else 1
+
+
+def _bottom(**kv) -> int:
+    _say(status="bottom", **kv)
+    return 1
+
+
+def _value(key: str, value) -> int:
+    """The ok line for a recovered value (bytes as hex), or bottom for None."""
+    if value is None:
+        return _bottom()
+    _say(**{"status": "ok", key: value.hex() if isinstance(value, bytes) else value})
+    return 0
+
+
 def _toy_params(args) -> cvqc.ToyParams:
-    return cvqc.MINI_PARAMS if getattr(args, "params", "default") == "mini" else cvqc.ToyParams()
+    return cvqc.MINI_PARAMS if args.params == "mini" else cvqc.ToyParams()
 
 
 def _claim(args) -> cvqc.Claim:
-    return cvqc.claim_for(fixture(args.lang), bytes.fromhex(args.x))
+    return cvqc.claim_for(fixture(args.lang), args.x)
 
 
 def _witness(args) -> Witness:
-    return _WITNESSES[getattr(args, "witness", "none")](getattr(args, "copies", 5))
+    return _WITNESSES[args.witness](args.copies)
 
 
 # ---------------------------------------------------------------------------
@@ -56,31 +130,22 @@ def _witness(args) -> Witness:
 
 
 def cmd_cvqc(args) -> int:
-    proto = cvqc.PROTO_ORACLE if args.proto == "oracle" else cvqc.PROTO_TOY
-    if args.action == "keygen":
-        setup = cvqc.keygen_star(_claim(args), proto, Drbg(args.seed), _toy_params(args))
-        _store(args.out, "cvqc.setup", _pack_setup(setup))
-        _say(status="ok", proto=args.proto, out=args.out)
-        return 0
-    if args.action in ("tdgen", "simgen"):
-        gen = cvqc.td_gen if args.action == "tdgen" else cvqc.sim_gen
-        setup = gen(_claim(args), proto, Drbg(args.seed), _toy_params(args))
-        _store(args.out, "cvqc.setup", _pack_setup(setup))
-        _say(status="ok", mode=args.action, out=args.out)
-        return 0
+    if args.action in ("keygen", "tdgen", "simgen"):
+        gen = {"keygen": cvqc.keygen_star, "tdgen": cvqc.td_gen,
+               "simgen": cvqc.sim_gen}[args.action]
+        setup = gen(_claim(args), args.proto, Drbg(args.seed), _toy_params(args))
+        mode = ({"proto": args.proto.lower()} if args.action == "keygen"
+                else {"mode": args.action})
+        return _saved(args, "cvqc.setup", _pack_setup(setup), **mode)
+    setup = _unpack_setup(_load(args.setup, "cvqc.setup"))
     if args.action == "prove":
-        setup = _unpack_setup(_load(args.setup, "cvqc.setup"))
         try:
             proof = cvqc.star_prove(setup.pp, _witness(args), setup.oracle, Drbg(args.seed))
         except JudgeReject:
             _say(status="reject", reason="witness failed the amplified check")
             return 1
-        _store(args.out, "cvqc.proof",
-               pack_fields(setup.pp.proto.encode(), proof.encode(setup.pp.proto)))
-        _say(status="ok", out=args.out)
-        return 0
-    # verify
-    setup = _unpack_setup(_load(args.setup, "cvqc.setup"))
+        return _saved(args, "cvqc.proof",
+                      pack_fields(setup.pp.proto.encode(), proof.encode(setup.pp.proto)))
     proto_b, blob = unpack_fields(_load(args.proof, "cvqc.proof"), 2)
     proto = utf8(proto_b)
     proof = cvqc.CvqcProof.decode(proto, blob)
@@ -88,8 +153,7 @@ def cmd_cvqc(args) -> int:
         bit = cvqc.td_verify(setup.claim, proof, setup.td, setup.oracle, proto)
     else:
         bit = cvqc.star_verify(setup.claim, proof, setup.r, setup.oracle)
-    _say(status="ok", accept=bit)
-    return 0 if bit == 1 else 1
+    return _verdict("accept", bit)
 
 
 def _pack_setup(setup: cvqc.StarSetup) -> bytes:
@@ -101,7 +165,6 @@ def _pack_setup(setup: cvqc.StarSetup) -> bytes:
 
 
 def _unpack_setup(blob: bytes) -> cvqc.StarSetup:
-    from .primitives import PrfKey
     claim_b, pp_b, r_b, td_b, spec_b = unpack_fields(blob, 5)
     return cvqc.StarSetup(
         cvqc.Claim.from_bytes(claim_b), cvqc.CvqcParams.from_bytes(pp_b),
@@ -116,42 +179,30 @@ def _unpack_setup(blob: bytes) -> cvqc.StarSetup:
 
 def cmd_nio(args) -> int:
     if args.action == "obf":
-        obf = nullio.nio_obf(_claim(args), args.seed,
-                             cvqc.PROTO_ORACLE if args.proto == "oracle" else cvqc.PROTO_TOY,
-                             _toy_params(args))
-        _store(args.out, "nio.obf", obf.to_bytes())
-        _say(status="ok", out=args.out, declared_size=obf.sealed_C.declared_size)
-        return 0
+        obf = nullio.nio_obf(_claim(args), args.seed, args.proto, _toy_params(args))
+        return _saved(args, "nio.obf", obf.to_bytes(), out=args.out,
+                      declared_size=obf.sealed_C.declared_size)
     obf = nullio.ObfuscatedNullCircuit.from_bytes(_load(args.obf, "nio.obf"))
-    bit = nullio.nio_eval(obf, _witness(args), Drbg(args.seed))
-    _say(status="ok", output=bit)
-    return 0 if bit == 1 else 1
+    return _verdict("output", nullio.nio_eval(obf, _witness(args), Drbg(args.seed)))
 
 
 def cmd_we(args) -> int:
+    lang = fixture(args.lang)
     if args.action == "enc":
-        bits = [int(b) for b in args.m]
-        cts = []
-        for i, m in enumerate(bits):
-            coins = Drbg(args.seed).child(f"bit{i}").bytes(16)
-            cts.append(nullio.we_enc(fixture(args.lang), bytes.fromhex(args.x), m, coins))
+        cts = [nullio.we_enc(lang, args.x, m, Drbg(args.seed).child(f"bit{i}").bytes(16))
+               for i, m in enumerate(args.m)]
         payload = pack_fields(*(c.to_bytes() for c in cts))
-        _store(args.out, "we.ct", pack_fields(bytes([len(cts)]), payload))
-        _say(status="ok", bits=len(cts), out=args.out)
-        return 0
+        return _saved(args, "we.ct", pack_fields(bytes([len(cts)]), payload), bits=len(cts))
     count_b, payload = unpack_fields(_load(args.ct, "we.ct"), 2)
-    blobs = unpack_fields(payload, fixed(count_b, 1)[0])
-    out_bits = []
-    for i, blob in enumerate(blobs):
-        ct = nullio.WeCiphertext.from_bytes(blob)
-        m = nullio.we_dec(fixture(args.lang), bytes.fromhex(args.x), ct,
+    out_bits = ""
+    for i, blob in enumerate(unpack_fields(payload, fixed(count_b, 1)[0])):
+        m = nullio.we_dec(lang, args.x, nullio.WeCiphertext.from_bytes(blob),
                           _witness(args), Drbg(args.seed).child(f"bit{i}"))
         if m is None:
-            _say(status="bottom", bit_index=i)
-            return 1
-        out_bits.append(str(m[0]))
-    _say(status="ok", m="".join(out_bits))
-    print("".join(out_bits))
+            return _bottom(bit_index=i)
+        out_bits += str(m[0])
+    _say(status="ok", m=out_bits)
+    print(out_bits)
     return 0
 
 
@@ -159,73 +210,65 @@ def cmd_we(args) -> int:
 # nizk / zapr (reference strings reconstruct from their sealed setup seed)
 
 
+def _crs_setup(args) -> int:
+    seed = Drbg(args.seed).child(f"{args.command}-cli").bytes(16)
+    getattr(proofs, f"{args.command}_setup")(fixture(args.lang), seed)  # fail early
+    return _saved(args, f"{args.command}.crs",
+                  pack_fields(args.lang.encode(), seal(seed, b"cli-crs")))
+
+
+def _crs(args):
+    lang_name, sealed_seed = unpack_fields(_load(args.crs, f"{args.command}.crs"), 2)
+    return getattr(proofs, f"{args.command}_setup")(fixture(utf8(lang_name)),
+                                                    unseal(sealed_seed, b"cli-crs"))
+
+
 def cmd_nizk(args) -> int:
     if args.action == "setup":
-        lang = fixture(args.lang)
-        seed = Drbg(args.seed).child("nizk-cli").bytes(16)
-        proofs.nizk_setup(lang, seed)  # fail early on bad parameters
-        _store(args.out, "nizk.crs", pack_fields(args.lang.encode(), seal(seed, b"cli-crs")))
-        _say(status="ok", out=args.out)
-        return 0
-    lang_name, sealed_seed = unpack_fields(_load(args.crs, "nizk.crs"), 2)
-    crs = proofs.nizk_setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
-    x = bytes.fromhex(args.x)
-    if args.action == "prove":
-        try:
-            pi = proofs.nizk_prove(crs, _witness(args), x, Drbg(args.seed))
-        except ProofFailed:
-            _say(status="bottom")
-            return 1
-        _store(args.out, "nizk.proof", pi.pi)
-        _say(status="ok", out=args.out, proof=pi.pi.hex())
-        return 0
+        return _crs_setup(args)
+    crs = _crs(args)
+    if args.action == "verify":
+        pi = proofs.NizkProof(_load(args.proof, "nizk.proof"))
+        return _verdict("accept", proofs.nizk_verify(crs, pi, args.x))
     if args.action == "sim":
-        pi = proofs.nizk_sim(crs, x)
-        _store(args.out, "nizk.proof", pi.pi)
-        _say(status="ok", out=args.out, proof=pi.pi.hex())
-        return 0
-    pi = proofs.NizkProof(_load(args.proof, "nizk.proof"))
-    bit = proofs.nizk_verify(crs, pi, x)
-    _say(status="ok", accept=bit)
-    return 0 if bit == 1 else 1
+        pi = proofs.nizk_sim(crs, args.x)
+    else:
+        try:
+            pi = proofs.nizk_prove(crs, _witness(args), args.x, Drbg(args.seed))
+        except ProofFailed:
+            return _bottom()
+    return _saved(args, "nizk.proof", pi.pi, out=args.out, proof=pi.pi.hex())
 
 
 def cmd_zapr(args) -> int:
     if args.action == "setup":
-        seed = Drbg(args.seed).child("zapr-cli").bytes(16)
-        proofs.zapr_setup(fixture(args.lang), seed)
-        _store(args.out, "zapr.crs", pack_fields(args.lang.encode(), seal(seed, b"cli-crs")))
-        _say(status="ok", out=args.out)
-        return 0
-    lang_name, sealed_seed = unpack_fields(_load(args.crs, "zapr.crs"), 2)
-    crs = proofs.zapr_setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
-    x = bytes.fromhex(args.x)
-    if args.action == "prove":
-        # the prover consumes two batches of witness copies, one per CRS
-        double = _WITNESSES[args.witness](2 * args.copies)
-        try:
-            zp = proofs.zapr_prove(crs, double, x, Drbg(args.seed))
-        except (ProofFailed, proofs.NoValidNizk) as e:
-            _say(status="bottom", reason=str(e))
-            return 1
-        _store(args.out, "zapr.proof",
-               pack_fields(zp.ck1, zp.c_nizk, zp.c_owf, zp.zap_proof))
-        _say(status="ok", out=args.out, proof=zp.zap_proof.hex())
-        return 0
-    ck1, c_nizk, c_owf, zap_proof = unpack_fields(_load(args.proof, "zapr.proof"), 4)
-    bit = proofs.zapr_verify(crs, proofs.ZaprProof(ck1, c_nizk, c_owf, zap_proof), x)
-    _say(status="ok", accept=bit)
-    return 0 if bit == 1 else 1
+        return _crs_setup(args)
+    crs = _crs(args)
+    if args.action == "verify":
+        zp = proofs.ZaprProof(*unpack_fields(_load(args.proof, "zapr.proof"), 4))
+        return _verdict("accept", proofs.zapr_verify(crs, zp, args.x))
+    # the prover consumes two batches of witness copies, one per CRS
+    double = _WITNESSES[args.witness](2 * args.copies)
+    try:
+        zp = proofs.zapr_prove(crs, double, args.x, Drbg(args.seed))
+    except (ProofFailed, proofs.NoValidNizk) as e:
+        return _bottom(reason=str(e))
+    return _saved(args, "zapr.proof", pack_fields(zp.ck1, zp.c_nizk, zp.c_owf, zp.zap_proof),
+                  out=args.out, proof=zp.zap_proof.hex())
 
 
 # ---------------------------------------------------------------------------
 # abe / cprf / pe
 
 
+def _abe_keys(args) -> ed.AbeKeys:
+    sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
+    return ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
+
+
 def _policy_circuit(args):
     if args.policy_file:
-        from .qsim import parse_circuit
-        return parse_circuit(Path(args.policy_file).read_text())
+        return parse_circuit(utf8(Path(args.policy_file).read_bytes()))
     return ed.POLICY_FAMILY[args.policy_id]
 
 
@@ -233,76 +276,41 @@ def cmd_abe(args) -> int:
     if args.action == "gen":
         seed = Drbg(args.seed).child("abe-cli").bytes(16)
         keys = ed.abe_gen(args.attr_len, seed)
-        _store(args.out, "abe.keys",
-               pack_fields(seal(seed, b"cli-abe"), bytes([args.attr_len]),
-                           keys.mpk.to_bytes()))
-        _say(status="ok", out=args.out)
-        return 0
-    sealed_seed, al, mpk_b = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    keys = ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
+        return _saved(args, "abe.keys", pack_fields(seal(seed, b"cli-abe"),
+                                                    bytes([args.attr_len]), keys.mpk.to_bytes()))
+    keys = _abe_keys(args)
     if args.action == "keygen":
-        sk = ed.abe_keygen(keys, int(args.attr, 2))
-        _store(args.out, "abe.sk", sk.to_bytes())
-        _say(status="ok", out=args.out)
-        return 0
+        return _saved(args, "abe.sk", ed.abe_keygen(keys, args.attr).to_bytes())
     if args.action == "enc":
-        ct = ed.abe_enc_circuit(keys, _policy_circuit(args), bytes.fromhex(args.m),
+        ct = ed.abe_enc_circuit(keys, _policy_circuit(args), args.m,
                                 Drbg(args.seed).child("enc").bytes(16))
-        _store(args.out, "abe.ct", ct.to_bytes())
-        _say(status="ok", out=args.out)
-        return 0
+        return _saved(args, "abe.ct", ct.to_bytes())
     sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
     ct = ed.AbeCiphertext.from_bytes(_load(args.ct, "abe.ct"))
-    m = ed.abe_dec(sk, ct, Drbg(args.seed))
-    if m is None:
-        _say(status="bottom")
-        return 1
-    _say(status="ok", m=m.hex())
-    return 0
+    return _value("m", ed.abe_dec(sk, ct, Drbg(args.seed)))
 
 
 def cmd_cprf(args) -> int:
     if args.action == "gen":
         seed = Drbg(args.seed).child("cprf-cli").bytes(16)
         ed.cprf_gen(seed)
-        _store(args.out, "cprf.keys", seal(seed, b"cli-cprf"))
-        _say(status="ok", out=args.out)
-        return 0
+        return _saved(args, "cprf.keys", seal(seed, b"cli-cprf"))
     keys = ed.cprf_gen(unseal(_load(args.keys, "cprf.keys"), b"cli-cprf"))
     if args.action == "eval":
-        _say(status="ok", y=ed.cprf_eval(keys, int(args.x, 2)).hex())
-        return 0
+        return _value("y", ed.cprf_eval(keys, args.x))
     if args.action == "constrain":
-        kq = ed.cprf_constrain(keys, args.policy_id)
-        _store(args.out, "cprf.ck", kq.to_bytes())
-        _say(status="ok", out=args.out)
-        return 0
+        return _saved(args, "cprf.ck", ed.cprf_constrain(keys, args.policy_id).to_bytes())
     kq = ed.AbeSecretKey.from_bytes(_load(args.ck, "cprf.ck"))
-    y = ed.cprf_ceval(keys.pp, kq, int(args.x, 2), Drbg(args.seed))
-    if y is None:
-        _say(status="bottom")
-        return 1
-    _say(status="ok", y=y.hex())
-    return 0
+    return _value("y", ed.cprf_ceval(keys.pp, kq, args.x, Drbg(args.seed)))
 
 
 def cmd_pe(args) -> int:
-    sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    keys = ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
+    keys = _abe_keys(args)
     if args.action == "enc":
-        ct = ed.pe_enc(keys, _policy_circuit(args), bytes.fromhex(args.m),
-                       Drbg(args.seed).child("pe").bytes(16))
-        _store(args.out, "pe.ct", ct.to_bytes())
-        _say(status="ok", out=args.out)
-        return 0
+        ct = ed.pe_enc(keys, _policy_circuit(args), args.m, Drbg(args.seed).child("pe").bytes(16))
+        return _saved(args, "pe.ct", ct.to_bytes())
     sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
-    ct = ed.PeCiphertext.from_bytes(_load(args.ct, "pe.ct"))
-    m = ed.pe_dec(sk, ct)
-    if m is None:
-        _say(status="bottom")
-        return 1
-    _say(status="ok", m=m.hex())
-    return 0
+    return _value("m", ed.pe_dec(sk, ed.PeCiphertext.from_bytes(_load(args.ct, "pe.ct"))))
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +321,15 @@ def cmd_share(args) -> int:
     if args.action == "split":
         ss = ed.ss_share(fixture(args.lang), args.parties, args.secret,
                          Drbg(args.seed).child("share").bytes(16))
-        _store(args.out, "share.set", ss.to_bytes())
         if args.split_dir:
             d = Path(args.split_dir)
             d.mkdir(parents=True, exist_ok=True)
             for i, (r_i, ct) in enumerate(ss.shares):
                 (d / f"party{i}.share").write_bytes(
                     envelope("share.party", pack_fields(bytes([i]), r_i, ct.to_bytes())))
-        _say(status="ok", out=args.out, parties=args.parties)
-        return 0
+        return _saved(args, "share.set", ss.to_bytes(), out=args.out, parties=args.parties)
     ss = ed.ShareSet.from_bytes(_load(args.shares, "share.set"))
-    subset = {int(i) for i in args.subset.split(",") if i != ""}
-    s = ed.ss_rec(ss, subset, _witness(args), Drbg(args.seed))
-    if s is None:
-        _say(status="bottom")
-        return 1
-    _say(status="ok", secret=s)
-    return 0
+    return _value("secret", ed.ss_rec(ss, args.subset, _witness(args), Drbg(args.seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,32 +337,27 @@ def cmd_share(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    claim = cvqc.claim_for(fixture(args.lang), bytes.fromhex(args.x))
+    claim = _claim(args)
     drbg = Drbg(args.seed)
     params = _toy_params(args)
+    variant = {"flip": params.variant, "stats": cvqc.TOY_STATS,
+               "linear": cvqc.TOY_LINEAR}[args.action]
     try:
-        if args.action == "flip":
-            pp, r = cvqc.toy_keygen(claim, drbg.child("kg"), params)
-            pi = cvqc.toy_prove(pp, _witness(args), drbg.child("pv"))
-            t = attacks.attack_basis_flip(cvqc.sealed_toy_verifier(claim, r), pi)
-            exact = t.recovered == r.body.bases
-        elif args.action == "stats":
-            sp = cvqc.ToyParams(params.K, params.w, params.tau, cvqc.TOY_STATS)
-            pp, r = cvqc.toy_keygen(claim, drbg.child("kg"), sp)
+        pp, r = cvqc.toy_keygen(claim, drbg.child("kg"),
+                                cvqc.ToyParams(params.K, params.w, params.tau, variant))
+        if args.action == "stats":
             salted = cvqc.toy_prove_stats(pp, _witness(args), drbg.child("pv"))
             t = attacks.attack_stats(cvqc.sealed_stats_verifier(claim, r), salted,
                                      samples=args.samples, seed=args.seed)
-            exact = t.recovered == r.body.bases
         else:
-            lp = cvqc.ToyParams(params.K, params.w, params.tau, cvqc.TOY_LINEAR)
-            pp, r = cvqc.toy_keygen(claim, drbg.child("kg"), lp)
             pi = cvqc.toy_prove(pp, _witness(args), drbg.child("pv"))
-            t = attacks.attack_linear(cvqc.sealed_toy_verifier(claim, r), pi,
-                                      width=r.body.w)
-            exact = t.recovered == r.body.secrets
+            verifier = cvqc.sealed_toy_verifier(claim, r)
+            t = (attacks.attack_linear(verifier, pi, width=r.body.w) if args.action == "linear"
+                 else attacks.attack_basis_flip(verifier, pi))
     except NoAcceptingProof:
         _say(status="no-accepting-proof")
         return 1
+    exact = t.recovered == (r.body.secrets if args.action == "linear" else r.body.bases)
     if args.report:
         Path(args.report).write_text(t.to_json())
     _say(status="ok", exact=exact, queries=t.query_count,
@@ -375,135 +370,95 @@ def cmd_attack(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    only = [int(v) for v in args.only.split(",")] if args.only else None
-    results = selftest.run_all(args.params, only)
-    failures = 0
+    results = selftest.run_all(args.params, args.only)
     for idx, name, ok, detail, dt in results:
         print(f"{'PASS' if ok else 'FAIL'} criterion {idx} [{name}] "
               f"({dt:.1f}s): {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(results) - failures}/{len(results)} criteria passed")
-    return 0 if failures == 0 else 1
+    passed = sum(ok for _, _, ok, _, _ in results)
+    print(f"{passed}/{len(results)} criteria passed")
+    return 0 if passed == len(results) else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--lang", default="par8")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole flag grammar, built on first use and kept for the process."""
+    def flags(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    common = flags()
+    common.add_argument("--seed", type=count, default=0)
+    common.add_argument("--lang", choices=sorted(FIXTURES), default="par8")
     common.add_argument("--params", choices=["mini", "default"], default="default")
     common.add_argument("--witness", choices=sorted(_WITNESSES), default="none")
     common.add_argument("--copies", type=int, default=5)
+    hex_x = flags()
+    hex_x.add_argument("--x", type=bytes.fromhex, default="07", help="statement bytes, hex")
+    proto_flag = flags()
+    proto_flag.add_argument("--proto", type=protocol, default="oracle", metavar="{oracle,toy}")
+    policy_id = flags()
+    policy_id.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
+    abe_io = flags(policy_id)
+    abe_io.add_argument("--policy-file")
+    abe_io.add_argument("--m", type=bytes.fromhex, default="01", help="message bytes, hex")
+    for name in ("--keys", "--sk", "--ct"):
+        abe_io.add_argument(name)
 
     p = argparse.ArgumentParser(prog="qnk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("cvqc", parents=[common])
-    c.add_argument("action", choices=["keygen", "prove", "verify", "tdgen", "simgen"])
-    c.add_argument("--proto", choices=["oracle", "toy"], default="oracle")
-    c.add_argument("--x", default="07")
+    def command(name, actions, *parents, out=None) -> argparse.ArgumentParser:
+        c = sub.add_parser(name, parents=[common, *parents])
+        c.add_argument("action", choices=actions)
+        if out:
+            c.add_argument("--out", default=out)
+        return c
+
+    c = command("cvqc", ["keygen", "prove", "verify", "tdgen", "simgen"], proto_flag, hex_x,
+                out="cvqc.bin")
     c.add_argument("--setup")
     c.add_argument("--proof")
-    c.add_argument("--out", default="cvqc.bin")
-    c.set_defaults(fn=cmd_cvqc)
-
-    n = sub.add_parser("nio", parents=[common])
-    n.add_argument("action", choices=["obf", "eval"])
-    n.add_argument("--proto", choices=["oracle", "toy"], default="oracle")
-    n.add_argument("--x", default="07")
-    n.add_argument("--obf")
-    n.add_argument("--out", default="nio.bin")
-    n.set_defaults(fn=cmd_nio)
-
-    w = sub.add_parser("we", parents=[common])
-    w.add_argument("action", choices=["enc", "dec"])
-    w.add_argument("--x", default="07")
-    w.add_argument("--m", default="1", help="bit string, one ciphertext per bit")
+    command("nio", ["obf", "eval"], proto_flag, hex_x, out="nio.bin").add_argument("--obf")
+    w = command("we", ["enc", "dec"], hex_x, out="we.bin")
+    w.add_argument("--m", type=bit_list, default="1", help="bit string, one ciphertext per bit")
     w.add_argument("--ct")
-    w.add_argument("--out", default="we.bin")
-    w.set_defaults(fn=cmd_we)
-
-    z = sub.add_parser("nizk", parents=[common])
-    z.add_argument("action", choices=["setup", "prove", "verify", "sim"])
-    z.add_argument("--x", default="07")
-    z.add_argument("--crs")
-    z.add_argument("--proof")
-    z.add_argument("--out", default="nizk.bin")
-    z.set_defaults(fn=cmd_nizk)
-
-    zr = sub.add_parser("zapr", parents=[common])
-    zr.add_argument("action", choices=["setup", "prove", "verify"])
-    zr.add_argument("--x", default="07")
-    zr.add_argument("--crs")
-    zr.add_argument("--proof")
-    zr.add_argument("--out", default="zapr.bin")
-    zr.set_defaults(fn=cmd_zapr)
-
-    a = sub.add_parser("abe", parents=[common])
-    a.add_argument("action", choices=["gen", "keygen", "enc", "dec"])
-    a.add_argument("--attr-len", type=int, default=4)
-    a.add_argument("--attr", default="0111", help="attribute bits")
-    a.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
-    a.add_argument("--policy-file")
-    a.add_argument("--m", default="01")
-    a.add_argument("--keys")
-    a.add_argument("--sk")
-    a.add_argument("--ct")
-    a.add_argument("--out", default="abe.bin")
-    a.set_defaults(fn=cmd_abe)
-
-    cp = sub.add_parser("cprf", parents=[common])
-    cp.add_argument("action", choices=["gen", "eval", "constrain", "ceval"])
-    cp.add_argument("--x", default="00000111", help="input bits")
-    cp.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
+    for name, actions in (("nizk", ["setup", "prove", "verify", "sim"]),
+                          ("zapr", ["setup", "prove", "verify"])):
+        z = command(name, actions, hex_x, out=f"{name}.bin")
+        z.add_argument("--crs")
+        z.add_argument("--proof")
+    a = command("abe", ["gen", "keygen", "enc", "dec"], abe_io, out="abe.bin")
+    a.add_argument("--attr-len", type=count, default=4)
+    a.add_argument("--attr", type=bits, default="0111", help="attribute bits")
+    cp = command("cprf", ["gen", "eval", "constrain", "ceval"], policy_id, out="cprf.bin")
+    cp.add_argument("--x", type=bits, default="00000111", help="input bits")
     cp.add_argument("--keys")
     cp.add_argument("--ck")
-    cp.add_argument("--out", default="cprf.bin")
-    cp.set_defaults(fn=cmd_cprf)
-
-    pe = sub.add_parser("pe", parents=[common])
-    pe.add_argument("action", choices=["enc", "dec"])
-    pe.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
-    pe.add_argument("--policy-file")
-    pe.add_argument("--m", default="01")
-    pe.add_argument("--keys")
-    pe.add_argument("--sk")
-    pe.add_argument("--ct")
-    pe.add_argument("--out", default="pe.bin")
-    pe.set_defaults(fn=cmd_pe)
-
-    sh = sub.add_parser("share", parents=[common])
-    sh.add_argument("action", choices=["split", "rec"])
+    command("pe", ["enc", "dec"], abe_io, out="pe.bin")
+    sh = command("share", ["split", "rec"], out="shares.bin")
     sh.add_argument("--parties", type=int, default=3)
     sh.add_argument("--secret", type=int, choices=[0, 1], default=1)
-    sh.add_argument("--subset", default="0,1", help="comma-separated party indices")
+    sh.add_argument("--subset", type=int_set, default="0,1",
+                    help="comma-separated party indices")
     sh.add_argument("--shares")
     sh.add_argument("--split-dir")
-    sh.add_argument("--out", default="shares.bin")
-    sh.set_defaults(fn=cmd_share)
-
-    at = sub.add_parser("attack", parents=[common])
-    at.add_argument("action", choices=["flip", "stats", "linear"])
-    at.add_argument("--x", default="07")
+    at = command("attack", ["flip", "stats", "linear"], hex_x)
     at.add_argument("--samples", type=int, default=50)
     at.add_argument("--report")
-    at.set_defaults(fn=cmd_attack)
-
     st = sub.add_parser("selftest", parents=[common])
-    st.add_argument("--only", help="comma-separated criterion numbers")
-    st.set_defaults(fn=cmd_selftest)
+    st.add_argument("--only", type=int_set, help="comma-separated criterion numbers")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except QnkError as e:
+        # looked up per call, so a handler rebound on this module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
+    except (QnkError, OSError) as e:
         _say(status="error", error=type(e).__name__, detail=str(e))
         return 1
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -129,6 +130,10 @@ def write_policy(text):
     return lambda paths: paths["policy"].write_text(text)
 
 
+def write_policy_bytes(data):
+    return lambda paths: paths["policy"].write_bytes(data)
+
+
 @pytest.fixture
 def tmp(tmp_path):
     return tmp_path
@@ -232,8 +237,12 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy("qubits\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCircuit"),
+        (ABE_SETUP[:1], write_policy_bytes(b"qubits 2\n\xff\n"),
+         ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
+         "MalformedCiphertext"),
     ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "pe-dec-empty-payload-len",
-            "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count"])
+            "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
+            "abe-enc-non-utf8-policy"])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):
         paths = {name: tmp / f"{name}.bin" for name in ("keys", "sk", "ct", "setup", "proof")}
@@ -344,6 +353,17 @@ class TestShareCommands:
         assert out["secret"] == 1
         assert main(["share", "rec", "--shares", str(shares), "--subset", "1"]) == 1
 
+    @pytest.mark.parametrize("subset", ["7", "-1", "0,3"])
+    def test_party_index_out_of_range_exits_1(self, tmp, capsys, subset):
+        shares = tmp / "shares.bin"
+        assert main(["share", "split", "--lang", "th23", "--parties", "3",
+                     "--seed", "1", "--out", str(shares)]) == 0
+        capsys.readouterr()
+        assert main(["share", "rec", "--shares", str(shares), "--subset", subset]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "WidthMismatch"
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestAttackCommands:
     def test_flip_report(self, tmp, capsys):
@@ -397,3 +417,67 @@ class TestUsage:
         assert main(["selftest", "--only", "1,8", "--params", "mini"]) == 0
         out = capsys.readouterr().out
         assert "PASS criterion 1" in out and "PASS criterion 8" in out
+
+
+# a malformed flag value is a usage error, whatever the command would do next
+HOSTILE_FLAGS = [
+    ["nio", "obf", "--x", "zz"],
+    ["attack", "flip", "--x", "0g"],
+    ["abe", "enc", "--m", "zz"],
+    ["pe", "enc", "--m", "2a3"],
+    ["abe", "keygen", "--attr", "0121"],
+    ["abe", "keygen", "--attr", ""],
+    ["cprf", "eval", "--x", "2"],
+    ["we", "enc", "--m", "abc"],
+    ["we", "enc", "--m", "2"],
+    ["we", "enc", "--m", "1" * 256],
+    ["share", "rec", "--subset", "0,x"],
+    ["selftest", "--only", "1,x"],
+    ["abe", "gen", "--attr-len", "-1"],
+    ["we", "enc", "--seed", "-1"],
+    ["we", "enc", "--seed", str(1 << 128)],
+    ["we", "enc", "--lang", "nope"],
+    ["nizk", "setup", "--lang", "par9"],
+]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("argv", HOSTILE_FLAGS, ids=[" ".join(a)[:40] for a in HOSTILE_FLAGS])
+    def test_malformed_flag_value_exits_2(self, tmp, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["nio", "eval", "--obf", "{tmp}/missing.bin"], "FileNotFoundError"),
+        (["we", "dec", "--ct", "{tmp}/missing.bin"], "FileNotFoundError"),
+        (["abe", "keygen", "--keys", "{tmp}/missing.bin"], "FileNotFoundError"),
+        (["nizk", "verify", "--crs", "{tmp}"], "IsADirectoryError"),
+        (["we", "enc", "--out", "{tmp}/no/such/dir/we.bin"], "FileNotFoundError"),
+        (["nizk", "setup", "--out", "{tmp}"], "IsADirectoryError"),
+    ], ids=["nio-missing-obf", "we-missing-ct", "abe-missing-keys", "nizk-crs-is-dir",
+            "we-out-in-missing-dir", "nizk-out-is-dir"])
+    def test_unreadable_or_unwritable_path_exits_1(self, tmp, capsys, argv, error):
+        assert main([a.format(tmp=tmp) for a in argv]) == 1
+        captured = capsys.readouterr()
+        line = json.loads(captured.out.strip().splitlines()[-1])
+        assert (line["status"], line["error"]) == ("error", error)
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_parser_built_once(self, tmp, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kw):
+            builds.append(self.prog)
+            return add_subparsers(self, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        for run in range(2):
+            assert main(["we", "enc", "--m", "", "--out", str(tmp / f"we{run}.bin")]) == 0
+        assert len(builds) <= 1

@@ -11,7 +11,8 @@ is decoded by `wire.utf8`, so `except UnicodeDecodeError` appears only in
 `wire.py` and in `circuit_ir.py`, whose decoders raise `MalformedCircuit`.
 Host gates are the one registry (`circuit_ir.register_gate`); languages and
 policies are resolved by `qma` itself, so no other module defines a
-`register_` hook.
+`register_` hook. The CLI parser converts every flag value with its
+argparse `type=`, so no handler in `cli.py` parses `args.*` by hand.
 """
 import re
 from pathlib import Path
@@ -59,6 +60,12 @@ def test_utf8_check_only_in_wire():
 def test_register_hooks_only_in_circuit_ir():
     assert any(p.name == "circuit_ir.py" for p in SRC)
     assert offending_lines(re.compile(r"\bdef register_"), skip=("circuit_ir.py",)) == []
+
+
+def test_no_flag_parsing_in_cli_handlers():
+    assert any(p.name == "cli.py" for p in SRC)
+    assert offending_lines(re.compile(r"(fromhex|int)\(args\."),
+                           skip=tuple(p.name for p in SRC if p.name != "cli.py")) == []
 
 
 def test_xor_pattern():
