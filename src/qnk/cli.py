@@ -210,23 +210,22 @@ def cmd_we(args) -> int:
 # nizk / zapr (reference strings reconstruct from their sealed setup seed)
 
 
-def _crs_setup(args) -> int:
+def _crs_setup(args, setup) -> int:
     seed = Drbg(args.seed).child(f"{args.command}-cli").bytes(16)
-    getattr(proofs, f"{args.command}_setup")(fixture(args.lang), seed)  # fail early
+    setup(fixture(args.lang), seed)  # fail early on bad parameters
     return _saved(args, f"{args.command}.crs",
                   pack_fields(args.lang.encode(), seal(seed, b"cli-crs")))
 
 
-def _crs(args):
+def _crs(args, setup):
     lang_name, sealed_seed = unpack_fields(_load(args.crs, f"{args.command}.crs"), 2)
-    return getattr(proofs, f"{args.command}_setup")(fixture(utf8(lang_name)),
-                                                    unseal(sealed_seed, b"cli-crs"))
+    return setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
 
 
 def cmd_nizk(args) -> int:
     if args.action == "setup":
-        return _crs_setup(args)
-    crs = _crs(args)
+        return _crs_setup(args, proofs.nizk_setup)
+    crs = _crs(args, proofs.nizk_setup)
     if args.action == "verify":
         pi = proofs.NizkProof(_load(args.proof, "nizk.proof"))
         return _verdict("accept", proofs.nizk_verify(crs, pi, args.x))
@@ -242,8 +241,8 @@ def cmd_nizk(args) -> int:
 
 def cmd_zapr(args) -> int:
     if args.action == "setup":
-        return _crs_setup(args)
-    crs = _crs(args)
+        return _crs_setup(args, proofs.zapr_setup)
+    crs = _crs(args, proofs.zapr_setup)
     if args.action == "verify":
         zp = proofs.ZaprProof(*unpack_fields(_load(args.proof, "zapr.proof"), 4))
         return _verdict("accept", proofs.zapr_verify(crs, zp, args.x))
