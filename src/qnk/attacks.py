@@ -73,15 +73,15 @@ def stats_verdict(sealed: SealedProgram):
     return f
 
 
-def star_verdict(sealed: SealedProgram, oracle, proto: str = PROTO_TOY):
+def star_verdict(sealed: SealedProgram, oracle):
     """Dual-mode surface adapter: hash the base proof through the public
     oracle and submit the consistent (pi, h) pair."""
     from .cvqc import CvqcProof
     from .primitives import ro_query
 
     def f(pi, transcript: AttackTranscript | None = None) -> int:
-        h = ro_query(oracle, encode_base_proof(proto, pi))
-        enc = CvqcProof(pi, h).encode(proto)
+        h = ro_query(oracle, encode_base_proof(PROTO_TOY, pi))
+        enc = CvqcProof(pi, h).encode(PROTO_TOY)
         v = 1 if sealed.run(enc) == b"\x01" else 0
         if transcript is not None:
             transcript.record(enc, v)

@@ -7,12 +7,6 @@ host gates; embedded keys travel as CONST nodes. Evaluation is lazy from the
 output nodes, so ITE touches only the selected branch and dead padding nodes
 are never executed.
 
-A host gate may register a decoder for its last argument, a constant blob
-(a key, a nested sealed program). A sealed program (and a simulator handle)
-keeps the decoded constants of its gates for as long as the program lives,
-decoding each blob on the node's first evaluation; a plain `evaluate` call
-without a cache decodes once per call.
-
 Obfuscation here normalizes size and hides constants behind the evaluator
 API. It makes no security claim: all "indistinguishability" content lives in
 functional-equivalence checks (equiv_check).
@@ -127,13 +121,8 @@ _ARITY = {"CONST": 0, "INPUT": 0, "SLICE": 1, "XOR": 2, "EQ": 2, "ITE": 3}
 DEFAULT_REGISTRY: dict[str, object] = {}
 
 
-def register_gate(name: str, fn, decode=None) -> None:
-    """Register a host gate. With `decode`, the gate's last argument is a
-    constant blob and `fn` receives `decode(blob)` in its place. The decoded
-    value must be immutable (no RandomOracle, whose memo would then outlive
-    a call), since a sealed program reuses it across evaluations."""
-    if decode is not None:
-        fn.decode = decode
+def register_gate(name: str, fn) -> None:
+    """`fn` receives the node's argument values, then its embedded constants."""
     DEFAULT_REGISTRY[name] = fn
 
 
@@ -217,25 +206,8 @@ def validate(p: Program) -> None:
             raise MalformedCircuit(f"output {o} out of range")
 
 
-def _decoded_const(decode, blob: bytes, i: int, cache: dict):
-    hit = cache.get(i)
-    # a CONST node or embedded constant yields the same object every call; a
-    # blob computed from the inputs is a new object and is decoded afresh
-    if hit is not None and hit[0] is blob:
-        return hit[1]
-    value = decode(blob)
-    cache[i] = (blob, value)
-    return value
-
-
-def evaluate(p: Program, inputs: list[bytes], cache: dict | None = None) -> list[bytes]:
-    """Lazy evaluation from the outputs; deterministic given gate determinism.
-
-    `cache` maps a node index to (blob, decoded constant) for gates that
-    register a decoder; pass the same dict across calls on one program to
-    decode each blob once. Without it every call decodes afresh."""
-    if cache is None:
-        cache = {}
+def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
+    """Lazy evaluation from the outputs; deterministic given gate determinism."""
     if len(inputs) != p.input_arity:
         raise MalformedCircuit(
             f"program takes {p.input_arity} inputs, got {len(inputs)}")
@@ -268,11 +240,7 @@ def evaluate(p: Program, inputs: list[bytes], cache: dict | None = None) -> list
                 fn = DEFAULT_REGISTRY.get(node.gate)
                 if fn is None:
                     raise UnknownGate(f"host gate {node.gate!r} not registered")
-                args = tuple(ev(a) for a in node.args) + node.consts
-                decode = getattr(fn, "decode", None)
-                if decode is not None:
-                    args = args[:-1] + (_decoded_const(decode, args[-1], i, cache),)
-                v = fn(*args)
+                v = fn(*(tuple(ev(a) for a in node.args) + node.consts))
         except (MalformedCircuit, UnknownGate):
             raise
         except RecursionError:
@@ -310,10 +278,9 @@ class SealedProgram:
         self.__program = program
         self.declared_size = program.size
         self.mode = mode
-        self.__decoded: dict = {}
 
     def run_all(self, *inputs: bytes) -> list[bytes]:
-        return evaluate(self.__program, list(inputs), self.__decoded)
+        return evaluate(self.__program, list(inputs))
 
     def run(self, *inputs: bytes) -> bytes:
         return self.run_all(*inputs)[0]
@@ -328,7 +295,7 @@ class SealedProgram:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SealedProgram":
         mode, declared, sealed_prog = unpack_fields_mode(blob)
-        sp = cls(program_from_bytes(unseal(sealed_prog, b"sealed-program")), mode)
+        sp = cls(program_from_bytes(unseal(sealed_prog)), mode)
         sp.declared_size = declared
         return sp
 
@@ -363,11 +330,10 @@ class SimHandle:
         self.__program = program
         self.declared_size = declared_size
         self.query_count = 0
-        self.__decoded: dict = {}
 
     def query(self, *inputs: bytes) -> bytes:
         self.query_count += 1
-        return evaluate(self.__program, list(inputs), self.__decoded)[0]
+        return evaluate(self.__program, list(inputs))[0]
 
 
 def obf_vbb(p: Program, target: int) -> tuple[SealedProgram, SimHandle]:
@@ -475,8 +441,7 @@ def equiv_check(p1, p2, domain) -> bool:
     def runner(p):
         if isinstance(p, SealedProgram):
             return p.run_all
-        cache: dict = {}
-        return lambda *inp: evaluate(p, list(inp), cache)
+        return lambda *inp: evaluate(p, list(inp))
 
     r1, r2 = runner(p1), runner(p2)
     for point in domain.points():
@@ -523,9 +488,12 @@ def program_from_bytes(blob: bytes) -> Program:
     nodes = []
     # one try around the loop keeps the per-node path free of extra calls
     try:
-        for _ in range(r.u32()):
+        for i in range(r.u32()):
             op = _TAG_OPS[r.take(1)[0]]
             args = tuple(r.u32() for _ in range(r.u32()))
+            # validate's rule: an argument before its node, so no cycles
+            if args and max(args) >= i:
+                raise MalformedCircuit(f"node {i}: argument {max(args)} not before node")
             value = r.field()
             slot = r.u32()
             lo = r.u32()
@@ -538,6 +506,8 @@ def program_from_bytes(blob: bytes) -> Program:
     except UnicodeDecodeError as e:
         raise MalformedCircuit("host gate name is not UTF-8") from e
     outputs = tuple(r.u32() for _ in range(r.u32()))
+    if outputs and max(outputs) >= len(nodes):
+        raise MalformedCircuit(f"output {max(outputs)} out of range")
     if not r.done():
         raise MalformedCircuit("trailing bytes after program")
     return Program(tuple(nodes), outputs, input_arity)

@@ -169,8 +169,8 @@ def _unpack_setup(blob: bytes) -> cvqc.StarSetup:
     return cvqc.StarSetup(
         cvqc.Claim.from_bytes(claim_b), cvqc.CvqcParams.from_bytes(pp_b),
         cvqc.CvqcVerifyKey.from_bytes(r_b) if r_b else None,
-        cvqc.oracle_from_spec(unseal(spec_b, b"cli-oracle")),
-        PrfKey(unseal(td_b, b"cli-td")) if td_b else None)
+        cvqc.oracle_from_spec(unseal(spec_b)),
+        PrfKey(unseal(td_b)) if td_b else None)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def _crs_setup(args, setup) -> int:
 
 def _crs(args, setup):
     lang_name, sealed_seed = unpack_fields(_load(args.crs, f"{args.command}.crs"), 2)
-    return setup(fixture(utf8(lang_name)), unseal(sealed_seed, b"cli-crs"))
+    return setup(fixture(utf8(lang_name)), unseal(sealed_seed))
 
 
 def cmd_nizk(args) -> int:
@@ -262,7 +262,7 @@ def cmd_zapr(args) -> int:
 
 def _abe_keys(args) -> ed.AbeKeys:
     sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    return ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed, b"cli-abe"))
+    return ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed))
 
 
 def _policy_circuit(args):
@@ -294,7 +294,7 @@ def cmd_cprf(args) -> int:
         seed = Drbg(args.seed).child("cprf-cli").bytes(16)
         ed.cprf_gen(seed)
         return _saved(args, "cprf.keys", seal(seed, b"cli-cprf"))
-    keys = ed.cprf_gen(unseal(_load(args.keys, "cprf.keys"), b"cli-cprf"))
+    keys = ed.cprf_gen(unseal(_load(args.keys, "cprf.keys")))
     if args.action == "eval":
         return _value("y", ed.cprf_eval(keys, args.x))
     if args.action == "constrain":
@@ -369,7 +369,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_all(args.params, args.only)
+    results = selftest.run_all(args.only)
     for idx, name, ok, detail, dt in results:
         print(f"{'PASS' if ok else 'FAIL'} criterion {idx} [{name}] "
               f"({dt:.1f}s): {detail}")
@@ -382,7 +382,7 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The whole flag grammar, built on first use and kept for the process."""
     def flags(*parents) -> argparse.ArgumentParser:

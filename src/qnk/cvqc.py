@@ -27,6 +27,7 @@ alone and trapdoor verification rejects everything.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -265,7 +266,7 @@ def _accept_tag(km: PrfKey, claim_digest: bytes) -> bytes:
 
 def oracle_prove(pp: CvqcParams, witness: Witness, drbg: Drbg,
                  classical_witness: bytes = b"") -> bytes:
-    km_bytes, claim_bytes = unpack_fields(unseal(pp.pp, b"cvqc-oracle-pp"), 2)
+    km_bytes, claim_bytes = unpack_fields(unseal(pp.pp), 2)
     claim = Claim.from_bytes(claim_bytes)
     if not judge_accepts(claim, witness, drbg.child("judge"), classical_witness):
         raise JudgeReject("witness failed the amplified check")
@@ -321,8 +322,7 @@ def toy_keygen(claim: Claim, drbg: Drbg,
 
 
 def _toy_open_pp(pp: CvqcParams):
-    claim_bytes, bases, secrets, kwt, variant = unpack_fields(
-        unseal(pp.pp, b"cvqc-toy-pp"), 5)
+    claim_bytes, bases, secrets, kwt, variant = unpack_fields(unseal(pp.pp), 5)
     K, w, tau = fixed(kwt, 3)
     return Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau, utf8(variant)
 
@@ -538,26 +538,29 @@ def _star_gate_fn(use_td: bool):
     return gate
 
 
+@functools.lru_cache(maxsize=32)
 def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
-    """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates."""
+    """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates, decoded once per
+    distinct blob. A memoized decoder returns an immutable value, never a
+    RandomOracle, whose memo would then outlive a call."""
     claim_bytes, r_bytes = unpack_fields(vk_blob, 2)
     return Claim.from_bytes(claim_bytes), CvqcVerifyKey.from_bytes(r_bytes)
 
 
-def _sealed_verdict(gate: str, blob: bytes, pad_target: int) -> SealedProgram:
-    """One-input sealed surface: proof bytes in, the gate's verdict byte out,
-    `blob` hidden inside. The dual-mode gates read a tagged proof, so the
-    input is tagged for them."""
+def _sealed_verdict(gate: str, blob: bytes) -> SealedProgram:
+    """One-input sealed surface padded to 8 nodes: proof bytes in, the gate's
+    verdict byte out, `blob` hidden inside. The dual-mode gates read a tagged
+    proof, so the input is tagged for them."""
     b = ProgramBuilder(1)
     proof = b.input(0)
     if gate in _STAR_GATES.values():
         proof = b.concat(b.const(b"\x01"), proof)
     out = b.host(gate, proof, b.const(blob))
-    return obf_io(b.build([out]), pad_target)
+    return obf_io(b.build([out]), 8)
 
 
-def _gate_toy_verify(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> bytes:
-    claim, r = key
+def _gate_toy_verify(proof_bytes: bytes, vk_blob: bytes) -> bytes:
+    claim, r = _decode_toy_key(vk_blob)
     try:
         pi = decode_base_proof(PROTO_TOY, proof_bytes)
         return bytes([toy_verify(claim, pi, r)])
@@ -567,20 +570,19 @@ def _gate_toy_verify(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> by
 
 for _use_td, _name in _STAR_GATES.items():
     register_gate(_name, _star_gate_fn(_use_td))
-register_gate("TOY_VERIFY", _gate_toy_verify, decode=_decode_toy_key)
+register_gate("TOY_VERIFY", _gate_toy_verify)
 
 
-def sealed_toy_verifier(claim: Claim, r: CvqcVerifyKey, pad_target: int = 8) -> SealedProgram:
+def sealed_toy_verifier(claim: Claim, r: CvqcVerifyKey) -> SealedProgram:
     """Public-evaluation-only verdict surface for the cryptanalysis module:
     proof bytes in, verdict byte out, key material hidden inside."""
-    return _sealed_verdict("TOY_VERIFY", pack_fields(claim.to_bytes(), r.to_bytes()),
-                           pad_target)
+    return _sealed_verdict("TOY_VERIFY", pack_fields(claim.to_bytes(), r.to_bytes()))
 
 
-def sealed_star_td_verifier(setup: StarSetup, pad_target: int = 8) -> SealedProgram:
+def sealed_star_td_verifier(setup: StarSetup) -> SealedProgram:
     """Trapdoor-verification surface over dual-mode proofs (pi, h); with a
     simulation-mode setup this rejects every input."""
-    return _sealed_verdict(*star_gate(setup, True), pad_target)
+    return _sealed_verdict(*star_gate(setup, True))
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +619,8 @@ def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
     return drbg.child("salt").bytes(KEY_LEN), toy_prove(pp, witness, drbg)
 
 
-def _gate_toy_verify_stats(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey]) -> bytes:
-    claim, r = key
+def _gate_toy_verify_stats(proof_bytes: bytes, vk_blob: bytes) -> bytes:
+    _, r = _decode_toy_key(vk_blob)
     try:
         _, pi = stats_decode(proof_bytes)
         # stats_decode is canonical, so proof_bytes is stats_encode(salt, pi)
@@ -627,13 +629,11 @@ def _gate_toy_verify_stats(proof_bytes: bytes, key: tuple[Claim, CvqcVerifyKey])
         return b"\x00"
 
 
-register_gate("TOY_VERIFY_STATS", _gate_toy_verify_stats, decode=_decode_toy_key)
+register_gate("TOY_VERIFY_STATS", _gate_toy_verify_stats)
 
 
-def sealed_stats_verifier(claim: Claim, r: CvqcVerifyKey,
-                          pad_target: int = 8) -> SealedProgram:
-    return _sealed_verdict("TOY_VERIFY_STATS", pack_fields(claim.to_bytes(), r.to_bytes()),
-                           pad_target)
+def sealed_stats_verifier(claim: Claim, r: CvqcVerifyKey) -> SealedProgram:
+    return _sealed_verdict("TOY_VERIFY_STATS", pack_fields(claim.to_bytes(), r.to_bytes()))
 
 
 # ---------------------------------------------------------------------------

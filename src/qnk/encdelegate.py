@@ -10,6 +10,7 @@ that the 16-bit puncturable-PRF domain covers them.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -97,15 +98,20 @@ class AbeCiphertext:
         return cls(SealedProgram.from_bytes(prog), digest, fixed(al, 1)[0])
 
 
+@functools.lru_cache(maxsize=8)
 def _decode_sealed(blob: bytes) -> SealedProgram:
+    """Nested program of the SEALED_EVAL gate and the ABE_ENC mpk, decoded
+    once per distinct blob across all programs (a kp mpk is about 117 KB
+    decoded). A memoized decoder returns an immutable value, never a
+    RandomOracle, whose memo would then outlive a call."""
     return SealedProgram.from_bytes(blob)
 
 
 def _gate_sealed_eval(*args) -> bytes:
-    return args[-1].run(*args[:-1])
+    return _decode_sealed(args[-1]).run(*args[:-1])
 
 
-register_gate("SEALED_EVAL", _gate_sealed_eval, decode=_decode_sealed)
+register_gate("SEALED_EVAL", _gate_sealed_eval)
 
 
 def _prg_image_len(attr_len: int) -> int:
@@ -441,18 +447,14 @@ class CprfKeys:
     escrow: dict = field(repr=False, default=None)
 
 
-def _decode_abe_enc_cfg(cfg: bytes) -> bytes:
+def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
-    SealedProgram.from_bytes(mpk_blob)  # a malformed mpk fails here, not at decryption
-    return mpk_blob
-
-
-def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, mpk_blob: bytes) -> bytes:
+    _decode_sealed(mpk_blob)  # a malformed mpk fails here, not at decryption
     return _abe_enc_blob(mpk_blob, make_universal_language(x), m, coins,
                          KP_ATTR_LEN).to_bytes()
 
 
-register_gate("ABE_ENC", _gate_abe_kp_enc, decode=_decode_abe_enc_cfg)
+register_gate("ABE_ENC", _gate_abe_kp_enc)
 
 CPRF_INPUT_BITS = 8
 

@@ -169,7 +169,7 @@ def nio_obf_stage(claim: Claim, seed, stage: str, proto: str = PROTO_ORACLE,
 
 def _prove_closure(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg,
                    classical_witness: bytes = b""):
-    oracle = oracle_from_spec(unseal(obf.oracle_spec_sealed, b"nio-oracle"))
+    oracle = oracle_from_spec(unseal(obf.oracle_spec_sealed))
 
     def prove_fn(pp_bytes: bytes) -> bytes:
         pp = CvqcParams.from_bytes(pp_bytes)
@@ -325,9 +325,10 @@ def we_dec_bqp(c: WeCiphertext, drbg: Drbg):
     return we_dec_bytes(c, Witness.empty(max(c.inner.min_copies, 1)), drbg)
 
 
-def we_cfg(L: QmaLanguage, proto: str = PROTO_ORACLE, reps: int = JUDGE_REPS) -> bytes:
-    """Host-gate constant describing a witness-encryption target."""
-    return pack_fields(L.ref, proto.encode(), bytes([reps]))
+def we_cfg(L: QmaLanguage) -> bytes:
+    """Host-gate constant describing a witness-encryption target: the
+    language, the oracle protocol and JUDGE_REPS."""
+    return pack_fields(L.ref, PROTO_ORACLE.encode(), bytes([JUDGE_REPS]))
 
 
 def _gate_we_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:

@@ -338,7 +338,7 @@ def _main_stmt(crs: ZaprCrs, x: bytes, proof: ZaprProof) -> bytes:
     return pack_fields(x, proof.ck1, proof.c_nizk, proof.c_owf)
 
 
-def zapr_setup(L: QmaLanguage, seed, sbsh_t: int = 4) -> ZaprCrs:
+def zapr_setup(L: QmaLanguage, seed) -> ZaprCrs:
     drbg = Drbg(seed).child("zapr-setup")
     crs0 = nizk_setup(L, drbg.child("crs0").bytes(16))
     crs1 = nizk_setup(L, drbg.child("crs1").bytes(16))
@@ -347,7 +347,7 @@ def zapr_setup(L: QmaLanguage, seed, sbsh_t: int = 4) -> ZaprCrs:
     ck0, gen_rand = sbsh_gen(drbg.child("sbsh"))
     zap = zap_setup(drbg.child("zap"))
     niwi = NiwiScheme(drbg.child("niwi"))
-    crs = ZaprCrs(crs0, crs1, owf(x0), owf(x1), ck0, zap, niwi, b"", L.ref, sbsh_t,
+    crs = ZaprCrs(crs0, crs1, owf(x0), owf(x1), ck0, zap, niwi, b"", L.ref, sbsh_t=4,
                   escrow={"gen_rand": gen_rand, "x0": x0, "x1": x1})
     witness = pack_fields(b"\x00", crs0.escrow["seed"], x0)
     crs.setup_proof = niwi.prove(_setup_relation(L), _setup_stmt(crs), witness)

@@ -54,7 +54,7 @@ def _wrap_key_from_sk(sk: bytes) -> bytes:
 
 
 def _wrap_key_from_pk(pk: bytes) -> bytes:
-    return unseal(pk[8:], b"qfhe-pk")
+    return unseal(pk[8:])
 
 
 def qfhe_gen(drbg: Drbg) -> QfheKeys:

@@ -55,7 +55,7 @@ def _mini_proof_space():
     return itertools.product(singles, repeat=4)
 
 
-def criterion_1_ggm(params: str = "default"):
+def criterion_1_ggm():
     drbg = Drbg(b"acc-ggm")
     for trial in range(20):
         k = prf_gen(drbg.child(f"k{trial}"), 8)
@@ -73,7 +73,7 @@ def criterion_1_ggm(params: str = "default"):
     return "ggm-puncturable-prf", True, "20 keys x 255 points exact, removed point errors"
 
 
-def criterion_2_verification_equivalence(params: str = "default"):
+def criterion_2_verification_equivalence():
     par = fixture("par4")
     claim = claim_for(par, b"\x07")
     setup = td_gen(claim, PROTO_TOY, Drbg(b"acc-vereq"), MINI_PARAMS)
@@ -102,7 +102,7 @@ def criterion_2_verification_equivalence(params: str = "default"):
             f"{checked} proofs agree (exhaustive mini + 10^4 full-size)")
 
 
-def criterion_3_sim_no_accepting(params: str = "default"):
+def criterion_3_sim_no_accepting():
     par = fixture("par4")
     claim = claim_for(par, b"\x07")
     sim = sim_gen(claim, PROTO_TOY, Drbg(b"acc-sim"), MINI_PARAMS)
@@ -122,7 +122,7 @@ def criterion_3_sim_no_accepting(params: str = "default"):
     return "sim-mode-lockout", True, "0 accepting inputs over 2^12 + 10^5 consistent pairs"
 
 
-def criterion_4_nullio(params: str = "default"):
+def criterion_4_nullio():
     par = fixture("par8")
     for v in range(256):
         x = bytes([v])
@@ -146,7 +146,7 @@ def criterion_4_nullio(params: str = "default"):
             f"parity exact on 256 instances, ghz {hits}/100, null 100/100 reject")
 
 
-def criterion_5_witness_encryption(params: str = "default"):
+def criterion_5_witness_encryption():
     par = fixture("par8")
     for v in (0x07, 0x1f, 0x80, 0xfe, 0x01):
         x = bytes([v])
@@ -177,7 +177,7 @@ def criterion_5_witness_encryption(params: str = "default"):
         if unwrap(out) is not None:
             released += 1
     from .wire import unseal
-    oracle = cvqc.oracle_from_spec(unseal(c_no.inner.oracle_spec_sealed, b"nio-oracle"))
+    oracle = cvqc.oracle_from_spec(unseal(c_no.inner.oracle_spec_sealed))
     for t in range(2000):
         tag = b"O" + drbg.bytes(16)
         proof_bytes = CvqcProof(tag[1:], ro_query(oracle, tag)).encode(PROTO_ORACLE)
@@ -189,7 +189,7 @@ def criterion_5_witness_encryption(params: str = "default"):
             f"roundtrips exact, ghz {hits}/100, lockout 0 releases over 2^12+2000 inputs")
 
 
-def criterion_6_nizk(params: str = "default"):
+def criterion_6_nizk():
     par = fixture("par8")
     crs = proofs.nizk_setup(par, b"acc-nizk")
     for v in (0x07, 0x15, 0xfe):
@@ -252,7 +252,7 @@ def criterion_6_nizk(params: str = "default"):
             "7 hybrid steps verified on the exhaustive 8-bit domain")
 
 
-def criterion_7_delegation(params: str = "default"):
+def criterion_7_delegation():
     # ABE correctness
     keys = ed.abe_gen(4, b"acc-abe")
     policy = QuantumCircuit(5, tuple(("CNOT", (i, 0)) for i in range(1, 5)), n_input=4)
@@ -348,7 +348,7 @@ def criterion_7_delegation(params: str = "default"):
             "(N=3,4), hybrid chains verified on mini domains")
 
 
-def criterion_8_lockable(params: str = "default"):
+def criterion_8_lockable():
     # C maps a byte to a 16-byte line; the lock selects exactly one input
     b = ProgramBuilder(1)
     x = b.input(0)
@@ -369,7 +369,7 @@ def criterion_8_lockable(params: str = "default"):
             "exhaustive 8-bit release semantics, simulator silent and size-matched")
 
 
-def criterion_9_qsim(params: str = "default"):
+def criterion_9_qsim():
     drbg = Drbg(b"acc-qsim")
     gate_pool = ["H", "X", "Z", "S", "T"]
     # norm preservation through random gate sequences
@@ -416,7 +416,7 @@ def criterion_9_qsim(params: str = "default"):
             f"norms exact, 10 propagation checks at 1e-9, sampling {hits}/{shots} within 3 sigma")
 
 
-def criterion_10_attacks(params: str = "default"):
+def criterion_10_attacks():
     par = fixture("par4")
     claim = claim_for(par, b"\x07")
     for trial in range(100):
@@ -458,7 +458,7 @@ def criterion_10_attacks(params: str = "default"):
             "simulation mode immune")
 
 
-def criterion_11_cli_determinism(params: str = "default"):
+def criterion_11_cli_determinism():
     import subprocess
     import sys
     import tempfile
@@ -508,12 +508,12 @@ CRITERIA = [
 ]
 
 
-def run_all(params: str = "default", only: list[int] | None = None):
+def run_all(only: list[int] | None = None):
     results = []
     for idx, fn in enumerate(CRITERIA, 1):
         if only and idx not in only:
             continue
         t0 = time.time()
-        name, ok, detail = fn(params)
+        name, ok, detail = fn()
         results.append((idx, name, ok, detail, time.time() - t0))
     return results

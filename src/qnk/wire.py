@@ -111,11 +111,11 @@ def _unseal_keyed(key: bytes, blob: bytes) -> bytes:
 
 
 def seal(data: bytes, context: bytes = b"") -> bytes:
-    """`context` only feeds the nonce; `unseal` does not check it."""
+    """`context` only feeds the nonce, so `unseal` takes none."""
     return _seal_keyed(_SEAL_KEY, data, _hmac(_SEAL_KEY, b"nonce" + context + data)[:16])
 
 
-def unseal(blob: bytes, context: bytes = b"") -> bytes:
+def unseal(blob: bytes) -> bytes:
     return _unseal_keyed(_SEAL_KEY, blob)
 
 

@@ -17,7 +17,7 @@ LIMITS_SECONDS = {
 def test_criterion(idx):
     fn = selftest.CRITERIA[idx - 1]
     t0 = time.time()
-    name, ok, detail = fn("default")
+    name, ok, detail = fn()
     elapsed = time.time() - t0
     line = f"{'PASS' if ok else 'FAIL'} criterion {idx} [{name}] ({elapsed:.1f}s): {detail}"
     print(line)

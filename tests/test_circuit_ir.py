@@ -263,6 +263,18 @@ class TestProgramDecoding:
         with pytest.raises(MalformedCircuit):
             program_from_bytes(self.blob() + b"\x00")
 
+    @pytest.mark.parametrize("args", [(1, 0), (0, 2)], ids=["self", "forward"])
+    def test_argument_not_before_node(self, args):
+        # validate's rule; an argument at or after its node allows a cycle
+        nodes = (Node("INPUT"), Node("XOR", args), Node("INPUT"))
+        with pytest.raises(MalformedCircuit, match="not before node"):
+            program_from_bytes(program_to_bytes(Program(nodes, (1,), 1)))
+
+    def test_output_out_of_range(self):
+        blob = program_to_bytes(Program((Node("INPUT"),), (1,), 1))
+        with pytest.raises(MalformedCircuit, match="out of range"):
+            program_from_bytes(blob)
+
     def test_sealed_trailing_bytes(self):
         sealed = obf_io(identity_program(), 4).to_bytes()
         with pytest.raises(MalformedCircuit):

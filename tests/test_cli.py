@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qnk.circuit_ir import Node, Program, SealedProgram
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
 from qnk.wire import (
@@ -62,6 +63,21 @@ def abe_ct_empty_attr_len(ct: bytes) -> bytes:
     return pack_fields(prog, digest, b"")
 
 
+def abe_ct_crafted_program(nodes, outputs):
+    """Replace the ciphertext's program with a crafted one; anyone can seal
+    it, since the sealing key is a library constant."""
+    def mutate(ct: bytes) -> bytes:
+        _prog, digest, attr_len = unpack_fields(ct, 3)
+        crafted = SealedProgram(Program(nodes, outputs, 2), "IO")
+        return pack_fields(crafted.to_bytes(), digest, attr_len)
+    return mutate
+
+
+# a node that reads itself, and an output past the last node
+abe_ct_cyclic_program = abe_ct_crafted_program((Node("INPUT"), Node("XOR", (1, 0))), (1,))
+abe_ct_output_out_of_range = abe_ct_crafted_program((Node("INPUT"),), (5,))
+
+
 def abe_sk_short_attr_wire(sk: bytes) -> bytes:
     _x, key = unpack_fields(sk, 2)
     return pack_fields(b"\x07", key)
@@ -80,14 +96,14 @@ def non_utf8_first_field(blob: bytes) -> bytes:
 
 def cvqc_non_utf8_oracle_mode(setup: bytes) -> bytes:
     *head, spec = unpack_fields(setup, 5)
-    _mode, *rest = unpack_fields(unseal(spec, b"cli-oracle"), 5)
+    _mode, *rest = unpack_fields(unseal(spec), 5)
     return pack_fields(*head, seal(pack_fields(b"\xff\xfe", *rest), b"cli-oracle"))
 
 
 def cvqc_short_kwt(setup: bytes) -> bytes:
     claim, pp, *rest = unpack_fields(setup, 5)
     proto, sealed_pp = unpack_fields(pp, 2)
-    c, bases, secrets, kwt, variant = unpack_fields(unseal(sealed_pp, b"cvqc-toy-pp"), 5)
+    c, bases, secrets, kwt, variant = unpack_fields(unseal(sealed_pp), 5)
     sealed_pp = seal(pack_fields(c, bases, secrets, kwt[:2], variant), b"cvqc-toy-pp")
     return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
 
@@ -230,6 +246,10 @@ class TestWeCommands:
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
         (ABE_SETUP + (ABE_ENC,), rewrap("sk", abe_sk_short_attr_wire),
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
+        (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_cyclic_program),
+         ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
+        (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_output_out_of_range),
+         ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
         (ABE_SETUP + (PE_ENC,), rewrap("ct", pe_ct_empty_payload_len),
          ["pe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
         (CVQC_SETUP, rewrap("proof", non_utf8_first_field),
@@ -240,7 +260,8 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy_bytes(b"qubits 2\n\xff\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCiphertext"),
-    ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "pe-dec-empty-payload-len",
+    ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
+            "abe-dec-output-out-of-range", "pe-dec-empty-payload-len",
             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
             "abe-enc-non-utf8-policy"])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,

@@ -349,7 +349,7 @@ class TestSealedVerifiers:
         pi1 = toy_prove(pp1, Witness.empty(), Drbg(59))
         pi2 = toy_prove(pp2, Witness.empty(), Drbg(60))
         v1, v2 = sealed_toy_verifier(YES, r1), sealed_toy_verifier(YES, r2)
-        # a round trip through bytes gives a fresh program with its own cache
+        # a round trip through bytes gives a fresh program with the same key
         v1_again = SealedProgram.from_bytes(v1.to_bytes())
         verdicts = set()
         for _ in range(3):

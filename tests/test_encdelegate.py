@@ -10,6 +10,7 @@ from qnk.circuit_ir import (
 )
 from qnk.encdelegate import (
     POLICY_FAMILY,
+    _decode_sealed,
     AbeCiphertext,
     AbeSecretKey,
     PeCiphertext,
@@ -329,23 +330,60 @@ class TestSecretSharing:
             assert commit(bytes([i + 1]), r_i).payload == ss.commitments[i]
 
 
-def test_sealed_eval_decodes_nested_program_once(monkeypatch):
-    b = ProgramBuilder(1)
-    inner = obf_io(b.build([b.host("OWF", b.input(0))]), 6)
-    b = ProgramBuilder(1)
-    outer = b.build([b.host("SEALED_EVAL", b.input(0), consts=(inner.to_bytes(),))])
-    sealed = obf_io(outer, 4)
+def count_sealed_decodes(monkeypatch) -> list:
+    _decode_sealed.cache_clear()
     calls = []
     original = SealedProgram.from_bytes
     monkeypatch.setattr(SealedProgram, "from_bytes",
                         classmethod(lambda cls, blob: calls.append(blob) or original(blob)))
+    return calls
+
+
+def owf_program() -> SealedProgram:
+    b = ProgramBuilder(1)
+    return obf_io(b.build([b.host("OWF", b.input(0))]), 6)
+
+
+def test_sealed_eval_decodes_nested_program_once(monkeypatch):
+    inner = owf_program()
+    b = ProgramBuilder(1)
+    outer = b.build([b.host("SEALED_EVAL", b.input(0), consts=(inner.to_bytes(),))])
+    sealed = obf_io(outer, 4)
+    calls = count_sealed_decodes(monkeypatch)
     first, second = sealed.run(b"x"), sealed.run(b"x")
     assert first == second == inner.run(b"x")
     assert len(calls) == 1
-    # a plain evaluate keeps no cache and decodes on every call
+    # a plain evaluate goes through the same decoder
     evaluate(outer, [b"x"])
     evaluate(outer, [b"x"])
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_programs_sharing_a_nested_blob_decode_it_once(monkeypatch):
+    inner = owf_program()
+    b = ProgramBuilder(1)
+    x = b.input(0)
+    one = obf_io(b.build([b.host("SEALED_EVAL", x, consts=(inner.to_bytes(),))]), 4)
+    b = ProgramBuilder(1)
+    x = b.input(0)
+    twice = b.host("SEALED_EVAL", b.concat(x, x), consts=(inner.to_bytes(),))
+    two = obf_io(b.build([twice]), 5)
+    calls = count_sealed_decodes(monkeypatch)
+    assert one.run(b"x") == inner.run(b"x")
+    assert two.run(b"x") == inner.run(b"xx")
+    assert len(calls) == 1
+
+
+def test_cprf_ceval_decodes_mpk_once(ck, monkeypatch):
+    from qnk.encdelegate import cprf_ceval
+    kq = cprf_constrain(ck, 1)
+    # a fresh copy of pp, whose ABE_ENC node has never run
+    pp = SealedProgram.from_bytes(ck.pp.to_bytes())
+    mpk = ck.abe.mpk.to_bytes()
+    calls = count_sealed_decodes(monkeypatch)
+    # the ABE_ENC gate checks the mpk; the ciphertext's SEALED_EVAL reuses it
+    assert cprf_ceval(pp, kq, 0b0111, Drbg(7)) == cprf_eval(ck, 0b0111)
+    assert calls.count(mpk) == 1
 
 
 def test_abe_enc_gate_does_not_reseal_mpk(ck, monkeypatch):

@@ -13,6 +13,8 @@ Host gates are the one registry (`circuit_ir.register_gate`); languages and
 policies are resolved by `qma` itself, so no other module defines a
 `register_` hook. The CLI parser converts every flag value with its
 argparse `type=`, so no handler in `cli.py` parses `args.*` by hand.
+Memoized functions use `functools.lru_cache` with an integer `maxsize`, so
+no cache grows without bound.
 """
 import re
 from pathlib import Path
@@ -66,6 +68,13 @@ def test_no_flag_parsing_in_cli_handlers():
     assert any(p.name == "cli.py" for p in SRC)
     assert offending_lines(re.compile(r"(fromhex|int)\(args\."),
                            skip=tuple(p.name for p in SRC if p.name != "cli.py")) == []
+
+
+def test_memo_caches_are_bounded():
+    uses = offending_lines(re.compile(r"\blru_cache\b|\bfunctools\.cache\b|\bimport\b.*\bcache\b"))
+    assert any("rand.py" in u for u in uses)
+    bounded = re.compile(r": @functools\.lru_cache\(maxsize=\d+\)$")
+    assert [u for u in uses if not bounded.search(u)] == []
 
 
 def test_xor_pattern():
