@@ -250,7 +250,11 @@ def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
         memo[i] = v
         return v
 
-    return [ev(o) for o in p.outputs]
+    try:
+        return [ev(o) for o in p.outputs]
+    except RecursionError as e:
+        # a chain deeper than the interpreter's stack; ev stays recursive
+        raise MalformedCircuit("program too deep to evaluate") from e
 
 
 def pad(p: Program, target: int) -> Program:

@@ -291,9 +291,9 @@ def cmd_abe(args) -> int:
 
 def cmd_cprf(args) -> int:
     if args.action == "gen":
-        seed = Drbg(args.seed).child("cprf-cli").bytes(16)
-        ed.cprf_gen(seed)
-        return _saved(args, "cprf.keys", seal(seed, b"cli-cprf"))
+        return _saved(args, "cprf.keys",
+                      seal(Drbg(args.seed).child("cprf-cli").bytes(16), b"cli-cprf"))
+    # derived on use: eval reads only keys.k, constrain only keys.abe
     keys = ed.cprf_gen(unseal(_load(args.keys, "cprf.keys")))
     if args.action == "eval":
         return _value("y", ed.cprf_eval(keys, args.x))

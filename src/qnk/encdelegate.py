@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import qfhe
 from .circuit_ir import (
@@ -133,11 +133,10 @@ def _build_keycheck_program(k: PrfKey, attr_len: int) -> Program:
 def abe_gen(attr_len: int, seed) -> AbeKeys:
     if attr_len > MAX_ATTR_BITS:
         raise WidthMismatch(f"attribute length {attr_len} exceeds {MAX_ATTR_BITS}")
-    drbg = Drbg(seed).child("abe-gen")
-    k = prf_gen(drbg.child("k"), 16)
-    fam = abe_keycheck_hybrids(k, attr_len, 0, drbg.child("sizing"))
-    budget = max(p.size for p in fam.values())
-    return AbeKeys(msk=k, mpk=obf_io(fam["P"], budget), attr_len=attr_len)
+    k = prf_gen(Drbg(seed).child("abe-gen").child("k"), 16)
+    budget = _keycheck_budget(attr_len)
+    return AbeKeys(msk=k, mpk=obf_io(_build_keycheck_program(k, attr_len), budget),
+                   attr_len=attr_len)
 
 
 def abe_keygen(keys: AbeKeys, x) -> AbeSecretKey:
@@ -167,12 +166,9 @@ def abe_enc(keys_mpk: SealedProgram, policy: QmaLanguage, m: bytes, seed,
 
 def _abe_enc_blob(mpk_blob: bytes, policy: QmaLanguage, m: bytes, seed,
                   attr_len: int) -> AbeCiphertext:
-    drbg = Drbg(seed).child("abe-enc")
-    r = prf_gen(drbg.child("r"), 16)
+    r = prf_gen(Drbg(seed).child("abe-enc").child("r"), 16)
     program = _build_encryptor_program(mpk_blob, policy, m, r)
-    fam = abe_encryptor_hybrids(mpk_blob, policy, m, m, r, attr_len, 0,
-                                drbg.child("sizing"))
-    budget = max(p.size for p in fam.values())
+    budget = _encryptor_budget(attr_len)
     digest = hashlib.sha256(policy.ref).digest()
     return AbeCiphertext(obf_io(program, budget), digest, attr_len)
 
@@ -317,6 +313,31 @@ def abe_encryptor_hybrids(mpk_blob: bytes, policy: QmaLanguage, m0: bytes,
     }
 
 
+# Pad budgets. A sealed program is padded to the largest member of its hybrid
+# family, and that size depends on the family's shape alone: ProgramBuilder
+# never interns, so keys, messages and policies change only constant payloads.
+# Each budget is therefore built once per shape from fixed stand-ins;
+# tests/test_encdelegate.py checks it against families built from real keys.
+
+_STAND_IN_KEY = PrfKey(bytes(KEY_LEN), 16)
+
+
+def _largest(fam: dict[str, Program]) -> int:
+    return max(p.size for p in fam.values())
+
+
+@functools.lru_cache(maxsize=16)
+def _keycheck_budget(attr_len: int) -> int:
+    return _largest(abe_keycheck_hybrids(_STAND_IN_KEY, attr_len, 0, Drbg(b"sizing")))
+
+
+@functools.lru_cache(maxsize=16)
+def _encryptor_budget(attr_len: int) -> int:
+    policy = make_universal_language(bytes(ATTR_WIRE_BYTES))
+    return _largest(abe_encryptor_hybrids(b"", policy, b"", b"", _STAND_IN_KEY,
+                                          attr_len, 0, Drbg(b"sizing")))
+
+
 # ---------------------------------------------------------------------------
 # lockable obfuscation for pseudo-deterministic quantum circuits
 
@@ -439,14 +460,6 @@ def pe_dec(sk: AbeSecretKey, ct: PeCiphertext):
 # constrained PRF
 
 
-@dataclass
-class CprfKeys:
-    k: PrfKey
-    abe: AbeKeys
-    pp: SealedProgram   # input wire -> serialized key-policy ABE ciphertext
-    escrow: dict = field(repr=False, default=None)
-
-
 def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
     _decode_sealed(mpk_blob)  # a malformed mpk fails here, not at decryption
@@ -468,17 +481,35 @@ def _build_cprf_program(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes) -> Program:
     return b.build([ct])
 
 
+class CprfKeys:
+    """The keys of one seed, each derived on first use, so that a caller pays
+    only for what it reads: evaluation needs `k`, constraining `abe`, and
+    constrained evaluation `pp`."""
+
+    def __init__(self, seed):
+        self._drbg = Drbg(seed).child("cprf")
+
+    @functools.cached_property
+    def k(self) -> PrfKey:
+        return prf_gen(self._drbg.child("k"), 16)
+
+    @functools.cached_property
+    def k_tilde(self) -> PrfKey:
+        return prf_gen(self._drbg.child("ktilde"), 16)
+
+    @functools.cached_property
+    def abe(self) -> AbeKeys:
+        return kp_gen(self._drbg.child("abe").bytes(16))
+
+    @functools.cached_property
+    def pp(self) -> SealedProgram:
+        """Input wire -> serialized key-policy ABE ciphertext."""
+        program = _build_cprf_program(self.k, self.k_tilde, self.abe.mpk.to_bytes())
+        return obf_io(program, _cprf_budget())
+
+
 def cprf_gen(seed) -> CprfKeys:
-    drbg = Drbg(seed).child("cprf")
-    k = prf_gen(drbg.child("k"), 16)
-    k_tilde = prf_gen(drbg.child("ktilde"), 16)
-    abe = kp_gen(drbg.child("abe").bytes(16))
-    mpk_blob = abe.mpk.to_bytes()
-    fam = cprf_hybrids(k, k_tilde, mpk_blob, attr_wire(0, CPRF_INPUT_BITS),
-                       drbg.child("sizing"))
-    budget = max(p.size for p in fam.values())
-    return CprfKeys(k=k, abe=abe, pp=obf_io(fam["P"], budget),
-                    escrow={"k": k, "k_tilde": k_tilde, "seed": seed})
+    return CprfKeys(seed)
 
 
 def cprf_eval(keys: CprfKeys, x) -> bytes:
@@ -527,6 +558,12 @@ def cprf_hybrids(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes, x_star: bytes,
         "P3": variant(True, True, m_star, u),
         "Pstar": variant(True, True, bytes(KEY_LEN), u),
     }
+
+
+@functools.lru_cache(maxsize=1)
+def _cprf_budget() -> int:
+    return _largest(cprf_hybrids(_STAND_IN_KEY, _STAND_IN_KEY, b"",
+                                 attr_wire(0, CPRF_INPUT_BITS), Drbg(b"sizing")))
 
 
 # ---------------------------------------------------------------------------

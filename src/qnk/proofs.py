@@ -15,6 +15,7 @@ holds as byte equality), after checking the witness.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -47,7 +48,7 @@ from .primitives import (
     sbsh_gen,
     sbsh_key,
 )
-from .qma import QmaLanguage, Witness, resolve_language
+from .qma import QmaLanguage, Witness, make_parity_language, resolve_language
 from .rand import Drbg
 from .wire import pack_fields, unpack_fields
 
@@ -116,13 +117,11 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
     domain = _stmt_domain_bits(L)
     k0 = prf_gen(drbg.child("k0"), domain)
     k1 = prf_gen(drbg.child("k1"), domain)
-    x_star = bytes(domain // 8)
-    fam = nizk_hybrid_programs(L, k0, k1, x_star, drbg.child("pad-sizing"))
-    p_budget = max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar"))
-    v_budget = max(fam[n].size for n in ("V", "V1", "V2", "Vstar"))
+    p_budget, v_budget = _nizk_budgets(domain)
+    k0b = ggm_key_blob(k0)
     return NizkCrs(
-        p_prog=obf_io(fam["P"], p_budget),
-        v_prog=obf_io(fam["V"], v_budget),
+        p_prog=obf_io(_build_p_program(L, k0b, ggm_key_blob(k1)), p_budget),
+        v_prog=obf_io(_build_v_program(k0b), v_budget),
         stmt_bytes=domain // 8,
         lang_ref=L.ref,
         escrow={"k0": k0, "k1": k1, "lang": L, "seed": seed},
@@ -213,6 +212,19 @@ def nizk_hybrid_programs(L: QmaLanguage, k0: PrfKey, k1: PrfKey, x_star: bytes,
         "V2": v_variant(r_tilde, hardwired_image=False),
         "Vstar": v_variant(owf(r_tilde), hardwired_image=True),
     }
+
+
+@functools.lru_cache(maxsize=2)
+def _nizk_budgets(domain: int) -> tuple[int, int]:
+    """Pad budgets of the CRS programs, (P, V), for an 8- or 16-bit statement
+    domain: the largest encryptor and verdict variants. Like the encdelegate
+    budgets, the sizes depend on the domain alone, so fixed stand-in keys and
+    language give them."""
+    k = PrfKey(bytes(KEY_LEN), domain)
+    fam = nizk_hybrid_programs(make_parity_language(8), k, k, bytes(domain // 8),
+                               Drbg(b"sizing"))
+    return (max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar")),
+            max(fam[n].size for n in ("V", "V1", "V2", "Vstar")))
 
 
 def nizk_hybrid_family(crs: NizkCrs, x_star: bytes) -> dict[str, Program]:

@@ -337,7 +337,7 @@ def criterion_7_delegation():
         if prg(s, 4 * KEY_LEN) == K_img:
             return "delegation", False, "random image collided with the expander"
     # constrained-PRF hybrid chain
-    fam_c = ed.cprf_hybrids(ck.k, ck.escrow["k_tilde"], ck.abe.mpk.to_bytes(),
+    fam_c = ed.cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
                             ed.attr_wire(3, 8), Drbg(b"acc-cprf-hyb"))
     dom_c = ExplicitDomain(tuple((ed.attr_wire(v, 8),) for v in range(16)))
     for a, b in (("P", "P1"), ("P1", "P2")):

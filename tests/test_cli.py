@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qnk import encdelegate as ed
 from qnk.circuit_ir import Node, Program, SealedProgram
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
@@ -73,9 +74,12 @@ def abe_ct_crafted_program(nodes, outputs):
     return mutate
 
 
-# a node that reads itself, and an output past the last node
+# a node that reads itself, an output past the last node, and a chain deeper
+# than the interpreter's stack
 abe_ct_cyclic_program = abe_ct_crafted_program((Node("INPUT"), Node("XOR", (1, 0))), (1,))
 abe_ct_output_out_of_range = abe_ct_crafted_program((Node("INPUT"),), (5,))
+abe_ct_deep_chain = abe_ct_crafted_program(
+    (Node("INPUT"),) + tuple(Node("SLICE", (i,), lo=0, hi=2) for i in range(1500)), (1500,))
 
 
 def abe_sk_short_attr_wire(sk: bytes) -> bytes:
@@ -250,6 +254,8 @@ class TestWeCommands:
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
         (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_output_out_of_range),
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
+        (ABE_SETUP + (ABE_ENC,), rewrap("ct", abe_ct_deep_chain),
+         ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
         (ABE_SETUP + (PE_ENC,), rewrap("ct", pe_ct_empty_payload_len),
          ["pe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
         (CVQC_SETUP, rewrap("proof", non_utf8_first_field),
@@ -261,7 +267,7 @@ class TestWeCommands:
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCiphertext"),
     ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
-            "abe-dec-output-out-of-range", "pe-dec-empty-payload-len",
+            "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
             "abe-enc-non-utf8-policy"])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
@@ -359,6 +365,34 @@ class TestAbeCommands:
               "--seed", "2", "--out", str(ct)])
         assert main(["abe", "dec", "--keys", str(keys), "--sk", str(sk),
                      "--ct", str(ct)]) == 1
+
+
+class TestCprfCommands:
+    def test_commands_build_no_hybrid_family(self, tmp, capsys, monkeypatch):
+        """Pad budgets are memoized per shape: once they are known, no command
+        builds a hybrid family, and gen and eval seal nothing at all."""
+        ed._keycheck_budget(ed.KP_ATTR_LEN)
+        ed._encryptor_budget(ed.KP_ATTR_LEN)
+        ed._cprf_budget()
+
+        def refuse(*args, **kw):
+            raise AssertionError("built on a command path")
+
+        for name in ("abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids"):
+            monkeypatch.setattr(ed, name, refuse)
+        keys, ck = tmp / "keys.bin", tmp / "ck.bin"
+        with monkeypatch.context() as m:
+            m.setattr(ed, "obf_io", refuse)
+            assert main(["cprf", "gen", "--seed", "5", "--out", str(keys)]) == 0
+            assert hashlib.sha256(keys.read_bytes()).hexdigest() == (
+                "0bf6d41e6f98e404ccc14d889246fd717b331e2ce0c80ff6d48b0de0c831bafa")
+            assert main(["cprf", "eval", "--keys", str(keys), "--x", "00000111"]) == 0
+        assert main(["cprf", "constrain", "--keys", str(keys), "--policy-id", "1",
+                     "--out", str(ck)]) == 0
+        assert main(["cprf", "ceval", "--keys", str(keys), "--ck", str(ck),
+                     "--x", "00000111"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines[1]["y"] == lines[3]["y"]
 
 
 class TestShareCommands:

@@ -9,8 +9,13 @@ from qnk.circuit_ir import (
     obf_io,
 )
 from qnk.encdelegate import (
+    KP_ATTR_LEN,
+    MAX_ATTR_BITS,
     POLICY_FAMILY,
+    _cprf_budget,
     _decode_sealed,
+    _encryptor_budget,
+    _keycheck_budget,
     AbeCiphertext,
     AbeSecretKey,
     PeCiphertext,
@@ -264,7 +269,7 @@ class TestConstrainedPrf:
 
     def test_hybrid_chain(self, ck):
         star = attr_wire(3, 8)
-        fam = cprf_hybrids(ck.k, ck.escrow["k_tilde"], ck.abe.mpk.to_bytes(),
+        fam = cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
                            star, Drbg(36))
         dom = ExplicitDomain(tuple((attr_wire(v, 8),) for v in range(16)))
         assert equiv_check(fam["P"], fam["P1"], dom)
@@ -279,6 +284,48 @@ class TestConstrainedPrf:
 def cprf_ceval_wrap(ck, kq, x):
     from qnk.encdelegate import cprf_ceval
     return cprf_ceval(ck.pp, kq, x, Drbg(x))
+
+
+def largest(fam):
+    return max(p.size for p in fam.values())
+
+
+class TestPadBudgets:
+    """Each memoized budget equals the largest member of its family built from
+    real keys, for every shape the library seals: the padding the iO argument
+    needs is what the sealed programs get."""
+
+    @pytest.mark.parametrize("attr_len", range(1, MAX_ATTR_BITS + 1))
+    def test_keycheck(self, attr_len):
+        keys = abe_gen(attr_len, 40 + attr_len)
+        for i in {0, (1 << attr_len) // 2, (1 << attr_len) - 1}:
+            fam = abe_keycheck_hybrids(keys.msk, attr_len, i, Drbg(i))
+            assert largest(fam) == _keycheck_budget(attr_len) == 3 * 2 ** attr_len + 11
+        assert keys.mpk.declared_size == _keycheck_budget(attr_len)
+
+    @pytest.mark.parametrize("attr_len", [4, KP_ATTR_LEN])
+    def test_encryptor(self, attr_len):
+        mpk_blob = abe_gen(attr_len, 51).mpk.to_bytes()
+        r = prf_gen(Drbg(52), 16)
+        for pid, i in ((1, 0), (2, 3), (3, (1 << attr_len) - 1)):
+            pol = make_policy_language(POLICY_FAMILY[pid])
+            fam = abe_encryptor_hybrids(mpk_blob, pol, b"\x00", b"\x01\x02", r,
+                                        attr_len, i, Drbg(i))
+            assert largest(fam) == _encryptor_budget(attr_len)
+        assert _encryptor_budget(KP_ATTR_LEN) == 791
+
+    def test_sealed_ciphertexts_use_the_budget(self, parity_ct):
+        assert parity_ct.e_prog.declared_size == _encryptor_budget(4)
+        mpk = kp_gen(53).mpk
+        ct = kp_enc(mpk, attr_wire(7, KP_ATTR_LEN), b"m", 54)
+        assert ct.e_prog.declared_size == _encryptor_budget(KP_ATTR_LEN)
+
+    def test_cprf(self, ck):
+        mpk_blob = ck.abe.mpk.to_bytes()
+        for x in (0, 7, 255):
+            fam = cprf_hybrids(ck.k, ck.k_tilde, mpk_blob, attr_wire(x, 8), Drbg(x))
+            assert largest(fam) == _cprf_budget()
+        assert ck.pp.declared_size == _cprf_budget()
 
 
 class TestSecretSharing:

@@ -9,6 +9,7 @@ from qnk.proofs import (
     NiwiScheme,
     NizkProof,
     Relation,
+    _nizk_budgets,
     nizk_hybrid_family,
     nizk_prove,
     nizk_setup,
@@ -19,7 +20,7 @@ from qnk.proofs import (
     zapr_setup,
     zapr_verify,
 )
-from qnk.qma import Witness, fixture, ghz_witness
+from qnk.qma import FIXTURES, Witness, fixture, ghz_witness, make_parity_language
 from qnk.qsim import StateVector
 from qnk.rand import Drbg
 
@@ -79,6 +80,18 @@ class TestNizk:
             fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar"))
         assert crs.v_prog.declared_size == max(
             fam[n].size for n in ("V", "V1", "V2", "Vstar"))
+
+    @pytest.mark.parametrize("lang", [*sorted(FIXTURES), "par12"])
+    def test_memoized_budgets_match_the_families(self, lang):
+        L = make_parity_language(12) if lang == "par12" else fixture(lang)
+        crs = nizk_setup(L, 9)
+        width = crs.stmt_bytes
+        budgets = _nizk_budgets(8 * width)
+        for x_star in (bytes(width), b"\x2a" * width, b"\xff" * width):
+            fam = nizk_hybrid_family(crs, x_star)
+            assert (max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar")),
+                    max(fam[n].size for n in ("V", "V1", "V2", "Vstar"))) == budgets
+        assert (crs.p_prog.declared_size, crs.v_prog.declared_size) == budgets
 
     def test_sealed_matches_unsealed_encryptor(self, crs):
         # the sealed CRS program agrees with its plain counterpart everywhere

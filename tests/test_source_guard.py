@@ -14,8 +14,12 @@ policies are resolved by `qma` itself, so no other module defines a
 `register_` hook. The CLI parser converts every flag value with its
 argparse `type=`, so no handler in `cli.py` parses `args.*` by hand.
 Memoized functions use `functools.lru_cache` with an integer `maxsize`, so
-no cache grows without bound.
+no cache grows without bound. Hybrid program families model the security
+arguments; sealing reads only their memoized pad budgets, so outside
+`selftest.py` a family builder is named only by its budget helper and by
+`proofs.nizk_hybrid_family`.
 """
+import ast
 import re
 from pathlib import Path
 
@@ -75,6 +79,33 @@ def test_memo_caches_are_bounded():
     assert any("rand.py" in u for u in uses)
     bounded = re.compile(r": @functools\.lru_cache\(maxsize=\d+\)$")
     assert [u for u in uses if not bounded.search(u)] == []
+
+
+FAMILY_BUILDERS = {"abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids",
+                   "nizk_hybrid_programs"}
+FAMILY_USERS = {"_keycheck_budget", "_encryptor_budget", "_cprf_budget", "_nizk_budgets",
+                "nizk_hybrid_family"}
+
+
+def family_builder_users():
+    """(module, top-level function or "<module>", builder) for every name or
+    attribute that refers to a family builder."""
+    found = set()
+    for p in SRC:
+        for top in ast.parse(p.read_text()).body:
+            where = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in FAMILY_BUILDERS:
+                    found.add((p.name, where, name))
+    return found
+
+
+def test_hybrid_families_built_only_for_budgets():
+    users = family_builder_users()
+    assert {name for _, _, name in users} == FAMILY_BUILDERS
+    assert {where for m, where, _ in users if m != "selftest.py"} == FAMILY_USERS
 
 
 def test_xor_pattern():
