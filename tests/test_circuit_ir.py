@@ -25,7 +25,7 @@ from qnk.circuit_ir import (
     validate,
     wrap_some,
 )
-from qnk.errors import MalformedCircuit, TargetTooSmall, UnknownGate
+from qnk.errors import MalformedCiphertext, MalformedCircuit, TargetTooSmall, UnknownGate
 from qnk.primitives import owf
 from qnk.rand import Drbg
 from qnk.wire import pack_bytes, pack_u32, seal
@@ -287,3 +287,90 @@ class TestProgramDecoding:
         bad = pack_bytes(b"\xff") + pack_u32(1) + pack_bytes(body)
         with pytest.raises(MalformedCircuit):
             SealedProgram.from_bytes(bad)
+
+
+class TestPaddedProgramCodec:
+    """Padded programs are mostly dead `CONST b""` nodes. Their encoding,
+    and every way it can be cut or damaged, decodes as it always has."""
+
+    FILL = 6
+
+    @classmethod
+    def program(cls):
+        b = ProgramBuilder(2)
+        x, y = b.input(0), b.input(1)
+        h = b.host("PRF", b.const(b"\x00" * 16), b.concat(x, y))
+        p = b.build([b.ite(b.eq(x, y), h, b.slice(h, 0, 4))])
+        return pad(p, p.size + cls.FILL)
+
+    @classmethod
+    def regions(cls):
+        """(start, end) of the header, the live nodes, the filler run and the
+        output list in the program's encoding."""
+        blob = program_to_bytes(cls.program())
+        outputs_len = 4 + 4 * len(cls.program().outputs)
+        run = len(blob) - outputs_len - 29 * cls.FILL
+        return blob, {"header": (0, 9), "live-node": (9, run),
+                      "filler-run": (run, len(blob) - outputs_len),
+                      "output-list": (len(blob) - outputs_len, len(blob))}
+
+    def test_filler_encoding(self):
+        blob, regions = self.regions()
+        lo, hi = regions["filler-run"]
+        assert blob[lo:hi] == bytes(29 * self.FILL)
+        assert program_from_bytes(blob) == self.program()
+
+    @pytest.mark.parametrize("region", ["header", "live-node", "filler-run", "output-list"])
+    def test_every_prefix_is_truncated(self, region):
+        blob, regions = self.regions()
+        for cut in range(*regions[region]):
+            with pytest.raises(MalformedCiphertext, match="truncated") as e:
+                program_from_bytes(blob[:cut])
+            assert type(e.value) is MalformedCiphertext
+
+    # byte offset within the fourth filler node, new value, the decode's outcome
+    @pytest.mark.parametrize("offset, value, outcome", [
+        (0, 0x01, "INPUT"), (0, 0x02, "CONCAT"), (0, 0x07, "HOSTGATE"),
+        (0, 0x08, MalformedCircuit), (0, 0xFF, MalformedCircuit),
+        (8, 0x01, MalformedCiphertext), (8, 0x1D, MalformedCiphertext),
+        (8, 0xFF, MalformedCiphertext), (5, 0x01, MalformedCiphertext),
+        (24, 0x01, MalformedCiphertext), (24, 0x1D, MalformedCiphertext),
+        (24, 0xFF, MalformedCiphertext), (21, 0x01, MalformedCiphertext),
+    ], ids=["tag-input", "tag-concat", "tag-hostgate", "tag-past-ops", "tag-ff",
+            "value-len-1", "value-len-29", "value-len-255", "value-len-2^24",
+            "gate-len-1", "gate-len-29", "gate-len-255", "gate-len-2^24"])
+    def test_filler_mutation(self, offset, value, outcome):
+        blob, regions = self.regions()
+        at = regions["filler-run"][0] + 3 * 29 + offset
+        mutated = bytes(blob[:at]) + bytes([value]) + blob[at + 1:]
+        if isinstance(outcome, str):
+            got = program_from_bytes(mutated)
+            assert got.nodes[got.size - self.FILL + 3] == Node(outcome)
+            # the encoding is canonical, so this pins the whole program
+            assert program_to_bytes(got) == mutated
+        else:
+            with pytest.raises(outcome) as e:
+                program_from_bytes(mutated)
+            assert type(e.value) is outcome
+
+    def test_live_empty_const_round_trips(self):
+        b = ProgramBuilder(1)
+        empty = b.const(b"")
+        p = pad(b.build([b.concat(b.input(0), empty)]), 9)
+        blob = program_to_bytes(p)
+        again = program_from_bytes(blob)
+        assert again == p
+        assert program_to_bytes(again) == blob
+        assert evaluate(again, [b"q"]) == [b"q"]
+
+    def test_inlined_filler_round_trips(self):
+        b = ProgramBuilder(2)
+        (inner,) = b.inline(pad(identity_program(), 5), [b.input(0)])
+        p = pad(b.build([b.xor(inner, b.input(1))]), 12)
+        # the inlined fillers sit between live nodes
+        assert p.nodes[1:5] == (Node("CONST"),) * 4 and p.nodes[6].op == "XOR"
+        blob = program_to_bytes(p)
+        again = program_from_bytes(blob)
+        assert again == p
+        assert program_to_bytes(again) == blob
+        assert evaluate(again, [b"\x0f", b"\xf0"]) == [b"\xff"]

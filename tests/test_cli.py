@@ -367,6 +367,82 @@ class TestAbeCommands:
                      "--ct", str(ct)]) == 1
 
 
+def keys_fields(build):
+    """Rebuild the `abe.keys` envelope from its three fields."""
+    def corrupt(good: bytes) -> bytes:
+        sealed_seed, attr_len, mpk = unpack_fields(open_envelope(good, "abe.keys")[1], 3)
+        return build(sealed_seed, attr_len, mpk)
+    return corrupt
+
+
+def keys_with(sealed_seed=None, attr_len=None, mpk=None, extra=()):
+    return keys_fields(lambda s, a, m: envelope("abe.keys", pack_fields(
+        s if sealed_seed is None else sealed_seed(s), a if attr_len is None else attr_len,
+        m if mpk is None else mpk, *extra)))
+
+
+def flip_byte(blob: bytes) -> bytes:
+    return blob[:20] + bytes([blob[20] ^ 1]) + blob[21:]
+
+
+# the `--keys` file that `abe dec` and `pe dec` are given, and how each ends:
+# dec reads and checks the file's fields but uses none of them
+BAD_DEC_KEYS = {
+    "missing-file": (None, "FileNotFoundError"),
+    "bad-magic": (lambda good: b"XXXX" + good[4:], "BadMagic"),
+    "bad-digest": (lambda good: good[:-1] + bytes([good[-1] ^ 1]), "BadDigest"),
+    "wrong-tag": (keys_fields(lambda *f: envelope("cprf.keys", pack_fields(*f))),
+                  "VersionMismatch"),
+    "two-fields": (keys_fields(lambda s, a, m: envelope("abe.keys", pack_fields(s, a))),
+                   "MalformedCiphertext"),
+    "four-fields": (keys_with(extra=(b"",)), "MalformedCiphertext"),
+    "attr-len-empty": (keys_with(attr_len=b""), "MalformedCiphertext"),
+    "attr-len-two-bytes": (keys_with(attr_len=b"\x00\x04"), "MalformedCiphertext"),
+    "attr-len-11": (keys_with(attr_len=b"\x0b"), "WidthMismatch"),
+    "attr-len-255": (keys_with(attr_len=b"\xff"), "WidthMismatch"),
+    "seal-tampered": (keys_with(sealed_seed=flip_byte), "MalformedCiphertext"),
+    "seal-short": (keys_with(sealed_seed=lambda s: s[:31]), "MalformedCiphertext"),
+    "seal-tampered-attr-len-11": (keys_with(sealed_seed=flip_byte, attr_len=b"\x0b"),
+                                  "MalformedCiphertext"),
+    "attr-len-0": (keys_with(attr_len=b"\x00"), None),
+    "attr-len-10": (keys_with(attr_len=b"\x0a"), None),
+    "empty-seed": (keys_with(sealed_seed=lambda s: seal(b"", b"cli-abe")), None),
+    "mpk-garbage": (keys_with(mpk=b"garbage"), None),
+}
+
+
+@pytest.fixture(scope="module")
+def abe_artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("abe")
+    paths = {name: d / f"{name}.bin" for name in ("keys", "sk", "ct", "pct")}
+    for argv, ct in ((*ABE_SETUP, ABE_ENC), "ct"), ((PE_ENC,), "pct"):
+        for args in argv:
+            assert main([a.format(keys=paths["keys"], sk=paths["sk"], ct=paths[ct])
+                         for a in args]) == 0
+    return paths
+
+
+class TestDecKeys:
+    @pytest.mark.parametrize("cmd", ["abe", "pe"])
+    @pytest.mark.parametrize("case", list(BAD_DEC_KEYS))
+    def test_dec_keys_file(self, tmp, capsys, abe_artifacts, cmd, case):
+        corrupt, error = BAD_DEC_KEYS[case]
+        keys = tmp / "keys.bin"
+        if corrupt is not None:
+            keys.write_bytes(corrupt(abe_artifacts["keys"].read_bytes()))
+        ct = abe_artifacts["ct" if cmd == "abe" else "pct"]
+        capsys.readouterr()
+        rc = main([cmd, "dec", "--keys", str(keys), "--sk", str(abe_artifacts["sk"]),
+                   "--ct", str(ct)])
+        captured = capsys.readouterr()
+        line = json.loads(captured.out.strip().splitlines()[-1])
+        assert "Traceback" not in captured.out + captured.err
+        if error is None:
+            assert (rc, line["m"]) == (0, "2a")
+        else:
+            assert (rc, line["error"]) == (1, error)
+
+
 class TestCprfCommands:
     def test_commands_build_no_hybrid_family(self, tmp, capsys, monkeypatch):
         """Pad budgets are memoized per shape: once they are known, no command
