@@ -257,12 +257,15 @@ def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
         raise MalformedCircuit("program too deep to evaluate") from e
 
 
+# the dead node `pad` appends, one shared instance for every slot
+_FILLER = Node("CONST")
+
+
 def pad(p: Program, target: int) -> Program:
     """Append dead constant nodes until the node count reaches `target`."""
     if target < p.size:
         raise TargetTooSmall(f"target {target} below program size {p.size}")
-    filler = tuple(Node("CONST", value=b"") for _ in range(target - p.size))
-    return Program(p.nodes + filler, p.outputs, p.input_arity)
+    return Program(p.nodes + (_FILLER,) * (target - p.size), p.outputs, p.input_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +408,6 @@ class ExhaustiveDomain:
             total *= 1 << w
         if total > 1 << 16:
             raise MalformedCircuit("exhaustive domain larger than 2^16")
-        idx = [0] * len(self.widths_bits)
         for v in range(total):
             point = []
             rest = v
@@ -461,23 +463,36 @@ _OP_TAGS = {op: i for i, op in enumerate(OPS)}
 _TAG_OPS = {i: op for op, i in _OP_TAGS.items()}
 
 
+def _pack_node(out: bytearray, node: Node) -> bytearray:
+    out += bytes([_OP_TAGS[node.op]])
+    out += pack_u32(len(node.args))
+    for a in node.args:
+        out += pack_u32(a)
+    out += pack_bytes(node.value)
+    out += pack_u32(node.slot)
+    out += pack_u32(node.lo)
+    out += pack_u32(node.hi)
+    out += pack_bytes(node.gate.encode())
+    out += pack_u32(len(node.consts))
+    for c in node.consts:
+        out += pack_bytes(c)
+    return out
+
+
+# 29 zero bytes: tag 0 (CONST), then zero arg count, value length, slot, lo,
+# hi, gate-name length and const count
+_FILLER_BYTES = bytes(_pack_node(bytearray(), _FILLER))
+
+
 def program_to_bytes(p: Program) -> bytes:
     out = bytearray(b"\x01")  # format version
     out += pack_u32(p.input_arity)
     out += pack_u32(len(p.nodes))
     for node in p.nodes:
-        out += bytes([_OP_TAGS[node.op]])
-        out += pack_u32(len(node.args))
-        for a in node.args:
-            out += pack_u32(a)
-        out += pack_bytes(node.value)
-        out += pack_u32(node.slot)
-        out += pack_u32(node.lo)
-        out += pack_u32(node.hi)
-        out += pack_bytes(node.gate.encode())
-        out += pack_u32(len(node.consts))
-        for c in node.consts:
-            out += pack_bytes(c)
+        if node is _FILLER:
+            out += _FILLER_BYTES
+        else:
+            _pack_node(out, node)
     out += pack_u32(len(p.outputs))
     for o in p.outputs:
         out += pack_u32(o)
@@ -493,6 +508,9 @@ def program_from_bytes(blob: bytes) -> Program:
     # one try around the loop keeps the per-node path free of extra calls
     try:
         for i in range(r.u32()):
+            if r.skip(_FILLER_BYTES):
+                nodes.append(_FILLER)
+                continue
             op = _TAG_OPS[r.take(1)[0]]
             args = tuple(r.u32() for _ in range(r.u32()))
             # validate's rule: an argument before its node, so no cycles

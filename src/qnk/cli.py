@@ -260,9 +260,16 @@ def cmd_zapr(args) -> int:
 # abe / cprf / pe
 
 
-def _abe_keys(args) -> ed.AbeKeys:
+def _abe_seed(args) -> tuple[int, bytes]:
+    """The `--keys` file's attribute length and seed, checked as `abe_gen`
+    would check them but without building the keys (`dec` uses neither)."""
     sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
-    return ed.abe_gen(fixed(al, 1)[0], unseal(sealed_seed))
+    attr_len, seed = fixed(al, 1)[0], unseal(sealed_seed)
+    return ed.check_attr_len(attr_len), seed
+
+
+def _abe_keys(args) -> ed.AbeKeys:
+    return ed.abe_gen(*_abe_seed(args))
 
 
 def _policy_circuit(args):
@@ -277,13 +284,13 @@ def cmd_abe(args) -> int:
         keys = ed.abe_gen(args.attr_len, seed)
         return _saved(args, "abe.keys", pack_fields(seal(seed, b"cli-abe"),
                                                     bytes([args.attr_len]), keys.mpk.to_bytes()))
-    keys = _abe_keys(args)
     if args.action == "keygen":
-        return _saved(args, "abe.sk", ed.abe_keygen(keys, args.attr).to_bytes())
+        return _saved(args, "abe.sk", ed.abe_keygen(_abe_keys(args), args.attr).to_bytes())
     if args.action == "enc":
-        ct = ed.abe_enc_circuit(keys, _policy_circuit(args), args.m,
+        ct = ed.abe_enc_circuit(_abe_keys(args), _policy_circuit(args), args.m,
                                 Drbg(args.seed).child("enc").bytes(16))
         return _saved(args, "abe.ct", ct.to_bytes())
+    _abe_seed(args)
     sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
     ct = ed.AbeCiphertext.from_bytes(_load(args.ct, "abe.ct"))
     return _value("m", ed.abe_dec(sk, ct, Drbg(args.seed)))
@@ -304,10 +311,11 @@ def cmd_cprf(args) -> int:
 
 
 def cmd_pe(args) -> int:
-    keys = _abe_keys(args)
     if args.action == "enc":
-        ct = ed.pe_enc(keys, _policy_circuit(args), args.m, Drbg(args.seed).child("pe").bytes(16))
+        ct = ed.pe_enc(_abe_keys(args), _policy_circuit(args), args.m,
+                       Drbg(args.seed).child("pe").bytes(16))
         return _saved(args, "pe.ct", ct.to_bytes())
+    _abe_seed(args)
     sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
     return _value("m", ed.pe_dec(sk, ed.PeCiphertext.from_bytes(_load(args.ct, "pe.ct"))))
 

@@ -48,6 +48,12 @@ from .wire import Reader, fixed, pack_fields, unpack_fields
 MAX_ATTR_BITS = 10
 
 
+def check_attr_len(attr_len: int) -> int:
+    if attr_len > MAX_ATTR_BITS:
+        raise WidthMismatch(f"attribute length {attr_len} exceeds {MAX_ATTR_BITS}")
+    return attr_len
+
+
 def attr_wire(x, attr_len: int) -> bytes:
     """Attribute as a 2-byte wire (low attr_len bits significant)."""
     if isinstance(x, bytes):
@@ -131,8 +137,7 @@ def _build_keycheck_program(k: PrfKey, attr_len: int) -> Program:
 
 
 def abe_gen(attr_len: int, seed) -> AbeKeys:
-    if attr_len > MAX_ATTR_BITS:
-        raise WidthMismatch(f"attribute length {attr_len} exceeds {MAX_ATTR_BITS}")
+    check_attr_len(attr_len)
     k = prf_gen(Drbg(seed).child("abe-gen").child("k"), 16)
     budget = _keycheck_budget(attr_len)
     return AbeKeys(msk=k, mpk=obf_io(_build_keycheck_program(k, attr_len), budget),

@@ -16,6 +16,7 @@ seed. QFHE payloads use the same construction under their own wrap key.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from .errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
 from .primitives import _xor, prg
@@ -25,6 +26,8 @@ MAGIC = b"QNK1"
 VERSION = 1
 
 _SEAL_KEY = hashlib.sha256(b"qnk-seal-v1").digest()[:16]
+
+_U32 = struct.Struct(">I")
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +59,26 @@ class Reader:
         return out
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+        try:
+            (v,) = _U32.unpack_from(self.data, self.pos)
+        except struct.error:  # fewer than 4 bytes left
+            raise MalformedCiphertext("truncated encoding") from None
+        self.pos += 4
+        return v
 
     def field(self) -> bytes:
-        return self.take(self.u32())
+        end = self.u32() + self.pos
+        if end > len(self.data):
+            raise MalformedCiphertext("truncated encoding")
+        start, self.pos = self.pos, end
+        return self.data[start:end]
+
+    def skip(self, expect: bytes) -> bool:
+        """Consume `expect` if the data continues with it."""
+        if self.data.startswith(expect, self.pos):
+            self.pos += len(expect)
+            return True
+        return False
 
     def done(self) -> bool:
         return self.pos == len(self.data)

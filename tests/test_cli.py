@@ -442,6 +442,18 @@ class TestDecKeys:
         else:
             assert (rc, line["error"]) == (1, error)
 
+    @pytest.mark.parametrize("cmd", ["abe", "pe"])
+    def test_dec_builds_no_keys(self, capsys, monkeypatch, abe_artifacts, cmd):
+        def refuse(*args, **kw):
+            raise AssertionError("built on the dec path")
+
+        for name in ("abe_gen", "obf_io", "_keycheck_budget"):
+            monkeypatch.setattr(ed, name, refuse)
+        ct = abe_artifacts["ct" if cmd == "abe" else "pct"]
+        assert main([cmd, "dec", "--keys", str(abe_artifacts["keys"]),
+                     "--sk", str(abe_artifacts["sk"]), "--ct", str(ct)]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["m"] == "2a"
+
 
 class TestCprfCommands:
     def test_commands_build_no_hybrid_family(self, tmp, capsys, monkeypatch):
