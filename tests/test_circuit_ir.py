@@ -320,6 +320,13 @@ class TestPaddedProgramCodec:
         assert blob[lo:hi] == bytes(29 * self.FILL)
         assert program_from_bytes(blob) == self.program()
 
+    def test_padding_shares_one_node(self):
+        # the codec's fast path keys on that one instance
+        padded = self.program()
+        decoded = program_from_bytes(program_to_bytes(padded))
+        fill = padded.nodes[-self.FILL:] + decoded.nodes[-self.FILL:]
+        assert all(node is fill[0] for node in fill)
+
     @pytest.mark.parametrize("region", ["header", "live-node", "filler-run", "output-list"])
     def test_every_prefix_is_truncated(self, region):
         blob, regions = self.regions()
