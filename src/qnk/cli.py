@@ -78,7 +78,13 @@ def _store(path: str, tag: str, payload: bytes) -> None:
     Path(path).write_bytes(envelope(tag, payload))
 
 
-def _load(path: str, tag: str) -> bytes:
+def _load(args, flag: str, tag: str) -> bytes:
+    """The payload of the `tag` artifact named by `--flag`; leaving the flag
+    out is a usage error (exit 2), like any other argparse error."""
+    path = getattr(args, flag)
+    if path is None:
+        _parser().error(f"{args.command} {args.action}: the following arguments are required: "
+                        f"--{flag}")
     return open_envelope(Path(path).read_bytes(), tag)[1]
 
 
@@ -137,7 +143,7 @@ def cmd_cvqc(args) -> int:
         mode = ({"proto": args.proto.lower()} if args.action == "keygen"
                 else {"mode": args.action})
         return _saved(args, "cvqc.setup", _pack_setup(setup), **mode)
-    setup = _unpack_setup(_load(args.setup, "cvqc.setup"))
+    setup = _unpack_setup(_load(args, "setup", "cvqc.setup"))
     if args.action == "prove":
         try:
             proof = cvqc.star_prove(setup.pp, _witness(args), setup.oracle, Drbg(args.seed))
@@ -146,7 +152,7 @@ def cmd_cvqc(args) -> int:
             return 1
         return _saved(args, "cvqc.proof",
                       pack_fields(setup.pp.proto.encode(), proof.encode(setup.pp.proto)))
-    proto_b, blob = unpack_fields(_load(args.proof, "cvqc.proof"), 2)
+    proto_b, blob = unpack_fields(_load(args, "proof", "cvqc.proof"), 2)
     proto = utf8(proto_b)
     proof = cvqc.CvqcProof.decode(proto, blob)
     if setup.td is not None and setup.r is None:
@@ -182,7 +188,7 @@ def cmd_nio(args) -> int:
         obf = nullio.nio_obf(_claim(args), args.seed, args.proto, _toy_params(args))
         return _saved(args, "nio.obf", obf.to_bytes(), out=args.out,
                       declared_size=obf.sealed_C.declared_size)
-    obf = nullio.ObfuscatedNullCircuit.from_bytes(_load(args.obf, "nio.obf"))
+    obf = nullio.ObfuscatedNullCircuit.from_bytes(_load(args, "obf", "nio.obf"))
     return _verdict("output", nullio.nio_eval(obf, _witness(args), Drbg(args.seed)))
 
 
@@ -193,7 +199,7 @@ def cmd_we(args) -> int:
                for i, m in enumerate(args.m)]
         payload = pack_fields(*(c.to_bytes() for c in cts))
         return _saved(args, "we.ct", pack_fields(bytes([len(cts)]), payload), bits=len(cts))
-    count_b, payload = unpack_fields(_load(args.ct, "we.ct"), 2)
+    count_b, payload = unpack_fields(_load(args, "ct", "we.ct"), 2)
     out_bits = ""
     for i, blob in enumerate(unpack_fields(payload, fixed(count_b, 1)[0])):
         m = nullio.we_dec(lang, args.x, nullio.WeCiphertext.from_bytes(blob),
@@ -218,7 +224,7 @@ def _crs_setup(args, setup) -> int:
 
 
 def _crs(args, setup):
-    lang_name, sealed_seed = unpack_fields(_load(args.crs, f"{args.command}.crs"), 2)
+    lang_name, sealed_seed = unpack_fields(_load(args, "crs", f"{args.command}.crs"), 2)
     return setup(fixture(utf8(lang_name)), unseal(sealed_seed))
 
 
@@ -227,7 +233,7 @@ def cmd_nizk(args) -> int:
         return _crs_setup(args, proofs.nizk_setup)
     crs = _crs(args, proofs.nizk_setup)
     if args.action == "verify":
-        pi = proofs.NizkProof(_load(args.proof, "nizk.proof"))
+        pi = proofs.NizkProof(_load(args, "proof", "nizk.proof"))
         return _verdict("accept", proofs.nizk_verify(crs, pi, args.x))
     if args.action == "sim":
         pi = proofs.nizk_sim(crs, args.x)
@@ -244,7 +250,7 @@ def cmd_zapr(args) -> int:
         return _crs_setup(args, proofs.zapr_setup)
     crs = _crs(args, proofs.zapr_setup)
     if args.action == "verify":
-        zp = proofs.ZaprProof(*unpack_fields(_load(args.proof, "zapr.proof"), 4))
+        zp = proofs.ZaprProof(*unpack_fields(_load(args, "proof", "zapr.proof"), 4))
         return _verdict("accept", proofs.zapr_verify(crs, zp, args.x))
     # the prover consumes two batches of witness copies, one per CRS
     double = _WITNESSES[args.witness](2 * args.copies)
@@ -263,7 +269,7 @@ def cmd_zapr(args) -> int:
 def _abe_seed(args) -> tuple[int, bytes]:
     """The `--keys` file's attribute length and seed, checked as `abe_gen`
     would check them but without building the keys (`dec` uses neither)."""
-    sealed_seed, al, _mpk = unpack_fields(_load(args.keys, "abe.keys"), 3)
+    sealed_seed, al, _mpk = unpack_fields(_load(args, "keys", "abe.keys"), 3)
     attr_len, seed = fixed(al, 1)[0], unseal(sealed_seed)
     return ed.check_attr_len(attr_len), seed
 
@@ -291,8 +297,8 @@ def cmd_abe(args) -> int:
                                 Drbg(args.seed).child("enc").bytes(16))
         return _saved(args, "abe.ct", ct.to_bytes())
     _abe_seed(args)
-    sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
-    ct = ed.AbeCiphertext.from_bytes(_load(args.ct, "abe.ct"))
+    sk = ed.AbeSecretKey.from_bytes(_load(args, "sk", "abe.sk"))
+    ct = ed.AbeCiphertext.from_bytes(_load(args, "ct", "abe.ct"))
     return _value("m", ed.abe_dec(sk, ct, Drbg(args.seed)))
 
 
@@ -301,12 +307,12 @@ def cmd_cprf(args) -> int:
         return _saved(args, "cprf.keys",
                       seal(Drbg(args.seed).child("cprf-cli").bytes(16), b"cli-cprf"))
     # derived on use: eval reads only keys.k, constrain only keys.abe
-    keys = ed.cprf_gen(unseal(_load(args.keys, "cprf.keys")))
+    keys = ed.cprf_gen(unseal(_load(args, "keys", "cprf.keys")))
     if args.action == "eval":
         return _value("y", ed.cprf_eval(keys, args.x))
     if args.action == "constrain":
         return _saved(args, "cprf.ck", ed.cprf_constrain(keys, args.policy_id).to_bytes())
-    kq = ed.AbeSecretKey.from_bytes(_load(args.ck, "cprf.ck"))
+    kq = ed.AbeSecretKey.from_bytes(_load(args, "ck", "cprf.ck"))
     return _value("y", ed.cprf_ceval(keys.pp, kq, args.x, Drbg(args.seed)))
 
 
@@ -316,8 +322,8 @@ def cmd_pe(args) -> int:
                        Drbg(args.seed).child("pe").bytes(16))
         return _saved(args, "pe.ct", ct.to_bytes())
     _abe_seed(args)
-    sk = ed.AbeSecretKey.from_bytes(_load(args.sk, "abe.sk"))
-    return _value("m", ed.pe_dec(sk, ed.PeCiphertext.from_bytes(_load(args.ct, "pe.ct"))))
+    sk = ed.AbeSecretKey.from_bytes(_load(args, "sk", "abe.sk"))
+    return _value("m", ed.pe_dec(sk, ed.PeCiphertext.from_bytes(_load(args, "ct", "pe.ct"))))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +341,7 @@ def cmd_share(args) -> int:
                 (d / f"party{i}.share").write_bytes(
                     envelope("share.party", pack_fields(bytes([i]), r_i, ct.to_bytes())))
         return _saved(args, "share.set", ss.to_bytes(), out=args.out, parties=args.parties)
-    ss = ed.ShareSet.from_bytes(_load(args.shares, "share.set"))
+    ss = ed.ShareSet.from_bytes(_load(args, "shares", "share.set"))
     return _value("secret", ed.ss_rec(ss, args.subset, _witness(args), Drbg(args.seed)))
 
 

@@ -11,6 +11,7 @@ classical throughout.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -72,10 +73,25 @@ def prg(s: bytes, out_len: int) -> bytes:
 
     Injective on seeds except with negligible probability (block 0 alone is a
     PRF image of the seed).
+
+    Each `(s, out_len)` is expanded once per process: `_prg` memoizes the
+    pads, so `unseal` reuses the pad that `seal` expanded from the same nonce.
+    The memo is pure (it holds only values derived from the seed, so it
+    changes no output byte) and bounded to `_prg.cache_info().maxsize` pads
+    of at most 64 KB each. The length is checked here, before the memo, so an
+    error is never memoized.
     """
     if out_len > 2 ** 16:
         raise LengthTooLarge(f"requested {out_len} bytes > 65536")
-    return _hmac(s, *[i.to_bytes(4, "big") for i in range((out_len + 31) // 32)])[:out_len]
+    return _prg(s, out_len)
+
+
+_COUNTERS = tuple(i.to_bytes(4, "big") for i in range(2 ** 16 // 32))
+
+
+@functools.lru_cache(maxsize=16)
+def _prg(s: bytes, out_len: int) -> bytes:
+    return _hmac(s, *_COUNTERS[:(out_len + 31) // 32 if out_len > 0 else 0])[:out_len]
 
 
 def owf(x: bytes) -> bytes:

@@ -556,6 +556,28 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "invalid choice" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["abe", "keygen"], "--keys"),
+        (["abe", "dec"], "--keys"),
+        (["pe", "dec"], "--keys"),
+        (["cprf", "eval"], "--keys"),
+        (["nio", "eval"], "--obf"),
+        (["we", "dec", "--lang", "par8", "--x", "07"], "--ct"),
+        (["nizk", "verify", "--lang", "par8", "--x", "07"], "--crs"),
+        (["cvqc", "verify", "--x", "07"], "--setup"),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else v)
+    def test_missing_path_flag_exits_2(self, tmp, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qnk: error: {' '.join(argv[:2])}: the following arguments are required: {flag}" \
+            in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp.iterdir()) == []
+
     def test_selftest_subset(self, capsys):
         assert main(["selftest", "--only", "1,8", "--params", "mini"]) == 0
         out = capsys.readouterr().out

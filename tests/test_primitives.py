@@ -1,11 +1,14 @@
 import hashlib
+import inspect
 import threading
 
 import pytest
 
+from qnk import primitives
 from qnk.errors import (
     DomainMismatch,
     LengthTooLarge,
+    MalformedCiphertext,
     MessageTooLong,
     NotBinding,
     PuncturedPoint,
@@ -35,6 +38,7 @@ from qnk.primitives import (
     _xor,
 )
 from qnk.rand import Drbg
+from qnk.wire import seal, unseal
 
 ZERO_KEY = PrfKey(b"\x00" * 16)
 
@@ -143,6 +147,47 @@ class TestPrg:
     def test_too_large(self):
         with pytest.raises(LengthTooLarge):
             prg(b"\x00" * 16, 2 ** 16 + 1)
+
+    def test_too_large_is_not_memoized(self):
+        primitives._prg.cache_clear()
+        for _ in range(2):
+            with pytest.raises(LengthTooLarge):
+                prg(b"\x03" * 16, 2 ** 16 + 1)
+        assert primitives._prg.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self):
+        for i in range(100):
+            prg(i.to_bytes(16, "big"), 64)
+        info = primitives._prg.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_stays_a_plain_function(self):
+        # the layer tracer wraps plain functions only and counts prg_bytes through prg
+        assert inspect.isfunction(primitives.prg)
+
+
+class TestSealMemo:
+    """`unseal` derives its pad seed from the nonce that `seal` used, so it
+    reuses the memoized pad; the tag is still checked on every unseal."""
+
+    DATA = bytes(range(256)) * 20
+
+    def test_unseal_after_seal_adds_no_miss(self):
+        primitives._prg.cache_clear()
+        blob = seal(self.DATA, b"memo")
+        misses = primitives._prg.cache_info().misses
+        assert unseal(blob) == self.DATA
+        assert unseal(blob) == self.DATA
+        assert primitives._prg.cache_info().misses == misses
+
+    @pytest.mark.parametrize("at", [0, 15, 16, 16 + 2560, -17, -1],
+                             ids=["nonce-first", "nonce-last", "body-first", "body-middle",
+                                  "body-last", "tag-last"])
+    def test_tampered_blob_rejected_right_after_seal(self, at):
+        blob = bytearray(seal(self.DATA, b"tamper"))
+        blob[at] ^= 0x01
+        with pytest.raises(MalformedCiphertext):
+            unseal(bytes(blob))
 
 
 class TestOwf:

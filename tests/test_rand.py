@@ -3,7 +3,9 @@
 Every stream in the toolkit is HMAC-SHA256 output, so these pin the bytes of
 `rand._hmac`, `Drbg` and `primitives.prg` to the RFC 2104 construction as
 Python's `hmac` module computes it, whatever `rand` does internally. The
-memo of keyed states (`rand._keyed`) must stay bounded and safe to share.
+memos of keyed states (`rand._keyed`) and of PRG pads (`primitives._prg`)
+must stay bounded and safe to share, and a memo hit must return the bytes of
+a miss.
 """
 import hashlib
 import hmac
@@ -12,6 +14,7 @@ import threading
 
 import pytest
 
+from qnk import primitives
 from qnk.primitives import prg
 from qnk.rand import Drbg, _hmac, _keyed
 
@@ -104,6 +107,21 @@ def test_child_independent_of_parent_draws():
 def test_prg_matches_reference(n, seed_len):
     s = pattern(seed_len, n % 256)
     assert prg(s, n) == ref_prg(s, n)
+
+
+@pytest.mark.parametrize("n", (2 ** 16 - 33, 2 ** 16 - 32, 2 ** 16 - 1, 2 ** 16))
+def test_prg_matches_reference_at_the_counter_table_end(n):
+    s = pattern(16, n % 256)
+    primitives._prg.cache_clear()
+    assert prg(s, n) == ref_prg(s, n)
+    assert primitives._prg.cache_info().misses == 1
+    assert prg(s, n) == ref_prg(s, n)
+    assert primitives._prg.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("n", (-100, -33, -32, -1))
+def test_prg_of_a_negative_length_is_empty(n):
+    assert prg(b"s" * 16, n) == ref_prg(b"s" * 16, n) == b""
 
 
 def test_hmac_of_several_messages_is_the_concatenation():
