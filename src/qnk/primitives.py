@@ -91,7 +91,7 @@ _COUNTERS = tuple(i.to_bytes(4, "big") for i in range(2 ** 16 // 32))
 
 @functools.lru_cache(maxsize=16)
 def _prg(s: bytes, out_len: int) -> bytes:
-    return _hmac(s, *_COUNTERS[:(out_len + 31) // 32 if out_len > 0 else 0])[:out_len]
+    return _hmac(s, *_COUNTERS[:max(0, (out_len + 31) // 32)])[:out_len]
 
 
 def owf(x: bytes) -> bytes:
