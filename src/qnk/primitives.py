@@ -86,12 +86,9 @@ def prg(s: bytes, out_len: int) -> bytes:
     return _prg(s, out_len)
 
 
-_COUNTERS = tuple(i.to_bytes(4, "big") for i in range(2 ** 16 // 32))
-
-
 @functools.lru_cache(maxsize=16)
 def _prg(s: bytes, out_len: int) -> bytes:
-    return _hmac(s, *_COUNTERS[:max(0, (out_len + 31) // 32)])[:out_len]
+    return _hmac(s, *[i.to_bytes(4, "big") for i in range((out_len + 31) // 32)])[:out_len]
 
 
 def owf(x: bytes) -> bytes:

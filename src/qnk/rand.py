@@ -32,25 +32,15 @@ def _keyed(key: bytes) -> tuple:
 
 def _hmac(key: bytes, *msgs: bytes) -> bytes:
     """HMAC-SHA256(key, msg) of each message, concatenated; the key's states
-    are looked up once per call, through the pure, bounded `_keyed` memo.
-    Several messages (a counter-mode pad) take a loop with its methods bound
-    once; one message takes a path with no loop at all."""
+    are looked up once per call, through the pure, bounded `_keyed` memo."""
     inner, outer = _keyed(key)
-    if len(msgs) == 1:
+    out = []
+    for msg in msgs:
         h = inner.copy()
-        h.update(msgs[0])
+        h.update(msg)
         o = outer.copy()
         o.update(h.digest())
-        return o.digest()
-    icopy, ocopy = inner.copy, outer.copy
-    out = []
-    append = out.append
-    for msg in msgs:
-        h = icopy()
-        h.update(msg)
-        o = ocopy()
-        o.update(h.digest())
-        append(o.digest())
+        out.append(o.digest())
     return b"".join(out)
 
 
