@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass, field
 
 from .circuit_ir import SealedProgram
-from .cvqc import PROTO_TOY, encode_base_proof, stats_encode
+from .cvqc import PROTO_TOY, CvqcProof, encode_base_proof, stats_encode
 from .errors import NoAcceptingProof, RankDeficient
-from .primitives import KEY_LEN
+from .primitives import KEY_LEN, ro_query
 from .rand import Drbg
 
 DEFAULT_STATS_THRESHOLD = 0.25
@@ -48,46 +48,34 @@ class AttackTranscript:
         }, indent=2)
 
 
-def toy_verdict(sealed: SealedProgram):
-    """Plain-pairs verdict adapter for the standard/linear verifier surface."""
+def _verdict(sealed: SealedProgram, encode):
+    """Verdict adapter: encode the query, run the sealed surface, map its
+    output to 0/1 and record the pair in the transcript, if one is given."""
 
-    def f(pi, transcript: AttackTranscript | None = None) -> int:
-        enc = encode_base_proof(PROTO_TOY, pi)
+    def f(query, transcript: AttackTranscript | None = None) -> int:
+        enc = encode(query)
         v = 1 if sealed.run(enc) == b"\x01" else 0
         if transcript is not None:
             transcript.record(enc, v)
         return v
 
     return f
+
+
+def toy_verdict(sealed: SealedProgram):
+    """Plain-pairs verdict adapter for the standard/linear verifier surface."""
+    return _verdict(sealed, lambda pi: encode_base_proof(PROTO_TOY, pi))
 
 
 def stats_verdict(sealed: SealedProgram):
-    def f(salted, transcript: AttackTranscript | None = None) -> int:
-        salt, pi = salted
-        enc = stats_encode(salt, pi)
-        v = 1 if sealed.run(enc) == b"\x01" else 0
-        if transcript is not None:
-            transcript.record(enc, v)
-        return v
-
-    return f
+    return _verdict(sealed, lambda salted: stats_encode(*salted))
 
 
 def star_verdict(sealed: SealedProgram, oracle):
     """Dual-mode surface adapter: hash the base proof through the public
     oracle and submit the consistent (pi, h) pair."""
-    from .cvqc import CvqcProof
-    from .primitives import ro_query
-
-    def f(pi, transcript: AttackTranscript | None = None) -> int:
-        h = ro_query(oracle, encode_base_proof(PROTO_TOY, pi))
-        enc = CvqcProof(pi, h).encode(PROTO_TOY)
-        v = 1 if sealed.run(enc) == b"\x01" else 0
-        if transcript is not None:
-            transcript.record(enc, v)
-        return v
-
-    return f
+    return _verdict(sealed, lambda pi: CvqcProof(
+        pi, ro_query(oracle, encode_base_proof(PROTO_TOY, pi))).encode(PROTO_TOY))
 
 
 def _as_verdict(verifier, adapter):

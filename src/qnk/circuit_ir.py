@@ -167,17 +167,14 @@ def punctured_key_to_bytes(kz) -> bytes:
 
 
 def punctured_key_from_bytes(blob: bytes):
+    """Inverse of `punctured_key_to_bytes`; a short or overlong blob raises
+    MalformedCiphertext."""
     from .primitives import KEY_LEN, PuncturedKey
-    domain = blob[0]
-    point = int.from_bytes(blob[1:5], "big")
-    count = blob[5]
-    path = []
-    pos = 6
-    for _ in range(count):
-        level = blob[pos]
-        path.append((level, blob[pos + 1:pos + 1 + KEY_LEN]))
-        pos += 1 + KEY_LEN
-    return PuncturedKey(tuple(path), point, domain)
+    r = Reader(blob)
+    domain, point = r.take(1)[0], int.from_bytes(r.take(4), "big")
+    path = tuple((r.take(1)[0], r.take(KEY_LEN)) for _ in range(r.take(1)[0]))
+    r.end()
+    return PuncturedKey(path, point, domain)
 
 
 # ---------------------------------------------------------------------------

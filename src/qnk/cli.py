@@ -7,7 +7,8 @@ payload, digest) and every command is a pure function of its flags: a fixed
 
 Exit codes: 0 success; 1 protocol-level failure (rejection / bottom), or a
 malformed, missing or unwritable artifact, reported as a JSON error line;
-2 usage errors, including a malformed flag value.
+2 usage errors: a malformed flag value, a missing action or path flag, or a
+flag the action does not read.
 """
 from __future__ import annotations
 
@@ -79,13 +80,8 @@ def _store(path: str, tag: str, payload: bytes) -> None:
 
 
 def _load(args, flag: str, tag: str) -> bytes:
-    """The payload of the `tag` artifact named by `--flag`; leaving the flag
-    out is a usage error (exit 2), like any other argparse error."""
-    path = getattr(args, flag)
-    if path is None:
-        _parser().error(f"{args.command} {args.action}: the following arguments are required: "
-                        f"--{flag}")
-    return open_envelope(Path(path).read_bytes(), tag)[1]
+    """The payload of the `tag` artifact named by the (required) `--flag`."""
+    return open_envelope(Path(getattr(args, flag)).read_bytes(), tag)[1]
 
 
 def _say(**kv) -> None:
@@ -398,71 +394,70 @@ def cmd_selftest(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The whole flag grammar, built on first use and kept for the process."""
-    def flags(*parents) -> argparse.ArgumentParser:
-        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+    """The whole flag grammar, built on first use and kept for the process:
+    each (command, action) takes exactly the flags its handler reads."""
+    def flag(name, **kw) -> argparse.ArgumentParser:
+        f = argparse.ArgumentParser(add_help=False)
+        f.add_argument(name, **kw)
+        return f
 
-    common = flags()
-    common.add_argument("--seed", type=count, default=0)
-    common.add_argument("--lang", choices=sorted(FIXTURES), default="par8")
-    common.add_argument("--params", choices=["mini", "default"], default="default")
-    common.add_argument("--witness", choices=sorted(_WITNESSES), default="none")
-    common.add_argument("--copies", type=int, default=5)
-    hex_x = flags()
-    hex_x.add_argument("--x", type=bytes.fromhex, default="07", help="statement bytes, hex")
-    proto_flag = flags()
-    proto_flag.add_argument("--proto", type=protocol, default="oracle", metavar="{oracle,toy}")
-    policy_id = flags()
-    policy_id.add_argument("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
-    abe_io = flags(policy_id)
-    abe_io.add_argument("--policy-file")
-    abe_io.add_argument("--m", type=bytes.fromhex, default="01", help="message bytes, hex")
-    for name in ("--keys", "--sk", "--ct"):
-        abe_io.add_argument(name)
+    def out(default) -> argparse.ArgumentParser:
+        return flag("--out", default=default)
+
+    seed = flag("--seed", type=count, default=0)
+    lang = flag("--lang", choices=sorted(FIXTURES), default="par8")
+    params = flag("--params", choices=["mini", "default"], default="default")
+    hex_x = flag("--x", type=bytes.fromhex, default="07", help="statement bytes, hex")
+    prover = (flag("--witness", choices=sorted(_WITNESSES), default="none"),
+              flag("--copies", type=int, default=5), seed)
+    gen = (lang, hex_x, flag("--proto", type=protocol, default="oracle",
+                             metavar="{oracle,toy}"), params, seed)
+    keys, sk, ct, crs, proof = (flag(name, required=True)
+                                for name in ("--keys", "--sk", "--ct", "--crs", "--proof"))
+    policy_id = flag("--policy-id", type=int, default=1, choices=sorted(ed.POLICY_FAMILY))
+    enc = (keys, policy_id, flag("--policy-file"),
+           flag("--m", type=bytes.fromhex, default="01", help="message bytes, hex"), seed)
 
     p = argparse.ArgumentParser(prog="qnk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, actions, *parents, out=None) -> argparse.ArgumentParser:
-        c = sub.add_parser(name, parents=[common, *parents])
-        c.add_argument("action", choices=actions)
-        if out:
-            c.add_argument("--out", default=out)
-        return c
+    def command(name, **actions) -> None:
+        acts = sub.add_parser(name).add_subparsers(dest="action", required=True)
+        for action, parents in actions.items():
+            acts.add_parser(action, parents=list(parents))
 
-    c = command("cvqc", ["keygen", "prove", "verify", "tdgen", "simgen"], proto_flag, hex_x,
-                out="cvqc.bin")
-    c.add_argument("--setup")
-    c.add_argument("--proof")
-    command("nio", ["obf", "eval"], proto_flag, hex_x, out="nio.bin").add_argument("--obf")
-    w = command("we", ["enc", "dec"], hex_x, out="we.bin")
-    w.add_argument("--m", type=bit_list, default="1", help="bit string, one ciphertext per bit")
-    w.add_argument("--ct")
-    for name, actions in (("nizk", ["setup", "prove", "verify", "sim"]),
-                          ("zapr", ["setup", "prove", "verify"])):
-        z = command(name, actions, hex_x, out=f"{name}.bin")
-        z.add_argument("--crs")
-        z.add_argument("--proof")
-    a = command("abe", ["gen", "keygen", "enc", "dec"], abe_io, out="abe.bin")
-    a.add_argument("--attr-len", type=count, default=4)
-    a.add_argument("--attr", type=bits, default="0111", help="attribute bits")
-    cp = command("cprf", ["gen", "eval", "constrain", "ceval"], policy_id, out="cprf.bin")
-    cp.add_argument("--x", type=bits, default="00000111", help="input bits")
-    cp.add_argument("--keys")
-    cp.add_argument("--ck")
-    command("pe", ["enc", "dec"], abe_io, out="pe.bin")
-    sh = command("share", ["split", "rec"], out="shares.bin")
-    sh.add_argument("--parties", type=int, default=3)
-    sh.add_argument("--secret", type=int, choices=[0, 1], default=1)
-    sh.add_argument("--subset", type=int_set, default="0,1",
-                    help="comma-separated party indices")
-    sh.add_argument("--shares")
-    sh.add_argument("--split-dir")
-    at = command("attack", ["flip", "stats", "linear"], hex_x)
-    at.add_argument("--samples", type=int, default=50)
-    at.add_argument("--report")
-    st = sub.add_parser("selftest", parents=[common])
-    st.add_argument("--only", type=int_set, help="comma-separated criterion numbers")
+    o, setup = out("cvqc.bin"), flag("--setup", required=True)
+    command("cvqc", keygen=(*gen, o), prove=(setup, *prover, o), verify=(setup, proof),
+            tdgen=(*gen, o), simgen=(*gen, o))
+    command("nio", obf=(*gen, out("nio.bin")), eval=(flag("--obf", required=True), *prover))
+    command("we", enc=(lang, hex_x, flag("--m", type=bit_list, default="1",
+                                         help="bit string, one ciphertext per bit"),
+                       seed, out("we.bin")),
+            dec=(lang, hex_x, ct, *prover))
+    for name in ("nizk", "zapr"):
+        o = out(f"{name}.bin")
+        command(name, setup=(lang, seed, o), prove=(crs, hex_x, *prover, o),
+                verify=(crs, proof, hex_x), **({"sim": (crs, hex_x, o)} if name == "nizk" else {}))
+    o = out("abe.bin")
+    command("abe", gen=(flag("--attr-len", type=count, default=4), seed, o),
+            keygen=(keys, flag("--attr", type=bits, default="0111", help="attribute bits"), o),
+            enc=(*enc, o), dec=(keys, sk, ct, seed))
+    o, cprf_x = out("cprf.bin"), flag("--x", type=bits, default="00000111", help="input bits")
+    command("cprf", gen=(seed, o), eval=(keys, cprf_x), constrain=(keys, policy_id, o),
+            ceval=(keys, flag("--ck", required=True), cprf_x, seed))
+    command("pe", enc=(*enc, out("pe.bin")), dec=(keys, sk, ct))
+    command("share",
+            split=(lang, flag("--parties", type=int, default=3),
+                   flag("--secret", type=int, choices=[0, 1], default=1), seed,
+                   out("shares.bin"), flag("--split-dir")),
+            rec=(flag("--shares", required=True),
+                 flag("--subset", type=int_set, default="0,1",
+                      help="comma-separated party indices"), *prover))
+    attack = (lang, hex_x, params, *prover, flag("--report"))
+    command("attack", flip=attack, stats=(*attack, flag("--samples", type=int, default=50)),
+            linear=attack)
+    sub.add_parser("selftest", parents=[flag("--only", type=int_set,
+                                             help="comma-separated criterion numbers")])
     return p
 
 

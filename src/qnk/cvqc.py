@@ -180,11 +180,6 @@ class CvqcVerifyKey:
                                            tau, w, utf8(variant), subset_key))
 
 
-@dataclass(frozen=True)
-class Trapdoor:
-    td: PrfKey
-
-
 # ---------------------------------------------------------------------------
 # proof encodings (canonical layouts in FORMATS.md)
 

@@ -21,6 +21,8 @@ from qnk.circuit_ir import (
     pad,
     program_from_bytes,
     program_to_bytes,
+    punctured_key_from_bytes,
+    punctured_key_to_bytes,
     unwrap,
     validate,
     wrap_some,
@@ -381,3 +383,40 @@ class TestPaddedProgramCodec:
         assert again == p
         assert program_to_bytes(again) == blob
         assert evaluate(again, [b"\x0f", b"\xf0"]) == [b"\xff"]
+
+
+class TestPuncturedKeyCodec:
+    @staticmethod
+    def key_and_blob():
+        from qnk.primitives import ggm_punct, prf_gen
+        kz = ggm_punct(prf_gen(Drbg(2), 8), 0x10)
+        return kz, punctured_key_to_bytes(kz)
+
+    def test_round_trip(self):
+        from qnk.primitives import ggm_eval_punct
+        kz, blob = self.key_and_blob()
+        again = punctured_key_from_bytes(blob)
+        assert again == kz and punctured_key_to_bytes(again) == blob
+        assert ggm_eval_punct(again, 0x11) == ggm_eval_punct(kz, 0x11)
+
+    def test_trailing_bytes_rejected(self):
+        _, blob = self.key_and_blob()
+        with pytest.raises(MalformedCiphertext):
+            punctured_key_from_bytes(blob + b"junk")
+
+    @pytest.mark.parametrize("cut", [1, 3, 16, 17, 100, 141])
+    def test_truncated_rejected(self, cut):
+        _, blob = self.key_and_blob()
+        assert len(blob) == 142
+        with pytest.raises(MalformedCiphertext):
+            punctured_key_from_bytes(blob[:-cut])
+
+    @pytest.mark.parametrize("mutate", [lambda blob: blob[:-3], lambda blob: blob + b"junk"],
+                             ids=["truncated", "trailing"])
+    def test_sealed_gate_with_malformed_constant(self, mutate):
+        _, blob = self.key_and_blob()
+        b = ProgramBuilder(1)
+        sealed = SealedProgram(b.build([b.host("GGM_EVAL_PUNCT", b.const(mutate(blob)),
+                                                b.input(0))]), "IO")
+        with pytest.raises(MalformedCircuit):
+            sealed.run(b"\x11")

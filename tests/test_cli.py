@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qnk import encdelegate as ed
+from qnk import cli, encdelegate as ed
 from qnk.circuit_ir import Node, Program, SealedProgram
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
@@ -536,6 +536,58 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+# each (command, action) and exactly the flags its handler reads; "*" marks
+# a required flag
+GEN = "--lang --x --proto --params --seed --out"
+ATTACK = "--lang --x --params --witness --copies --seed --report"
+ENC = "--keys* --policy-id --policy-file --m --seed --out"
+CLI_SURFACE = {
+    ("cvqc", "keygen"): GEN, ("cvqc", "tdgen"): GEN, ("cvqc", "simgen"): GEN,
+    ("cvqc", "prove"): "--setup* --witness --copies --seed --out",
+    ("cvqc", "verify"): "--setup* --proof*",
+    ("nio", "obf"): GEN,
+    ("nio", "eval"): "--obf* --witness --copies --seed",
+    ("we", "enc"): "--lang --x --m --seed --out",
+    ("we", "dec"): "--lang --x --ct* --witness --copies --seed",
+    ("nizk", "setup"): "--lang --seed --out", ("zapr", "setup"): "--lang --seed --out",
+    ("nizk", "prove"): "--crs* --x --witness --copies --seed --out",
+    ("zapr", "prove"): "--crs* --x --witness --copies --seed --out",
+    ("nizk", "verify"): "--crs* --proof* --x", ("zapr", "verify"): "--crs* --proof* --x",
+    ("nizk", "sim"): "--crs* --x --out",
+    ("abe", "gen"): "--attr-len --seed --out",
+    ("abe", "keygen"): "--keys* --attr --out",
+    ("abe", "enc"): ENC, ("pe", "enc"): ENC,
+    ("abe", "dec"): "--keys* --sk* --ct* --seed",
+    ("pe", "dec"): "--keys* --sk* --ct*",
+    ("cprf", "gen"): "--seed --out",
+    ("cprf", "eval"): "--keys* --x",
+    ("cprf", "constrain"): "--keys* --policy-id --out",
+    ("cprf", "ceval"): "--keys* --ck* --x --seed",
+    ("share", "split"): "--lang --parties --secret --seed --out --split-dir",
+    ("share", "rec"): "--shares* --subset --witness --copies --seed",
+    ("attack", "flip"): ATTACK, ("attack", "linear"): ATTACK,
+    ("attack", "stats"): ATTACK + " --samples",
+    ("selftest", None): "--only",
+}
+
+
+def _choices(parser) -> dict:
+    """The parsers under `parser`'s subcommand positional, or {}."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def cli_surface() -> set:
+    """(command, action, flag) for every flag the parser accepts, the flag
+    marked "*" when it is required."""
+    triples = set()
+    for command, cp in _choices(cli._parser()).items():
+        for action, ap in (_choices(cp) or {None: cp}).items():
+            triples |= {(command, action, a.option_strings[0] + "*" * a.required)
+                        for a in ap._actions if a.option_strings and a.dest != "help"}
+    return triples
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as e:
@@ -563,8 +615,8 @@ class TestUsage:
         (["cprf", "eval"], "--keys"),
         (["nio", "eval"], "--obf"),
         (["we", "dec", "--lang", "par8", "--x", "07"], "--ct"),
-        (["nizk", "verify", "--lang", "par8", "--x", "07"], "--crs"),
-        (["cvqc", "verify", "--x", "07"], "--setup"),
+        (["nizk", "verify", "--x", "07"], "--crs"),
+        (["cvqc", "verify"], "--setup"),
     ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else v)
     def test_missing_path_flag_exits_2(self, tmp, capsys, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp)
@@ -573,13 +625,41 @@ class TestUsage:
         assert e.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"qnk: error: {' '.join(argv[:2])}: the following arguments are required: {flag}" \
+        assert f"qnk {' '.join(argv[:2])}: error: the following arguments are required: {flag}" \
             in captured.err
         assert "Traceback" not in captured.err
         assert list(tmp.iterdir()) == []
 
+    def test_each_action_takes_only_the_flags_it_reads(self):
+        want = {(c, a, f) for (c, a), flags in CLI_SURFACE.items() for f in flags.split()}
+        assert len(want) == 143
+        assert cli_surface() == want
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--params", "mini"],
+        ["abe", "gen", "--lang", "ghz"],
+        ["cprf", "gen", "--witness", "ghz"],
+        ["nizk", "setup", "--x", "07"],
+        ["we", "enc", "--ct", "x.bin"],
+    ], ids=" ".join)
+    def test_unread_flag_exits_2(self, tmp, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp.iterdir()) == []
+
+    def test_missing_action_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["nizk"])
+        assert e.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_selftest_subset(self, capsys):
-        assert main(["selftest", "--only", "1,8", "--params", "mini"]) == 0
+        assert main(["selftest", "--only", "1,8"]) == 0
         out = capsys.readouterr().out
         assert "PASS criterion 1" in out and "PASS criterion 8" in out
 
@@ -622,7 +702,7 @@ class TestHostileInput:
         (["nio", "eval", "--obf", "{tmp}/missing.bin"], "FileNotFoundError"),
         (["we", "dec", "--ct", "{tmp}/missing.bin"], "FileNotFoundError"),
         (["abe", "keygen", "--keys", "{tmp}/missing.bin"], "FileNotFoundError"),
-        (["nizk", "verify", "--crs", "{tmp}"], "IsADirectoryError"),
+        (["nizk", "verify", "--crs", "{tmp}", "--proof", "{tmp}/missing.bin"], "IsADirectoryError"),
         (["we", "enc", "--out", "{tmp}/no/such/dir/we.bin"], "FileNotFoundError"),
         (["nizk", "setup", "--out", "{tmp}"], "IsADirectoryError"),
     ], ids=["nio-missing-obf", "we-missing-ct", "abe-missing-keys", "nizk-crs-is-dir",
@@ -634,15 +714,8 @@ class TestHostileInput:
         assert (line["status"], line["error"]) == ("error", error)
         assert "Traceback" not in captured.out + captured.err
 
-    def test_parser_built_once(self, tmp, capsys, monkeypatch):
-        builds = []
-        add_subparsers = argparse.ArgumentParser.add_subparsers
-
-        def counting(self, **kw):
-            builds.append(self.prog)
-            return add_subparsers(self, **kw)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    def test_parser_built_once(self, tmp, capsys):
+        cli._parser.cache_clear()
         for run in range(2):
             assert main(["we", "enc", "--m", "", "--out", str(tmp / f"we{run}.bin")]) == 0
-        assert len(builds) <= 1
+        assert cli._parser.cache_info().misses <= 1
