@@ -13,8 +13,9 @@ functional-equivalence checks (equiv_check).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import primitives as pr
 from .errors import MalformedCircuit, TargetTooSmall, UnknownGate
 from .primitives import _xor
 from .rand import Drbg
@@ -127,8 +128,6 @@ def register_gate(name: str, fn) -> None:
 
 
 def _register_base_gates():
-    from . import primitives as pr
-
     def g_prf(key: bytes, x: bytes) -> bytes:
         return pr.prf_eval(pr.PrfKey(key), x)
 
@@ -143,15 +142,11 @@ def _register_base_gates():
     def g_prg(seed: bytes, out_len: bytes) -> bytes:
         return pr.prg(seed, int.from_bytes(out_len, "big"))
 
-    def g_commit(m: bytes, r: bytes) -> bytes:
-        return pr.commit(m, r).payload
-
     register_gate("PRF", g_prf)
     register_gate("GGM_EVAL", g_ggm)
     register_gate("GGM_EVAL_PUNCT", g_ggm_punct)
     register_gate("PRG", g_prg)
     register_gate("OWF", pr.owf)
-    register_gate("COMMIT", g_commit)
 
 
 def ggm_key_blob(k) -> bytes:
@@ -169,38 +164,49 @@ def punctured_key_to_bytes(kz) -> bytes:
 def punctured_key_from_bytes(blob: bytes):
     """Inverse of `punctured_key_to_bytes`; a short or overlong blob raises
     MalformedCiphertext."""
-    from .primitives import KEY_LEN, PuncturedKey
     r = Reader(blob)
     domain, point = r.take(1)[0], int.from_bytes(r.take(4), "big")
-    path = tuple((r.take(1)[0], r.take(KEY_LEN)) for _ in range(r.take(1)[0]))
+    path = tuple((r.take(1)[0], r.take(pr.KEY_LEN)) for _ in range(r.take(1)[0]))
     r.end()
-    return PuncturedKey(path, point, domain)
+    return pr.PuncturedKey(path, point, domain)
 
 
 # ---------------------------------------------------------------------------
 # validation / evaluation / padding
 
 
+def _check_node(i: int, node: Node, input_arity: int) -> None:
+    """The structural rules for node `i`, shared by `validate` and the
+    decoder. Each argument comes before its node, so a program has no cycle."""
+    op = node.op
+    if op not in OPS:
+        raise MalformedCircuit(f"node {i}: unknown op {op!r}")
+    for a in node.args:
+        if not 0 <= a < i:
+            raise MalformedCircuit(f"node {i}: argument {a} not before node")
+    if op in _ARITY and len(node.args) != _ARITY[op]:
+        raise MalformedCircuit(f"node {i}: {op} wants {_ARITY[op]} args")
+    if op == "CONCAT" and not node.args:
+        raise MalformedCircuit(f"node {i}: CONCAT needs at least one argument")
+    if op == "INPUT" and not 0 <= node.slot < input_arity:
+        raise MalformedCircuit(f"node {i}: input slot {node.slot} out of range")
+    if op == "SLICE" and not 0 <= node.lo <= node.hi:
+        raise MalformedCircuit(f"node {i}: bad slice range")
+
+
+def _check_outputs(outputs: tuple[int, ...], size: int) -> None:
+    for o in outputs:
+        if not 0 <= o < size:
+            raise MalformedCircuit(f"output {o} out of range")
+
+
 def validate(p: Program) -> None:
+    """The structural rules, plus every host gate registered."""
     for i, node in enumerate(p.nodes):
-        if node.op not in OPS:
-            raise MalformedCircuit(f"node {i}: unknown op {node.op!r}")
-        for a in node.args:
-            if not 0 <= a < i:
-                raise MalformedCircuit(f"node {i}: argument {a} not before node")
-        if node.op in _ARITY and len(node.args) != _ARITY[node.op]:
-            raise MalformedCircuit(f"node {i}: {node.op} wants {_ARITY[node.op]} args")
-        if node.op == "CONCAT" and not node.args:
-            raise MalformedCircuit(f"node {i}: CONCAT needs at least one argument")
-        if node.op == "INPUT" and not 0 <= node.slot < p.input_arity:
-            raise MalformedCircuit(f"node {i}: input slot {node.slot} out of range")
-        if node.op == "SLICE" and not 0 <= node.lo <= node.hi:
-            raise MalformedCircuit(f"node {i}: bad slice range")
+        _check_node(i, node, p.input_arity)
         if node.op == "HOSTGATE" and node.gate not in DEFAULT_REGISTRY:
             raise UnknownGate(f"node {i}: unregistered host gate {node.gate!r}")
-    for o in p.outputs:
-        if not 0 <= o < len(p.nodes):
-            raise MalformedCircuit(f"output {o} out of range")
+    _check_outputs(p.outputs, p.size)
 
 
 def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
@@ -271,6 +277,7 @@ def pad(p: Program, target: int) -> Program:
 MODE_IO = "IO"
 MODE_VBB = "VBB"
 MODE_LOCK = "LOCK"
+_MODES = {m.encode(): m for m in (MODE_IO, MODE_VBB, MODE_LOCK)}
 
 
 class SealedProgram:
@@ -289,36 +296,24 @@ class SealedProgram:
     def run(self, *inputs: bytes) -> bytes:
         return self.run_all(*inputs)[0]
 
-    __call__ = run
-
     def to_bytes(self) -> bytes:
-        body = pack_fields_mode(self.mode, self.declared_size,
-                                seal(program_to_bytes(self.__program), b"sealed-program"))
-        return body
+        """mode (field) | declared_size (u32) | sealed program (field)"""
+        sealed = seal(program_to_bytes(self.__program), b"sealed-program")
+        return pack_bytes(self.mode.encode()) + pack_u32(self.declared_size) + pack_bytes(sealed)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SealedProgram":
-        mode, declared, sealed_prog = unpack_fields_mode(blob)
-        sp = cls(program_from_bytes(unseal(sealed_prog)), mode)
-        sp.declared_size = declared
-        return sp
-
-
-def pack_fields_mode(mode: str, declared: int, sealed_prog: bytes) -> bytes:
-    return pack_bytes(mode.encode()) + pack_u32(declared) + pack_bytes(sealed_prog)
-
-
-def unpack_fields_mode(blob: bytes):
-    r = Reader(blob)
-    try:
-        mode = r.field().decode()
-    except UnicodeDecodeError as e:
-        raise MalformedCircuit("sealed program mode is not UTF-8") from e
-    declared = r.u32()
-    sealed_prog = r.field()
-    if not r.done():
-        raise MalformedCircuit("trailing bytes after sealed program")
-    return mode, declared, sealed_prog
+        r = Reader(blob)
+        mode, declared, sealed = r.field(), r.u32(), r.field()
+        if not r.done():
+            raise MalformedCircuit("trailing bytes after sealed program")
+        if mode not in _MODES:
+            raise MalformedCircuit(f"unknown sealed program mode {mode!r}")
+        program = program_from_bytes(unseal(sealed))
+        if declared != program.size:
+            raise MalformedCircuit(
+                f"declared size {declared}, program has {program.size} nodes")
+        return cls(program, _MODES[mode])
 
 
 def obf_io(p: Program, target: int) -> SealedProgram:
@@ -437,18 +432,10 @@ class ExplicitDomain:
         yield from self.entries
 
 
-def equiv_check(p1, p2, domain) -> bool:
-    """True iff both programs agree on every tested point. Accepts Programs or
-    SealedPrograms on either side."""
-
-    def runner(p):
-        if isinstance(p, SealedProgram):
-            return p.run_all
-        return lambda *inp: evaluate(p, list(inp))
-
-    r1, r2 = runner(p1), runner(p2)
+def equiv_check(p1: Program, p2: Program, domain) -> bool:
+    """True iff both programs agree on every tested point."""
     for point in domain.points():
-        if r1(*point) != r2(*point):
+        if evaluate(p1, list(point)) != evaluate(p2, list(point)):
             return False
     return True
 
@@ -502,7 +489,7 @@ def program_from_bytes(blob: bytes) -> Program:
         raise MalformedCircuit("unknown program format version")
     input_arity = r.u32()
     nodes = []
-    # one try around the loop keeps the per-node path free of extra calls
+    # one try around the loop, not one per node
     try:
         for i in range(r.u32()):
             if r.skip(_FILLER_BYTES):
@@ -510,23 +497,21 @@ def program_from_bytes(blob: bytes) -> Program:
                 continue
             op = _TAG_OPS[r.take(1)[0]]
             args = tuple(r.u32() for _ in range(r.u32()))
-            # validate's rule: an argument before its node, so no cycles
-            if args and max(args) >= i:
-                raise MalformedCircuit(f"node {i}: argument {max(args)} not before node")
             value = r.field()
             slot = r.u32()
             lo = r.u32()
             hi = r.u32()
             gate = r.field().decode()
             consts = tuple(r.field() for _ in range(r.u32()))
-            nodes.append(Node(op, args, value, slot, lo, hi, gate, consts))
+            node = Node(op, args, value, slot, lo, hi, gate, consts)
+            _check_node(i, node, input_arity)
+            nodes.append(node)
     except KeyError as e:
         raise MalformedCircuit(f"unknown op tag {e.args[0]:#04x}") from e
     except UnicodeDecodeError as e:
         raise MalformedCircuit("host gate name is not UTF-8") from e
     outputs = tuple(r.u32() for _ in range(r.u32()))
-    if outputs and max(outputs) >= len(nodes):
-        raise MalformedCircuit(f"output {max(outputs)} out of range")
+    _check_outputs(outputs, len(nodes))
     if not r.done():
         raise MalformedCircuit("trailing bytes after program")
     return Program(tuple(nodes), outputs, input_arity)

@@ -29,12 +29,13 @@ from .circuit_ir import (
     register_gate,
     unwrap,
 )
-from .errors import MalformedCiphertext, WidthMismatch
-from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bqp, we_enc_bytes
+from .errors import MalformedCiphertext, MalformedCircuit, WidthMismatch
+from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bqp, we_dec_bytes, we_enc_bytes
 from .primitives import KEY_LEN, PrfKey, commit, ggm_eval, ggm_punct, prf_gen, prg
 from .qma import (
     ATTR_WIRE_BYTES,
     POLICY_FAMILY,  # re-exported: the CLI reads ed.POLICY_FAMILY
+    PseudoDetCircuit,
     QmaLanguage,
     QuantumCircuit,
     Witness,
@@ -390,8 +391,6 @@ def qlock_obf(Q, u: bytes, z: bytes, seed) -> QLockObf:
 def qlock_eval(obj: QLockObf, x_bits, drbg: Drbg):
     """Homomorphically run the encrypted circuit on x, then apply the
     compare-and-release layer. Returns payload bytes or None."""
-    from .errors import MalformedCircuit
-    from .qma import PseudoDetCircuit
 
     def universal(desc: bytes) -> bytes:
         try:
@@ -626,7 +625,6 @@ def ss_rec(share_set: ShareSet, subset: set[int], witness: Witness, drbg: Drbg):
         share_set.shares[i][0] if i in subset else bytes(KEY_LEN)
         for i in range(N))
     ct = share_set.shares[next(iter(subset))][1] if subset else share_set.shares[0][1]
-    from .nullio import we_dec_bytes
     out = we_dec_bytes(ct, witness, drbg, classical_witness=cw)
     return None if out is None else out[0]
 

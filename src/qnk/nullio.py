@@ -49,7 +49,7 @@ from .cvqc import (
 )
 from .errors import InsufficientCopies, JudgeReject, KeyMismatch, MalformedCiphertext
 from .primitives import MODE_SIMGEN, PrfKey, RandomOracle, prf_gen
-from .qma import QmaLanguage, Witness
+from .qma import QmaLanguage, Witness, resolve_language
 from .rand import Drbg
 from .wire import fixed, pack_fields, seal, unpack_fields, unseal, utf8
 
@@ -332,7 +332,6 @@ def we_cfg(L: QmaLanguage) -> bytes:
 
 
 def _gate_we_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
-    from .qma import resolve_language
     lang_ref, proto, reps = unpack_fields(cfg, 3)
     ct = we_enc_bytes(resolve_language(lang_ref), x, m, coins,
                       proto=utf8(proto), reps=fixed(reps, 1)[0])

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import MalformedCiphertext, NotMonotone, WidthMismatch
+from .primitives import KEY_LEN, commit
 from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, sample_bit
 from .rand import Drbg
 from .wire import Reader, fixed, pack_fields, unpack_fields, utf8
@@ -242,8 +243,6 @@ def make_share_language(inner: QmaLanguage, commitments: tuple[bytes, ...]) -> Q
     zero-filled when absent); a party's bit is set exactly when its opening
     matches its commitment. The inner language's verifier then runs on that
     subset string with the quantum witness part."""
-    from .primitives import KEY_LEN, commit
-
     N = len(commitments)
 
     def build(x: bytes, cw: bytes = b""):

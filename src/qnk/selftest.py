@@ -5,7 +5,11 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, qsim
 from .circuit_ir import (
@@ -38,16 +42,18 @@ from .cvqc import (
     toy_prove,
 )
 from .errors import NoAcceptingProof, PuncturedPoint
-from .primitives import KEY_LEN, ggm_eval, ggm_eval_punct, ggm_punct, prf_gen, ro_query
+from .primitives import KEY_LEN, ggm_eval, ggm_eval_punct, ggm_punct, prf_gen, prg, ro_query
 from .qma import (
     Witness,
     fixture,
     ghz_witness,
     is_qualified,
+    make_policy_language,
     make_threshold_language,
 )
 from .qsim import QuantumCircuit, StateVector, history_state, propagation_hamiltonian
 from .rand import Drbg
+from .wire import unseal
 
 
 def _mini_proof_space():
@@ -176,7 +182,6 @@ def criterion_5_witness_encryption():
         out = nullio.inject_proof(c_no.inner, enc, drbg.child(enc.hex()))
         if unwrap(out) is not None:
             released += 1
-    from .wire import unseal
     oracle = cvqc.oracle_from_spec(unseal(c_no.inner.oracle_spec_sealed))
     for t in range(2000):
         tag = b"O" + drbg.bytes(16)
@@ -308,7 +313,6 @@ def criterion_7_delegation():
     fam_p = ed.abe_keycheck_hybrids(k, 4, i_star, Drbg(b"acc-hyb"))
     if not equiv_check(fam_p["P"], fam_p["P1"], dom):
         return "delegation", False, "keycheck P->P1 not equivalent"
-    from .qma import make_policy_language
     r = prf_gen(Drbg(b"acc-hyb-r"), 16)
     fam_e = ed.abe_encryptor_hybrids(keys.mpk.to_bytes(), make_policy_language(policy),
                                      b"\x00", b"\x01", r, 4, i_star, Drbg(b"acc-hyb-e"))
@@ -330,7 +334,6 @@ def criterion_7_delegation():
             return "delegation", False, f"hybrid {a}->{b} leaks outside index"
     # P3 -> Pstar differ only on the PRG-range event: scan random images
     drbg = Drbg(b"acc-prg-range")
-    from .primitives import prg
     for t in range(10 ** 4):
         K_img = drbg.bytes(4 * KEY_LEN)
         s = drbg.bytes(KEY_LEN)
@@ -459,11 +462,6 @@ def criterion_10_attacks():
 
 
 def criterion_11_cli_determinism():
-    import subprocess
-    import sys
-    import tempfile
-    from pathlib import Path
-
     commands = {
         "we": ["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "7"],
         "crs": ["nizk", "setup", "--lang", "par8", "--seed", "7"],

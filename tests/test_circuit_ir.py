@@ -17,7 +17,6 @@ from qnk.circuit_ir import (
     lockobf_sim,
     obf_io,
     obf_vbb,
-    pack_fields_mode,
     pad,
     program_from_bytes,
     program_to_bytes,
@@ -284,7 +283,7 @@ class TestProgramDecoding:
 
     def test_sealed_non_utf8_mode(self):
         body = seal(program_to_bytes(identity_program()), b"sealed-program")
-        good = pack_fields_mode("IO", 1, body)
+        good = pack_bytes(b"IO") + pack_u32(1) + pack_bytes(body)
         assert SealedProgram.from_bytes(good).run(b"x") == b"x"
         bad = pack_bytes(b"\xff") + pack_u32(1) + pack_bytes(body)
         with pytest.raises(MalformedCircuit):
@@ -339,7 +338,7 @@ class TestPaddedProgramCodec:
 
     # byte offset within the fourth filler node, new value, the decode's outcome
     @pytest.mark.parametrize("offset, value, outcome", [
-        (0, 0x01, "INPUT"), (0, 0x02, "CONCAT"), (0, 0x07, "HOSTGATE"),
+        (0, 0x01, "INPUT"), (0, 0x02, MalformedCircuit), (0, 0x07, "HOSTGATE"),
         (0, 0x08, MalformedCircuit), (0, 0xFF, MalformedCircuit),
         (8, 0x01, MalformedCiphertext), (8, 0x1D, MalformedCiphertext),
         (8, 0xFF, MalformedCiphertext), (5, 0x01, MalformedCiphertext),

@@ -339,6 +339,45 @@ class TestNizkCommands:
                      "--proof", str(proof)]) == 1
 
 
+def last_json(capsys) -> dict:
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+class TestZaprCommands:
+    def test_setup_prove_verify(self, tmp, capsys):
+        crs, proof = tmp / "crs.bin", tmp / "p.bin"
+        assert main(["zapr", "setup", "--lang", "par8", "--seed", "1",
+                     "--out", str(crs)]) == 0
+        assert main(["zapr", "prove", "--crs", str(crs), "--x", "07", "--seed", "2",
+                     "--out", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["zapr", "verify", "--crs", str(crs), "--x", "07",
+                     "--proof", str(proof)]) == 0
+        assert last_json(capsys) == {"status": "ok", "accept": 1}
+        assert main(["zapr", "verify", "--crs", str(crs), "--x", "0b",
+                     "--proof", str(proof)]) == 1
+        assert last_json(capsys) == {"status": "ok", "accept": 0}
+
+    def test_prove_no_instance_is_bottom(self, tmp, capsys):
+        crs, proof = tmp / "crs.bin", tmp / "p.bin"
+        main(["zapr", "setup", "--lang", "par8", "--seed", "1", "--out", str(crs)])
+        capsys.readouterr()
+        assert main(["zapr", "prove", "--crs", str(crs), "--x", "06", "--seed", "2",
+                     "--out", str(proof)]) == 1
+        assert last_json(capsys)["status"] == "bottom"
+        assert not proof.exists()
+
+
+class TestNioCommands:
+    def test_obf_eval_with_witness(self, tmp, capsys):
+        obf = tmp / "o.bin"
+        assert main(["nio", "obf", "--lang", "ghz", "--seed", "3", "--out", str(obf)]) == 0
+        capsys.readouterr()
+        assert main(["nio", "eval", "--obf", str(obf), "--witness", "ghz",
+                     "--seed", "4"]) == 0
+        assert last_json(capsys) == {"status": "ok", "output": 1}
+
+
 class TestAbeCommands:
     def test_full_flow(self, tmp, capsys):
         keys = tmp / "keys.bin"
@@ -517,6 +556,11 @@ class TestAttackCommands:
         assert data["query_count"] >= 1
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["exact"] is True
+
+    def test_stats(self, capsys):
+        assert main(["attack", "stats", "--lang", "par4", "--x", "07",
+                     "--samples", "8"]) == 0
+        assert last_json(capsys)["exact"] is True
 
     def test_linear(self, capsys):
         assert main(["attack", "linear", "--lang", "par4", "--x", "07",
