@@ -287,8 +287,11 @@ class SealedProgram:
 
     def __init__(self, program: Program, mode: str):
         self.__program = program
-        self.declared_size = program.size
         self.mode = mode
+
+    @property
+    def declared_size(self) -> int:
+        return self.__program.size
 
     def run_all(self, *inputs: bytes) -> list[bytes]:
         return evaluate(self.__program, list(inputs))

@@ -12,12 +12,19 @@ once and draws each outcome from its own child stream.
 Qubit 0 is the most significant index bit. Circuit inputs occupy the LAST
 ``n_input`` qubits; every other qubit (including the output qubit 0) starts
 in |0>.
+
+numpy is imported on the first simulation, not with this module. Most qnk
+actions (key generation, encryption, verification) never simulate, and
+importing numpy is the largest part of a cold CLI process's start-up. So
+`np` starts as a stand-in that imports numpy on its first attribute access
+and rebinds `np` to it; the gate tables `GATES_1Q` and `PAULI` are built at
+that moment, and reading either from outside the module loads numpy too.
+Circuit parsing, formatting and validation use `GATE_ARITY` alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import MalformedCircuit, TooManyQubits, WidthMismatch
 from .rand import Drbg
@@ -25,22 +32,51 @@ from .rand import Drbg
 MAX_QUBITS = 12
 ATOL = 1e-9
 
-_SQ2 = 1.0 / np.sqrt(2.0)
-GATES_1Q = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-}
+_SQ2 = 1.0 / math.sqrt(2.0)
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "S": 1, "T": 1, "CNOT": 2, "CCX": 3}
+_ONE_QUBIT_GATES = frozenset(g for g, k in GATE_ARITY.items() if k == 1)
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+def _load_numpy():
+    """Import numpy, bind it to `np` and build the gate tables from it; once
+    done, later calls return numpy at once."""
+    global np, GATES_1Q, PAULI
+    if not isinstance(np, _NumpyOnFirstUse):
+        return np
+    import numpy
+    np = numpy
+    GATES_1Q = {
+        "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+        "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+    }
+    PAULI = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    return numpy
+
+
+class _NumpyOnFirstUse:
+    """Stand-in for numpy until the first attribute access, which loads it;
+    from then on `np` is numpy itself, so simulation reads plain globals."""
+
+    def __getattr__(self, name: str):
+        return getattr(_load_numpy(), name)
+
+
+np = _NumpyOnFirstUse()
+
+
+def __getattr__(name: str):
+    if name in ("GATES_1Q", "PAULI"):
+        _load_numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +150,7 @@ def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
     if len(set(targets)) != len(targets):
         raise MalformedCircuit(f"gate {name} has duplicate targets {targets}")
     t = state.amps.reshape([2] * n)
-    if name in GATES_1Q:
+    if name in _ONE_QUBIT_GATES:
         (q,) = targets
         t = np.moveaxis(t, q, -1)
         t = t @ GATES_1Q[name].T
@@ -188,10 +224,6 @@ class QuantumCircuit:
             for q in targets:
                 if not 0 <= q < self.n_qubits:
                     raise MalformedCircuit(f"gate {name} targets out-of-range qubit {q}")
-
-    @property
-    def n_ancilla(self) -> int:
-        return self.n_qubits - self.n_input
 
 
 def prepare_input(Q: QuantumCircuit, inp) -> StateVector:
@@ -284,7 +316,7 @@ class PauliHamiltonian:
         if len(self.terms) > self.max_terms:
             raise WidthMismatch(f"{len(self.terms)} terms exceeds cap {self.max_terms}")
         for _, word in self.terms:
-            if len(word) != self.n_qubits or any(c not in PAULI for c in word):
+            if len(word) != self.n_qubits or any(c not in "IXYZ" for c in word):
                 raise WidthMismatch(f"bad Pauli word {word!r}")
 
 
@@ -403,9 +435,10 @@ def propagation_hamiltonian(Q: QuantumCircuit, max_terms: int = 256) -> PauliHam
                     word[T + dq] = ch
                 add(ccoeff * dcoeff, "".join(word))
 
+    _load_numpy()  # binds GATES_1Q, read before any other numpy call below
     for t in range(1, T + 1):
         name, targets = Q.gates[t - 1]
-        if name in GATES_1Q:
+        if name in _ONE_QUBIT_GATES:
             U = GATES_1Q[name]
         elif name == "CNOT":
             U = np.eye(4, dtype=complex)[:, [0, 1, 3, 2]]

@@ -147,8 +147,16 @@ class TestSealed:
 
     def test_no_constant_accessor(self):
         sealed = obf_io(identity_program(), 4)
-        public = [a for a in vars(sealed) if not a.startswith("_")]
-        assert set(public) == {"declared_size", "mode"}
+        assert [a for a in vars(sealed) if not a.startswith("_")] == ["mode"]
+        public = {a for a in dir(sealed) if not a.startswith("_")}
+        assert public == {"declared_size", "mode", "run", "run_all", "to_bytes", "from_bytes"}
+
+    def test_declared_size_is_read_only(self):
+        sealed = obf_io(identity_program(), 4)
+        with pytest.raises(AttributeError):
+            sealed.declared_size = 5
+        again = SealedProgram.from_bytes(sealed.to_bytes())
+        assert again.declared_size == sealed.declared_size == 4
 
     def test_serialization_roundtrip(self):
         b = ProgramBuilder(1)

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -763,3 +767,29 @@ class TestHostileInput:
         for run in range(2):
             assert main(["we", "enc", "--m", "", "--out", str(tmp / f"we{run}.bin")]) == 0
         assert cli._parser.cache_info().misses <= 1
+
+
+COLD_PATH = """
+import json, sys
+import qnk, qnk.cli
+assert "numpy" not in sys.modules, "import qnk, qnk.cli"
+d = sys.argv[1]
+for argv in (["abe", "gen", "--attr-len", "4", "--seed", "1", "--out", d + "/keys.bin"],
+             ["nizk", "setup", "--lang", "par8", "--seed", "1", "--out", d + "/crs.bin"],
+             ["nio", "obf", "--lang", "ghz", "--seed", "3", "--out", d + "/obf.bin"]):
+    assert qnk.cli.main(argv) == 0
+    assert "numpy" not in sys.modules, argv
+assert qnk.cli.main(["nio", "eval", "--obf", d + "/obf.bin", "--witness", "ghz",
+                     "--seed", "4"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_loaded_only_by_simulating_actions(tmp):
+    """A fresh process imports numpy on the first simulation, not before."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(tmp)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"status": "ok", "output": 1}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnk import qsim
 from qnk.errors import MalformedCircuit, TooManyQubits, WidthMismatch
 from qnk.qsim import (
     PauliHamiltonian,
@@ -20,6 +21,32 @@ from qnk.qsim import (
     run_unitary,
 )
 from qnk.rand import Drbg
+
+
+SQ2 = 1 / np.sqrt(2.0)
+GATE_MATRICES = {
+    "H": [[SQ2, SQ2], [SQ2, -SQ2]],
+    "X": [[0, 1], [1, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "S": [[1, 0], [0, 1j]],
+    "T": [[1, 0], [0, np.exp(1j * np.pi / 4)]],
+}
+PAULI_MATRICES = {
+    "I": [[1, 0], [0, 1]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+}
+
+
+@pytest.mark.parametrize("table, expected", [("GATES_1Q", GATE_MATRICES),
+                                              ("PAULI", PAULI_MATRICES)])
+def test_lazy_tables_match_literal_matrices(table, expected):
+    got = getattr(qsim, table)
+    assert sorted(got) == sorted(expected)
+    for name, rows in expected.items():
+        assert got[name].dtype == complex, name
+        assert np.array_equal(got[name], np.array(rows, dtype=complex)), name
 
 
 class TestRunCircuit:

@@ -17,7 +17,9 @@ Memoized functions use `functools.lru_cache` with an integer `maxsize`, so
 no cache grows without bound. Hybrid program families model the security
 arguments; sealing reads only their memoized pad budgets, so outside
 `selftest.py` a family builder is named only by its budget helper and by
-`proofs.nizk_hybrid_family`.
+`proofs.nizk_hybrid_family`. Only `qsim.py` names numpy, and it imports it
+inside a function on the first simulation, never at module top, so actions
+that never simulate do not load it.
 """
 import ast
 import re
@@ -79,6 +81,21 @@ def test_memo_caches_are_bounded():
     assert any("rand.py" in u for u in uses)
     bounded = re.compile(r": @functools\.lru_cache\(maxsize=\d+\)$")
     assert [u for u in uses if not bounded.search(u)] == []
+
+
+def test_numpy_named_only_in_qsim():
+    assert any(p.name == "qsim.py" for p in SRC)
+    assert offending_lines(re.compile(r"\bnumpy\b"), skip=("qsim.py",)) == []
+
+
+def test_qsim_imports_numpy_lazily():
+    qsim = next(p for p in SRC if p.name == "qsim.py")
+    top = [node for node in ast.parse(qsim.read_text()).body
+           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [a.name for node in top for a in node.names]
+    modules = [node.module for node in top if isinstance(node, ast.ImportFrom)]
+    assert "dataclasses" in modules
+    assert not [m for m in names + modules if m and m.split(".")[0] == "numpy"]
 
 
 FAMILY_BUILDERS = {"abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids",
