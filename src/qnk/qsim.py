@@ -38,26 +38,27 @@ _ONE_QUBIT_GATES = frozenset(g for g, k in GATE_ARITY.items() if k == 1)
 
 
 def _load_numpy():
-    """Import numpy, bind it to `np` and build the gate tables from it; once
-    done, later calls return numpy at once."""
+    """Import numpy, build the gate tables from it and bind it to `np`, last,
+    so code that sees numpy in `np` also sees the tables. Once done, later
+    calls return numpy at once."""
     global np, GATES_1Q, PAULI
     if not isinstance(np, _NumpyOnFirstUse):
         return np
     import numpy
-    np = numpy
     GATES_1Q = {
-        "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-        "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
+        "H": numpy.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+        "X": numpy.array([[0, 1], [1, 0]], dtype=complex),
+        "Z": numpy.array([[1, 0], [0, -1]], dtype=complex),
+        "S": numpy.array([[1, 0], [0, 1j]], dtype=complex),
+        "T": numpy.array([[1, 0], [0, numpy.exp(1j * numpy.pi / 4)]], dtype=complex),
     }
     PAULI = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        "I": numpy.eye(2, dtype=complex),
+        "X": numpy.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": numpy.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": numpy.array([[1, 0], [0, -1]], dtype=complex),
     }
+    np = numpy
     return numpy
 
 
