@@ -107,9 +107,7 @@ def attack_basis_flip(verifier, accepting_pi) -> AttackTranscript:
 # acceptance-statistics attack against subset resampling
 
 
-def attack_stats(verifier, accepting_salted, samples: int,
-                 threshold: float = DEFAULT_STATS_THRESHOLD,
-                 seed=0) -> AttackTranscript:
+def attack_stats(verifier, accepting_salted, samples: int, *, seed=0) -> AttackTranscript:
     """Estimate, per position, the acceptance rate of the bit-flipped proof
     over fresh salts; a drop beyond the threshold marks a read position.
     With too few samples a position stays undetermined (None)."""
@@ -135,7 +133,7 @@ def attack_stats(verifier, accepting_salted, samples: int,
             recovered.append(None)
             continue
         diff = abs(base_hits - flip_hits) / samples
-        recovered.append(1 if diff > threshold else 0)
+        recovered.append(1 if diff > DEFAULT_STATS_THRESHOLD else 0)
     t.recovered = tuple(recovered)
     return t
 

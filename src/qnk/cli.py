@@ -64,6 +64,14 @@ def int_set(s: str) -> set[int]:
     return {int(v) for v in s.split(",") if v != ""}
 
 
+def criteria(s: str) -> set[int]:
+    """Comma-separated acceptance criterion numbers, each one that selftest has."""
+    only = int_set(s)
+    if not only <= set(range(1, len(selftest.CRITERIA) + 1)):
+        raise ValueError(s)
+    return only
+
+
 def protocol(s: str) -> str:
     """oracle or toy, as the cvqc protocol name."""
     if s not in _PROTOS:
@@ -456,7 +464,7 @@ def _parser() -> argparse.ArgumentParser:
     attack = (lang, hex_x, params, *prover, flag("--report"))
     command("attack", flip=attack, stats=(*attack, flag("--samples", type=int, default=50)),
             linear=attack)
-    sub.add_parser("selftest", parents=[flag("--only", type=int_set,
+    sub.add_parser("selftest", parents=[flag("--only", type=criteria,
                                              help="comma-separated criterion numbers")])
     return p
 

@@ -685,9 +685,8 @@ class BlindProof:
     ct_pi: qfhe.QfheCiphertext
 
 
-def blind_keygen(claim: Claim, drbg: Drbg,
-                 toy_params: ToyParams = ToyParams()) -> tuple[BlindParams, BlindVerifyKey, RandomOracle]:
-    pp, r = toy_keygen(claim, drbg.child("keygen"), toy_params)
+def blind_keygen(claim: Claim, drbg: Drbg) -> tuple[BlindParams, BlindVerifyKey, RandomOracle]:
+    pp, r = toy_keygen(claim, drbg.child("keygen"), ToyParams())
     keys = qfhe.qfhe_gen(drbg.child("qfhe"))
     pp_bytes = pack_bytes(pp.to_bytes())
     if len(pp_bytes) > _PP_PAD_BUCKET:

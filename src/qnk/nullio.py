@@ -54,7 +54,6 @@ from .rand import Drbg
 from .wire import fixed, pack_fields, seal, unpack_fields, unseal, utf8
 
 VARIANT_IO = "IO"
-VARIANT_VBB = "VBB"
 
 
 def _gate_qfhe_dec(sk: bytes, ct_bytes: bytes) -> bytes:
@@ -235,10 +234,9 @@ def vbb_surrogate_answer(k: PrfKey, x: bytes) -> bytes:
     return RandomOracle(seed, MODE_SIMGEN, k).query(x)
 
 
-def nio_obf_vbb(claim: Claim, seed, proto: str = PROTO_ORACLE,
-                toy_params: ToyParams = ToyParams()) -> VbbNullCircuit:
+def nio_obf_vbb(claim: Claim, seed, proto: str = PROTO_ORACLE) -> VbbNullCircuit:
     drbg = Drbg(seed).child("nio-vbb")
-    pp, r = base_keygen(claim, proto, drbg.child("cvqc").child("keygen"), toy_params)
+    pp, r = base_keygen(claim, proto, drbg.child("cvqc").child("keygen"), ToyParams())
     k = prf_gen(drbg.child("prf"))
     oracle = RandomOracle(k.bytes, MODE_SIMGEN, k)
     setup = StarSetup(claim, pp, r, oracle, k)
@@ -290,21 +288,19 @@ class WeCiphertext:
 
 
 def we_enc_bytes(L: QmaLanguage, x: bytes, m: bytes, coins,
-                 proto: str = PROTO_ORACLE, reps: int = JUDGE_REPS,
-                 toy_params: ToyParams = ToyParams()) -> WeCiphertext:
+                 proto: str = PROTO_ORACLE, reps: int = JUDGE_REPS) -> WeCiphertext:
     """Byte-payload witness encryption; all randomness expands from `coins`,
     so externally supplied coins make encryption a pure function."""
     claim = claim_for(L, x, reps)
-    inner = _build(claim, Drbg(coins).child("we"), proto, toy_params, m)
+    inner = _build(claim, Drbg(coins).child("we"), proto, ToyParams(), m)
     return WeCiphertext(inner, claim.digest())
 
 
-def we_enc(L: QmaLanguage, x: bytes, m: int, coins,
-           proto: str = PROTO_ORACLE, reps: int = JUDGE_REPS) -> WeCiphertext:
+def we_enc(L: QmaLanguage, x: bytes, m: int, coins) -> WeCiphertext:
     """Single-bit message space; multi-bit payloads via bitwise calls."""
     if m not in (0, 1):
         raise MalformedCiphertext("witness encryption takes a single bit")
-    return we_enc_bytes(L, x, bytes([m]), coins, proto, reps)
+    return we_enc_bytes(L, x, bytes([m]), coins)
 
 
 def we_dec_bytes(c: WeCiphertext, witness: Witness, drbg: Drbg,

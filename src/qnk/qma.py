@@ -72,14 +72,13 @@ def _binom_tail(r: int, p: float, threshold: int) -> float:
     return float(acc)
 
 
-def amplify(L: QmaLanguage, reps: int, threshold: int | None = None) -> QmaLanguage:
-    """Majority amplification: run `reps` independent copies, accept on at
-    least `threshold` successes. Stored thresholds are exact binomial tails.
+def amplify(L: QmaLanguage, reps: int) -> QmaLanguage:
+    """Majority amplification: run `reps` independent copies, accept on a
+    majority of successes. Stored thresholds are exact binomial tails.
     """
     if reps % 2 != 1 or reps > 15:
         raise WidthMismatch("repetition count must be odd and at most 15")
-    if threshold is None:
-        threshold = (reps + 1) // 2
+    threshold = (reps + 1) // 2
     return replace(
         L,
         alpha=_binom_tail(reps, L.alpha, threshold),
@@ -100,10 +99,10 @@ def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg) -> int:
     return 1 if hits >= L.threshold else 0
 
 
-def exact_accept_probability(L: QmaLanguage, x: bytes, state: StateVector | None = None,
-                             classical_witness: bytes = b"") -> float:
+def exact_accept_probability(L: QmaLanguage, x: bytes,
+                             state: StateVector | None = None) -> float:
     """Exact amplified acceptance probability of the given witness state."""
-    circ = L.verifier(x, classical_witness)
+    circ = L.verifier(x)
     inp = state if (state is not None and state.n_qubits > 0) else []
     p = accept_probability(circ, inp)
     return _binom_tail(L.reps, p, L.threshold)

@@ -34,7 +34,7 @@ ATOL = 1e-9
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "S": 1, "T": 1, "CNOT": 2, "CCX": 3}
-_ONE_QUBIT_GATES = frozenset(g for g, k in GATE_ARITY.items() if k == 1)
+MAX_PROPAGATION_TERMS = 256
 
 
 def _load_numpy():
@@ -142,39 +142,40 @@ class StateVector:
         return StateVector(self.n_qubits, flat), p
 
 
-def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
-    """In-place gate application."""
-    n = state.n_qubits
+def _check_gate(name: str, targets: tuple[int, ...], n_qubits: int) -> None:
+    """The gate is known, has its arity of targets, and they are distinct
+    qubits of an n_qubits register."""
+    if name not in GATE_ARITY:
+        raise MalformedCircuit(f"unknown gate {name!r}")
+    if len(targets) != GATE_ARITY[name]:
+        raise MalformedCircuit(f"gate {name} expects {GATE_ARITY[name]} targets")
     for q in targets:
-        if not 0 <= q < n:
+        if not 0 <= q < n_qubits:
             raise MalformedCircuit(f"gate {name} targets out-of-range qubit {q}")
     if len(set(targets)) != len(targets):
         raise MalformedCircuit(f"gate {name} has duplicate targets {targets}")
+
+
+def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
+    """In-place gate application. Every multi-qubit gate is a controlled X:
+    the last target flips where all the others are 1."""
+    n = state.n_qubits
+    _check_gate(name, targets, n)
     t = state.amps.reshape([2] * n)
-    if name in _ONE_QUBIT_GATES:
+    if len(targets) == 1:
         (q,) = targets
         t = np.moveaxis(t, q, -1)
         t = t @ GATES_1Q[name].T
         state.amps = np.moveaxis(t, -1, q).reshape(-1)
-    elif name == "CNOT":
-        c, x = targets
-        t = t.copy()
-        idx1 = [slice(None)] * n
-        idx1[c] = 1
-        xq = x if x < c else x - 1
-        t[tuple(idx1)] = np.flip(t[tuple(idx1)], axis=xq).copy()
-        state.amps = t.reshape(-1)
-    elif name == "CCX":
-        c1, c2, x = targets
+    else:
+        *controls, x = targets
         t = t.copy()
         idx = [slice(None)] * n
-        idx[c1] = 1
-        idx[c2] = 1
-        xq = x - sum(1 for c in (c1, c2) if c < x)
+        for c in controls:
+            idx[c] = 1
+        xq = x - sum(1 for c in controls if c < x)  # x's axis once controls are fixed
         t[tuple(idx)] = np.flip(t[tuple(idx)], axis=xq).copy()
         state.amps = t.reshape(-1)
-    else:
-        raise MalformedCircuit(f"unknown gate {name!r}")
 
 
 def sample_bit(p1: float, drbg: Drbg) -> int:
@@ -218,13 +219,7 @@ class QuantumCircuit:
         if self.n_input > self.n_qubits:
             raise WidthMismatch("more input qubits than qubits")
         for name, targets in self.gates:
-            if name not in GATE_ARITY:
-                raise MalformedCircuit(f"unknown gate {name!r}")
-            if len(targets) != GATE_ARITY[name]:
-                raise MalformedCircuit(f"gate {name} expects {GATE_ARITY[name]} targets")
-            for q in targets:
-                if not 0 <= q < self.n_qubits:
-                    raise MalformedCircuit(f"gate {name} targets out-of-range qubit {q}")
+            _check_gate(name, targets, self.n_qubits)
 
 
 def prepare_input(Q: QuantumCircuit, inp) -> StateVector:
@@ -340,14 +335,18 @@ def expectation(H: PauliHamiltonian, state: StateVector) -> float:
     return float(acc)
 
 
+def _pauli_word_matrix(word: str) -> np.ndarray:
+    P = np.eye(1, dtype=complex)
+    for c in word:
+        P = np.kron(P, PAULI[c])
+    return P
+
+
 def dense_matrix(H: PauliHamiltonian) -> np.ndarray:
     dim = 2 ** H.n_qubits
     M = np.zeros((dim, dim), dtype=complex)
     for coeff, word in H.terms:
-        P = np.eye(1, dtype=complex)
-        for c in word:
-            P = np.kron(P, PAULI[c])
-        M += coeff * P
+        M += coeff * _pauli_word_matrix(word)
     return M
 
 
@@ -391,16 +390,14 @@ def _pauli_decompose(U: np.ndarray, k: int) -> list[tuple[complex, str]]:
         words = [w + c for w in words for c in "IXYZ"]
     out = []
     for w in words:
-        P = np.eye(1, dtype=complex)
-        for c in w:
-            P = np.kron(P, PAULI[c])
+        P = _pauli_word_matrix(w)
         coeff = np.trace(P.conj().T @ U) / 2 ** k
         if abs(coeff) > 1e-12:
             out.append((complex(coeff), w))
     return out
 
 
-def propagation_hamiltonian(Q: QuantumCircuit, max_terms: int = 256) -> PauliHamiltonian:
+def propagation_hamiltonian(Q: QuantumCircuit) -> PauliHamiltonian:
     """Clock-transition penalty terms annihilating history_state(Q, .).
 
     Term t couples clock qubits (t-2, t-1, t) in the unary encoding and the
@@ -410,7 +407,7 @@ def propagation_hamiltonian(Q: QuantumCircuit, max_terms: int = 256) -> PauliHam
     T = len(Q.gates)
     n = T + Q.n_qubits
     if T == 0:
-        return PauliHamiltonian(n, (), max_terms)
+        return PauliHamiltonian(n, (), MAX_PROPAGATION_TERMS)
     acc: dict[str, complex] = {}
 
     proj = {0: [(0.5, "I"), (0.5, "Z")], 1: [(0.5, "I"), (-0.5, "Z")]}
@@ -439,12 +436,11 @@ def propagation_hamiltonian(Q: QuantumCircuit, max_terms: int = 256) -> PauliHam
     _load_numpy()  # binds GATES_1Q, read before any other numpy call below
     for t in range(1, T + 1):
         name, targets = Q.gates[t - 1]
-        if name in _ONE_QUBIT_GATES:
+        if len(targets) == 1:
             U = GATES_1Q[name]
-        elif name == "CNOT":
-            U = np.eye(4, dtype=complex)[:, [0, 1, 3, 2]]
-        else:  # CCX
-            U = np.eye(8, dtype=complex)[:, [0, 1, 2, 3, 4, 5, 7, 6]]
+        else:  # controlled X: swap the last two basis states
+            dim = 2 ** len(targets)
+            U = np.eye(dim, dtype=complex)[:, [*range(dim - 2), dim - 1, dim - 2]]
         u_terms = _pauli_decompose(U, len(targets))
         udag_terms = _pauli_decompose(U.conj().T, len(targets))
         ident = [(1.0 + 0j, "I" * len(targets))]
@@ -468,4 +464,4 @@ def propagation_hamiltonian(Q: QuantumCircuit, max_terms: int = 256) -> PauliHam
             raise WidthMismatch("non-Hermitian accumulation (internal error)")
         if abs(coeff.real) > 1e-12:
             terms.append((float(coeff.real), word))
-    return PauliHamiltonian(n, tuple(terms), max_terms)
+    return PauliHamiltonian(n, tuple(terms), MAX_PROPAGATION_TERMS)

@@ -267,13 +267,16 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy("qubits\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCircuit"),
+        (ABE_SETUP[:1], write_policy("qubits 2\nCNOT 1 1\n"),
+         ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
+         "MalformedCircuit"),
         (ABE_SETUP[:1], write_policy_bytes(b"qubits 2\n\xff\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCiphertext"),
     ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
             "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
-            "abe-enc-non-utf8-policy"])
+            "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy"])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):
         paths = {name: tmp / f"{name}.bin" for name in ("keys", "sk", "ct", "setup", "proof")}
@@ -281,11 +284,13 @@ class TestWeCommands:
         for argv in produce:
             assert main([a.format(**paths) for a in argv]) == 0
         corrupt(paths)
+        files = {p: p.read_bytes() for p in tmp.iterdir()}
         capsys.readouterr()
         assert main([a.format(**paths) for a in consume]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == error
         assert "Traceback" not in captured.out + captured.err
+        assert {p: p.read_bytes() for p in tmp.iterdir()} == files
 
 
 class TestCvqcCommands:
@@ -726,6 +731,8 @@ HOSTILE_FLAGS = [
     ["we", "enc", "--m", "1" * 256],
     ["share", "rec", "--subset", "0,x"],
     ["selftest", "--only", "1,x"],
+    ["selftest", "--only", "0"],
+    ["selftest", "--only", "12"],
     ["abe", "gen", "--attr-len", "-1"],
     ["we", "enc", "--seed", "-1"],
     ["we", "enc", "--seed", str(1 << 128)],

@@ -219,6 +219,17 @@ class TestQLock:
         again = QLockObf.from_bytes(obj.to_bytes())
         assert qlock_eval(again, [0, 0, 0, 0], Drbg(29)) == b"z"
 
+    def test_duplicate_target_description_is_bottom(self):
+        u = bytes(range(16))
+        desc = pack_fields(b"qubits 5\ninput 4\nCNOT 1 1\n", b"\x01", u, u)
+
+        class Described:
+            def to_bytes(self):
+                return desc
+
+        obj = qlock_obf(Described(), u, b"z", 30)
+        assert qlock_eval(obj, [0, 0, 0, 0], Drbg(31)) is None
+
 
 class TestPredicateEncryption:
     def test_qualifying_key(self, keys):

@@ -186,3 +186,8 @@ class TestPseudoDet:
         circ = QuantumCircuit(2, (("H", (0,)),), n_input=1)
         pd = PseudoDetCircuit(circ, 1, (b"a" * 16, b"b" * 16))
         assert PseudoDetCircuit.from_bytes(pd.to_bytes()) == pd
+
+    def test_duplicate_target_rejected_at_decode(self):
+        blob = pack_fields(b"qubits 2\ninput 1\nCNOT 1 1\n", b"\x01", b"a" * 16, b"b" * 16)
+        with pytest.raises(MalformedCircuit, match="duplicate targets"):
+            PseudoDetCircuit.from_bytes(blob)

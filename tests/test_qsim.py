@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ class TestRunCircuit:
     def test_bad_gate_target(self):
         with pytest.raises(MalformedCircuit):
             QuantumCircuit(1, (("CNOT", (0, 1)),))
+
+    @pytest.mark.parametrize("gate", [("CNOT", (1, 1)), ("CCX", (0, 2, 0))])
+    def test_duplicate_gate_target(self, gate):
+        with pytest.raises(MalformedCircuit, match="duplicate targets"):
+            QuantumCircuit(3, (gate,))
 
 
 class TestMeasure:
@@ -160,6 +167,50 @@ class TestHamiltonians:
         assert ground_energy(propagation_hamiltonian(Q)) > -1e-9
 
 
+def controlled_x_reference(amps, n, targets):
+    """Index-level controlled X: flip the last target's bit (qubit 0 is the
+    most significant) wherever every other target's bit is 1."""
+    *controls, x = targets
+    out = amps.copy()
+    for i in range(2 ** n):
+        if all(i >> (n - 1 - c) & 1 for c in controls):
+            out[i] = amps[i ^ (1 << (n - 1 - x))]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_controlled_x_matches_index_reference(n):
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    for name in ("CNOT", "CCX"):
+        for targets in itertools.permutations(range(n), qsim.GATE_ARITY[name]):
+            sv = StateVector(n, amps.copy())
+            apply_gate(sv, name, targets)
+            assert np.array_equal(sv.amps, controlled_x_reference(amps, n, targets)), targets
+
+
+@pytest.mark.parametrize("name, targets", [("H", (0, 1)), ("CNOT", (0,)), ("CNOT", (0, 1, 2)),
+                                           ("CCX", (0, 1)), ("SWAP", (0, 1)),
+                                           ("CNOT", (2, 2)), ("X", (3,))])
+def test_apply_gate_rejects_malformed_gate(name, targets):
+    sv = StateVector(3)
+    with pytest.raises(MalformedCircuit):
+        apply_gate(sv, name, targets)
+    assert np.array_equal(sv.amps, StateVector(3).amps)
+
+
+@pytest.mark.parametrize("name, permutation", [("CNOT", [0, 1, 3, 2]),
+                                               ("CCX", [0, 1, 2, 3, 4, 5, 7, 6])])
+def test_propagation_unitary_is_the_controlled_x_permutation(name, permutation):
+    """One gate on the whole data register: the clock-1-from-clock-0 block of
+    the propagation Hamiltonian is -U/2."""
+    k = len(permutation).bit_length() - 1
+    H = propagation_hamiltonian(QuantumCircuit(k, ((name, tuple(range(k))),)))
+    dim = 2 ** k
+    U = np.eye(dim, dtype=complex)[:, permutation]
+    assert np.array_equal(dense_matrix(H)[dim:, :dim], -0.5 * U)
+
+
 class TestNormPreservation:
     def test_every_gate_preserves_norm(self):
         d = Drbg(5)
@@ -186,6 +237,10 @@ class TestTextFormat:
     def test_unknown_directive(self):
         with pytest.raises(MalformedCircuit):
             parse_circuit("qubits 1\nFOO 0\n")
+
+    def test_duplicate_target(self):
+        with pytest.raises(MalformedCircuit, match="duplicate targets"):
+            parse_circuit("qubits 2\nCNOT 1 1\n")
 
     def test_missing_header(self):
         with pytest.raises(MalformedCircuit):

@@ -19,7 +19,8 @@ arguments; sealing reads only their memoized pad budgets, so outside
 `selftest.py` a family builder is named only by its budget helper and by
 `proofs.nizk_hybrid_family`. Only `qsim.py` names numpy, and it imports it
 inside a function on the first simulation, never at module top, so actions
-that never simulate do not load it.
+that never simulate do not load it. Every multi-qubit gate is a controlled X
+with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
 """
 import ast
 import re
@@ -94,6 +95,12 @@ def test_qsim_imports_numpy_lazily():
     imported = ({a.name.split(".")[0] for n in top if isinstance(n, ast.Import) for a in n.names}
                 | {n.module.split(".")[0] for n in top if isinstance(n, ast.ImportFrom) and n.module})
     assert "math" in imported and "numpy" not in imported
+
+
+def test_controlled_x_named_only_in_gate_arity():
+    hits = offending_lines(re.compile(r"""["'](CNOT|CCX)["']"""),
+                           skip=tuple(p.name for p in SRC if p.name != "qsim.py"))
+    assert [h.split(": ", 1)[1][:14] for h in hits] == ["GATE_ARITY = {"]
 
 
 FAMILY_BUILDERS = {"abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids",
