@@ -24,6 +24,16 @@ The dual-mode layer hashes the base proof: the prover sends (pi, H(pi)); in
 trapdoor mode the oracle's last output bit is F(td, pi) XOR Verify(pi), so a
 td holder verifies by unmasking; in simulation mode the last bit is F(td, pi)
 alone and trapdoor verification rejects everything.
+
+Sealed verifiers and provers read constants that are fixed when the artifact
+is built, so each is decoded once per distinct blob. The memo rule: a
+memoized decoder holds a bounded number of entries, returns only immutable
+values (never a `RandomOracle`, whose query memo would then outlive a call)
+and never keeps an error, so a malformed constant raises the same error on
+every call. The memos are `_decode_star_constant` and `_decode_oracle_spec`
+(`oracle_from_spec` still builds a fresh oracle per call), `_decode_toy_key`,
+`encdelegate._decode_sealed`, `qfhe._sk_keys`, `qfhe._wrap_key_from_pk` and
+`qma._binom_tail`.
 """
 from __future__ import annotations
 
@@ -154,6 +164,12 @@ class ToyVerifyKey:
     @property
     def K(self) -> int:
         return len(self.bases)
+
+    @functools.cached_property
+    def subset_prf(self) -> PrfKey:
+        """The stats variant's check-subset key, derived on first use: the
+        other variants carry an empty `subset_key` and never read it."""
+        return PrfKey(self.subset_key)
 
 
 @dataclass(frozen=True)
@@ -486,17 +502,24 @@ def oracle_spec(setup: StarSetup) -> bytes:
                        setup.claim.to_bytes(), r_bytes)
 
 
-def oracle_from_spec(spec: bytes) -> RandomOracle:
+@functools.lru_cache(maxsize=32)
+def _decode_oracle_spec(spec: bytes) -> tuple:
+    """(seed, mode, td, verify closure) of an oracle spec; the closure holds
+    only the decoded claim and key, so oracles may share it."""
     mode, seed, td_bytes, claim_bytes, r_bytes = unpack_fields(spec, 5)
     mode = utf8(mode)
     if mode == MODE_UNIFORM:
-        return RandomOracle(seed, MODE_UNIFORM)
+        return seed, mode, None, None
     td = PrfKey(td_bytes)
     if mode == MODE_SIMGEN:
-        return RandomOracle(seed, MODE_SIMGEN, td)
+        return seed, mode, td, None
     claim = Claim.from_bytes(claim_bytes)
     r = CvqcVerifyKey.from_bytes(r_bytes)
-    return RandomOracle(seed, MODE_TDGEN, td, _base_verify_closure(claim, r))
+    return seed, mode, td, _base_verify_closure(claim, r)
+
+
+def oracle_from_spec(spec: bytes) -> RandomOracle:
+    return RandomOracle(*_decode_oracle_spec(spec))
 
 
 # the two dual-mode verifier gates, keyed by "verifies with the trapdoor"
@@ -513,15 +536,22 @@ def star_gate(setup: StarSetup, use_td: bool) -> tuple[str, bytes]:
         setup.claim.to_bytes(), setup.pp.proto.encode(), key, oracle_spec(setup))
 
 
+@functools.lru_cache(maxsize=32)
+def _decode_star_constant(blob: bytes, use_td: bool) -> tuple:
+    """(claim, proto, key, oracle spec) of a `star_gate` constant."""
+    claim_bytes, proto, key_bytes, spec = unpack_fields(blob, 4)
+    proto = utf8(proto)
+    claim = Claim.from_bytes(claim_bytes)
+    key = PrfKey(key_bytes) if use_td else CvqcVerifyKey.from_bytes(key_bytes)
+    return claim, proto, key, spec
+
+
 def _star_gate_fn(use_td: bool):
     def gate(tagged_proof: bytes, blob: bytes) -> bytes:
         plain = unwrap(tagged_proof)
         if plain is None:
             return b"\x00"
-        claim_bytes, proto, key_bytes, spec = unpack_fields(blob, 4)
-        proto = utf8(proto)
-        claim = Claim.from_bytes(claim_bytes)
-        key = PrfKey(key_bytes) if use_td else CvqcVerifyKey.from_bytes(key_bytes)
+        claim, proto, key, spec = _decode_star_constant(blob, use_td)
         oracle = oracle_from_spec(spec)
         try:
             proof = CvqcProof.decode(proto, plain)
@@ -536,8 +566,7 @@ def _star_gate_fn(use_td: bool):
 @functools.lru_cache(maxsize=32)
 def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
     """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates, decoded once per
-    distinct blob. A memoized decoder returns an immutable value, never a
-    RandomOracle, whose memo would then outlive a call."""
+    distinct blob (memo rule in the module docstring)."""
     claim_bytes, r_bytes = unpack_fields(vk_blob, 2)
     return Claim.from_bytes(claim_bytes), CvqcVerifyKey.from_bytes(r_bytes)
 
@@ -602,7 +631,7 @@ def _stats_verify(pi, encoded: bytes, r: CvqcVerifyKey) -> int:
     if vk.variant != TOY_STATS:
         raise MalformedProof("verification key is not the resampling variant")
     _check_toy_length(pi, vk)
-    return _toy_verdict(pi, vk, prf_eval(PrfKey(vk.subset_key), encoded))
+    return _toy_verdict(pi, vk, prf_eval(vk.subset_prf, encoded))
 
 
 def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:

@@ -109,8 +109,7 @@ class AbeCiphertext:
 def _decode_sealed(blob: bytes) -> SealedProgram:
     """Nested program of the SEALED_EVAL gate and the ABE_ENC mpk, decoded
     once per distinct blob across all programs (a kp mpk is about 117 KB
-    decoded). A memoized decoder returns an immutable value, never a
-    RandomOracle, whose memo would then outlive a call."""
+    decoded; memo rule in the `cvqc` module docstring)."""
     return SealedProgram.from_bytes(blob)
 
 

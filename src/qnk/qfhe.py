@@ -9,9 +9,10 @@ under encryption. The scheme is leveled; every Eval ticks a depth counter.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, KeyMismatch
+from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
 from .primitives import KEY_LEN
 from .qsim import QuantumCircuit, run_circuit
 from .rand import Drbg, _hmac
@@ -49,19 +50,21 @@ class QfheCiphertext:
         return ct
 
 
-def _wrap_key_from_sk(sk: bytes) -> bytes:
-    return _hmac(sk, b"wrap")[:KEY_LEN]
+@functools.lru_cache(maxsize=16)
+def _sk_keys(sk: bytes) -> tuple[bytes, bytes]:
+    """(key id, wrapping key) derived from sk (memo rule in `cvqc`)."""
+    return _hmac(sk, b"id")[:8], _hmac(sk, b"wrap")[:KEY_LEN]
 
 
+@functools.lru_cache(maxsize=16)
 def _wrap_key_from_pk(pk: bytes) -> bytes:
     return unseal(pk[8:])
 
 
 def qfhe_gen(drbg: Drbg) -> QfheKeys:
     sk = drbg.bytes(KEY_LEN)
-    key_id = _hmac(sk, b"id")[:8]
-    pk = key_id + seal(_wrap_key_from_sk(sk), b"qfhe-pk")
-    return QfheKeys(pk=pk, sk=sk)
+    key_id, wrap_key = _sk_keys(sk)
+    return QfheKeys(pk=key_id + seal(wrap_key, b"qfhe-pk"), sk=sk)
 
 
 def qfhe_enc(pk: bytes, m: bytes, drbg: Drbg) -> QfheCiphertext:
@@ -70,9 +73,10 @@ def qfhe_enc(pk: bytes, m: bytes, drbg: Drbg) -> QfheCiphertext:
 
 
 def qfhe_dec(sk: bytes, ct: QfheCiphertext) -> bytes:
-    if _hmac(sk, b"id")[:8] != ct.key_id:
+    key_id, wrap_key = _sk_keys(sk)
+    if key_id != ct.key_id:
         raise KeyMismatch("secret key does not match ciphertext")
-    return _unseal_keyed(_wrap_key_from_sk(sk), ct.payload)
+    return _unseal_keyed(wrap_key, ct.payload)
 
 
 def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> QfheCiphertext:
@@ -88,7 +92,9 @@ def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> Qfh
     wrap_key = _wrap_key_from_pk(pk)
     m = _unseal_keyed(wrap_key, ct.payload)
     if isinstance(C, QuantumCircuit):
-        bits = [int(b) for b in m.decode()]
+        if m.translate(None, b"01"):
+            raise MalformedCiphertext("circuit input is not a bitstring of 0s and 1s")
+        bits = [int(c) for c in m.decode()]
         bit, _ = run_circuit(C, bits, drbg if drbg is not None else Drbg(0))
         out = bytes([bit])
     else:

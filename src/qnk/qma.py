@@ -14,6 +14,7 @@ state).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -63,8 +64,10 @@ class Witness:
         return cls(StateVector(0), copies)
 
 
+@functools.lru_cache(maxsize=64)
 def _binom_tail(r: int, p: float, threshold: int) -> float:
-    """Exact Pr[Binomial(r, p) >= threshold]."""
+    """Exact Pr[Binomial(r, p) >= threshold], memoized (rule in `cvqc`):
+    `amplify` recomputes the same tails for every judged claim."""
     pf = Fraction(p).limit_denominator(10 ** 12)
     acc = Fraction(0)
     for k in range(threshold, r + 1):

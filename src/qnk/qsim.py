@@ -84,6 +84,14 @@ def __getattr__(name: str):
 # state vectors
 
 
+def _as_bits(bits) -> list[int]:
+    """A bitstring or a sequence of bits as 0/1 ints; any other entry is a
+    WidthMismatch."""
+    if any(b not in (0, 1, "0", "1") for b in bits):
+        raise WidthMismatch("input bits must be 0 or 1")
+    return [int(b) for b in bits]
+
+
 class StateVector:
     """Single-owner mutable amplitude buffer over n qubits."""
 
@@ -102,7 +110,7 @@ class StateVector:
 
     @classmethod
     def from_bits(cls, bits: str | list[int]) -> "StateVector":
-        bits = [int(b) for b in bits]
+        bits = _as_bits(bits)
         sv = cls(len(bits))
         sv.amps[0] = 0.0
         idx = 0
@@ -235,7 +243,7 @@ def prepare_input(Q: QuantumCircuit, inp) -> StateVector:
                 f"input has {inp.n_qubits} qubits, circuit takes {Q.n_input}")
         anc = StateVector(Q.n_qubits - inp.n_qubits)
         return anc.tensor(inp)
-    bits = [int(b) for b in inp]
+    bits = _as_bits(inp)
     if len(bits) != Q.n_input:
         raise WidthMismatch(f"input has {len(bits)} bits, circuit takes {Q.n_input}")
     return StateVector.from_bits([0] * (Q.n_qubits - len(bits)) + bits)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from qnk.cvqc import (
     MINI_PARAMS,
     PROTO_TOY,
     TOY_LINEAR,
+    TOY_STANDARD,
     TOY_STATS,
     Claim,
     CvqcProof,
@@ -37,7 +39,13 @@ from qnk.cvqc import (
     toy_prove_stats,
     toy_verify,
 )
-from qnk.errors import JudgeReject, MalformedCiphertext, MalformedProof
+from qnk.errors import (
+    DomainMismatch,
+    JudgeReject,
+    MalformedCiphertext,
+    MalformedCircuit,
+    MalformedProof,
+)
 from qnk.primitives import ro_query
 from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
@@ -360,6 +368,42 @@ class TestSealedVerifiers:
                 assert v2.run(enc) == bytes([want2])
                 verdicts.add((want1, want2))
         assert (1, 0) in verdicts and (0, 1) in verdicts
+
+    def test_stats_subset_key_derived_once(self, monkeypatch):
+        pp, r = toy_keygen(YES, Drbg(64), ToyParams(variant=TOY_STATS))
+        salt, honest = toy_prove_stats(pp, Witness.empty(), Drbg(65))
+        d = Drbg(66)
+        salted = [(salt, honest)] + [(d.bytes(16), random_pairs(d, r)) for _ in range(20)]
+        want = [bytes([stats_verify(YES, s, pi, r)]) for s, pi in salted]
+        sealed = sealed_stats_verifier(YES, r)
+        made = []
+        real = cvqc.PrfKey
+        monkeypatch.setattr(cvqc, "PrfKey", lambda *a: made.append(a) or real(*a))
+        assert [sealed.run(stats_encode(s, pi)) for s, pi in salted] == want
+        assert want[0] == b"\x01" and made == [(r.body.subset_key,)]
+
+    @pytest.mark.parametrize("variant", (TOY_STANDARD, TOY_LINEAR))
+    def test_keys_without_a_subset_key_decode_and_verify(self, variant):
+        pp, r = toy_keygen(YES, Drbg(67), ToyParams(variant=variant))
+        again = CvqcVerifyKey.from_bytes(r.to_bytes())
+        assert again == r and again.body.subset_key == b""
+        pi = encode_base_proof(PROTO_TOY, toy_prove(pp, Witness.empty(), Drbg(68)))
+        assert sealed_toy_verifier(YES, again).run(pi) == b"\x01"
+        with pytest.raises(DomainMismatch):
+            again.body.subset_prf
+
+    @pytest.mark.parametrize("length", (0, 15, 17))
+    def test_wrong_length_subset_key_fails_on_every_call(self, length):
+        pp, r = toy_keygen(YES, Drbg(69), ToyParams(variant=TOY_STATS))
+        bad = CvqcVerifyKey(PROTO_TOY, replace(r.body, subset_key=bytes(length)))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(70))
+        sealed = sealed_stats_verifier(YES, bad)
+        for _ in range(3):
+            with pytest.raises(MalformedCircuit) as failed:
+                sealed.run(stats_encode(salt, pi))
+            assert isinstance(failed.value.__cause__, DomainMismatch)
+            with pytest.raises(DomainMismatch):
+                stats_verify(YES, salt, pi, bad)
 
 
 class TestBlindWrapper:

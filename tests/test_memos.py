@@ -1,0 +1,206 @@
+"""Memoized decoders of fixed verifier constants (the memo rule is stated in
+the `cvqc` module docstring): each constant is decoded once per distinct
+blob, no memo holds a `RandomOracle` or an error, and no output changes."""
+import pytest
+
+from qnk import cvqc, qfhe, qma
+from qnk.circuit_ir import DEFAULT_REGISTRY
+from qnk.cvqc import (
+    PROTO_ORACLE,
+    CvqcProof,
+    claim_for,
+    encode_base_proof,
+    keygen_star,
+    sim_gen,
+    star_gate,
+    star_prove,
+    td_gen,
+)
+from qnk.errors import DomainMismatch, KeyMismatch, MalformedCiphertext
+from qnk.nullio import nio_eval, nio_obf
+from qnk.proofs import nizk_prove, nizk_setup
+from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
+from qnk.qma import Witness, fixture, ghz_witness
+from qnk.rand import Drbg
+from qnk.wire import pack_fields, unpack_fields
+
+YES = claim_for(fixture("par8"), b"\x07")
+GHZ = fixture("ghz")
+
+MEMOS = {
+    "star constant": cvqc._decode_star_constant,
+    "oracle spec": cvqc._decode_oracle_spec,
+    "sk keys": qfhe._sk_keys,
+    "pk wrap key": qfhe._wrap_key_from_pk,
+    "binomial tail": qma._binom_tail,
+}
+
+
+def ghz_witness_copies() -> Witness:
+    return Witness(ghz_witness(), qma.DEFAULT_WITNESS_COPIES)
+
+
+def misses() -> dict[str, int]:
+    return {name: memo.cache_info().misses for name, memo in MEMOS.items()}
+
+
+def clear_memos():
+    for memo in MEMOS.values():
+        memo.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# no oracle outlives a call
+
+
+@pytest.mark.parametrize("gen", (keygen_star, td_gen, sim_gen))
+def test_oracles_from_one_spec_share_no_table(gen):
+    spec = cvqc.oracle_spec(gen(YES, PROTO_ORACLE, Drbg(1)))
+    first, second = cvqc.oracle_from_spec(spec), cvqc.oracle_from_spec(spec)
+    answer = first.query(b"x")
+    assert first is not second
+    assert list(first.table) == [b"x"] and second.table == {}
+    assert second.query(b"x") == answer
+
+
+def test_runs_of_one_sealed_verifier_share_no_oracle(monkeypatch):
+    setup = td_gen(YES, PROTO_ORACLE, Drbg(2))
+    sealed = cvqc.sealed_star_td_verifier(setup)
+    honest = star_prove(setup.pp, Witness.empty(), setup.oracle, Drbg(3))
+    forged = CvqcProof(bytes(16), bytes(17))
+    made = []
+    real = cvqc.oracle_from_spec
+    monkeypatch.setattr(cvqc, "oracle_from_spec",
+                        lambda spec: made.append(real(spec)) or made[-1])
+    assert sealed.run(honest.encode(PROTO_ORACLE)) == b"\x01"
+    assert sealed.run(forged.encode(PROTO_ORACLE)) == b"\x00"
+    assert len(made) == 2 and made[0] is not made[1]
+    assert list(made[0].table) == [encode_base_proof(PROTO_ORACLE, honest.pi)]
+    assert list(made[1].table) == [encode_base_proof(PROTO_ORACLE, forged.pi)]
+
+
+# ---------------------------------------------------------------------------
+# no error is memoized
+
+
+def star_constant_variants():
+    """Malformed CVQC_(TD)VERIFY constants: (blob, use_td, error)."""
+    setup = td_gen(YES, PROTO_ORACLE, Drbg(4))
+    _, blob = star_gate(setup, True)
+    claim, proto, key, spec = unpack_fields(blob, 4)
+    return [
+        pytest.param(blob[:-1], True, MalformedCiphertext, id="cut short"),
+        pytest.param(pack_fields(claim, b"\xff", key, spec), True, MalformedCiphertext,
+                     id="proto not UTF-8"),
+        pytest.param(pack_fields(claim[:-1], proto, key, spec), True, MalformedCiphertext,
+                     id="claim cut short"),
+        pytest.param(pack_fields(claim, proto, key[:-1], spec), True, DomainMismatch,
+                     id="trapdoor 15 bytes"),
+        pytest.param(pack_fields(claim, proto, b"garbage", spec), False, MalformedCiphertext,
+                     id="verify key garbage"),
+    ]
+
+
+@pytest.mark.parametrize("blob, use_td, error", star_constant_variants())
+def test_malformed_star_constant_raises_on_every_call(blob, use_td, error):
+    gate = DEFAULT_REGISTRY[cvqc._STAR_GATES[use_td]]
+    before = cvqc._decode_star_constant.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(error):
+            gate(b"\x01" + bytes(34), blob)
+    assert cvqc._decode_star_constant.cache_info().currsize == before
+
+
+def oracle_spec_variants():
+    """Malformed oracle specs: (spec, error). The first three fail in the
+    memoized decode, the last two in the RandomOracle built from it."""
+    spec = cvqc.oracle_spec(td_gen(YES, PROTO_ORACLE, Drbg(5)))
+    mode, seed, td, claim, r = unpack_fields(spec, 5)
+    return [
+        pytest.param(spec[:-1], MalformedCiphertext, id="cut short"),
+        pytest.param(pack_fields(b"\xff", seed, td, claim, r), MalformedCiphertext,
+                     id="mode not UTF-8"),
+        pytest.param(pack_fields(mode, seed, td[:-1], claim, r), DomainMismatch,
+                     id="trapdoor 15 bytes"),
+        pytest.param(pack_fields(b"OTHER", seed, td, claim, r), DomainMismatch,
+                     id="unknown mode"),
+        pytest.param(pack_fields(mode, seed[:-1], td, claim, r), DomainMismatch,
+                     id="seed 15 bytes"),
+    ]
+
+
+@pytest.mark.parametrize("spec, error", oracle_spec_variants())
+def test_malformed_oracle_spec_raises_on_every_call(spec, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            cvqc.oracle_from_spec(spec)
+        with pytest.raises(error):
+            DEFAULT_REGISTRY["RO_SURROGATE"](b"x", spec)
+
+
+@pytest.mark.parametrize("cut", (slice(None, 8), slice(None, -1)),
+                         ids=("key id only", "seal cut short"))
+def test_malformed_pk_raises_on_every_call(cut):
+    keys = qfhe_gen(Drbg(6))
+    ct = qfhe_enc(keys.pk, b"m", Drbg(7))
+    bad = keys.pk[cut]
+    before = qfhe._wrap_key_from_pk.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MalformedCiphertext):
+            qfhe_enc(bad, b"m", Drbg(8))
+        with pytest.raises(MalformedCiphertext):
+            qfhe_eval(bad, lambda m: m, ct, Drbg(9))
+    assert qfhe._wrap_key_from_pk.cache_info().currsize == before
+
+
+def test_other_key_still_mismatches_after_a_memo_hit():
+    mine, other = qfhe_gen(Drbg(10)), qfhe_gen(Drbg(11))
+    assert qfhe_dec(mine.sk, qfhe_enc(mine.pk, b"m", Drbg(12))) == b"m"
+    theirs = qfhe_enc(other.pk, b"m", Drbg(13))
+    hits = qfhe._sk_keys.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(KeyMismatch):
+            qfhe_dec(mine.sk, theirs)
+        with pytest.raises(KeyMismatch):
+            qfhe_eval(mine.pk, lambda m: m, theirs)
+    assert qfhe._sk_keys.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("name", sorted(qma.FIXTURES))
+def test_memoized_binomial_tail_is_exact(name):
+    lang = fixture(name)
+    for reps in range(1, 16, 2):
+        threshold = (reps + 1) // 2
+        for p in (lang.alpha, lang.beta):
+            want = qma._binom_tail.__wrapped__(reps, p, threshold)
+            assert qma._binom_tail(reps, p, threshold) == want
+            assert qma._binom_tail(reps, p, threshold) == want
+        amplified = qma.amplify(lang, reps)
+        assert amplified.alpha == qma._binom_tail.__wrapped__(reps, lang.alpha, threshold)
+        assert amplified.beta == qma._binom_tail.__wrapped__(reps, lang.beta, threshold)
+
+
+# ---------------------------------------------------------------------------
+# each fixed constant is decoded once
+
+# misses of the first call: one per memo, but two binomial tails (the
+# amplified alpha and beta); the second call misses nothing
+FIRST_CALL_MISSES = {name: 2 if name == "binomial tail" else 1 for name in MEMOS}
+
+
+def test_nio_eval_decodes_each_constant_once():
+    obf = nio_obf(claim_for(GHZ, b"\x01"), 7)
+    clear_memos()
+    assert nio_eval(obf, ghz_witness_copies(), Drbg(15)) == 1
+    assert misses() == FIRST_CALL_MISSES
+    assert nio_eval(obf, ghz_witness_copies(), Drbg(16)) == 1
+    assert misses() == FIRST_CALL_MISSES
+
+
+def test_nizk_prove_decodes_each_constant_once():
+    crs = nizk_setup(GHZ, 8)
+    clear_memos()
+    first = nizk_prove(crs, ghz_witness_copies(), b"\x01", Drbg(17))
+    assert misses() == FIRST_CALL_MISSES
+    assert nizk_prove(crs, ghz_witness_copies(), b"\x01", Drbg(18)) == first
+    assert misses() == FIRST_CALL_MISSES

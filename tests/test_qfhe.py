@@ -65,6 +65,13 @@ class TestEval:
         out = qfhe_eval(keys.pk, Q, ct, Drbg(11))
         assert qfhe_dec(keys.sk, out) == b"\x01"
 
+    @pytest.mark.parametrize("payload", [b"2", b"\xff", b"a", b"0 ", b"01\x00"])
+    def test_quantum_circuit_takes_only_a_bitstring(self, keys, payload):
+        Q = QuantumCircuit(1, (("X", (0,)),), n_input=1)
+        ct = qfhe_enc(keys.pk, payload, Drbg(10))
+        with pytest.raises(MalformedCiphertext, match="bitstring"):
+            qfhe_eval(keys.pk, Q, ct, Drbg(11))
+
     def test_depth_cap(self, keys):
         ct = qfhe_enc(keys.pk, b"m", Drbg(12))
         for _ in range(8):

@@ -84,6 +84,23 @@ class TestRunCircuit:
         with pytest.raises(MalformedCircuit, match="duplicate targets"):
             QuantumCircuit(3, (gate,))
 
+    @pytest.mark.parametrize("bits", [[0, 3], [2, 0], [-1, 1], [0, 0.5], "02", "0a", [0, "x"]])
+    def test_input_bits_must_be_0_or_1(self, bits):
+        Q = QuantumCircuit(2, (), n_input=2)
+        with pytest.raises(WidthMismatch, match="must be 0 or 1"):
+            run_circuit(Q, bits)
+
+    @pytest.mark.parametrize("bits", [[2], [1, 5], "2", "1b"])
+    def test_from_bits_takes_only_0_or_1(self, bits):
+        with pytest.raises(WidthMismatch, match="must be 0 or 1"):
+            StateVector.from_bits(bits)
+
+    @pytest.mark.parametrize("bits", [[0, 1], (0, 1), "01", [False, True], ["0", "1"]])
+    def test_bit_spellings_agree(self, bits):
+        Q = QuantumCircuit(2, (("CNOT", (1, 0)),), n_input=2)
+        assert run_circuit(Q, bits) == (1, 1.0)
+        assert np.array_equal(StateVector.from_bits(bits).amps, [0, 1, 0, 0])
+
 
 class TestMeasure:
     def test_zero_state_computational(self):
