@@ -27,13 +27,21 @@ alone and trapdoor verification rejects everything.
 
 Sealed verifiers and provers read constants that are fixed when the artifact
 is built, so each is decoded once per distinct blob. The memo rule: a
-memoized decoder holds a bounded number of entries, returns only immutable
+memoized function holds a bounded number of entries, returns only immutable
 values (never a `RandomOracle`, whose query memo would then outlive a call)
 and never keeps an error, so a malformed constant raises the same error on
-every call. The memos are `_decode_star_constant` and `_decode_oracle_spec`
-(`oracle_from_spec` still builds a fresh oracle per call), `_decode_toy_key`,
-`encdelegate._decode_sealed`, `qfhe._sk_keys`, `qfhe._wrap_key_from_pk` and
-`qma._binom_tail`.
+every call; `oracle_from_spec` still builds a fresh oracle per call. One memo
+is of an encryption, not of a decode: `nullio._gate_we_enc`, the `WE_ENC`
+gate, keeps ciphertext bytes. That is sound because encryption under
+external coins is a pure function of the gate's four byte arguments
+(statement, message, coins, target), so a NIZK prover encrypts each
+statement of a CRS once. The memos:
+
+* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`
+* `encdelegate._decode_sealed`
+* `nullio._gate_we_enc`, `nullio._decode_we`
+* `qfhe._sk_keys`, `qfhe._wrap_key_from_pk`
+* `qma._binom_tail`
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ handle, and skips the QFHE wrapping (its parameters are already blind).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import qfhe
@@ -72,7 +73,7 @@ register_gate("QFHE_DEC", _gate_qfhe_dec)
 register_gate("RO_SURROGATE", _gate_ro_surrogate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObfuscatedNullCircuit:
     ct_pp: qfhe.QfheCiphertext
     sealed_C: SealedProgram
@@ -273,7 +274,7 @@ def nio_eval_vbb(obf: VbbNullCircuit, witness: Witness, drbg: Drbg) -> int:
 # witness encryption
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeCiphertext:
     inner: ObfuscatedNullCircuit
     statement_digest: bytes
@@ -285,6 +286,13 @@ class WeCiphertext:
     def from_bytes(cls, blob: bytes) -> "WeCiphertext":
         inner, digest = unpack_fields(blob, 2)
         return cls(ObfuscatedNullCircuit.from_bytes(inner), digest)
+
+
+@functools.lru_cache(maxsize=16)
+def _decode_we(blob: bytes) -> WeCiphertext:
+    """A WE ciphertext decoded once per distinct blob (about 5 KB decoded for
+    the ghz and par8 CRS; memo rule in the `cvqc` module docstring)."""
+    return WeCiphertext.from_bytes(blob)
 
 
 def we_enc_bytes(L: QmaLanguage, x: bytes, m: bytes, coins,
@@ -327,7 +335,11 @@ def we_cfg(L: QmaLanguage) -> bytes:
     return pack_fields(L.ref, PROTO_ORACLE.encode(), bytes([JUDGE_REPS]))
 
 
+@functools.lru_cache(maxsize=16)
 def _gate_we_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
+    """Encryption under external coins is a pure function of the four byte
+    arguments, so the ciphertext bytes are memoized (rule in `cvqc`); a hit
+    hands back the same bytes object, whose hash `_decode_we` then reuses."""
     lang_ref, proto, reps = unpack_fields(cfg, 3)
     ct = we_enc_bytes(resolve_language(lang_ref), x, m, coins,
                       proto=utf8(proto), reps=fixed(reps, 1)[0])

@@ -34,7 +34,7 @@ from .errors import (
     SetupProofInvalid,
     WidthMismatch,
 )
-from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bytes
+from .nullio import _decode_we, we_cfg as _we_cfg, we_dec_bytes
 from .primitives import (
     KEY_LEN,
     PrfKey,
@@ -130,7 +130,7 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
 
 def nizk_prove(crs: NizkCrs, witness: Witness, x: bytes, drbg: Drbg) -> NizkProof:
     L = resolve_language(crs.lang_ref)
-    ct = WeCiphertext.from_bytes(crs.p_prog.run(_encode_stmt(L, x)))
+    ct = _decode_we(crs.p_prog.run(_encode_stmt(L, x)))
     m = we_dec_bytes(ct, witness, drbg)
     if m is None:
         raise ProofFailed("witness decryption returned bottom")

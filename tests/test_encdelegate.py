@@ -445,15 +445,23 @@ def test_cprf_ceval_decodes_mpk_once(ck, monkeypatch):
 
 
 def test_abe_enc_gate_does_not_reseal_mpk(ck, monkeypatch):
-    from qnk import circuit_ir
+    from qnk import circuit_ir, nullio
     from qnk.encdelegate import cprf_ceval
+    from qnk.wire import Reader, unseal
     kq = cprf_constrain(ck, 1)
+    pp = ck.pp  # built and sealed on first access, so read before counting
+    r = Reader(ck.abe.mpk.to_bytes())
+    r.field(), r.u32()
+    mpk_program = unseal(r.field())
+    nullio._gate_we_enc.cache_clear()
     calls = []
     original = circuit_ir.seal
     monkeypatch.setattr(circuit_ir, "seal", lambda *a: calls.append(a) or original(*a))
-    for x in (0b0111, 0b0111, 0b0011):
+    # a new x seals the ABE ciphertext's program and the WE ciphertext's
+    # program; a repeated one takes the WE ciphertext from the WE_ENC memo
+    for x, seals in ((0b0111, 2), (0b0111, 1), (0b0011, 2)):
         before = len(calls)
-        cprf_ceval(ck.pp, kq, x, Drbg(x))
-        # the ABE ciphertext's program and the WE ciphertext's program; the
-        # mpk the gate carries is passed on as bytes, not sealed again
-        assert len(calls) - before == 2
+        cprf_ceval(pp, kq, x, Drbg(x))
+        assert len(calls) - before == seals
+    # the mpk the gate carries is passed on as bytes, never sealed again
+    assert mpk_program not in [plaintext for plaintext, _ in calls]

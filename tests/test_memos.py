@@ -1,9 +1,12 @@
-"""Memoized decoders of fixed verifier constants (the memo rule is stated in
-the `cvqc` module docstring): each constant is decoded once per distinct
-blob, no memo holds a `RandomOracle` or an error, and no output changes."""
+"""Memoized decoders of fixed verifier constants and the memoized `WE_ENC`
+gate (the memo rule is stated in the `cvqc` module docstring): each constant
+is decoded once per distinct blob, each NIZK statement is encrypted once per
+CRS, no memo holds a `RandomOracle` or an error, and no output changes."""
+import dataclasses
+
 import pytest
 
-from qnk import cvqc, qfhe, qma
+from qnk import cvqc, nullio, qfhe, qma
 from qnk.circuit_ir import DEFAULT_REGISTRY
 from qnk.cvqc import (
     PROTO_ORACLE,
@@ -24,6 +27,8 @@ from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, unpack_fields
 
+WE_GATE = DEFAULT_REGISTRY["WE_ENC"]
+
 YES = claim_for(fixture("par8"), b"\x07")
 GHZ = fixture("ghz")
 
@@ -33,7 +38,10 @@ MEMOS = {
     "sk keys": qfhe._sk_keys,
     "pk wrap key": qfhe._wrap_key_from_pk,
     "binomial tail": qma._binom_tail,
+    "WE_ENC gate": nullio._gate_we_enc,
+    "WE decode": nullio._decode_we,
 }
+WE_MEMOS = ("WE_ENC gate", "WE decode")
 
 
 def ghz_witness_copies() -> Witness:
@@ -184,23 +192,80 @@ def test_memoized_binomial_tail_is_exact(name):
 # each fixed constant is decoded once
 
 # misses of the first call: one per memo, but two binomial tails (the
-# amplified alpha and beta); the second call misses nothing
-FIRST_CALL_MISSES = {name: 2 if name == "binomial tail" else 1 for name in MEMOS}
+# amplified alpha and beta), and none of the WE memos for `nio_eval`, which
+# encrypts nothing; the second call misses nothing
+NIZK_FIRST_CALL_MISSES = {name: 2 if name == "binomial tail" else 1 for name in MEMOS}
+NIO_FIRST_CALL_MISSES = {**NIZK_FIRST_CALL_MISSES, **dict.fromkeys(WE_MEMOS, 0)}
 
 
 def test_nio_eval_decodes_each_constant_once():
     obf = nio_obf(claim_for(GHZ, b"\x01"), 7)
     clear_memos()
     assert nio_eval(obf, ghz_witness_copies(), Drbg(15)) == 1
-    assert misses() == FIRST_CALL_MISSES
+    assert misses() == NIO_FIRST_CALL_MISSES
     assert nio_eval(obf, ghz_witness_copies(), Drbg(16)) == 1
-    assert misses() == FIRST_CALL_MISSES
+    assert misses() == NIO_FIRST_CALL_MISSES
 
 
 def test_nizk_prove_decodes_each_constant_once():
     crs = nizk_setup(GHZ, 8)
     clear_memos()
     first = nizk_prove(crs, ghz_witness_copies(), b"\x01", Drbg(17))
-    assert misses() == FIRST_CALL_MISSES
+    assert misses() == NIZK_FIRST_CALL_MISSES
     assert nizk_prove(crs, ghz_witness_copies(), b"\x01", Drbg(18)) == first
-    assert misses() == FIRST_CALL_MISSES
+    assert misses() == NIZK_FIRST_CALL_MISSES
+
+
+# ---------------------------------------------------------------------------
+# each NIZK statement is encrypted once
+
+
+def test_nizk_prove_encrypts_and_decodes_each_statement_once(monkeypatch):
+    crs = nizk_setup(GHZ, 9)
+    clear_memos()
+    encrypted, decoded = [], []
+    enc, dec = nullio.we_enc_bytes, nullio.WeCiphertext.from_bytes
+    monkeypatch.setattr(nullio, "we_enc_bytes",
+                        lambda *a, **kw: encrypted.append(a) or enc(*a, **kw))
+    monkeypatch.setattr(nullio.WeCiphertext, "from_bytes",
+                        lambda blob: decoded.append(blob) or dec(blob))
+    proofs = [nizk_prove(crs, ghz_witness_copies(), b"\x01", Drbg(seed))
+              for seed in (19, 20)]
+    assert proofs[0] == proofs[1]
+    assert len(encrypted) == len(decoded) == 1
+
+
+def test_malformed_we_cfg_raises_on_every_call():
+    cfg = pack_fields(pack_fields(b"nope"), PROTO_ORACLE.encode(),
+                      bytes([cvqc.JUDGE_REPS]))
+    before = nullio._gate_we_enc.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MalformedCiphertext):
+            WE_GATE(b"\x01", bytes(16), bytes(16), cfg)
+    assert nullio._gate_we_enc.cache_info().currsize == before
+
+
+def test_truncated_we_ciphertext_raises_on_every_call():
+    blob = WE_GATE(b"\x01", bytes(16), bytes(16), nullio.we_cfg(GHZ))
+    nullio._decode_we.cache_clear()
+    for _ in range(2):
+        with pytest.raises(MalformedCiphertext):
+            nullio._decode_we(blob[:-1])
+    assert nullio._decode_we.cache_info().currsize == 0
+
+
+def test_we_memos_stay_bounded():
+    cfg = nullio.we_cfg(GHZ)
+    for x in range(20):
+        nullio._decode_we(WE_GATE(bytes([x]), bytes(16), bytes(16), cfg))
+    for memo in (nullio._gate_we_enc, nullio._decode_we):
+        info = memo.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
+
+
+def test_decoded_we_ciphertext_is_frozen():
+    ct = nullio._decode_we(WE_GATE(b"\x01", bytes(16), bytes(16), nullio.we_cfg(GHZ)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ct.statement_digest = bytes(32)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ct.inner.min_copies = 0
