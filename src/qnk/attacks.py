@@ -19,13 +19,14 @@ import json
 from dataclasses import dataclass, field
 
 from .circuit_ir import SealedProgram
-from .cvqc import PROTO_TOY, CvqcProof, encode_base_proof, stats_encode
+from .cvqc import PROTO_TOY, CvqcProof, encode_base_proof
 from .errors import NoAcceptingProof, RankDeficient
 from .primitives import KEY_LEN, ro_query
 from .rand import Drbg
 
 DEFAULT_STATS_THRESHOLD = 0.25
 MIN_STATS_SAMPLES = 4
+_MAX_STATS_BODIES = 16  # encodings a stats adapter keeps; the attack needs 2
 
 
 @dataclass
@@ -68,7 +69,26 @@ def toy_verdict(sealed: SealedProgram):
 
 
 def stats_verdict(sealed: SealedProgram):
-    return _verdict(sealed, lambda salted: stats_encode(*salted))
+    """Salted-proof verdict adapter: each query is `stats_encode(salt, pi)`.
+    The stats attack asks about one pi under many salts, so the encoding of
+    pi is kept for reuse while the same hashable (so immutable) pi object
+    comes back; an equal but distinct pi is encoded afresh."""
+    bodies = {}
+
+    def encode(salt, pi):
+        head = b"S" + salt
+        try:
+            seen, body = bodies.get(pi, (None, None))
+        except TypeError:  # unhashable, e.g. a list of lists
+            return head + encode_base_proof(PROTO_TOY, pi)
+        if seen is not pi:
+            body = encode_base_proof(PROTO_TOY, pi)
+            if len(bodies) >= _MAX_STATS_BODIES:
+                bodies.clear()
+            bodies[pi] = (pi, body)
+        return head + body
+
+    return _verdict(sealed, lambda salted: encode(*salted))
 
 
 def star_verdict(sealed: SealedProgram, oracle):

@@ -37,7 +37,10 @@ external coins is a pure function of the gate's four byte arguments
 (statement, message, coins, target), so a NIZK prover encrypts each
 statement of a CRS once. The memos:
 
-* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`
+* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`; each
+  decoded TOY key builds its check table (`ToyVerifyKey.checks`, at most
+  255 x 256 entries, since a key has K <= 255 and w <= 8) and stats subset
+  key on first use and keeps them for as long as the key lives
 * `encdelegate._decode_sealed`
 * `nullio._gate_we_enc`, `nullio._decode_we`
 * `qfhe._sk_keys`, `qfhe._wrap_key_from_pk`
@@ -179,6 +182,19 @@ class ToyVerifyKey:
         other variants carry an empty `subset_key` and never read it."""
         return PrfKey(self.subset_key)
 
+    @functools.cached_property
+    def checks(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """Check table, built on first use: for each position the key reads
+        (every position in the linear variant), `(i, mask byte, mask shift,
+        expected)`, where `expected[d]` is the b that matches the target at
+        d. At most 255 x 256 entries, since a decoded key has K <= 255 and
+        w <= 8."""
+        read_all = self.variant == TOY_LINEAR
+        return tuple(
+            (i, i // 8, 7 - i % 8, tuple(t ^ _dot_bits(d, s) for d in range(1 << self.w)))
+            for i, (x, s, t) in enumerate(zip(self.bases, self.secrets, self.target))
+            if read_all or x == 1)
+
 
 @dataclass(frozen=True)
 class CvqcVerifyKey:
@@ -200,6 +216,10 @@ class CvqcVerifyKey:
             return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(km), claim_digest))
         _, bases, secrets, target, tau_w, variant, subset_key = unpack_fields(blob, 7)
         tau, w = fixed(tau_w, 2)
+        if not len(bases) == len(secrets) == len(target) <= 255:
+            raise MalformedCiphertext("key fields must give one entry per position, K <= 255")
+        if not 1 <= w <= 8 or max(secrets, default=0) >> w or set(bases) - {0, 1}:
+            raise MalformedCiphertext("key entries out of range")
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
                                            tau, w, utf8(variant), subset_key))
 
@@ -229,8 +249,7 @@ def decode_base_proof(proto: str, blob: bytes):
         raise MalformedProof("bad measurement proof encoding")
     if len(blob) < 2 or len(blob) != 2 + 2 * blob[1]:
         raise MalformedProof("bad measurement proof length")
-    k = blob[1]
-    return tuple((blob[2 + 2 * i], blob[3 + 2 * i]) for i in range(k))
+    return tuple(zip(blob[2::2], blob[3::2]))
 
 
 @dataclass(frozen=True)
@@ -325,8 +344,8 @@ def _output_check_probability(claim: Claim, witness: Witness) -> float:
 def toy_keygen(claim: Claim, drbg: Drbg,
                params: ToyParams = ToyParams()) -> tuple[CvqcParams, CvqcVerifyKey]:
     K, w = params.K, params.w
-    if w > 8:
-        raise DomainMismatch("secret width above 8 bits is not supported")
+    if not 1 <= w <= 8 or K > 255:  # the bounds `CvqcVerifyKey.from_bytes` enforces
+        raise DomainMismatch("TOY keys need 1 <= w <= 8 and at most 255 positions")
     bases = tuple(drbg.child("bases").bits(K))
     sd = drbg.child("secrets")
     secrets = tuple(int.from_bytes(sd.bytes(1), "big") % (1 << w) for _ in range(K))
@@ -383,15 +402,15 @@ def _check_toy_length(pi, vk: ToyVerifyKey) -> None:
 def _toy_verdict(pi, vk: ToyVerifyKey, mask: bytes) -> int:
     """Range-check every pair, then accept iff at most tau of the positions
     the key reads (all of them in the linear variant) and bit i of `mask`
-    selects miss the target pattern."""
+    selects miss the target pattern (one `vk.checks` lookup per position)."""
     d_bound = 1 << vk.w
-    read_all = vk.variant == TOY_LINEAR
-    mismatches = 0
-    for i, (b, d) in enumerate(pi):
+    for b, d in pi:
         if b not in (0, 1) or not 0 <= d < d_bound:
             raise MalformedProof("proof entry out of range")
-        if ((read_all or vk.bases[i] == 1) and mask[i // 8] >> (7 - i % 8) & 1
-                and b ^ _dot_bits(d, vk.secrets[i]) != vk.target[i]):
+    mismatches = 0
+    for i, byte, shift, expected in vk.checks:
+        b, d = pi[i]
+        if mask[byte] >> shift & 1 and b ^ expected[d]:
             mismatches += 1
     return 1 if mismatches <= vk.tau else 0
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from qnk.attacks import (
+    AttackTranscript,
     attack_basis_flip,
     attack_linear,
     attack_stats,
@@ -21,11 +23,13 @@ from qnk.cvqc import (
     sealed_toy_verifier,
     sim_gen,
     star_prove,
+    stats_encode,
     toy_keygen,
     toy_prove,
     toy_prove_stats,
 )
 from qnk.errors import NoAcceptingProof, RankDeficient
+from qnk.primitives import KEY_LEN
 from qnk.qma import Witness, fixture
 from qnk.rand import Drbg
 
@@ -160,3 +164,96 @@ class TestSimModeImmunity:
         ):
             with pytest.raises(NoAcceptingProof):
                 attack()
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def stats_setup():
+    pp, r = toy_keygen(CLAIM, Drbg(100), ToyParams(variant=TOY_STATS))
+    return r, toy_prove_stats(pp, Witness.empty(), Drbg(200))
+
+
+class TestPinnedTranscripts:
+    """Attack transcripts for one fixed key and seed each. The digests were
+    taken before the verifier's check table and the stats adapter's
+    encoding reuse, so they pin those changes to the same bytes."""
+
+    def test_basis_flip(self):
+        pp, r = toy_keygen(CLAIM, Drbg(4))
+        t = attack_basis_flip(sealed_toy_verifier(CLAIM, r),
+                              toy_prove(pp, Witness.empty(), Drbg(5)))
+        assert sha256(t.to_json().encode()) == (
+            "139f698c6e3405312eae766a3904233123316d5656631c95b282c7c7a65cbdaa")
+
+    def test_linear(self):
+        pp, r = toy_keygen(CLAIM, Drbg(300), ToyParams(variant=TOY_LINEAR))
+        t = attack_linear(sealed_toy_verifier(CLAIM, r),
+                          toy_prove(pp, Witness.empty(), Drbg(400)), width=4)
+        assert sha256(t.to_json().encode()) == (
+            "97bc1686062b3d09b3e5fc723bbae73feebf75d317f15ae8ae50fa16a17cfb39")
+
+    def test_stats(self):
+        r, salted = stats_setup()
+        t = attack_stats(sealed_stats_verifier(CLAIM, r), salted, samples=40, seed=3)
+        assert sha256(t.to_json().encode()) == (
+            "7b7b6feb3143cfbf3b284e91f2c4e8f2dd14beb1247b59db76a0d2aa68416730")
+        # to_json shows the first 64 queries; this digest covers all 641
+        everything = b"".join(q for q, _ in t.queries) + bytes(v for _, v in t.queries)
+        assert (t.query_count, sha256(everything)) == (
+            641, "49acc70332442dc8571499f45eaa582de8eb27b511f1e4f04aaee198982b9da2")
+
+    def test_every_stats_query_is_stats_encode(self):
+        r, (salt0, pi) = stats_setup()
+        t = attack_stats(sealed_stats_verifier(CLAIM, r), (salt0, pi), samples=6, seed=9)
+        drbg = Drbg(9).child("stats-attack")
+        want = [stats_encode(salt0, pi)]
+        for i in range(len(pi)):
+            flipped = pi[:i] + ((1 - pi[i][0], pi[i][1]),) + pi[i + 1:]
+            for s in range(6):
+                salt = drbg.child(f"salt-{i}-{s}").bytes(KEY_LEN)
+                want += [stats_encode(salt, pi), stats_encode(salt, flipped)]
+        assert [q for q, _ in t.queries] == want
+
+
+class TestStatsAdapter:
+    """`stats_verdict` reuses the encoding of a pi it has seen; what it
+    submits, returns and raises must not depend on that."""
+
+    def test_list_of_lists_matches_tuples(self):
+        r, (salt, pi) = stats_setup()
+        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
+        as_lists = [list(pair) for pair in pi]
+        t = AttackTranscript()
+        assert [verdict((salt, pi), t), verdict((salt, as_lists), t),
+                verdict((salt, as_lists), t), verdict((salt, pi), t)] == [1, 1, 1, 1]
+        assert [q for q, _ in t.queries] == [stats_encode(salt, pi)] * 4
+        as_lists[0][0] ^= 1  # a mutated list is encoded afresh
+        assert verdict((salt, as_lists), t) == stats_verdict(
+            sealed_stats_verifier(CLAIM, r))((salt, as_lists))
+        assert t.queries[-1][0] == stats_encode(salt, as_lists)
+
+    def test_an_equal_but_distinct_pi_is_encoded_afresh(self):
+        r, (salt, pi) = stats_setup()
+        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
+        assert verdict((salt, pi)) == 1
+        floats = tuple((float(b), d) for b, d in pi)
+        assert floats == pi
+        with pytest.raises(TypeError):
+            stats_encode(salt, floats)
+        with pytest.raises(TypeError):
+            verdict((salt, floats))
+
+    @pytest.mark.parametrize("salted", [
+        (bytes(16),), (bytes(16), ((0, 1),), b""), ("salt", ((0, 1),)),
+        (bytes(16), ((0, 300),)), (bytes(16), ((0, 1, 2),)), (bytes(16), 5),
+    ], ids=["one-field", "three-fields", "str-salt", "byte-overflow", "triple", "int-pi"])
+    def test_bad_input_raises_what_stats_encode_raises(self, salted):
+        r, _ = stats_setup()
+        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
+        with pytest.raises(Exception) as want:
+            stats_encode(*salted)
+        for _ in range(2):
+            with pytest.raises(type(want.value)):
+                verdict(salted)

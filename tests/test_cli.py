@@ -116,6 +116,32 @@ def cvqc_short_kwt(setup: bytes) -> bytes:
     return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
 
 
+def cvqc_toy_key(change):
+    """Re-pack the TOY verify key, a `cvqc.setup`'s third field, with some of
+    its fields (tag, bases, secrets, target, (tau, w), variant, subset key)
+    replaced: `change` maps a field index to the new field from the old."""
+    def mutate(setup: bytes) -> bytes:
+        claim, pp, r, *rest = unpack_fields(setup, 5)
+        fields = [change[i](f) if i in change else f
+                  for i, f in enumerate(unpack_fields(r, 7))]
+        return pack_fields(claim, pp, pack_fields(*fields), *rest)
+    return mutate
+
+
+# keys whose fields disagree (`cvqc keygen --proto toy` has K = 8, w = 4)
+HOSTILE_TOY_KEYS = {
+    "short-secrets": {2: lambda f: f[:3]},
+    "short-target": {3: lambda f: f[:3]},
+    "short-bases": {1: lambda f: f[:3]},
+    "256-positions": dict.fromkeys((1, 2, 3), lambda f: f * 32),
+    "basis-2": {1: lambda f: b"\x02" + f[1:]},
+    "w-0": {4: lambda f: f[:1] + b"\x00"},
+    "w-9": {4: lambda f: f[:1] + b"\x09"},
+    "w-255": {4: lambda f: f[:1] + b"\xff"},
+    "secret-2**w": {2: lambda f: b"\x10" + f[1:]},
+}
+
+
 # (produce, consume) argv; "{}" is the artifact path (`cvqc verify` fails on
 # the setup before it reads the proof)
 WE_CMDS = (["we", "enc", "--lang", "par8", "--x", "07", "--m", "1", "--seed", "3",
@@ -273,10 +299,14 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy_bytes(b"qubits 2\n\xff\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCiphertext"),
-    ], ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
-            "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
-            "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
-            "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy"])
+    ] + [(CVQC_SETUP, rewrap("setup", cvqc_toy_key(change)),
+          ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext")
+         for change in HOSTILE_TOY_KEYS.values()],
+        ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
+             "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
+             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
+             "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy"]
+        + [f"cvqc-verify-toy-key-{name}" for name in HOSTILE_TOY_KEYS])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):
         paths = {name: tmp / f"{name}.bin" for name in ("keys", "sk", "ct", "setup", "proof")}

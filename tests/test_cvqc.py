@@ -2,6 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnk import cvqc
 from qnk.circuit_ir import SealedProgram
@@ -141,6 +142,92 @@ class TestToyProtocol:
         with pytest.raises(error):
             encode_base_proof(PROTO_TOY, pi)
 
+    def test_proof_decoding_roundtrip_and_length_checks(self):
+        d = Drbg(24)
+        for K in range(256):
+            pi = tuple((d.bit(), d.bytes(1)[0]) for _ in range(K))
+            blob = encode_base_proof(PROTO_TOY, pi)
+            assert decode_base_proof(PROTO_TOY, blob) == pi
+            wrong = [blob[:n] for n in range(len(blob))] + [blob + b"\x00", blob + b"\x00\x00"]
+            wrong += [b"T" + bytes([c]) + blob[2:] for c in ((K - 1) % 256, (K + 1) % 256)]
+            for bad in wrong:
+                with pytest.raises(MalformedProof):
+                    decode_base_proof(PROTO_TOY, bad)
+
+
+def reference_verdict(pi, vk, mask: bytes) -> int:
+    """The per-pair TOY rule that the key's check table replaces."""
+    d_bound = 1 << vk.w
+    read_all = vk.variant == TOY_LINEAR
+    mismatches = 0
+    for i, (b, d) in enumerate(pi):
+        if b not in (0, 1) or not 0 <= d < d_bound:
+            raise MalformedProof("proof entry out of range")
+        if ((read_all or vk.bases[i] == 1) and mask[i // 8] >> (7 - i % 8) & 1
+                and b ^ (bin(d & vk.secrets[i]).count("1") & 1) != vk.target[i]):
+            mismatches += 1
+    return 1 if mismatches <= vk.tau else 0
+
+
+@st.composite
+def toy_cases(draw):
+    """(decoded key, check mask, proof, whether the proof has an
+    out-of-range entry). Columns are drawn as bytes and reduced into range;
+    targets are mostly 0/1, but a decoded key may carry any byte there."""
+    w, tau = draw(st.integers(1, 8)), draw(st.integers(0, 2))
+    variant = draw(st.sampled_from((TOY_STANDARD, TOY_STATS, TOY_LINEAR)))
+    K = draw(st.one_of(st.integers(0, 24), st.integers(240, 255)))
+    column = lambda: draw(st.binary(min_size=K, max_size=K))
+    bases, secrets = bytes(x & 1 for x in column()), bytes(x >> (8 - w) for x in column())
+    target = bytes(x & 1 if x < 224 else x for x in column())
+    blob = pack_fields(b"T", bases, secrets, target, bytes([tau, w]), variant.encode(),
+                       bytes(16) if variant == TOY_STATS else b"")
+    mask = draw(st.one_of(st.just(cvqc._EVERY_POSITION), st.binary(min_size=32, max_size=32)))
+    pi = [(b & 1, d >> (8 - w)) for b, d in zip(column(), column())]
+    hostile = K > 0 and draw(st.booleans())
+    if hostile:
+        d_ok = st.integers(0, (1 << w) - 1)
+        pi[draw(st.integers(0, K - 1))] = draw(st.one_of(
+            st.tuples(st.integers(2, 300), d_ok),
+            st.tuples(st.integers(0, 1), st.integers(1 << w, 300)),
+            st.tuples(st.integers(-3, -1), d_ok),
+            st.tuples(st.integers(0, 1), st.integers(-3, -1))))
+    return CvqcVerifyKey.from_bytes(blob), mask, tuple(pi), hostile
+
+
+def verdict_or_error(verify, *args):
+    try:
+        return verify(*args)
+    except MalformedProof:
+        return MalformedProof
+
+
+class TestCheckTable:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(toy_cases())
+    def test_table_verdict_matches_per_pair_rule(self, case):
+        r, mask, pi, hostile = case
+        vk = r.body
+        want = verdict_or_error(reference_verdict, pi, vk, mask)
+        assert verdict_or_error(cvqc._toy_verdict, pi, vk, mask) == want
+        assert (want is MalformedProof) == hostile
+        if mask == cvqc._EVERY_POSITION:
+            assert verdict_or_error(toy_verify, YES, pi, r) == want
+        assert len(vk.checks) <= vk.K <= 255
+        assert all(len(expected) == 1 << vk.w for *_, expected in vk.checks)
+
+    def test_table_is_built_once_per_key(self, monkeypatch):
+        pp, r = toy_keygen(YES, Drbg(25))
+        pi = toy_prove(pp, Witness.empty(), Drbg(26))
+        sealed = sealed_toy_verifier(YES, r)
+        assert sealed.run(encode_base_proof(PROTO_TOY, pi)) == b"\x01"
+        built = []
+        real = cvqc._dot_bits
+        monkeypatch.setattr(cvqc, "_dot_bits", lambda *a: built.append(a) or real(*a))
+        for _ in range(3):
+            assert sealed.run(encode_base_proof(PROTO_TOY, pi)) == b"\x01"
+        assert built == []
+
 
 class TestStarLayer:
     def test_roundtrip(self):
@@ -262,6 +349,12 @@ class TestVariants:
         _, r = keygen(YES, Drbg(41))
         with pytest.raises(MalformedCiphertext):
             CvqcVerifyKey.from_bytes(r.to_bytes() + b"junk")
+
+    @pytest.mark.parametrize("params", [ToyParams(w=0), ToyParams(w=9), ToyParams(K=256)],
+                             ids=["w-0", "w-9", "K-256"])
+    def test_keygen_refuses_keys_the_decoder_rejects(self, params):
+        with pytest.raises(DomainMismatch):
+            toy_keygen(YES, Drbg(41), params)
 
     def test_verify_key_bad_parameters_rejected(self):
         _, r = toy_keygen(YES, Drbg(41))

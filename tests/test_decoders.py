@@ -58,6 +58,23 @@ CASES = {
 }
 
 
+# Semantic cases of the TOY verify key: every field has a valid layout, but
+# the fields disagree, so decoding must raise MalformedCiphertext. name ->
+# {field index: new field from old}; the fields are (tag, bases, secrets,
+# target, (tau, w), variant, subset key), built with K = 8 and w = 4.
+TOY_KEY_SEMANTIC = {
+    "short-secrets": {2: lambda f: f[:3]},
+    "short-target": {3: lambda f: f[:3]},
+    "long-bases": {1: lambda f: f + b"\x01"},
+    "256-positions": dict.fromkeys((1, 2, 3), lambda f: f * 32),
+    "basis-2": {1: lambda f: b"\x02" + f[1:]},
+    "w-0": {4: lambda f: f[:1] + b"\x00"},
+    "w-9": {4: lambda f: f[:1] + b"\x09"},
+    "w-255": {4: lambda f: f[:1] + b"\xff"},
+    "secret-2**w": {2: lambda f: b"\x10" + f[1:]},
+}
+
+
 def split(blob: bytes, kinds: str) -> list[bytes]:
     r = Reader(blob)
     fields = [r.field() if k == "f" else r.take(4) for k in kinds]
@@ -94,3 +111,20 @@ def test_decoder_fails_closed(name):
         if must_reject and not isinstance(err, MalformedCiphertext):
             wrong.append((i, new, err))
     assert wrong == []
+
+
+@pytest.mark.parametrize("change", TOY_KEY_SEMANTIC.values(), ids=TOY_KEY_SEMANTIC)
+def test_toy_key_with_inconsistent_fields_rejected(change):
+    decoder, build, kinds, _ = CASES["CvqcVerifyKey-toy"]
+    fields = split(build().to_bytes(), kinds)
+    mutated = [change[i](f) if i in change else f for i, f in enumerate(fields)]
+    with pytest.raises(MalformedCiphertext):
+        decoder.from_bytes(join(mutated, kinds))
+
+
+def test_toy_key_at_the_bounds_decodes():
+    """255 positions, w = 8 and a secret of 255 are inside the bounds."""
+    blob = cvqc.CvqcVerifyKey(cvqc.PROTO_TOY, cvqc.ToyVerifyKey(
+        (1,) * 255, (255,) * 255, (0,) * 255, 0, 8)).to_bytes()
+    r = cvqc.CvqcVerifyKey.from_bytes(blob)
+    assert r.to_bytes() == blob and len(r.body.checks) == 255
