@@ -492,11 +492,23 @@ def program_from_bytes(blob: bytes) -> Program:
         raise MalformedCircuit("unknown program format version")
     input_arity = r.u32()
     nodes = []
+    count = r.u32()
+    tail_tried = False
     # one try around the loop, not one per node
     try:
-        for i in range(r.u32()):
+        for i in range(count):
             if r.skip(_FILLER_BYTES):
                 nodes.append(_FILLER)
+                rest = count - 1 - i
+                # Once per decode, at the first filler, test whether every node
+                # left is one too (as `pad` appends them) with one compare. The
+                # run is built only if the blob still holds its bytes, so a
+                # hostile count allocates no more than the blob's length.
+                if not tail_tried and rest * len(_FILLER_BYTES) <= len(blob) - r.pos:
+                    tail_tried = True
+                    if r.skip(_FILLER_BYTES * rest):
+                        nodes += [_FILLER] * rest
+                        break
                 continue
             op = _TAG_OPS[r.take(1)[0]]
             args = tuple(r.u32() for _ in range(r.u32()))

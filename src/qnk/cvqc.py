@@ -37,10 +37,12 @@ external coins is a pure function of the gate's four byte arguments
 (statement, message, coins, target), so a NIZK prover encrypts each
 statement of a CRS once. The memos:
 
-* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`; each
-  decoded TOY key builds its check table (`ToyVerifyKey.checks`, at most
-  255 x 256 entries, since a key has K <= 255 and w <= 8) and stats subset
-  key on first use and keeps them for as long as the key lives
+* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`; the
+  last keeps 64 keys, so a pool of up to 64 sealed TOY verifiers decodes
+  each key once. Each decoded TOY key builds its check table
+  (`ToyVerifyKey.checks`, at most 255 x 256 entries, since a key has
+  K <= 255 and w <= 8) and stats subset key on first use and keeps them for
+  as long as the key lives
 * `encdelegate._decode_sealed`
 * `nullio._gate_we_enc`, `nullio._decode_we`
 * `qfhe._sk_keys`, `qfhe._wrap_key_from_pk`
@@ -83,6 +85,7 @@ PROTO_TOY = "TOY"
 TOY_STANDARD = "standard"   # fixed check set
 TOY_STATS = "stats"         # check subset re-derived from a PRF of the proof
 TOY_LINEAR = "linear"       # no ignored positions (no basis commitment)
+TOY_VARIANTS = frozenset({TOY_STANDARD, TOY_STATS, TOY_LINEAR})
 
 DEFAULT_K = 8
 DEFAULT_W = 4
@@ -221,7 +224,16 @@ class CvqcVerifyKey:
         if not 1 <= w <= 8 or max(secrets, default=0) >> w or set(bases) - {0, 1}:
             raise MalformedCiphertext("key entries out of range")
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
-                                           tau, w, utf8(variant), subset_key))
+                                           tau, w, _toy_variant(variant), subset_key))
+
+
+def _toy_variant(f: bytes) -> str:
+    """A TOY variant name field, which must name one of `TOY_VARIANTS`: any
+    other name would be read as the standard variant."""
+    name = utf8(f)
+    if name not in TOY_VARIANTS:
+        raise MalformedCiphertext("unknown TOY variant")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +356,9 @@ def _output_check_probability(claim: Claim, witness: Witness) -> float:
 def toy_keygen(claim: Claim, drbg: Drbg,
                params: ToyParams = ToyParams()) -> tuple[CvqcParams, CvqcVerifyKey]:
     K, w = params.K, params.w
-    if not 1 <= w <= 8 or K > 255:  # the bounds `CvqcVerifyKey.from_bytes` enforces
-        raise DomainMismatch("TOY keys need 1 <= w <= 8 and at most 255 positions")
+    # the bounds `CvqcVerifyKey.from_bytes` enforces
+    if not 1 <= w <= 8 or K > 255 or params.variant not in TOY_VARIANTS:
+        raise DomainMismatch("TOY keys need 1 <= w <= 8, at most 255 positions and a known variant")
     bases = tuple(drbg.child("bases").bits(K))
     sd = drbg.child("secrets")
     secrets = tuple(int.from_bytes(sd.bytes(1), "big") % (1 << w) for _ in range(K))
@@ -362,7 +375,8 @@ def toy_keygen(claim: Claim, drbg: Drbg,
 def _toy_open_pp(pp: CvqcParams):
     claim_bytes, bases, secrets, kwt, variant = unpack_fields(unseal(pp.pp), 5)
     K, w, tau = fixed(kwt, 3)
-    return Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau, utf8(variant)
+    return (Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau,
+            _toy_variant(variant))
 
 
 def _toy_pairs(pp: CvqcParams, witness: Witness, drbg: Drbg, draw_d: bool):
@@ -590,7 +604,7 @@ def _star_gate_fn(use_td: bool):
     return gate
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=64)
 def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
     """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates, decoded once per
     distinct blob (memo rule in the module docstring)."""

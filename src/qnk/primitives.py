@@ -74,6 +74,13 @@ def prg(s: bytes, out_len: int) -> bytes:
     Injective on seeds except with negligible probability (block 0 alone is a
     PRF image of the seed).
 
+    Block i for i >= 1 is also PBKDF2-HMAC-SHA256 block T_i of password s
+    with an empty salt and one iteration (RFC 8018 §5.2: T_i = U_1 =
+    HMAC(P, S || INT32_BE(i))). So a pad of 5 or more blocks computes block 0
+    with `_hmac` and the rest in one `hashlib.pbkdf2_hmac` call, inside
+    OpenSSL; a pad of 4 blocks or fewer keeps the `_hmac` loop, which is
+    faster there than PBKDF2's set-up. Both give the same bytes.
+
     Each `(s, out_len)` is expanded once per process: `_prg` memoizes the
     pads, so `unseal` reuses the pad that `seal` expanded from the same nonce.
     The memo is pure (it holds only values derived from the seed, so it
@@ -88,7 +95,10 @@ def prg(s: bytes, out_len: int) -> bytes:
 
 @functools.lru_cache(maxsize=16)
 def _prg(s: bytes, out_len: int) -> bytes:
-    return _hmac(s, *[i.to_bytes(4, "big") for i in range((out_len + 31) // 32)])[:out_len]
+    n = (out_len + 31) // 32
+    if n <= 4:
+        return _hmac(s, *[i.to_bytes(4, "big") for i in range(n)])[:out_len]
+    return _hmac(s, bytes(4)) + hashlib.pbkdf2_hmac("sha256", s, b"", 1, out_len - 32)
 
 
 def owf(x: bytes) -> bytes:

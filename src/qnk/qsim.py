@@ -30,7 +30,6 @@ from .errors import MalformedCircuit, TooManyQubits, WidthMismatch
 from .rand import Drbg
 
 MAX_QUBITS = 12
-ATOL = 1e-9
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "S": 1, "T": 1, "CNOT": 2, "CCX": 3}

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from qnk.circuit_ir import (
@@ -26,7 +29,13 @@ from qnk.circuit_ir import (
     validate,
     wrap_some,
 )
-from qnk.errors import MalformedCiphertext, MalformedCircuit, TargetTooSmall, UnknownGate
+from qnk.errors import (
+    MalformedCiphertext,
+    MalformedCircuit,
+    QnkError,
+    TargetTooSmall,
+    UnknownGate,
+)
 from qnk.primitives import owf
 from qnk.rand import Drbg
 from qnk.wire import pack_bytes, pack_u32, seal
@@ -390,6 +399,84 @@ class TestPaddedProgramCodec:
         assert again == p
         assert program_to_bytes(again) == blob
         assert evaluate(again, [b"\x0f", b"\xf0"]) == [b"\xff"]
+
+
+class CountedBlob(bytes):
+    """A program blob that counts the prefix compares made on it and the
+    bytes they read."""
+
+    def startswith(self, prefix, *span):
+        self.calls = getattr(self, "calls", 0) + 1
+        self.compared = getattr(self, "compared", 0) + len(prefix)
+        return super().startswith(prefix, *span)
+
+
+class TestFillerTail:
+    """`program_from_bytes` reads a trailing run of fillers with one compare,
+    tried once per decode, and decodes exactly what the per-node walk does."""
+
+    @staticmethod
+    def decode(p: Program) -> tuple[Program, CountedBlob]:
+        blob = CountedBlob(program_to_bytes(p))
+        again = program_from_bytes(blob)
+        assert again == p
+        assert program_to_bytes(again) == blob
+        return again, blob
+
+    def test_all_trailing_fillers_take_one_compare(self):
+        b = ProgramBuilder(1)
+        live = b.build([b.xor(b.input(0), b.const(b"\x01"))])
+        again, blob = self.decode(pad(live, 500))
+        # one failed compare per live node, the first filler, then the rest
+        assert blob.calls == live.size + 2
+        assert evaluate(again, [b"\x02"]) == [b"\x03"]
+
+    def test_middle_fillers_stay_linear(self):
+        # fillers in the middle, then live nodes, then a filler before every
+        # live node, then a trailing run: the one tail compare fails at the
+        # first filler and is not tried again
+        nodes = ((Node("INPUT"),) + (Node("CONST"),) * 40 + (Node("XOR", (0, 0)),)
+                 + (Node("CONST"), Node("CONCAT", (0, 41))) * 500 + (Node("CONST"),) * 300)
+        again, blob = self.decode(Program(nodes, (1041,), 1))
+        assert evaluate(again, [b"\x05"]) == [b"\x05\x00"]
+        assert blob.compared < 2 * len(blob)
+
+    def test_empty_const_in_the_trailing_run(self):
+        # a live `CONST b""` encodes as a filler, so it decodes as one
+        nodes = ((Node("INPUT"), Node("CONST"), Node("CONST"), Node("CONCAT", (0, 2)))
+                 + (Node("CONST"),) * 20)
+        again, blob = self.decode(Program(nodes, (3, 2, 23), 1))
+        assert evaluate(again, [b"z"]) == [b"z", b"", b""]
+        again, blob = self.decode(Program(nodes[:3] + (Node("CONST"),) * 20, (2, 22), 1))
+        assert blob.calls == 3 and evaluate(again, [b"z"]) == [b"", b""]
+
+    @pytest.mark.parametrize("short", [1, 28])
+    def test_filler_tail_cut_short(self, short):
+        # the output list follows, so the blob still holds as many bytes as
+        # the run needs; a blob that ends inside the run is
+        # TestPaddedProgramCodec.test_every_prefix_is_truncated
+        b = ProgramBuilder(1)
+        blob = program_to_bytes(pad(b.build([b.input(0)]), 40))
+        run_end = len(blob) - 8  # the output list is a count and one index
+        cut = blob[:run_end - short] + blob[run_end:]
+        with pytest.raises(MalformedCiphertext, match="truncated") as e:
+            program_from_bytes(cut)
+        assert type(e.value) is MalformedCiphertext
+
+    @pytest.mark.parametrize("body", [bytes(29 * 3) + pack_u32(1) + pack_u32(0), bytes(29 * 1000)],
+                             ids=["three-fillers", "1000-fillers"])
+    def test_huge_node_count_over_a_short_blob(self, body):
+        blob = b"\x01" + pack_u32(1) + pack_u32(2 ** 32 - 1) + body
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(QnkError):
+                program_from_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 64 * 1024 + len(blob)
 
 
 class TestPuncturedKeyCodec:

@@ -116,6 +116,16 @@ def cvqc_short_kwt(setup: bytes) -> bytes:
     return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
 
 
+def cvqc_pp_unknown_variant(setup: bytes) -> bytes:
+    """The sealed `pp` re-packed with variant `Linear`, a name outside the
+    three TOY variants."""
+    claim, pp, *rest = unpack_fields(setup, 5)
+    proto, sealed_pp = unpack_fields(pp, 2)
+    *head, _variant = unpack_fields(unseal(sealed_pp), 5)
+    sealed_pp = seal(pack_fields(*head, b"Linear"), b"cvqc-toy-pp")
+    return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
+
+
 def cvqc_toy_key(change):
     """Re-pack the TOY verify key, a `cvqc.setup`'s third field, with some of
     its fields (tag, bases, secrets, target, (tau, w), variant, subset key)
@@ -128,7 +138,8 @@ def cvqc_toy_key(change):
     return mutate
 
 
-# keys whose fields disagree (`cvqc keygen --proto toy` has K = 8, w = 4)
+# keys whose fields disagree or name an unknown variant (`cvqc keygen --proto toy`
+# has K = 8, w = 4)
 HOSTILE_TOY_KEYS = {
     "short-secrets": {2: lambda f: f[:3]},
     "short-target": {3: lambda f: f[:3]},
@@ -139,6 +150,7 @@ HOSTILE_TOY_KEYS = {
     "w-9": {4: lambda f: f[:1] + b"\x09"},
     "w-255": {4: lambda f: f[:1] + b"\xff"},
     "secret-2**w": {2: lambda f: b"\x10" + f[1:]},
+    "variant-Linear": {5: lambda f: b"Linear"},
 }
 
 
@@ -257,10 +269,11 @@ class TestWeCommands:
         (NIZK_CMDS, None, non_utf8_first_field, b""),
         (CVQC_CMDS, None, cvqc_non_utf8_oracle_mode, b""),
         (CVQC_PROVE_CMDS, None, cvqc_short_kwt, b""),
+        (CVQC_PROVE_CMDS, None, cvqc_pp_unknown_variant, b""),
     ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
             "nio-empty-copies", "nio-non-utf8-field", "we-empty-count",
             "abe-keygen-empty-attr-len", "nizk-non-utf8-lang", "cvqc-non-utf8-oracle-mode",
-            "cvqc-prove-short-kwt"])
+            "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)

@@ -50,7 +50,7 @@ from qnk.errors import (
 from qnk.primitives import ro_query
 from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
-from qnk.wire import pack_fields, unpack_fields
+from qnk.wire import pack_fields, seal, unpack_fields, unseal
 
 PAR = fixture("par8")
 YES = claim_for(PAR, b"\x07")
@@ -350,11 +350,36 @@ class TestVariants:
         with pytest.raises(MalformedCiphertext):
             CvqcVerifyKey.from_bytes(r.to_bytes() + b"junk")
 
-    @pytest.mark.parametrize("params", [ToyParams(w=0), ToyParams(w=9), ToyParams(K=256)],
-                             ids=["w-0", "w-9", "K-256"])
+    @pytest.mark.parametrize("params", [ToyParams(w=0), ToyParams(w=9), ToyParams(K=256),
+                                        ToyParams(variant="Linear")],
+                             ids=["w-0", "w-9", "K-256", "variant-Linear"])
     def test_keygen_refuses_keys_the_decoder_rejects(self, params):
         with pytest.raises(DomainMismatch):
             toy_keygen(YES, Drbg(41), params)
+
+    def test_unknown_variant_key_rejected(self):
+        # a linear key reads every position; re-packed under a name outside
+        # the three variants it would be read as a standard key, which skips
+        # the positions with basis 0 and accepts a proof flipped at one
+        pp, r = toy_keygen(YES, Drbg(1), ToyParams(variant=TOY_LINEAR))
+        pi = toy_prove(pp, Witness.empty(), Drbg(2))
+        i = r.body.bases.index(0)
+        flipped = pi[:i] + ((1 - pi[i][0], pi[i][1]),) + pi[i + 1:]
+        assert (toy_verify(YES, pi, r), toy_verify(YES, flipped, r)) == (1, 0)
+        as_standard = CvqcVerifyKey(PROTO_TOY, replace(r.body, variant=TOY_STANDARD))
+        assert toy_verify(YES, flipped, as_standard) == 1
+        fields = unpack_fields(r.to_bytes(), 7)
+        for name in (b"Linear", b"LINEAR", b"linear\x00", b""):
+            with pytest.raises(MalformedCiphertext):
+                CvqcVerifyKey.from_bytes(pack_fields(*fields[:5], name, fields[6]))
+
+    def test_unknown_variant_params_rejected(self):
+        pp, _ = toy_keygen(YES, Drbg(1), ToyParams(variant=TOY_LINEAR))
+        *head, variant = unpack_fields(unseal(pp.pp), 5)
+        assert variant == b"linear"
+        bad = replace(pp, pp=seal(pack_fields(*head, b"Linear"), b"cvqc-toy-pp"))
+        with pytest.raises(MalformedCiphertext):
+            toy_prove(bad, Witness.empty(), Drbg(2))
 
     def test_verify_key_bad_parameters_rejected(self):
         _, r = toy_keygen(YES, Drbg(41))

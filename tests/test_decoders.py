@@ -59,7 +59,8 @@ CASES = {
 
 
 # Semantic cases of the TOY verify key: every field has a valid layout, but
-# the fields disagree, so decoding must raise MalformedCiphertext. name ->
+# the fields disagree or the variant is not one of the three, so decoding must
+# raise MalformedCiphertext. name ->
 # {field index: new field from old}; the fields are (tag, bases, secrets,
 # target, (tau, w), variant, subset key), built with K = 8 and w = 4.
 TOY_KEY_SEMANTIC = {
@@ -72,6 +73,10 @@ TOY_KEY_SEMANTIC = {
     "w-9": {4: lambda f: f[:1] + b"\x09"},
     "w-255": {4: lambda f: f[:1] + b"\xff"},
     "secret-2**w": {2: lambda f: b"\x10" + f[1:]},
+    # a variant outside the three would be read as the standard one
+    "variant-Linear": {5: lambda f: b"Linear"},
+    "variant-empty": {5: lambda f: b""},
+    "variant-standard-nul": {5: lambda f: b"standard\x00"},
 }
 
 

@@ -269,3 +269,17 @@ def test_decoded_we_ciphertext_is_frozen():
         ct.statement_digest = bytes(32)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ct.inner.min_copies = 0
+
+
+def test_toy_key_memo_keeps_a_pool_of_48_keys():
+    """48 distinct sealed TOY verifier keys, decoded round-robin twice, are
+    each decoded once: the memo keeps the whole pool."""
+    blobs = [pack_fields(YES.to_bytes(), cvqc.toy_keygen(YES, Drbg(i))[1].to_bytes())
+             for i in range(48)]
+    assert len(set(blobs)) == 48
+    cvqc._decode_toy_key.cache_clear()
+    for _ in range(2):
+        for blob in blobs:
+            cvqc._decode_toy_key(blob)
+    info = cvqc._decode_toy_key.cache_info()
+    assert (info.misses, info.hits) == (48, 48)

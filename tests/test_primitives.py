@@ -1,8 +1,10 @@
 import hashlib
+import hmac
 import inspect
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnk import primitives
 from qnk.errors import (
@@ -158,6 +160,47 @@ class TestPrg:
     def test_stays_a_plain_function(self):
         # the layer tracer wraps plain functions only and counts prg_bytes through prg
         assert inspect.isfunction(primitives.prg)
+
+
+def reference_prg(s: bytes, out_len: int) -> bytes:
+    """The PRG's definition as a block loop: block i = HMAC-SHA256(s, i), a
+    4-byte big-endian counter, concatenated and cut to `out_len` bytes."""
+    n = (out_len + 31) // 32
+    return b"".join(hmac.digest(s, i.to_bytes(4, "big"), "sha256") for i in range(n))[:out_len]
+
+
+# lengths on both sides of the 4/5-block cutoff, every block boundary and
+# its neighbours, and the 64 KB maximum
+PRG_LENGTHS = st.one_of(
+    st.integers(0, 200),
+    st.builds(lambda k, e: min(32 * k + e, 2 ** 16),
+              st.integers(1, 2 ** 11), st.sampled_from((-1, 0, 1))),
+    st.just(2 ** 16))
+
+
+class TestPrgBlocks:
+    """`_prg` computes pads of 5 or more blocks through PBKDF2; every pad
+    equals the block loop's."""
+
+    @pytest.mark.parametrize("seed", [bytes(16), b"\xff" * 16, b"", b"k" * 65],
+                             ids=["zero", "ones", "empty", "longer-than-a-block"])
+    def test_every_length_up_to_200(self, seed):
+        for n in range(201):
+            assert prg(seed, n) == reference_prg(seed, n)
+
+    def test_maximum_length(self):
+        assert prg(b"\x05" * 16, 2 ** 16) == reference_prg(b"\x05" * 16, 2 ** 16)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(seed=st.one_of(st.binary(min_size=16, max_size=16), st.binary(max_size=100)),
+           n=PRG_LENGTHS)
+    def test_matches_block_loop(self, seed, n):
+        assert prg(seed, n) == reference_prg(seed, n)
+
+    @pytest.mark.parametrize("n", [2 ** 16 + 1, 2 ** 16 + 32, 2 ** 20])
+    def test_above_64k_raises(self, n):
+        with pytest.raises(LengthTooLarge):
+            prg(bytes(16), n)
 
 
 class TestSealMemo:
