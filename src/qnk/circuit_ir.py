@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import primitives as pr
 from .errors import MalformedCircuit, TargetTooSmall, UnknownGate
 from .primitives import _xor
-from .rand import Drbg
 from .wire import Reader, pack_bytes, pack_u32, seal, unseal
 
 # distinguished "no output" sentinel, distinct from every released payload:
@@ -391,40 +390,6 @@ def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
 # ---------------------------------------------------------------------------
 # functional-equivalence checking (the test oracle behind every "functionally
 # equivalent, hence indistinguishable" step)
-
-
-@dataclass(frozen=True)
-class ExhaustiveDomain:
-    widths_bits: tuple[int, ...]
-
-    def points(self):
-        total = 1
-        for w in self.widths_bits:
-            total *= 1 << w
-        if total > 1 << 16:
-            raise MalformedCircuit("exhaustive domain larger than 2^16")
-        for v in range(total):
-            point = []
-            rest = v
-            for w in reversed(self.widths_bits):
-                point.append(rest % (1 << w))
-                rest //= 1 << w
-            yield tuple(p.to_bytes((w + 7) // 8, "big")
-                        for p, w in zip(reversed(point), self.widths_bits))
-
-
-@dataclass(frozen=True)
-class RandomDomain:
-    widths_bits: tuple[int, ...]
-    samples: int
-    seed: int = 0
-
-    def points(self):
-        d = Drbg(self.seed).child("equiv-domain")
-        for _ in range(self.samples):
-            yield tuple(
-                (d.randint(0, (1 << w) - 1)).to_bytes((w + 7) // 8, "big")
-                for w in self.widths_bits)
 
 
 @dataclass(frozen=True)

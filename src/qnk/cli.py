@@ -13,18 +13,20 @@ flag the action does not read.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, selftest
 from .errors import JudgeReject, NoAcceptingProof, ProofFailed, QnkError
+from .memo import memo
 from .primitives import PrfKey
 from .qma import FIXTURES, Witness, fixture, ghz_witness
 from .qsim import parse_circuit
 from .rand import Drbg
-from .wire import envelope, fixed, open_envelope, pack_fields, seal, unpack_fields, unseal, utf8
+from .wire import (
+    choice, envelope, fixed, open_envelope, pack_fields, seal, unpack_fields, unseal, utf8,
+)
 
 _WITNESSES = {
     "none": lambda copies: Witness.empty(copies),
@@ -157,7 +159,7 @@ def cmd_cvqc(args) -> int:
         return _saved(args, "cvqc.proof",
                       pack_fields(setup.pp.proto.encode(), proof.encode(setup.pp.proto)))
     proto_b, blob = unpack_fields(_load(args, "proof", "cvqc.proof"), 2)
-    proto = utf8(proto_b)
+    proto = choice(proto_b, cvqc.PROTOCOLS)
     proof = cvqc.CvqcProof.decode(proto, blob)
     if setup.td is not None and setup.r is None:
         bit = cvqc.td_verify(setup.claim, proof, setup.td, setup.oracle, proto)
@@ -400,7 +402,7 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-@functools.lru_cache(maxsize=1)
+@memo(1)
 def _parser() -> argparse.ArgumentParser:
     """The whole flag grammar, built on first use and kept for the process:
     each (command, action) takes exactly the flags its handler reads."""

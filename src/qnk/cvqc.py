@@ -24,29 +24,6 @@ The dual-mode layer hashes the base proof: the prover sends (pi, H(pi)); in
 trapdoor mode the oracle's last output bit is F(td, pi) XOR Verify(pi), so a
 td holder verifies by unmasking; in simulation mode the last bit is F(td, pi)
 alone and trapdoor verification rejects everything.
-
-Sealed verifiers and provers read constants that are fixed when the artifact
-is built, so each is decoded once per distinct blob. The memo rule: a
-memoized function holds a bounded number of entries, returns only immutable
-values (never a `RandomOracle`, whose query memo would then outlive a call)
-and never keeps an error, so a malformed constant raises the same error on
-every call; `oracle_from_spec` still builds a fresh oracle per call. One memo
-is of an encryption, not of a decode: `nullio._gate_we_enc`, the `WE_ENC`
-gate, keeps ciphertext bytes. That is sound because encryption under
-external coins is a pure function of the gate's four byte arguments
-(statement, message, coins, target), so a NIZK prover encrypts each
-statement of a CRS once. The memos:
-
-* `_decode_star_constant`, `_decode_oracle_spec`, `_decode_toy_key`; the
-  last keeps 64 keys, so a pool of up to 64 sealed TOY verifiers decodes
-  each key once. Each decoded TOY key builds its check table
-  (`ToyVerifyKey.checks`, at most 255 x 256 entries, since a key has
-  K <= 255 and w <= 8) and stats subset key on first use and keeps them for
-  as long as the key lives
-* `encdelegate._decode_sealed`
-* `nullio._gate_we_enc`, `nullio._decode_we`
-* `qfhe._sk_keys`, `qfhe._wrap_key_from_pk`
-* `qma._binom_tail`
 """
 from __future__ import annotations
 
@@ -63,6 +40,7 @@ from .errors import (
     WidthMismatch,
 )
 from .circuit_ir import ProgramBuilder, SealedProgram, obf_io, register_gate, unwrap
+from .memo import memo
 from .primitives import (
     KEY_LEN,
     MODE_SIMGEN,
@@ -77,10 +55,13 @@ from .primitives import (
 from .qma import QmaLanguage, Witness, amplify, resolve_language
 from .qsim import accept_probability, history_state, sample_bit
 from .rand import Drbg
-from .wire import Reader, fixed, pack_bytes, pack_fields, seal, unpack_fields, unseal, utf8
+from .wire import (
+    Reader, choice, fixed, pack_bytes, pack_fields, seal, unpack_fields, unseal, utf8,
+)
 
 PROTO_ORACLE = "ORACLE"
 PROTO_TOY = "TOY"
+PROTOCOLS = frozenset({PROTO_ORACLE, PROTO_TOY})
 
 TOY_STANDARD = "standard"   # fixed check set
 TOY_STATS = "stats"         # check subset re-derived from a PRF of the proof
@@ -156,7 +137,7 @@ class CvqcParams:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CvqcParams":
         proto, pp = unpack_fields(blob, 2)
-        return cls(utf8(proto), pp)
+        return cls(choice(proto, PROTOCOLS), pp)
 
 
 @dataclass(frozen=True)
@@ -224,16 +205,7 @@ class CvqcVerifyKey:
         if not 1 <= w <= 8 or max(secrets, default=0) >> w or set(bases) - {0, 1}:
             raise MalformedCiphertext("key entries out of range")
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
-                                           tau, w, _toy_variant(variant), subset_key))
-
-
-def _toy_variant(f: bytes) -> str:
-    """A TOY variant name field, which must name one of `TOY_VARIANTS`: any
-    other name would be read as the standard variant."""
-    name = utf8(f)
-    if name not in TOY_VARIANTS:
-        raise MalformedCiphertext("unknown TOY variant")
-    return name
+                                           tau, w, choice(variant, TOY_VARIANTS), subset_key))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +348,7 @@ def _toy_open_pp(pp: CvqcParams):
     claim_bytes, bases, secrets, kwt, variant = unpack_fields(unseal(pp.pp), 5)
     K, w, tau = fixed(kwt, 3)
     return (Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau,
-            _toy_variant(variant))
+            choice(variant, TOY_VARIANTS))
 
 
 def _toy_pairs(pp: CvqcParams, witness: Witness, drbg: Drbg, draw_d: bool):
@@ -543,7 +515,7 @@ def oracle_spec(setup: StarSetup) -> bytes:
                        setup.claim.to_bytes(), r_bytes)
 
 
-@functools.lru_cache(maxsize=32)
+@memo(32)
 def _decode_oracle_spec(spec: bytes) -> tuple:
     """(seed, mode, td, verify closure) of an oracle spec; the closure holds
     only the decoded claim and key, so oracles may share it."""
@@ -577,11 +549,11 @@ def star_gate(setup: StarSetup, use_td: bool) -> tuple[str, bytes]:
         setup.claim.to_bytes(), setup.pp.proto.encode(), key, oracle_spec(setup))
 
 
-@functools.lru_cache(maxsize=32)
+@memo(32)
 def _decode_star_constant(blob: bytes, use_td: bool) -> tuple:
     """(claim, proto, key, oracle spec) of a `star_gate` constant."""
     claim_bytes, proto, key_bytes, spec = unpack_fields(blob, 4)
-    proto = utf8(proto)
+    proto = choice(proto, PROTOCOLS)
     claim = Claim.from_bytes(claim_bytes)
     key = PrfKey(key_bytes) if use_td else CvqcVerifyKey.from_bytes(key_bytes)
     return claim, proto, key, spec
@@ -604,10 +576,11 @@ def _star_gate_fn(use_td: bool):
     return gate
 
 
-@functools.lru_cache(maxsize=64)
+@memo(64)
 def _decode_toy_key(vk_blob: bytes) -> tuple[Claim, CvqcVerifyKey]:
     """Constant of the TOY_VERIFY and TOY_VERIFY_STATS gates, decoded once per
-    distinct blob (memo rule in the module docstring)."""
+    distinct blob. It keeps 64 keys, so a pool of up to 64 sealed TOY verifiers
+    decodes each key once."""
     claim_bytes, r_bytes = unpack_fields(vk_blob, 2)
     return Claim.from_bytes(claim_bytes), CvqcVerifyKey.from_bytes(r_bytes)
 

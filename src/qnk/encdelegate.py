@@ -30,6 +30,7 @@ from .circuit_ir import (
     unwrap,
 )
 from .errors import MalformedCiphertext, MalformedCircuit, WidthMismatch
+from .memo import memo
 from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bqp, we_dec_bytes, we_enc_bytes
 from .primitives import KEY_LEN, PrfKey, commit, ggm_eval, ggm_punct, prf_gen, prg
 from .qma import (
@@ -105,11 +106,11 @@ class AbeCiphertext:
         return cls(SealedProgram.from_bytes(prog), digest, fixed(al, 1)[0])
 
 
-@functools.lru_cache(maxsize=8)
+@memo(8)
 def _decode_sealed(blob: bytes) -> SealedProgram:
     """Nested program of the SEALED_EVAL gate and the ABE_ENC mpk, decoded
     once per distinct blob across all programs (a kp mpk is about 117 KB
-    decoded; memo rule in the `cvqc` module docstring)."""
+    decoded)."""
     return SealedProgram.from_bytes(blob)
 
 
@@ -331,12 +332,12 @@ def _largest(fam: dict[str, Program]) -> int:
     return max(p.size for p in fam.values())
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _keycheck_budget(attr_len: int) -> int:
     return _largest(abe_keycheck_hybrids(_STAND_IN_KEY, attr_len, 0, Drbg(b"sizing")))
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _encryptor_budget(attr_len: int) -> int:
     policy = make_universal_language(bytes(ATTR_WIRE_BYTES))
     return _largest(abe_encryptor_hybrids(b"", policy, b"", b"", _STAND_IN_KEY,
@@ -563,7 +564,7 @@ def cprf_hybrids(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes, x_star: bytes,
     }
 
 
-@functools.lru_cache(maxsize=1)
+@memo(1)
 def _cprf_budget() -> int:
     return _largest(cprf_hybrids(_STAND_IN_KEY, _STAND_IN_KEY, b"",
                                  attr_wire(0, CPRF_INPUT_BITS), Drbg(b"sizing")))

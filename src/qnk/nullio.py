@@ -17,7 +17,6 @@ handle, and skips the QFHE wrapping (its parameters are already blind).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import qfhe
@@ -33,6 +32,7 @@ from .circuit_ir import (
 )
 from .cvqc import (
     PROTO_ORACLE,
+    PROTOCOLS,
     Claim,
     CvqcParams,
     JUDGE_REPS,
@@ -49,10 +49,11 @@ from .cvqc import (
     td_gen,
 )
 from .errors import InsufficientCopies, JudgeReject, KeyMismatch, MalformedCiphertext
+from .memo import memo
 from .primitives import MODE_SIMGEN, PrfKey, RandomOracle, prf_gen
 from .qma import QmaLanguage, Witness, resolve_language
 from .rand import Drbg
-from .wire import fixed, pack_fields, seal, unpack_fields, unseal, utf8
+from .wire import choice, fixed, pack_fields, seal, unpack_fields, unseal
 
 VARIANT_IO = "IO"
 
@@ -95,7 +96,8 @@ class ObfuscatedNullCircuit:
     def from_bytes(cls, blob: bytes) -> "ObfuscatedNullCircuit":
         f = unpack_fields(blob, 8)
         return cls(qfhe.QfheCiphertext.from_bytes(f[0]), SealedProgram.from_bytes(f[1]),
-                   utf8(f[2]), f[3], f[4], f[5], utf8(f[6]), fixed(f[7], 1)[0])
+                   choice(f[2], {VARIANT_IO}), f[3], f[4], f[5], choice(f[6], PROTOCOLS),
+                   fixed(f[7], 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +290,10 @@ class WeCiphertext:
         return cls(ObfuscatedNullCircuit.from_bytes(inner), digest)
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _decode_we(blob: bytes) -> WeCiphertext:
     """A WE ciphertext decoded once per distinct blob (about 5 KB decoded for
-    the ghz and par8 CRS; memo rule in the `cvqc` module docstring)."""
+    the ghz and par8 CRS)."""
     return WeCiphertext.from_bytes(blob)
 
 
@@ -335,14 +337,15 @@ def we_cfg(L: QmaLanguage) -> bytes:
     return pack_fields(L.ref, PROTO_ORACLE.encode(), bytes([JUDGE_REPS]))
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _gate_we_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
-    """Encryption under external coins is a pure function of the four byte
-    arguments, so the ciphertext bytes are memoized (rule in `cvqc`); a hit
-    hands back the same bytes object, whose hash `_decode_we` then reuses."""
+    """An encryption, not a decode: under external coins it is a pure
+    function of the four byte arguments, so the ciphertext bytes are memoized
+    and a NIZK prover encrypts each statement of a CRS once. A hit hands back
+    the same bytes object, whose hash `_decode_we` then reuses."""
     lang_ref, proto, reps = unpack_fields(cfg, 3)
     ct = we_enc_bytes(resolve_language(lang_ref), x, m, coins,
-                      proto=utf8(proto), reps=fixed(reps, 1)[0])
+                      proto=choice(proto, PROTOCOLS), reps=fixed(reps, 1)[0])
     return ct.to_bytes()
 
 

@@ -11,7 +11,6 @@ classical throughout.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from .errors import (
     NotBinding,
     PuncturedPoint,
 )
+from .memo import memo
 from .rand import Drbg, _hmac
 
 KEY_LEN = 16  # toy security parameter: 128 bits
@@ -81,19 +81,15 @@ def prg(s: bytes, out_len: int) -> bytes:
     OpenSSL; a pad of 4 blocks or fewer keeps the `_hmac` loop, which is
     faster there than PBKDF2's set-up. Both give the same bytes.
 
-    Each `(s, out_len)` is expanded once per process: `_prg` memoizes the
-    pads, so `unseal` reuses the pad that `seal` expanded from the same nonce.
-    The memo is pure (it holds only values derived from the seed, so it
-    changes no output byte) and bounded to `_prg.cache_info().maxsize` pads
-    of at most 64 KB each. The length is checked here, before the memo, so an
-    error is never memoized.
+    `_prg` memoizes the pads, so `unseal` reuses the pad that `seal` expanded
+    from the same nonce. The length is checked before the memo.
     """
     if out_len > 2 ** 16:
         raise LengthTooLarge(f"requested {out_len} bytes > 65536")
     return _prg(s, out_len)
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _prg(s: bytes, out_len: int) -> bytes:
     n = (out_len + 31) // 32
     if n <= 4:

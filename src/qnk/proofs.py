@@ -15,7 +15,6 @@ holds as byte equality), after checking the witness.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from .errors import (
     SetupProofInvalid,
     WidthMismatch,
 )
+from .memo import memo
 from .nullio import _decode_we, we_cfg as _we_cfg, we_dec_bytes
 from .primitives import (
     KEY_LEN,
@@ -214,7 +214,7 @@ def nizk_hybrid_programs(L: QmaLanguage, k0: PrfKey, k1: PrfKey, x_star: bytes,
     }
 
 
-@functools.lru_cache(maxsize=2)
+@memo(2)
 def _nizk_budgets(domain: int) -> tuple[int, int]:
     """Pad budgets of the CRS programs, (P, V), for an 8- or 16-bit statement
     domain: the largest encryptor and verdict variants. Like the encdelegate

@@ -9,10 +9,10 @@ under encryption. The scheme is leveled; every Eval ticks a depth counter.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
+from .memo import memo
 from .primitives import KEY_LEN
 from .qsim import QuantumCircuit, run_circuit
 from .rand import Drbg, _hmac
@@ -50,13 +50,13 @@ class QfheCiphertext:
         return ct
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _sk_keys(sk: bytes) -> tuple[bytes, bytes]:
-    """(key id, wrapping key) derived from sk (memo rule in `cvqc`)."""
+    """(key id, wrapping key) derived from sk."""
     return _hmac(sk, b"id")[:8], _hmac(sk, b"wrap")[:KEY_LEN]
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _wrap_key_from_pk(pk: bytes) -> bytes:
     return unseal(pk[8:])
 

@@ -14,12 +14,12 @@ state).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
 from .errors import MalformedCiphertext, NotMonotone, WidthMismatch
+from .memo import memo
 from .primitives import KEY_LEN, commit
 from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, sample_bit
 from .rand import Drbg
@@ -64,9 +64,9 @@ class Witness:
         return cls(StateVector(0), copies)
 
 
-@functools.lru_cache(maxsize=64)
+@memo(64)
 def _binom_tail(r: int, p: float, threshold: int) -> float:
-    """Exact Pr[Binomial(r, p) >= threshold], memoized (rule in `cvqc`):
+    """Exact Pr[Binomial(r, p) >= threshold], memoized:
     `amplify` recomputes the same tails for every judged claim."""
     pf = Fraction(p).limit_denominator(10 ** 12)
     acc = Fraction(0)

@@ -3,22 +3,21 @@ an HMAC-SHA256 counter generator so that a seed fully determines all artifacts.
 
 `_hmac` is the toolkit's one HMAC-SHA256. It starts each message from the
 key's inner and outer SHA-256 states, precomputed once per key as RFC 2104 §4
-suggests, instead of hashing the padded key again for every block. `_keyed`
-memoizes those states in a bounded LRU cache. The cache is pure: it holds
-only values derived from the key, so it changes no output byte, and it never
-grows past `_keyed.cache_info().maxsize` keys.
+suggests, instead of hashing the padded key again for every block; `_keyed`
+memoizes those states.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
+
+from .memo import memo
 
 _BLOCK = 64  # SHA-256 block size in bytes
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-@functools.lru_cache(maxsize=256)
+@memo(256)
 def _keyed(key: bytes) -> tuple:
     """The inner and outer SHA-256 states of HMAC under `key` (RFC 2104):
     a key longer than a block is hashed first, then zero-padded to a block.
@@ -32,7 +31,7 @@ def _keyed(key: bytes) -> tuple:
 
 def _hmac(key: bytes, *msgs: bytes) -> bytes:
     """HMAC-SHA256(key, msg) of each message, concatenated; the key's states
-    are looked up once per call, through the pure, bounded `_keyed` memo."""
+    are looked up once per call."""
     inner, outer = _keyed(key)
     out = []
     for msg in msgs:
@@ -91,6 +90,3 @@ class Drbg:
     def bits(self, n: int) -> list[int]:
         raw = self.bytes((n + 7) // 8)
         return [(raw[i // 8] >> (7 - i % 8)) & 1 for i in range(n)]
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

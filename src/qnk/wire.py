@@ -103,6 +103,15 @@ def utf8(f: bytes) -> str:
         raise MalformedCiphertext("name field is not UTF-8") from e
 
 
+def choice(f: bytes, names) -> str:
+    """A name field from the closed set `names`: a name outside it would
+    otherwise fall through to some default branch."""
+    name = utf8(f)
+    if name not in names:
+        raise MalformedCiphertext("name field outside its set")
+    return name
+
+
 def unpack_fields(data: bytes, n: int) -> list[bytes]:
     r = Reader(data)
     out = [r.field() for _ in range(n)]

@@ -37,10 +37,13 @@ def empty_claim_reps(setup: bytes) -> bytes:
     return pack_fields(pack_fields(ref, x, b""), *rest)
 
 
-def non_utf8_proto(setup: bytes) -> bytes:
-    claim, pp, *rest = unpack_fields(setup, 5)
-    _proto, sealed_pp = unpack_fields(pp, 2)
-    return pack_fields(claim, pack_fields(b"\xff", sealed_pp), *rest)
+def cvqc_pp_proto(name: bytes):
+    """Re-pack the protocol of a `cvqc.setup`'s `pp` as `name`."""
+    def mutate(setup: bytes) -> bytes:
+        claim, pp, *rest = unpack_fields(setup, 5)
+        _proto, sealed_pp = unpack_fields(pp, 2)
+        return pack_fields(claim, pack_fields(name, sealed_pp), *rest)
+    return mutate
 
 
 def nio_empty_copies(obf: bytes) -> bytes:
@@ -96,10 +99,13 @@ def pe_ct_empty_payload_len(ct: bytes) -> bytes:
     return pack_fields(cc, b"")
 
 
-def non_utf8_first_field(blob: bytes) -> bytes:
-    """`nizk.crs` (language name) and `cvqc.proof` (protocol)."""
-    _, rest = unpack_fields(blob, 2)
-    return pack_fields(b"\xff\xfe", rest)
+def first_field(name: bytes):
+    """Replace the first field of a `nizk.crs` (language name) or a
+    `cvqc.proof` (protocol) with `name`."""
+    def mutate(blob: bytes) -> bytes:
+        _, rest = unpack_fields(blob, 2)
+        return pack_fields(name, rest)
+    return mutate
 
 
 def cvqc_non_utf8_oracle_mode(setup: bytes) -> bytes:
@@ -261,19 +267,20 @@ class TestWeCommands:
         (WE_CMDS, b"\xff", None, b""),
         (WE_CMDS, None, None, b"\x00"),
         (CVQC_CMDS, None, empty_claim_reps, b""),
-        (CVQC_CMDS, None, non_utf8_proto, b""),
+        (CVQC_CMDS, None, cvqc_pp_proto(b"\xff"), b""),
         (NIO_CMDS, None, nio_empty_copies, b""),
         (NIO_CMDS, None, nio_non_utf8_variant, b""),
         (WE_CMDS, None, we_empty_count, b""),
         (ABE_KEYGEN_CMDS, None, abe_keys_empty_attr_len, b""),
-        (NIZK_CMDS, None, non_utf8_first_field, b""),
+        (NIZK_CMDS, None, first_field(b"\xff\xfe"), b""),
         (CVQC_CMDS, None, cvqc_non_utf8_oracle_mode, b""),
         (CVQC_PROVE_CMDS, None, cvqc_short_kwt, b""),
         (CVQC_PROVE_CMDS, None, cvqc_pp_unknown_variant, b""),
+        (CVQC_PROVE_CMDS, None, cvqc_pp_proto(b"toy-ish"), b""),
     ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
             "nio-empty-copies", "nio-non-utf8-field", "we-empty-count",
             "abe-keygen-empty-attr-len", "nizk-non-utf8-lang", "cvqc-non-utf8-oracle-mode",
-            "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant"])
+            "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant", "cvqc-prove-unknown-proto"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)
@@ -301,7 +308,9 @@ class TestWeCommands:
          ["abe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCircuit"),
         (ABE_SETUP + (PE_ENC,), rewrap("ct", pe_ct_empty_payload_len),
          ["pe", "dec", "--keys", "{keys}", "--sk", "{sk}", "--ct", "{ct}"], "MalformedCiphertext"),
-        (CVQC_SETUP, rewrap("proof", non_utf8_first_field),
+        (CVQC_SETUP, rewrap("proof", first_field(b"\xff\xfe")),
+         ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext"),
+        (CVQC_SETUP, rewrap("proof", first_field(b"Whatever")),
          ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext"),
         (ABE_SETUP[:1], write_policy("qubits\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
@@ -317,7 +326,8 @@ class TestWeCommands:
          for change in HOSTILE_TOY_KEYS.values()],
         ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
              "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
-             "cvqc-verify-non-utf8-proof-proto", "abe-enc-policy-without-count",
+             "cvqc-verify-non-utf8-proof-proto", "cvqc-verify-unknown-proof-proto",
+             "abe-enc-policy-without-count",
              "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy"]
         + [f"cvqc-verify-toy-key-{name}" for name in HOSTILE_TOY_KEYS])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,

@@ -4,7 +4,8 @@ Each decoder round-trips a real artifact. Then every top-level field is in
 turn emptied, lengthened by one byte and replaced by the non-UTF-8 bytes
 `ff fe`, and one trailing byte is appended. Each mutated blob either decodes
 or raises a `QnkError`; any other exception fails the test. A fixed-width
-field of the wrong width, and a trailing byte, raise `MalformedCiphertext`.
+field of the wrong width, and a trailing byte, raise `MalformedCiphertext`,
+and so does a name field holding valid UTF-8 outside its closed set.
 """
 import functools
 
@@ -56,6 +57,15 @@ CASES = {
                        "ffuu", {2: 4, 3: 4}),
     "PseudoDetCircuit": (PseudoDetCircuit, lambda: PDC, "ffff", {1: 1}),
 }
+
+# (CASES name, field index) -> the closed set of names that field holds
+NAME_FIELDS = {
+    ("CvqcParams", 0): cvqc.PROTOCOLS,
+    ("CvqcVerifyKey-toy", 5): cvqc.TOY_VARIANTS,
+    ("ObfuscatedNullCircuit", 2): {nullio.VARIANT_IO},
+    ("ObfuscatedNullCircuit", 6): cvqc.PROTOCOLS,
+}
+OUTSIDE_NAMES = (b"toy-ish", b"Whatever", b"", b"TOY\x00", b"oracle", b"IO ", b"Linear")
 
 
 # Semantic cases of the TOY verify key: every field has a valid layout, but
@@ -116,6 +126,22 @@ def test_decoder_fails_closed(name):
         if must_reject and not isinstance(err, MalformedCiphertext):
             wrong.append((i, new, err))
     assert wrong == []
+
+
+@pytest.mark.parametrize("case, index", NAME_FIELDS, ids=[f"{c}-{i}" for c, i in NAME_FIELDS])
+def test_name_outside_its_set_rejected(case, index):
+    decoder, build, kinds, _ = CASES[case]
+    fields = split(build().to_bytes(), kinds)
+
+    def with_name(name: bytes) -> bytes:
+        return join(fields[:index] + [name] + fields[index + 1:], kinds)
+
+    for name in NAME_FIELDS[case, index]:
+        blob = with_name(name.encode())
+        assert decoder.from_bytes(blob).to_bytes() == blob
+    for name in OUTSIDE_NAMES:
+        with pytest.raises(MalformedCiphertext):
+            decoder.from_bytes(with_name(name))
 
 
 @pytest.mark.parametrize("change", TOY_KEY_SEMANTIC.values(), ids=TOY_KEY_SEMANTIC)

@@ -1,11 +1,14 @@
-"""Memoized decoders of fixed verifier constants and the memoized `WE_ENC`
-gate (the memo rule is stated in the `cvqc` module docstring): each constant
-is decoded once per distinct blob, each NIZK statement is encrypted once per
+"""Process memos, declared with `qnk.memo.memo`, which states the memo rule:
+each is in `REGISTRY` with an int bound, each fixed verifier constant is
+decoded once per distinct blob, each NIZK statement is encrypted once per
 CRS, no memo holds a `RandomOracle` or an error, and no output changes."""
 import dataclasses
+import functools
+import importlib
 
 import pytest
 
+import qnk.memo
 from qnk import cvqc, nullio, qfhe, qma
 from qnk.circuit_ir import DEFAULT_REGISTRY
 from qnk.cvqc import (
@@ -20,6 +23,7 @@ from qnk.cvqc import (
     td_gen,
 )
 from qnk.errors import DomainMismatch, KeyMismatch, MalformedCiphertext
+from qnk.memo import REGISTRY, memo
 from qnk.nullio import nio_eval, nio_obf
 from qnk.proofs import nizk_prove, nizk_setup
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
@@ -32,16 +36,11 @@ WE_GATE = DEFAULT_REGISTRY["WE_ENC"]
 YES = claim_for(fixture("par8"), b"\x07")
 GHZ = fixture("ghz")
 
-MEMOS = {
-    "star constant": cvqc._decode_star_constant,
-    "oracle spec": cvqc._decode_oracle_spec,
-    "sk keys": qfhe._sk_keys,
-    "pk wrap key": qfhe._wrap_key_from_pk,
-    "binomial tail": qma._binom_tail,
-    "WE_ENC gate": nullio._gate_we_enc,
-    "WE decode": nullio._decode_we,
-}
-WE_MEMOS = ("WE_ENC gate", "WE decode")
+# the memos that `nio_eval` and `nizk_prove` read
+MEMOS = ("cvqc._decode_star_constant", "cvqc._decode_oracle_spec", "qfhe._sk_keys",
+         "qfhe._wrap_key_from_pk", "qma._binom_tail", "nullio._gate_we_enc",
+         "nullio._decode_we")
+WE_MEMOS = ("nullio._gate_we_enc", "nullio._decode_we")
 
 
 def ghz_witness_copies() -> Witness:
@@ -49,12 +48,47 @@ def ghz_witness_copies() -> Witness:
 
 
 def misses() -> dict[str, int]:
-    return {name: memo.cache_info().misses for name, memo in MEMOS.items()}
+    return {name: REGISTRY[name].cache_info().misses for name in MEMOS}
 
 
 def clear_memos():
-    for memo in MEMOS.values():
-        memo.cache_clear()
+    for wrapper in REGISTRY.values():
+        wrapper.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# one registry of bounded memos
+
+ALL_MEMOS = {
+    "rand._keyed", "primitives._prg", "cvqc._decode_oracle_spec", "cvqc._decode_star_constant",
+    "cvqc._decode_toy_key", "encdelegate._decode_sealed", "encdelegate._keycheck_budget",
+    "encdelegate._encryptor_budget", "encdelegate._cprf_budget", "nullio._decode_we",
+    "nullio._gate_we_enc", "proofs._nizk_budgets", "qfhe._sk_keys", "qfhe._wrap_key_from_pk",
+    "qma._binom_tail", "cli._parser"}
+
+
+def test_registry_holds_every_memo_bounded():
+    for name in ALL_MEMOS:
+        module, attr = name.split(".")
+        wrapper = getattr(importlib.import_module("qnk." + module), attr)
+        assert REGISTRY[name] is wrapper and type(wrapper) is functools._lru_cache_wrapper
+        assert type(wrapper.cache_parameters()["maxsize"]) is int, name
+    assert set(REGISTRY) == ALL_MEMOS
+
+
+@pytest.mark.parametrize("maxsize", (None, 0, -1, 1.5, True))
+def test_memo_needs_a_positive_int_bound(maxsize):
+    with pytest.raises(ValueError):
+        memo(maxsize)
+
+
+def test_memo_registers_a_name_once(monkeypatch):
+    monkeypatch.setattr(qnk.memo, "REGISTRY", {})
+    wrapper = memo(1)(lambda x: x)
+    with pytest.raises(ValueError):
+        memo(2)(lambda x: x)
+    name = f"{__name__}.test_memo_registers_a_name_once.<locals>.<lambda>"
+    assert qnk.memo.REGISTRY == {name: wrapper} and wrapper(3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +134,8 @@ def star_constant_variants():
         pytest.param(blob[:-1], True, MalformedCiphertext, id="cut short"),
         pytest.param(pack_fields(claim, b"\xff", key, spec), True, MalformedCiphertext,
                      id="proto not UTF-8"),
+        pytest.param(pack_fields(claim, b"toy-ish", key, spec), True, MalformedCiphertext,
+                     id="proto unknown"),
         pytest.param(pack_fields(claim[:-1], proto, key, spec), True, MalformedCiphertext,
                      id="claim cut short"),
         pytest.param(pack_fields(claim, proto, key[:-1], spec), True, DomainMismatch,
@@ -194,7 +230,7 @@ def test_memoized_binomial_tail_is_exact(name):
 # misses of the first call: one per memo, but two binomial tails (the
 # amplified alpha and beta), and none of the WE memos for `nio_eval`, which
 # encrypts nothing; the second call misses nothing
-NIZK_FIRST_CALL_MISSES = {name: 2 if name == "binomial tail" else 1 for name in MEMOS}
+NIZK_FIRST_CALL_MISSES = {name: 2 if name == "qma._binom_tail" else 1 for name in MEMOS}
 NIO_FIRST_CALL_MISSES = {**NIZK_FIRST_CALL_MISSES, **dict.fromkeys(WE_MEMOS, 0)}
 
 
@@ -236,10 +272,12 @@ def test_nizk_prove_encrypts_and_decodes_each_statement_once(monkeypatch):
 
 
 def test_malformed_we_cfg_raises_on_every_call():
-    cfg = pack_fields(pack_fields(b"nope"), PROTO_ORACLE.encode(),
-                      bytes([cvqc.JUDGE_REPS]))
+    """An unknown language, and a protocol outside `cvqc.PROTOCOLS`."""
+    reps = bytes([cvqc.JUDGE_REPS])
+    cfgs = (pack_fields(pack_fields(b"nope"), PROTO_ORACLE.encode(), reps),
+            pack_fields(GHZ.ref, b"toy-ish", reps))
     before = nullio._gate_we_enc.cache_info().currsize
-    for _ in range(2):
+    for cfg in cfgs * 2:
         with pytest.raises(MalformedCiphertext):
             WE_GATE(b"\x01", bytes(16), bytes(16), cfg)
     assert nullio._gate_we_enc.cache_info().currsize == before

@@ -13,11 +13,9 @@ Host gates are the one registry (`circuit_ir.register_gate`); languages and
 policies are resolved by `qma` itself, so no other module defines a
 `register_` hook. The CLI parser converts every flag value with its
 argparse `type=`, so no handler in `cli.py` parses `args.*` by hand.
-Memoized functions use `functools.lru_cache` with an integer `maxsize`, so
-no cache grows without bound. The memo list in the `cvqc` module docstring
-names only bounded `lru_cache` wrappers, and every memo in `cvqc.py`,
-`nullio.py`, `qfhe.py` and `qma.py` is on it, so a new memo there is
-documented with its rule. Hybrid program families model the security
+Every process memo is declared with `qnk.memo.memo`, which states the memo
+rule and bounds the cache, so `lru_cache` appears only in `memo.py`, which
+imports only `functools`. Hybrid program families model the security
 arguments; sealing reads only their memoized pad budgets, so outside
 `selftest.py` a family builder is named only by its budget helper and by
 `proofs.nizk_hybrid_family`. Only `qsim.py` names numpy, and it imports it
@@ -26,11 +24,8 @@ that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
 """
 import ast
-import importlib
 import re
 from pathlib import Path
-
-from qnk import cvqc
 
 SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "qnk").glob("*.py"))
 
@@ -83,41 +78,12 @@ def test_no_flag_parsing_in_cli_handlers():
                            skip=tuple(p.name for p in SRC if p.name != "cli.py")) == []
 
 
-def test_memo_caches_are_bounded():
-    uses = offending_lines(re.compile(r"\blru_cache\b|\bfunctools\.cache\b|\bimport\b.*\bcache\b"))
-    assert any("rand.py" in u for u in uses)
-    bounded = re.compile(r": @functools\.lru_cache\(maxsize=\d+\)$")
-    assert [u for u in uses if not bounded.search(u)] == []
-
-
-def documented_memos() -> list[str]:
-    """Names on the bullet list after "The memos:" in the `cvqc` docstring;
-    a bare name is in `cvqc`, a dotted one is `module.name`."""
-    listed = cvqc.__doc__.split("The memos:", 1)[1]
-    bullets = [line for line in listed.splitlines() if line.startswith("* ")]
-    return [name for line in bullets for name in re.findall(r"`([\w.]+)`", line)]
-
-
-def test_documented_memos_are_bounded_lru_caches():
-    names = documented_memos()
-    assert "_decode_star_constant" in names and "nullio._gate_we_enc" in names
-    for name in names:
-        module, _, attr = name.rpartition(".")
-        fn = getattr(importlib.import_module("qnk." + (module or "cvqc")), attr)
-        assert isinstance(fn.cache_parameters()["maxsize"], int), name
-
-
-def test_every_memo_is_documented():
-    found = set()
-    for p in SRC:
-        if p.name not in ("cvqc.py", "nullio.py", "qfhe.py", "qma.py"):
-            continue
-        for node in ast.walk(ast.parse(p.read_text())):
-            if isinstance(node, ast.FunctionDef) and any(
-                    "lru_cache" in ast.unparse(d) for d in node.decorator_list):
-                found.add(node.name if p.name == "cvqc.py" else f"{p.stem}.{node.name}")
-    assert {"_decode_star_constant", "nullio._gate_we_enc", "qma._binom_tail"} <= found
-    assert found - set(documented_memos()) == set()
+def test_lru_cache_only_in_memo():
+    assert offending_lines(re.compile(r"\blru_cache\b|\bfunctools\.cache\b|\bimport\b.*\bcache\b"),
+                           skip=("memo.py",)) == []
+    memo = ast.parse(next(p for p in SRC if p.name == "memo.py").read_text())
+    imports = [n for n in ast.walk(memo) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [ast.unparse(n) for n in imports] == ["import functools"]
 
 
 def test_numpy_named_only_in_qsim():
