@@ -3,9 +3,11 @@ sealed-evaluator obfuscation (functional opacity only).
 
 Programs compute over byte strings. Heavyweight sub-primitives (PRF, WE
 encryption, QFHE decryption, CVQC verification, ...) appear as registered
-host gates; embedded keys travel as CONST nodes. Evaluation is lazy from the
-output nodes, so ITE touches only the selected branch and dead padding nodes
-are never executed.
+host gates; embedded keys travel as CONST nodes. The first evaluation of a
+program builds its plan, one closure per node reachable from the outputs,
+and keeps it with the program (`Program.plan`), so a program queried many
+times pays for reading its nodes once. Dead padding nodes are never visited,
+and ITE runs only its selected branch.
 
 Obfuscation here normalizes size and hides constants behind the evaluator
 API. It makes no security claim: all "indistinguishability" content lives in
@@ -13,6 +15,7 @@ functional-equivalence checks (equiv_check).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import primitives as pr
@@ -60,6 +63,12 @@ class Program:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """The output closures `evaluate` runs (see `_plan`), built on first
+        use and kept with the program; not part of its bytes or equality."""
+        return _plan(self)
 
 
 class ProgramBuilder:
@@ -209,54 +218,150 @@ def validate(p: Program) -> None:
 
 
 def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
-    """Lazy evaluation from the outputs; deterministic given gate determinism."""
+    """Run the program's evaluation plan (`Program.plan`, which the first
+    call builds; see `_plan`) on `inputs`; deterministic given gate
+    determinism. A node that raises anything but MalformedCircuit,
+    UnknownGate or RecursionError fails as MalformedCircuit("node i (op)
+    failed: ...") caused by it."""
     if len(inputs) != p.input_arity:
         raise MalformedCircuit(
             f"program takes {p.input_arity} inputs, got {len(inputs)}")
-    memo: dict[int, bytes] = {}
-
-    def ev(i: int) -> bytes:
-        got = memo.get(i)
-        if got is not None:
-            return got
-        node = p.nodes[i]
-        try:
-            if node.op == "CONST":
-                v = node.value
-            elif node.op == "INPUT":
-                v = inputs[node.slot]
-            elif node.op == "CONCAT":
-                v = b"".join(ev(a) for a in node.args)
-            elif node.op == "SLICE":
-                v = ev(node.args[0])[node.lo:node.hi]
-            elif node.op == "XOR":
-                a, b = ev(node.args[0]), ev(node.args[1])
-                if len(a) != len(b):
-                    raise MalformedCircuit("XOR operand lengths differ")
-                v = _xor(a, b)
-            elif node.op == "EQ":
-                v = b"\x01" if ev(node.args[0]) == ev(node.args[1]) else b"\x00"
-            elif node.op == "ITE":
-                v = ev(node.args[1]) if ev(node.args[0]) == b"\x01" else ev(node.args[2])
-            else:
-                fn = DEFAULT_REGISTRY.get(node.gate)
-                if fn is None:
-                    raise UnknownGate(f"host gate {node.gate!r} not registered")
-                v = fn(*(tuple(ev(a) for a in node.args) + node.consts))
-        except (MalformedCircuit, UnknownGate):
-            raise
-        except RecursionError:
-            raise
-        except Exception as e:
-            raise MalformedCircuit(f"node {i} ({node.op}) failed: {e}") from e
-        memo[i] = v
-        return v
-
     try:
-        return [ev(o) for o in p.outputs]
+        plan = p.plan
+        if len(plan) == 1:  # the common case, without a comprehension frame
+            return [plan[0](inputs, {})]
+        m: dict[int, bytes] = {}
+        return [f(inputs, m) for f in plan]
     except RecursionError as e:
-        # a chain deeper than the interpreter's stack; ev stays recursive
+        # a chain deeper than the interpreter's stack: building and running
+        # the plan both recurse
         raise MalformedCircuit("program too deep to evaluate") from e
+
+
+_PASS = (MalformedCircuit, UnknownGate, RecursionError)
+
+
+def _failed(e: Exception, i: int, op: str) -> Exception:
+    """What node `i` raises when evaluating it raised `e`: `e` itself if it
+    is one of _PASS, else a MalformedCircuit caused by it."""
+    if isinstance(e, _PASS):
+        return e
+    err = MalformedCircuit(f"node {i} ({op}) failed: {e}")
+    err.__cause__ = e
+    return err
+
+
+def _memoized(i: int, g):
+    """Node i's closure `g` behind the call's memo, for a node read twice."""
+    def memo_g(x, m):
+        v = m.get(i)
+        if v is None:
+            v = m[i] = g(x, m)
+        return v
+    return memo_g
+
+
+def _count_reads(i: int, nodes, reads: dict, order: list) -> None:
+    """Walk from node i: count each reachable node's readers into `reads` and
+    append each node to `order` after its arguments."""
+    if i in reads:
+        reads[i] += 1
+        return
+    reads[i] = 1
+    for a in nodes[i].args:
+        _count_reads(a, nodes, reads, order)
+    order.append(i)
+
+
+def _plan(p: Program) -> tuple:
+    """The output closures of `p`'s evaluation plan.
+
+    A walk from the outputs counts the readers of each reachable node, so
+    dead padding is never visited. Then each of those nodes, arguments first,
+    becomes one closure f(x, m) over the call's inputs x and memo m. It binds
+    its children's closures and its own constants as defaults, which cost
+    less to bind than closure cells, and runs behind the call's memo only if
+    it has two or more readers. Counting first is what lets a closure hold
+    its children directly: no closure refers back to the plan, so a dropped
+    program's plan is freed by reference counting, not left to the cycle
+    collector.
+
+    ITE runs only its selected arm. A host gate is looked up in
+    DEFAULT_REGISTRY when it runs: a swapped entry is seen, and an
+    unregistered gate raises only if it is reached. Node arities are taken
+    as `_check_node` states them, which the decoder and `validate` enforce;
+    a hand-built node with too few arguments raises IndexError here."""
+    nodes, reads, order = p.nodes, {}, []
+    for o in p.outputs:
+        _count_reads(o, nodes, reads, order)
+    f: dict = {}
+    for i in order:
+        node = nodes[i]
+        args = node.args
+        op = node.op
+        if op == "CONST":
+            g = lambda x, m, v=node.value: v
+        elif op == "INPUT":
+            def g(x, m, s=node.slot, i=i):
+                try:
+                    return x[s]
+                except Exception as e:
+                    raise _failed(e, i, "INPUT")
+        elif op == "CONCAT":
+            def g(x, m, fs=tuple([f[a] for a in args]), i=i):
+                try:
+                    return b"".join([h(x, m) for h in fs])
+                except Exception as e:
+                    raise _failed(e, i, "CONCAT")
+        elif op == "SLICE":
+            def g(x, m, a=f[args[0]], lo=node.lo, hi=node.hi, i=i):
+                try:
+                    return a(x, m)[lo:hi]
+                except Exception as e:
+                    raise _failed(e, i, "SLICE")
+        elif op == "XOR":
+            def g(x, m, a=f[args[0]], b=f[args[1]], i=i):
+                try:
+                    u, v = a(x, m), b(x, m)
+                    if len(u) != len(v):
+                        raise MalformedCircuit("XOR operand lengths differ")
+                    return _xor(u, v)
+                except Exception as e:
+                    raise _failed(e, i, "XOR")
+        elif op == "EQ":
+            def g(x, m, a=f[args[0]], b=f[args[1]], i=i):
+                try:
+                    return b"\x01" if a(x, m) == b(x, m) else b"\x00"
+                except Exception as e:
+                    raise _failed(e, i, "EQ")
+        elif op == "ITE":
+            def g(x, m, c=f[args[0]], a=f[args[1]], b=f[args[2]], i=i):
+                try:
+                    return a(x, m) if c(x, m) == b"\x01" else b(x, m)
+                except Exception as e:
+                    raise _failed(e, i, "ITE")
+        elif len(args) == 2:  # most host gates: their arguments without a list
+            def g(x, m, gate=node.gate, a=f[args[0]], b=f[args[1]], consts=node.consts,
+                  i=i, op=op):
+                fn = DEFAULT_REGISTRY.get(gate)
+                if fn is None:
+                    raise UnknownGate(f"host gate {gate!r} not registered")
+                try:
+                    return fn(a(x, m), b(x, m), *consts)
+                except Exception as e:
+                    raise _failed(e, i, op)
+        else:  # HOSTGATE, and any op outside OPS (`_check_node` rejects those)
+            def g(x, m, gate=node.gate, fs=tuple([f[a] for a in args]), consts=node.consts,
+                  i=i, op=op):
+                fn = DEFAULT_REGISTRY.get(gate)
+                if fn is None:
+                    raise UnknownGate(f"host gate {gate!r} not registered")
+                try:
+                    return fn(*[h(x, m) for h in fs], *consts)
+                except Exception as e:
+                    raise _failed(e, i, op)
+        f[i] = g if reads[i] == 1 else _memoized(i, g)
+    return tuple([f[o] for o in p.outputs])
 
 
 # the dead node `pad` appends, one shared instance for every slot

@@ -215,6 +215,9 @@ REJECT_MARK = b"R"
 
 
 def encode_base_proof(proto: str, pi) -> bytes:
+    # TOY first: one compare on the path every sealed TOY query takes
+    if proto != PROTO_TOY and proto != PROTO_ORACLE:
+        raise DomainMismatch(f"unknown proof protocol {proto!r}")
     if pi == REJECT_MARK:
         return REJECT_MARK
     if proto == PROTO_ORACLE:
@@ -223,6 +226,8 @@ def encode_base_proof(proto: str, pi) -> bytes:
 
 
 def decode_base_proof(proto: str, blob: bytes):
+    if proto != PROTO_TOY and proto != PROTO_ORACLE:
+        raise DomainMismatch(f"unknown proof protocol {proto!r}")
     if blob[:1] == REJECT_MARK:
         raise MalformedProof("prover emitted a reject marker")
     if proto == PROTO_ORACLE:

@@ -5,14 +5,16 @@ turn emptied, lengthened by one byte and replaced by the non-UTF-8 bytes
 `ff fe`, and one trailing byte is appended. Each mutated blob either decodes
 or raises a `QnkError`; any other exception fails the test. A fixed-width
 field of the wrong width, and a trailing byte, raise `MalformedCiphertext`,
-and so does a name field holding valid UTF-8 outside its closed set.
+and so does a name field holding valid UTF-8 outside its closed set. The
+proof codecs take their protocol name from the caller and raise
+`DomainMismatch` for one outside `cvqc.PROTOCOLS`.
 """
 import functools
 
 import pytest
 
 from qnk import cvqc, encdelegate as ed, nullio, qfhe
-from qnk.errors import MalformedCiphertext, QnkError
+from qnk.errors import DomainMismatch, MalformedCiphertext, QnkError
 from qnk.qma import PseudoDetCircuit, fixture
 from qnk.qsim import QuantumCircuit
 from qnk.rand import Drbg
@@ -66,6 +68,23 @@ NAME_FIELDS = {
     ("ObfuscatedNullCircuit", 6): cvqc.PROTOCOLS,
 }
 OUTSIDE_NAMES = (b"toy-ish", b"Whatever", b"", b"TOY\x00", b"oracle", b"IO ", b"Linear")
+
+# protocol -> a base proof of that protocol. A protocol name a caller passes
+# to the proof codecs by hand is not decoded by `wire.choice`, so the codecs
+# close it themselves: a name outside cvqc.PROTOCOLS raises DomainMismatch.
+BASE_PROOFS = {cvqc.PROTO_TOY: ((0, 1), (1, 2)), cvqc.PROTO_ORACLE: b"\x5a" * 16}
+TOY_PI = BASE_PROOFS[cvqc.PROTO_TOY]
+# name -> call(proto) for every codec that takes a protocol name
+PROOF_CODECS = {
+    "encode_base_proof": lambda proto: cvqc.encode_base_proof(proto, TOY_PI),
+    "encode_reject_mark": lambda proto: cvqc.encode_base_proof(proto, cvqc.REJECT_MARK),
+    "decode_base_proof": lambda proto: cvqc.decode_base_proof(
+        proto, cvqc.encode_base_proof(cvqc.PROTO_TOY, TOY_PI)),
+    "decode_reject_mark": lambda proto: cvqc.decode_base_proof(proto, cvqc.REJECT_MARK),
+    "CvqcProof.encode": lambda proto: cvqc.CvqcProof(TOY_PI).encode(proto),
+    "CvqcProof.decode": lambda proto: cvqc.CvqcProof.decode(
+        proto, cvqc.CvqcProof(TOY_PI, b"h" * 17).encode(cvqc.PROTO_TOY)),
+}
 
 
 # Semantic cases of the TOY verify key: every field has a valid layout, but
@@ -159,3 +178,19 @@ def test_toy_key_at_the_bounds_decodes():
         (1,) * 255, (255,) * 255, (0,) * 255, 0, 8)).to_bytes()
     r = cvqc.CvqcVerifyKey.from_bytes(blob)
     assert r.to_bytes() == blob and len(r.body.checks) == 255
+
+
+@pytest.mark.parametrize("proto", BASE_PROOFS)
+def test_base_proof_round_trips_for_each_protocol(proto):
+    pi = BASE_PROOFS[proto]
+    assert cvqc.decode_base_proof(proto, cvqc.encode_base_proof(proto, pi)) == pi
+    proof = cvqc.CvqcProof(pi, b"h" * 17)
+    assert cvqc.CvqcProof.decode(proto, proof.encode(proto)) == proof
+
+
+@pytest.mark.parametrize("codec", PROOF_CODECS.values(), ids=PROOF_CODECS)
+def test_proof_protocol_outside_its_set_raises(codec):
+    """Before any proof byte is read, so a reject mark raises it too."""
+    for name in OUTSIDE_NAMES:
+        with pytest.raises(DomainMismatch, match="unknown proof protocol"):
+            codec(name.decode())
