@@ -261,15 +261,18 @@ def _memoized(i: int, g):
     return memo_g
 
 
-def _count_reads(i: int, nodes, reads: dict, order: list) -> None:
-    """Walk from node i: count each reachable node's readers into `reads` and
-    append each node to `order` after its arguments."""
+def _count_reads(i: int, p: Program, reads: dict, order: list) -> None:
+    """Walk from node i: check each reachable node against the structural
+    rules, count its readers into `reads` and append it to `order` after its
+    arguments."""
     if i in reads:
         reads[i] += 1
         return
+    node = p.nodes[i]
+    _check_node(i, node, p.input_arity)
     reads[i] = 1
-    for a in nodes[i].args:
-        _count_reads(a, nodes, reads, order)
+    for a in node.args:
+        _count_reads(a, p, reads, order)
     order.append(i)
 
 
@@ -288,12 +291,14 @@ def _plan(p: Program) -> tuple:
 
     ITE runs only its selected arm. A host gate is looked up in
     DEFAULT_REGISTRY when it runs: a swapped entry is seen, and an
-    unregistered gate raises only if it is reached. Node arities are taken
-    as `_check_node` states them, which the decoder and `validate` enforce;
-    a hand-built node with too few arguments raises IndexError here."""
+    unregistered gate raises only if it is reached. The outputs and every
+    reachable node are checked against the structural rules first, so a
+    hand-built program that breaks them raises the decoder's
+    MalformedCircuit on every call, whichever ITE arm the call takes."""
     nodes, reads, order = p.nodes, {}, []
+    _check_outputs(p.outputs, p.size)
     for o in p.outputs:
-        _count_reads(o, nodes, reads, order)
+        _count_reads(o, p, reads, order)
     f: dict = {}
     for i in order:
         node = nodes[i]
@@ -350,7 +355,7 @@ def _plan(p: Program) -> tuple:
                     return fn(a(x, m), b(x, m), *consts)
                 except Exception as e:
                     raise _failed(e, i, op)
-        else:  # HOSTGATE, and any op outside OPS (`_check_node` rejects those)
+        else:  # HOSTGATE
             def g(x, m, gate=node.gate, fs=tuple([f[a] for a in args]), consts=node.consts,
                   i=i, op=op):
                 fn = DEFAULT_REGISTRY.get(gate)
@@ -397,11 +402,8 @@ class SealedProgram:
     def declared_size(self) -> int:
         return self.__program.size
 
-    def run_all(self, *inputs: bytes) -> list[bytes]:
-        return evaluate(self.__program, list(inputs))
-
     def run(self, *inputs: bytes) -> bytes:
-        return self.run_all(*inputs)[0]
+        return evaluate(self.__program, list(inputs))[0]
 
     def to_bytes(self) -> bytes:
         """mode (field) | declared_size (u32) | sealed program (field)"""
@@ -497,17 +499,10 @@ def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
 # equivalent, hence indistinguishable" step)
 
 
-@dataclass(frozen=True)
-class ExplicitDomain:
-    entries: tuple[tuple[bytes, ...], ...]
-
-    def points(self):
-        yield from self.entries
-
-
-def equiv_check(p1: Program, p2: Program, domain) -> bool:
-    """True iff both programs agree on every tested point."""
-    for point in domain.points():
+def equiv_check(p1: Program, p2: Program, points: tuple[tuple[bytes, ...], ...]) -> bool:
+    """True iff both programs give the same outputs on every point, each
+    point a tuple holding one byte string per program input."""
+    for point in points:
         if evaluate(p1, list(point)) != evaluate(p2, list(point)):
             return False
     return True

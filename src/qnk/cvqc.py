@@ -153,8 +153,8 @@ class ToyVerifyKey:
     target: tuple[int, ...]       # accepting calibration pattern t
     tau: int
     w: int
-    variant: str = TOY_STANDARD
-    subset_key: bytes = b""       # stats variant only
+    variant: str
+    subset_key: bytes             # stats variant only
 
     @property
     def K(self) -> int:
@@ -260,8 +260,7 @@ class CvqcProof:
 # the quantum judge (prover-boundary helper shared by both protocols)
 
 
-def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg,
-                  classical_witness: bytes = b"") -> bool:
+def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg) -> bool:
     """Majority verdict of the amplified claim circuit on the witness."""
     lang = claim.language()
     if witness.state.n_qubits != lang.witness_qubits:
@@ -270,7 +269,7 @@ def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg,
     if witness.copies < lang.reps:
         raise JudgeReject(
             f"only {witness.copies} witness copies for {lang.reps} repetitions")
-    circ = lang.verifier(claim.x, classical_witness)
+    circ = lang.verifier(claim.x, witness.classical)
     p1 = accept_probability(circ, witness.state if lang.witness_qubits else [])
     hits = sum(sample_bit(p1, drbg.child(f"judge{i}")) for i in range(lang.reps))
     return hits >= lang.threshold
@@ -291,11 +290,10 @@ def _accept_tag(km: PrfKey, claim_digest: bytes) -> bytes:
     return prf_eval(km, claim_digest + b"acc")
 
 
-def oracle_prove(pp: CvqcParams, witness: Witness, drbg: Drbg,
-                 classical_witness: bytes = b"") -> bytes:
+def oracle_prove(pp: CvqcParams, witness: Witness, drbg: Drbg) -> bytes:
     km_bytes, claim_bytes = unpack_fields(unseal(pp.pp), 2)
     claim = Claim.from_bytes(claim_bytes)
-    if not judge_accepts(claim, witness, drbg.child("judge"), classical_witness):
+    if not judge_accepts(claim, witness, drbg.child("judge")):
         raise JudgeReject("witness failed the amplified check")
     return _accept_tag(PrfKey(km_bytes), claim.digest())
 
@@ -422,10 +420,9 @@ def base_keygen(claim: Claim, proto: str, drbg: Drbg,
     return toy_keygen(claim, drbg, toy_params)
 
 
-def base_prove(pp: CvqcParams, witness: Witness, drbg: Drbg,
-               classical_witness: bytes = b""):
+def base_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
     if pp.proto == PROTO_ORACLE:
-        return oracle_prove(pp, witness, drbg, classical_witness)
+        return oracle_prove(pp, witness, drbg)
     return toy_prove(pp, witness, drbg)
 
 
@@ -489,9 +486,8 @@ def sim_gen(claim: Claim, proto: str, drbg: Drbg,
     return StarSetup(claim, pp, None, oracle, td)
 
 
-def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg,
-               classical_witness: bytes = b"") -> CvqcProof:
-    pi = base_prove(pp, witness, drbg, classical_witness)
+def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg) -> CvqcProof:
+    pi = base_prove(pp, witness, drbg)
     return CvqcProof(pi, ro_query(oracle, encode_base_proof(pp.proto, pi)))
 
 
@@ -717,7 +713,6 @@ def _toy_verify4(claim: Claim, y: bytes, c: bytes, pi, r: CvqcVerifyKey) -> int:
 class BlindParams:
     pk: bytes
     ct_pp: qfhe.QfheCiphertext
-    proto: str = PROTO_TOY
 
 
 @dataclass(frozen=True)

@@ -625,6 +625,6 @@ def ss_rec(share_set: ShareSet, subset: set[int], witness: Witness, drbg: Drbg):
         share_set.shares[i][0] if i in subset else bytes(KEY_LEN)
         for i in range(N))
     ct = share_set.shares[next(iter(subset))][1] if subset else share_set.shares[0][1]
-    out = we_dec_bytes(ct, witness, drbg, classical_witness=cw)
+    out = we_dec_bytes(ct, Witness(witness.state, witness.copies, cw), drbg)
     return None if out is None else out[0]
 

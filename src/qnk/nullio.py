@@ -119,11 +119,10 @@ def _verify_program(sk: bytes, setup: StarSetup, release: bytes | None,
     return b.build([out])
 
 
-def _bottom_program(release: bool):
+def _bottom_program():
     b = ProgramBuilder(1)
     b.input(0)
-    out = b.const(BOTTOM if release else b"\x00")
-    return b.build([out])
+    return b.build([b.const(BOTTOM)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +130,7 @@ def _bottom_program(release: bool):
 
 
 def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
-           release: bytes | None, stage: str = "honest") -> ObfuscatedNullCircuit:
+           release: bytes | None, stage: str) -> ObfuscatedNullCircuit:
     keys = qfhe.qfhe_gen(drbg.child("qfhe"))
     if stage == "honest":
         setup = keygen_star(claim, proto, drbg.child("cvqc"), toy_params)
@@ -146,7 +145,7 @@ def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
     program = _verify_program(keys.sk, setup, release, stage != "honest")
     target = program.size
     if stage == "bottom":
-        program = _bottom_program(release is not None)
+        program = _bottom_program()
     ct_pp = qfhe.qfhe_enc(keys.pk, setup.pp.to_bytes(), drbg.child("encpp"))
     sealed = obf_io(program, target)
     return ObfuscatedNullCircuit(
@@ -158,7 +157,7 @@ def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
 
 def nio_obf(claim: Claim, seed, proto: str = PROTO_ORACLE,
             toy_params: ToyParams = ToyParams()) -> ObfuscatedNullCircuit:
-    return _build(claim, Drbg(seed).child("nio"), proto, toy_params, None)
+    return _build(claim, Drbg(seed).child("nio"), proto, toy_params, None, "honest")
 
 
 def nio_obf_stage(claim: Claim, seed, stage: str, proto: str = PROTO_ORACLE,
@@ -169,15 +168,13 @@ def nio_obf_stage(claim: Claim, seed, stage: str, proto: str = PROTO_ORACLE,
     return _build(claim, Drbg(seed).child("nio"), proto, toy_params, release, stage)
 
 
-def _prove_closure(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg,
-                   classical_witness: bytes = b""):
+def _prove_closure(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg):
     oracle = oracle_from_spec(unseal(obf.oracle_spec_sealed))
 
     def prove_fn(pp_bytes: bytes) -> bytes:
         pp = CvqcParams.from_bytes(pp_bytes)
         try:
-            proof = star_prove(pp, witness, oracle, drbg.child("prove"),
-                               classical_witness)
+            proof = star_prove(pp, witness, oracle, drbg.child("prove"))
         except JudgeReject:
             return b""
         return proof.encode(pp.proto)
@@ -185,12 +182,11 @@ def _prove_closure(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg,
     return prove_fn
 
 
-def _eval_raw(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg,
-              classical_witness: bytes = b"") -> bytes:
+def _eval_raw(obf: ObfuscatedNullCircuit, witness: Witness, drbg: Drbg) -> bytes:
     if witness.copies < obf.min_copies:
         raise InsufficientCopies(
             f"{witness.copies} witness copies, need {obf.min_copies}")
-    ct_pi = qfhe.qfhe_eval(obf.pk, _prove_closure(obf, witness, drbg, classical_witness),
+    ct_pi = qfhe.qfhe_eval(obf.pk, _prove_closure(obf, witness, drbg),
                            obf.ct_pp, drbg.child("eval"))
     return obf.sealed_C.run(ct_pi.to_bytes())
 
@@ -218,7 +214,7 @@ class VbbNullCircuit:
     q_digest: bytes
     proto: str
     min_copies: int
-    escrow_key: PrfKey = field(repr=False, compare=False, default=None)
+    escrow_key: PrfKey = field(repr=False, compare=False)
 
 
 class _SealedBranchOracle:
@@ -302,7 +298,7 @@ def we_enc_bytes(L: QmaLanguage, x: bytes, m: bytes, coins,
     """Byte-payload witness encryption; all randomness expands from `coins`,
     so externally supplied coins make encryption a pure function."""
     claim = claim_for(L, x, reps)
-    inner = _build(claim, Drbg(coins).child("we"), proto, ToyParams(), m)
+    inner = _build(claim, Drbg(coins).child("we"), proto, ToyParams(), m, "honest")
     return WeCiphertext(inner, claim.digest())
 
 
@@ -313,9 +309,8 @@ def we_enc(L: QmaLanguage, x: bytes, m: int, coins) -> WeCiphertext:
     return we_enc_bytes(L, x, bytes([m]), coins)
 
 
-def we_dec_bytes(c: WeCiphertext, witness: Witness, drbg: Drbg,
-                 classical_witness: bytes = b""):
-    return unwrap(_eval_raw(c.inner, witness, drbg, classical_witness))
+def we_dec_bytes(c: WeCiphertext, witness: Witness, drbg: Drbg):
+    return unwrap(_eval_raw(c.inner, witness, drbg))
 
 
 def we_dec(L: QmaLanguage, x: bytes, c: WeCiphertext, witness: Witness,

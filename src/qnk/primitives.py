@@ -12,7 +12,6 @@ classical throughout.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -223,9 +222,10 @@ class RandomOracle:
     bit with F(td, x) XOR verify(x); SIMGEN with F(td, x) alone. The first 16
     bytes agree bit-exactly across all three modes for a fixed seed.
 
-    The memo table supports concurrent insert-if-absent: the first computed
-    answer wins and every reader sees it (answers are deterministic, so racing
-    writers agree).
+    The memo table supports concurrent insert-if-absent without a lock:
+    `dict.setdefault` with a bytes key runs no Python code, so it is atomic,
+    the first computed answer wins and every reader sees it (answers are
+    deterministic, so racing writers agree).
     """
 
     def __init__(self, seed: bytes, mode: str = MODE_UNIFORM,
@@ -244,7 +244,6 @@ class RandomOracle:
         self.verify_closure = verify_closure
         self.out_len_bits = ORACLE_OUT_BITS
         self.table: dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
 
     def _answer(self, x: bytes) -> bytes:
         prefix = _hmac(self.seed, b"G" + x)[:KEY_LEN]
@@ -260,9 +259,7 @@ class RandomOracle:
         got = self.table.get(x)
         if got is not None:
             return got
-        ans = self._answer(x)
-        with self._lock:
-            return self.table.setdefault(x, ans)
+        return self.table.setdefault(x, self._answer(x))
 
 
 def ro_query(oracle: RandomOracle, x: bytes) -> bytes:

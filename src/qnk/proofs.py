@@ -370,7 +370,7 @@ def zapr_prove(crs: ZaprCrs, witness: Witness, x: bytes, drbg: Drbg) -> ZaprProo
     L = resolve_language(crs.lang_ref)
     if crs.niwi.verify(_setup_relation(L), crs.setup_proof, _setup_stmt(crs)) != 1:
         raise SetupProofInvalid("reference-string consistency proof rejected")
-    half = Witness(witness.state, witness.copies // 2)
+    half = Witness(witness.state, witness.copies // 2, witness.classical)
     pis = []
     for idx, sub_crs in enumerate((crs.crs0, crs.crs1)):
         try:

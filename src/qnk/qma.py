@@ -8,13 +8,14 @@ majority amplification. Fixture languages are addressable by a byte reference
 so they can be embedded as host-gate constants and reconstructed on the other
 side of a serialization boundary.
 
-Verifier builders optionally take a classical witness component (used by the
-secret-sharing language, whose witness is commitment openings plus a quantum
-state).
+A witness is one object: the quantum state, its copy count, and a classical
+part `Witness.classical` that every verifier builder receives with the
+instance. Only the secret-sharing language reads it (its witness is commitment
+openings plus a quantum state); the others ignore it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -37,7 +38,7 @@ class QmaLanguage:
     witness_qubits: int          # p
     alpha: float
     beta: float
-    builder: object              # (x: bytes, classical_witness: bytes) -> QuantumCircuit
+    builder: object              # (x: bytes, cw: bytes) -> QuantumCircuit
     ref: bytes                   # serializable constructor reference
     reps: int = 1                # majority repetitions (odd)
     threshold: int = 1           # accept when at least this many runs accept
@@ -50,14 +51,15 @@ class QmaLanguage:
         if gap <= 0 or (self.witness_qubits >= 1 and gap < 1.0 / self.witness_qubits):
             raise WidthMismatch("completeness/soundness gap below 1/p")
 
-    def verifier(self, x: bytes, classical_witness: bytes = b"") -> QuantumCircuit:
-        return self.builder(x, classical_witness)
+    def verifier(self, x: bytes, cw: bytes = b"") -> QuantumCircuit:
+        return self.builder(x, cw)
 
 
 @dataclass(frozen=True)
 class Witness:
     state: StateVector
     copies: int = DEFAULT_WITNESS_COPIES
+    classical: bytes = b""       # classical part, e.g. commitment openings
 
     @classmethod
     def empty(cls, copies: int = DEFAULT_WITNESS_COPIES) -> "Witness":
@@ -97,7 +99,7 @@ def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg) -> int:
     if w.state.n_qubits != L.witness_qubits:
         raise WidthMismatch(
             f"witness has {w.state.n_qubits} qubits, language takes {L.witness_qubits}")
-    p1 = accept_probability(L.verifier(x), w.state if L.witness_qubits else [])
+    p1 = accept_probability(L.verifier(x, w.classical), w.state if L.witness_qubits else [])
     hits = sum(sample_bit(p1, drbg.child(f"rep{i}")) for i in range(L.reps))
     return 1 if hits >= L.threshold else 0
 
@@ -154,7 +156,7 @@ def make_parity_language(n: int) -> QmaLanguage:
     """Deterministic BQP fixture: accept exactly when the instance has odd
     parity. Empty witness; the instance is baked into the gate list."""
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         gates = tuple(("X", (0,)) for b in _bits_of(x, n) if b)
         return QuantumCircuit(1, gates, n_input=0)
 
@@ -177,7 +179,7 @@ def make_ghz_language() -> QmaLanguage:
     state (disentangle, then AND the negated register into the output qubit).
     Instance bit 0: reject everything."""
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         if int.from_bytes(x, "big") & 1:
             gates = (
                 ("CNOT", (2, 3)), ("CNOT", (2, 4)), ("H", (2,)),
@@ -197,7 +199,7 @@ def make_ghz_language() -> QmaLanguage:
 def make_threshold_language(n: int, t: int) -> QmaLanguage:
     """Monotone fixture: n-bit subset strings, qualified at Hamming weight >= t."""
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         gates = (("X", (0,)),) if sum(_bits_of(x, n)) >= t else ()
         return QuantumCircuit(1, gates, n_input=0)
 
@@ -212,10 +214,10 @@ def make_threshold23_language() -> QmaLanguage:
     return make_threshold_language(3, 2)
 
 
-def make_null_language(p: int = 0) -> QmaLanguage:
+def make_null_language(p: int) -> QmaLanguage:
     """Rejects every input: the output qubit is a fresh ancilla never touched."""
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         return QuantumCircuit(p + 1, (), n_input=p)
 
     def classify(x: bytes) -> str:
@@ -230,7 +232,7 @@ def make_policy_language(circuit: QuantumCircuit) -> QmaLanguage:
     the policy circuit; the witness is empty."""
     n = circuit.n_input
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         bits = _bits_of(x, n)
         load = tuple(("X", (circuit.n_qubits - n + i,)) for i, b in enumerate(bits) if b)
         return QuantumCircuit(circuit.n_qubits, load + circuit.gates, n_input=0)
@@ -247,7 +249,7 @@ def make_share_language(inner: QmaLanguage, commitments: tuple[bytes, ...]) -> Q
     subset string with the quantum witness part."""
     N = len(commitments)
 
-    def build(x: bytes, cw: bytes = b""):
+    def build(x: bytes, cw: bytes):
         openings = [cw[i * KEY_LEN:(i + 1) * KEY_LEN] for i in range(N)]
         bits = 0
         for i, (c_i, r_i) in enumerate(zip(commitments, openings)):
@@ -277,7 +279,7 @@ def make_universal_language(x_attr: bytes) -> QmaLanguage:
     """BQP language whose instances are policy-family ids: instance pid is a
     yes-instance exactly when that family circuit accepts the attribute x_attr."""
 
-    def build(pid_bytes: bytes, cw: bytes = b""):
+    def build(pid_bytes: bytes, cw: bytes):
         circ = POLICY_FAMILY.get(int.from_bytes(pid_bytes, "big"))
         if circ is None:
             return QuantumCircuit(1, (), n_input=0)  # unknown policy: reject

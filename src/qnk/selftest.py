@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, qsim
 from .circuit_ir import (
-    ExplicitDomain,
     LockSpec,
     ProgramBuilder,
     equiv_check,
@@ -227,8 +226,7 @@ def criterion_6_nizk():
     x_star = b"\x2a"
     fam = proofs.nizk_hybrid_family(crs, x_star)
     k0 = crs.escrow["k0"]
-    full = [(bytes([v]),) for v in range(256)]
-    dom_x = ExplicitDomain(tuple(full))
+    dom_x = tuple((bytes([v]),) for v in range(256))
     equivs = [("P", "P1"), ("P2", "P3")]
     for a, b in equivs:
         if not equiv_check(fam[a], fam[b], dom_x):
@@ -237,13 +235,13 @@ def criterion_6_nizk():
     for v in range(256):
         x = bytes([v])
         vpts += [(x, ggm_eval(k0, x)), (x, b"\x5a" * 16)]
-    dom_v = ExplicitDomain(tuple(vpts))
+    dom_v = tuple(vpts)
     for a, b in (("V", "V1"), ("V2", "Vstar")):
         if not equiv_check(fam[a], fam[b], dom_v):
             return "nizk", False, f"hybrid step {a}->{b} not equivalent"
 
     def differs_only_at_star(a, b, dom):
-        for pt in dom.entries:
+        for pt in dom:
             same = evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
             if pt[0] != x_star and not same:
                 return False
@@ -308,7 +306,7 @@ def criterion_7_delegation():
     for a in range(16):
         wire = ed.attr_wire(a, 4)
         pts += [(wire, ggm_eval(k, wire)), (wire, b"\x31" * 16)]
-    dom = ExplicitDomain(tuple(pts))
+    dom = tuple(pts)
     i_star = 5
     fam_p = ed.abe_keycheck_hybrids(k, 4, i_star, Drbg(b"acc-hyb"))
     if not equiv_check(fam_p["P"], fam_p["P1"], dom):
@@ -342,7 +340,7 @@ def criterion_7_delegation():
     # constrained-PRF hybrid chain
     fam_c = ed.cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
                             ed.attr_wire(3, 8), Drbg(b"acc-cprf-hyb"))
-    dom_c = ExplicitDomain(tuple((ed.attr_wire(v, 8),) for v in range(16)))
+    dom_c = tuple((ed.attr_wire(v, 8),) for v in range(16))
     for a, b in (("P", "P1"), ("P1", "P2")):
         if not equiv_check(fam_c[a], fam_c[b], dom_c):
             return "delegation", False, f"cprf hybrid {a}->{b} not equivalent"

@@ -5,7 +5,6 @@ import pytest
 
 from qnk.circuit_ir import (
     BOTTOM,
-    ExplicitDomain,
     LockSpec,
     Node,
     Program,
@@ -156,7 +155,7 @@ class TestSealed:
         sealed = obf_io(identity_program(), 4)
         assert [a for a in vars(sealed) if not a.startswith("_")] == ["mode"]
         public = {a for a in dir(sealed) if not a.startswith("_")}
-        assert public == {"declared_size", "mode", "run", "run_all", "to_bytes", "from_bytes"}
+        assert public == {"declared_size", "mode", "run", "to_bytes", "from_bytes"}
 
     def test_declared_size_is_read_only(self):
         sealed = obf_io(identity_program(), 4)
@@ -222,7 +221,7 @@ class TestLockable:
         assert unwrap(wrap_some(b"\x00")) == b"\x00"
 
 
-ALL_BYTES = ExplicitDomain(tuple((bytes([v]),) for v in range(256)))
+ALL_BYTES = tuple((bytes([v]),) for v in range(256))
 
 
 class TestEquivCheck:
@@ -241,11 +240,11 @@ class TestEquivCheck:
 
     def test_random_domain(self):
         d = Drbg(5)
-        points = ExplicitDomain(tuple((d.bytes(2),) for _ in range(50)))
+        points = tuple((d.bytes(2),) for _ in range(50))
         assert equiv_check(identity_program(), identity_program(), points)
 
     def test_explicit_domain(self):
-        dom = ExplicitDomain(((b"\x01",), (b"\x02",)))
+        dom = ((b"\x01",), (b"\x02",))
         assert equiv_check(identity_program(), identity_program(), dom)
 
 

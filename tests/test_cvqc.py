@@ -22,6 +22,7 @@ from qnk.cvqc import (
     claim_for,
     decode_base_proof,
     encode_base_proof,
+    judge_accepts,
     keygen_star,
     oracle_keygen,
     oracle_prove,
@@ -47,8 +48,8 @@ from qnk.errors import (
     MalformedCircuit,
     MalformedProof,
 )
-from qnk.primitives import ro_query
-from qnk.qma import Witness, fixture, ghz_witness
+from qnk.primitives import KEY_LEN, commit, ro_query
+from qnk.qma import Witness, fixture, ghz_witness, make_share_language, qma_verify
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, seal, unpack_fields, unseal
 
@@ -88,6 +89,35 @@ class TestOracleProtocol:
         pp, r = oracle_keygen(YES, Drbg(9))
         pi = oracle_prove(pp, Witness.empty(), Drbg(10))
         assert oracle_verify(NO, pi, r) == 0
+
+
+class TestShareClaimJudge:
+    """The classical part of a witness (commitment openings) reaches the
+    share language's verifier through `Witness.classical`."""
+
+    OPENINGS = [Drbg(b"share-judge").child(f"r{i}").bytes(KEY_LEN) for i in range(3)]
+    COMMITMENTS = tuple(commit(bytes([i + 1]), r).payload for i, r in enumerate(OPENINGS))
+    CLAIM = claim_for(make_share_language(fixture("th23"), COMMITMENTS), b"".join(COMMITMENTS))
+
+    def judge(self, classical: bytes) -> bool:
+        return judge_accepts(self.CLAIM, replace(Witness.empty(), classical=classical), Drbg(11))
+
+    def test_qualified_openings_accept(self):
+        a, b, _ = self.OPENINGS
+        assert self.judge(a + b + bytes(KEY_LEN))
+        assert self.judge(b"".join(self.OPENINGS))
+
+    def test_zero_filled_openings_reject(self):
+        a, _, _ = self.OPENINGS
+        assert not self.judge(bytes(3 * KEY_LEN))
+        assert not self.judge(a + bytes(2 * KEY_LEN))   # one party is not qualified
+
+    def test_qma_verify_reads_the_classical_part(self):
+        L = self.CLAIM.base_language()
+        a, b, _ = self.OPENINGS
+        for classical, want in ((a + b + bytes(KEY_LEN), 1), (bytes(3 * KEY_LEN), 0)):
+            assert qma_verify(L, self.CLAIM.x, replace(Witness.empty(), classical=classical),
+                              Drbg(12)) == want
 
 
 class TestToyProtocol:

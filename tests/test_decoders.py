@@ -175,7 +175,7 @@ def test_toy_key_with_inconsistent_fields_rejected(change):
 def test_toy_key_at_the_bounds_decodes():
     """255 positions, w = 8 and a secret of 255 are inside the bounds."""
     blob = cvqc.CvqcVerifyKey(cvqc.PROTO_TOY, cvqc.ToyVerifyKey(
-        (1,) * 255, (255,) * 255, (0,) * 255, 0, 8)).to_bytes()
+        (1,) * 255, (255,) * 255, (0,) * 255, 0, 8, cvqc.TOY_STANDARD, b"")).to_bytes()
     r = cvqc.CvqcVerifyKey.from_bytes(blob)
     assert r.to_bytes() == blob and len(r.body.checks) == 255
 

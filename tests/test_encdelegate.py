@@ -1,7 +1,6 @@
 import pytest
 
 from qnk.circuit_ir import (
-    ExplicitDomain,
     ProgramBuilder,
     SealedProgram,
     equiv_check,
@@ -142,7 +141,7 @@ def dom(keys):
     for a in range(16):
         wire = attr_wire(a, 4)
         pts += [(wire, ggm_eval(keys.msk, wire)), (wire, b"\x31" * 16)]
-    return ExplicitDomain(tuple(pts))
+    return tuple(pts)
 
 
 class TestAbeHybrids:
@@ -152,7 +151,7 @@ class TestAbeHybrids:
         assert equiv_check(fam["P"], fam["P1"], dom)
         star = attr_wire(i_star, 4)
         for a, b in (("P1", "P2"), ("P2", "P3"), ("P3", "Pstar")):
-            for pt in dom.entries:
+            for pt in dom:
                 if pt[0] == star:
                     continue
                 assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
@@ -177,7 +176,7 @@ class TestAbeHybrids:
         assert equiv_check(fam["E"], fam["E1"], dom)
         star = attr_wire(5, 4)
         for a, b in (("E1", "E2"), ("E2", "E3"), ("E3", "Estar")):
-            for pt in dom.entries:
+            for pt in dom:
                 if pt[0] == star:
                     continue
                 assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
@@ -282,11 +281,11 @@ class TestConstrainedPrf:
         star = attr_wire(3, 8)
         fam = cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
                            star, Drbg(36))
-        dom = ExplicitDomain(tuple((attr_wire(v, 8),) for v in range(16)))
+        dom = tuple((attr_wire(v, 8),) for v in range(16))
         assert equiv_check(fam["P"], fam["P1"], dom)
         assert equiv_check(fam["P1"], fam["P2"], dom)
         for a, b in (("P2", "P3"), ("P3", "Pstar")):
-            for pt in dom.entries:
+            for pt in dom:
                 if pt[0] == star:
                     continue
                 assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))

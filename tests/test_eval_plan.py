@@ -5,7 +5,9 @@ reachable from the outputs, and keeps it as `Program.plan`. These tests pin
 what the plan must keep from the node-by-node interpreter it replaced: the
 same outputs, the same errors, each shared node run once per call, unselected
 ITE arms never run, host gates looked up when they run, and a chain too deep
-to evaluate reported as such on every call. A plan holds no reference cycle,
+to evaluate reported as such on every call. A hand-built program that breaks
+the structural rules fails as `validate` and the decoder fail it, whichever
+ITE arm a call takes. A plan holds no reference cycle,
 so it is freed with its program. Hypothesis runs derandomized with
 bounded examples, so each run draws the same cases.
 """
@@ -29,6 +31,7 @@ from qnk.circuit_ir import (
     pad,
     program_from_bytes,
     program_to_bytes,
+    validate,
 )
 from qnk.errors import DomainMismatch, MalformedCircuit, UnknownGate
 from qnk.primitives import _xor, owf
@@ -291,3 +294,25 @@ def test_gate_errors_are_wrapped_with_the_node_and_cause():
         with pytest.raises(MalformedCircuit, match="^passed through unchanged$") as e:
             evaluate(q, [b""])
         assert e.value.__cause__ is None
+
+
+MALFORMED = {
+    # an XOR with one argument, in the ITE arm a call on b"a" never takes
+    "short node in an untaken arm": Program(
+        (Node("INPUT"), Node("CONST", value=b"\x01"), Node("XOR", (0,)),
+         Node("ITE", (1, 0, 2))), (3,), 1),
+    "output past the nodes": Program((Node("INPUT"),), (1,), 1),
+    "negative output": Program((Node("INPUT"),), (-1,), 1),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_program_raises_the_decoders_error_on_every_call(case):
+    p = MALFORMED[case]
+    with pytest.raises(MalformedCircuit) as want:
+        validate(p)
+    for _ in range(2):
+        with pytest.raises(MalformedCircuit) as got:
+            evaluate(p, [b"a"])
+        assert str(got.value) == str(want.value)
+        assert "plan" not in vars(p)

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qnk.circuit_ir import ExplicitDomain, equiv_check, evaluate
+from qnk.circuit_ir import equiv_check, evaluate
 from qnk.errors import InvalidWitness, NoValidNizk, ProofFailed, SetupProofInvalid
 from qnk.primitives import ggm_eval, owf
 from qnk.proofs import (
@@ -130,7 +130,7 @@ class TestHybridFamily:
     def test_equivalences_exhaustive(self, crs):
         x_star = b"\x2a"
         fam = nizk_hybrid_family(crs, x_star)
-        dom = ExplicitDomain(tuple((bytes([v]),) for v in range(256)))
+        dom = tuple((bytes([v]),) for v in range(256))
         assert equiv_check(fam["P"], fam["P1"], dom)
         assert equiv_check(fam["P2"], fam["P3"], dom)
         k0 = crs.escrow["k0"]
@@ -138,7 +138,7 @@ class TestHybridFamily:
         for v in range(256):
             x = bytes([v])
             vpts += [(x, ggm_eval(k0, x)), (x, b"\x5a" * 16)]
-        vdom = ExplicitDomain(tuple(vpts))
+        vdom = tuple(vpts)
         assert equiv_check(fam["V"], fam["V1"], vdom)
         assert equiv_check(fam["V2"], fam["Vstar"], vdom)
 

@@ -22,6 +22,8 @@ arguments; sealing reads only their memoized pad budgets, so outside
 inside a function on the first simulation, never at module top, so actions
 that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
+A QMA witness is one `qma.Witness`, its classical part included, so no
+function takes the classical part as a parameter of its own.
 """
 import ast
 import re
@@ -103,6 +105,15 @@ def test_controlled_x_named_only_in_gate_arity():
     hits = offending_lines(re.compile(r"""["'](CNOT|CCX)["']"""),
                            skip=tuple(p.name for p in SRC if p.name != "qsim.py"))
     assert [h.split(": ", 1)[1][:14] for h in hits] == ["GATE_ARITY = {"]
+
+
+def test_classical_witness_travels_in_the_witness():
+    params = [f"{p.name}:{node.lineno}: {node.name}"
+              for p in SRC for node in ast.walk(ast.parse(p.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(a.arg == "classical_witness" for a in
+                      (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
+    assert params == []
 
 
 FAMILY_BUILDERS = {"abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids",
