@@ -1,4 +1,4 @@
-"""Classical gate-DAG circuit IR with host gates, size padding, and
+"""Classical gate-DAG circuit IR with host gates, declared sizes, and
 sealed-evaluator obfuscation (functional opacity only).
 
 Programs compute over byte strings. Heavyweight sub-primitives (PRF, WE
@@ -54,11 +54,36 @@ class Node:
     consts: tuple[bytes, ...] = ()     # HOSTGATE embedded constants
 
 
+# the node a sealed program's padding decodes to, one shared instance for
+# every slot
+_FILLER = Node("CONST")
+
+
 @dataclass(frozen=True)
 class Program:
+    """A node DAG and its outputs. Construction checks every node against the
+    structural rules (`_check_node`) and every output against the node
+    count, so a Program that exists obeys them, built or decoded."""
     nodes: tuple[Node, ...]
     outputs: tuple[int, ...]
     input_arity: int
+
+    def __post_init__(self):
+        nodes = self.nodes
+        tail_tried = False
+        for i, node in enumerate(nodes):
+            if node is _FILLER:
+                # Once per program, at the first filler, test whether every
+                # node left is one too (as padding decodes) with one compare.
+                if not tail_tried:
+                    tail_tried = True
+                    if nodes[i:] == (_FILLER,) * (len(nodes) - i):
+                        break
+                continue
+            _check_node(i, node, self.input_arity)
+        for o in self.outputs:
+            if not 0 <= o < len(nodes):
+                raise MalformedCircuit(f"output {o} out of range")
 
     @property
     def size(self) -> int:
@@ -180,12 +205,12 @@ def punctured_key_from_bytes(blob: bytes):
 
 
 # ---------------------------------------------------------------------------
-# validation / evaluation / padding
+# structural rules / evaluation
 
 
 def _check_node(i: int, node: Node, input_arity: int) -> None:
-    """The structural rules for node `i`, shared by `validate` and the
-    decoder. Each argument comes before its node, so a program has no cycle."""
+    """The structural rules for node `i`, checked by `Program` alone. Each
+    argument comes before its node, so a program has no cycle."""
     op = node.op
     if op not in OPS:
         raise MalformedCircuit(f"node {i}: unknown op {op!r}")
@@ -200,21 +225,6 @@ def _check_node(i: int, node: Node, input_arity: int) -> None:
         raise MalformedCircuit(f"node {i}: input slot {node.slot} out of range")
     if op == "SLICE" and not 0 <= node.lo <= node.hi:
         raise MalformedCircuit(f"node {i}: bad slice range")
-
-
-def _check_outputs(outputs: tuple[int, ...], size: int) -> None:
-    for o in outputs:
-        if not 0 <= o < size:
-            raise MalformedCircuit(f"output {o} out of range")
-
-
-def validate(p: Program) -> None:
-    """The structural rules, plus every host gate registered."""
-    for i, node in enumerate(p.nodes):
-        _check_node(i, node, p.input_arity)
-        if node.op == "HOSTGATE" and node.gate not in DEFAULT_REGISTRY:
-            raise UnknownGate(f"node {i}: unregistered host gate {node.gate!r}")
-    _check_outputs(p.outputs, p.size)
 
 
 def evaluate(p: Program, inputs: list[bytes]) -> list[bytes]:
@@ -262,16 +272,13 @@ def _memoized(i: int, g):
 
 
 def _count_reads(i: int, p: Program, reads: dict, order: list) -> None:
-    """Walk from node i: check each reachable node against the structural
-    rules, count its readers into `reads` and append it to `order` after its
-    arguments."""
+    """Walk from node i: count each reachable node's readers into `reads`
+    and append it to `order` after its arguments."""
     if i in reads:
         reads[i] += 1
         return
-    node = p.nodes[i]
-    _check_node(i, node, p.input_arity)
     reads[i] = 1
-    for a in node.args:
+    for a in p.nodes[i].args:
         _count_reads(a, p, reads, order)
     order.append(i)
 
@@ -291,12 +298,11 @@ def _plan(p: Program) -> tuple:
 
     ITE runs only its selected arm. A host gate is looked up in
     DEFAULT_REGISTRY when it runs: a swapped entry is seen, and an
-    unregistered gate raises only if it is reached. The outputs and every
-    reachable node are checked against the structural rules first, so a
-    hand-built program that breaks them raises the decoder's
-    MalformedCircuit on every call, whichever ITE arm the call takes."""
+    unregistered gate raises only if it is reached. The plan trusts the
+    structural rules that `Program` enforces: an INPUT slot is below the
+    arity `evaluate` checks, and EQ and ITE only compare values their
+    children computed, so those three closures catch nothing."""
     nodes, reads, order = p.nodes, {}, []
-    _check_outputs(p.outputs, p.size)
     for o in p.outputs:
         _count_reads(o, p, reads, order)
     f: dict = {}
@@ -307,11 +313,7 @@ def _plan(p: Program) -> tuple:
         if op == "CONST":
             g = lambda x, m, v=node.value: v
         elif op == "INPUT":
-            def g(x, m, s=node.slot, i=i):
-                try:
-                    return x[s]
-                except Exception as e:
-                    raise _failed(e, i, "INPUT")
+            g = lambda x, m, s=node.slot: x[s]
         elif op == "CONCAT":
             def g(x, m, fs=tuple([f[a] for a in args]), i=i):
                 try:
@@ -334,17 +336,11 @@ def _plan(p: Program) -> tuple:
                 except Exception as e:
                     raise _failed(e, i, "XOR")
         elif op == "EQ":
-            def g(x, m, a=f[args[0]], b=f[args[1]], i=i):
-                try:
-                    return b"\x01" if a(x, m) == b(x, m) else b"\x00"
-                except Exception as e:
-                    raise _failed(e, i, "EQ")
+            def g(x, m, a=f[args[0]], b=f[args[1]]):
+                return b"\x01" if a(x, m) == b(x, m) else b"\x00"
         elif op == "ITE":
-            def g(x, m, c=f[args[0]], a=f[args[1]], b=f[args[2]], i=i):
-                try:
-                    return a(x, m) if c(x, m) == b"\x01" else b(x, m)
-                except Exception as e:
-                    raise _failed(e, i, "ITE")
+            def g(x, m, c=f[args[0]], a=f[args[1]], b=f[args[2]]):
+                return a(x, m) if c(x, m) == b"\x01" else b(x, m)
         elif len(args) == 2:  # most host gates: their arguments without a list
             def g(x, m, gate=node.gate, a=f[args[0]], b=f[args[1]], consts=node.consts,
                   i=i, op=op):
@@ -369,17 +365,6 @@ def _plan(p: Program) -> tuple:
     return tuple([f[o] for o in p.outputs])
 
 
-# the dead node `pad` appends, one shared instance for every slot
-_FILLER = Node("CONST")
-
-
-def pad(p: Program, target: int) -> Program:
-    """Append dead constant nodes until the node count reaches `target`."""
-    if target < p.size:
-        raise TargetTooSmall(f"target {target} below program size {p.size}")
-    return Program(p.nodes + (_FILLER,) * (target - p.size), p.outputs, p.input_arity)
-
-
 # ---------------------------------------------------------------------------
 # sealed evaluators
 
@@ -390,25 +375,29 @@ _MODES = {m.encode(): m for m in (MODE_IO, MODE_VBB, MODE_LOCK)}
 
 
 class SealedProgram:
-    """Opaque evaluator over a padded program. The public surface is
-    evaluation plus (declared_size, mode); embedded constants have no
-    accessor and serialize sealed."""
+    """Opaque evaluator over a program padded to `declared_size` nodes. The
+    padding is that number alone until `to_bytes` writes it as filler nodes.
+    The public surface is evaluation plus (declared_size, mode); embedded
+    constants have no accessor and serialize sealed."""
 
-    def __init__(self, program: Program, mode: str):
+    def __init__(self, program: Program, mode: str, declared_size: int):
+        if declared_size < program.size:
+            raise TargetTooSmall(f"target {declared_size} below program size {program.size}")
         self.__program = program
+        self.__size = declared_size
         self.mode = mode
 
     @property
     def declared_size(self) -> int:
-        return self.__program.size
+        return self.__size
 
     def run(self, *inputs: bytes) -> bytes:
         return evaluate(self.__program, list(inputs))[0]
 
     def to_bytes(self) -> bytes:
         """mode (field) | declared_size (u32) | sealed program (field)"""
-        sealed = seal(program_to_bytes(self.__program), b"sealed-program")
-        return pack_bytes(self.mode.encode()) + pack_u32(self.declared_size) + pack_bytes(sealed)
+        sealed = seal(_program_bytes(self.__program, self.__size), b"sealed-program")
+        return pack_bytes(self.mode.encode()) + pack_u32(self.__size) + pack_bytes(sealed)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SealedProgram":
@@ -422,12 +411,11 @@ class SealedProgram:
         if declared != program.size:
             raise MalformedCircuit(
                 f"declared size {declared}, program has {program.size} nodes")
-        return cls(program, _MODES[mode])
+        return cls(program, _MODES[mode], declared)
 
 
 def obf_io(p: Program, target: int) -> SealedProgram:
-    validate(p)
-    return SealedProgram(pad(p, target), MODE_IO)
+    return SealedProgram(p, MODE_IO, target)
 
 
 class SimHandle:
@@ -445,9 +433,7 @@ class SimHandle:
 
 
 def obf_vbb(p: Program, target: int) -> tuple[SealedProgram, SimHandle]:
-    validate(p)
-    padded = pad(p, target)
-    return SealedProgram(padded, MODE_VBB), SimHandle(p, padded.size)
+    return SealedProgram(p, MODE_VBB, target), SimHandle(p, target)
 
 
 # ---------------------------------------------------------------------------
@@ -479,19 +465,14 @@ def lockobf(spec: LockSpec) -> SealedProgram:
     hit = b.eq(cx, u)
     z = b.const(wrap_some(spec.payload))
     bot = b.const(BOTTOM)
-    out = b.ite(hit, z, bot)
-    p = b.build([out])
-    validate(p)
-    return SealedProgram(pad(p, target), MODE_LOCK)
+    return SealedProgram(b.build([b.ite(hit, z, bot)]), MODE_LOCK, target)
 
 
 def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
     """Input-independent bottom program with the same declared size."""
     b = ProgramBuilder(1)
     b.input(0)
-    bot = b.const(BOTTOM)
-    p = b.build([bot])
-    return SealedProgram(pad(p, lock_pad_target(size_c, size_z)), MODE_LOCK)
+    return SealedProgram(b.build([b.const(BOTTOM)]), MODE_LOCK, lock_pad_target(size_c, size_z))
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +518,18 @@ _FILLER_BYTES = bytes(_pack_node(bytearray(), _FILLER))
 
 
 def program_to_bytes(p: Program) -> bytes:
+    return _program_bytes(p, p.size)
+
+
+def _program_bytes(p: Program, size: int) -> bytes:
+    """The encoding of `p` padded to `size` nodes: filler nodes between its
+    own and the output list."""
     out = bytearray(b"\x01")  # format version
     out += pack_u32(p.input_arity)
-    out += pack_u32(len(p.nodes))
+    out += pack_u32(size)
     for node in p.nodes:
-        if node is _FILLER:
-            out += _FILLER_BYTES
-        else:
-            _pack_node(out, node)
+        _pack_node(out, node)
+    out += _FILLER_BYTES * (size - p.size)
     out += pack_u32(len(p.outputs))
     for o in p.outputs:
         out += pack_u32(o)
@@ -566,7 +551,7 @@ def program_from_bytes(blob: bytes) -> Program:
                 nodes.append(_FILLER)
                 rest = count - 1 - i
                 # Once per decode, at the first filler, test whether every node
-                # left is one too (as `pad` appends them) with one compare. The
+                # left is one too (as padding is written) with one compare. The
                 # run is built only if the blob still holds its bytes, so a
                 # hostile count allocates no more than the blob's length.
                 if not tail_tried and rest * len(_FILLER_BYTES) <= len(blob) - r.pos:
@@ -583,18 +568,16 @@ def program_from_bytes(blob: bytes) -> Program:
             hi = r.u32()
             gate = r.field().decode()
             consts = tuple(r.field() for _ in range(r.u32()))
-            node = Node(op, args, value, slot, lo, hi, gate, consts)
-            _check_node(i, node, input_arity)
-            nodes.append(node)
+            nodes.append(Node(op, args, value, slot, lo, hi, gate, consts))
     except KeyError as e:
         raise MalformedCircuit(f"unknown op tag {e.args[0]:#04x}") from e
     except UnicodeDecodeError as e:
         raise MalformedCircuit("host gate name is not UTF-8") from e
-    outputs = tuple(r.u32() for _ in range(r.u32()))
-    _check_outputs(outputs, len(nodes))
+    # `Program` checks the nodes and outputs before the trailing bytes
+    p = Program(tuple(nodes), tuple(r.u32() for _ in range(r.u32())), input_arity)
     if not r.done():
         raise MalformedCircuit("trailing bytes after program")
-    return Program(tuple(nodes), outputs, input_arity)
+    return p
 
 
 _register_base_gates()

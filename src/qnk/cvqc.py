@@ -180,6 +180,16 @@ class ToyVerifyKey:
             if read_all or x == 1)
 
 
+def _check_toy_key(K: int, w: int, bases: bytes, secrets: bytes, *more: bytes) -> None:
+    """The TOY key rules, shared by the verify-key and prover-params
+    decoders: K entries in `bases`, `secrets` and each field of `more`,
+    K <= 255, 1 <= w <= 8, each basis a bit and each secret below 2^w."""
+    if not K == len(bases) == len(secrets) <= 255 or any(len(f) != K for f in more):
+        raise MalformedCiphertext("key fields must give one entry per position, K <= 255")
+    if not 1 <= w <= 8 or max(secrets, default=0) >> w or bases.strip(b"\x00\x01"):
+        raise MalformedCiphertext("key entries out of range")
+
+
 @dataclass(frozen=True)
 class CvqcVerifyKey:
     proto: str
@@ -200,10 +210,7 @@ class CvqcVerifyKey:
             return cls(PROTO_ORACLE, OracleVerifyKey(PrfKey(km), claim_digest))
         _, bases, secrets, target, tau_w, variant, subset_key = unpack_fields(blob, 7)
         tau, w = fixed(tau_w, 2)
-        if not len(bases) == len(secrets) == len(target) <= 255:
-            raise MalformedCiphertext("key fields must give one entry per position, K <= 255")
-        if not 1 <= w <= 8 or max(secrets, default=0) >> w or set(bases) - {0, 1}:
-            raise MalformedCiphertext("key entries out of range")
+        _check_toy_key(len(bases), w, bases, secrets, target)
         return cls(PROTO_TOY, ToyVerifyKey(tuple(bases), tuple(secrets), tuple(target),
                                            tau, w, choice(variant, TOY_VARIANTS), subset_key))
 
@@ -350,6 +357,7 @@ def toy_keygen(claim: Claim, drbg: Drbg,
 def _toy_open_pp(pp: CvqcParams):
     claim_bytes, bases, secrets, kwt, variant = unpack_fields(unseal(pp.pp), 5)
     K, w, tau = fixed(kwt, 3)
+    _check_toy_key(K, w, bases, secrets)
     return (Claim.from_bytes(claim_bytes), tuple(bases), tuple(secrets), K, w, tau,
             choice(variant, TOY_VARIANTS))
 

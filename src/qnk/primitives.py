@@ -26,7 +26,6 @@ from .rand import Drbg, _hmac
 
 KEY_LEN = 16  # toy security parameter: 128 bits
 DIGEST_LEN = 32
-ORACLE_OUT_BITS = 8 * KEY_LEN + 1  # 129
 GGM_DOMAINS = (8, 16, 32)
 
 
@@ -242,7 +241,6 @@ class RandomOracle:
         self.mode = mode
         self.td = td
         self.verify_closure = verify_closure
-        self.out_len_bits = ORACLE_OUT_BITS
         self.table: dict[bytes, bytes] = {}
 
     def _answer(self, x: bytes) -> bytes:

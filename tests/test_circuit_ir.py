@@ -5,6 +5,7 @@ import pytest
 
 from qnk.circuit_ir import (
     BOTTOM,
+    MODE_IO,
     LockSpec,
     Node,
     Program,
@@ -17,13 +18,11 @@ from qnk.circuit_ir import (
     lockobf_sim,
     obf_io,
     obf_vbb,
-    pad,
     program_from_bytes,
     program_to_bytes,
     punctured_key_from_bytes,
     punctured_key_to_bytes,
     unwrap,
-    validate,
     wrap_some,
 )
 from qnk.errors import (
@@ -35,7 +34,9 @@ from qnk.errors import (
 )
 from qnk.primitives import owf
 from qnk.rand import Drbg
-from qnk.wire import pack_bytes, pack_u32, seal
+from qnk.wire import Reader, pack_bytes, pack_u32, unseal
+
+from program_bytes import raw_program, raw_sealed, with_fillers
 
 
 def identity_program():
@@ -43,26 +44,41 @@ def identity_program():
     return b.build([b.input(0)])
 
 
+def sealed_body(sealed: SealedProgram) -> bytes:
+    """The program bytes inside a sealed program's encoding."""
+    r = Reader(sealed.to_bytes())
+    r.field(), r.u32()
+    return unseal(r.field())
+
+
 class TestValidate:
+    """A `Program` is validated when it is made; host-gate registration is
+    checked only when a gate runs."""
+
     def test_identity_ok(self):
-        validate(identity_program())
+        p = identity_program()
+        assert (p.size, p.outputs, p.input_arity) == (1, (0,), 1)
 
     def test_forward_reference_rejected(self):
-        bad = Program((Node("XOR", args=(0, 1)), Node("CONST", value=b"")), (0,), 0)
-        with pytest.raises(MalformedCircuit):
-            validate(bad)
+        with pytest.raises(MalformedCircuit, match="not before node"):
+            Program((Node("XOR", args=(0, 1)), Node("CONST", value=b"")), (0,), 0)
 
     def test_unknown_hostgate(self):
         b = ProgramBuilder(1)
-        out = b.host("no_such", b.input(0))
-        with pytest.raises(UnknownGate):
-            validate(b.build([out]))
+        x = b.input(0)
+        gate = b.host("no_such", x)
+        p = b.build([b.ite(b.eq(x, b.const(b"safe")), b.const(b"skipped"), gate)])
+        sealed = obf_io(p, p.size + 2)  # sealing does not look the gate up
+        assert SealedProgram.from_bytes(sealed.to_bytes()).run(b"safe") == b"skipped"
+        assert sealed.run(b"safe") == b"skipped"
+        with pytest.raises(UnknownGate, match="'no_such' not registered"):
+            sealed.run(b"other")
 
     def test_bad_input_slot(self):
         b = ProgramBuilder(1)
         out = b.input(3)
-        with pytest.raises(MalformedCircuit):
-            validate(b.build([out]))
+        with pytest.raises(MalformedCircuit, match="input slot 3 out of range"):
+            b.build([out])
 
 
 class TestEvaluate:
@@ -111,26 +127,35 @@ class TestEvaluate:
 
 
 class TestPad:
+    """A sealed program's padding is its declared size, written as filler
+    nodes between its own nodes and its output list."""
+
     def test_pad_preserves_behavior(self):
         b = ProgramBuilder(1)
         x = b.input(0)
         p = b.build([b.host("OWF", x)])
-        padded = pad(p, 40)
-        assert padded.size == 40
+        sealed = obf_io(p, 40)
+        again = SealedProgram.from_bytes(sealed.to_bytes())
+        padded = program_from_bytes(sealed_body(sealed))
+        assert sealed.declared_size == again.declared_size == padded.size == 40
+        assert padded == with_fillers(p, 40 - p.size)
+        assert program_to_bytes(padded) == sealed_body(sealed)
         d = Drbg(3)
         for _ in range(100):
             v = [d.bytes(4)]
-            assert evaluate(p, v) == evaluate(padded, v)
+            assert evaluate(p, v) == evaluate(padded, v) == [sealed.run(*v)] == [again.run(*v)]
 
     def test_pad_identity_at_own_size(self):
         p = identity_program()
-        assert pad(p, p.size).nodes == p.nodes
+        assert sealed_body(obf_io(p, p.size)) == program_to_bytes(p)
 
     def test_target_too_small(self):
         b = ProgramBuilder(1)
         p = b.build([b.host("OWF", b.input(0))])
+        with pytest.raises(TargetTooSmall, match="target 1 below program size 2"):
+            obf_io(p, 1)
         with pytest.raises(TargetTooSmall):
-            pad(p, 1)
+            SealedProgram(p, MODE_IO, 1)
 
 
 class TestSealed:
@@ -284,13 +309,13 @@ class TestProgramDecoding:
 
     @pytest.mark.parametrize("args", [(1, 0), (0, 2)], ids=["self", "forward"])
     def test_argument_not_before_node(self, args):
-        # validate's rule; an argument at or after its node allows a cycle
+        # `Program`'s rule; an argument at or after its node allows a cycle
         nodes = (Node("INPUT"), Node("XOR", args), Node("INPUT"))
         with pytest.raises(MalformedCircuit, match="not before node"):
-            program_from_bytes(program_to_bytes(Program(nodes, (1,), 1)))
+            program_from_bytes(raw_program(nodes, (1,), 1))
 
     def test_output_out_of_range(self):
-        blob = program_to_bytes(Program((Node("INPUT"),), (1,), 1))
+        blob = raw_program((Node("INPUT"),), (1,), 1)
         with pytest.raises(MalformedCircuit, match="out of range"):
             program_from_bytes(blob)
 
@@ -300,12 +325,10 @@ class TestProgramDecoding:
             SealedProgram.from_bytes(sealed + b"\x00")
 
     def test_sealed_non_utf8_mode(self):
-        body = seal(program_to_bytes(identity_program()), b"sealed-program")
-        good = pack_bytes(b"IO") + pack_u32(1) + pack_bytes(body)
-        assert SealedProgram.from_bytes(good).run(b"x") == b"x"
-        bad = pack_bytes(b"\xff") + pack_u32(1) + pack_bytes(body)
+        body = program_to_bytes(identity_program())
+        assert SealedProgram.from_bytes(raw_sealed(body, 1)).run(b"x") == b"x"
         with pytest.raises(MalformedCircuit):
-            SealedProgram.from_bytes(bad)
+            SealedProgram.from_bytes(raw_sealed(body, 1, b"\xff"))
 
 
 class TestPaddedProgramCodec:
@@ -320,7 +343,7 @@ class TestPaddedProgramCodec:
         x, y = b.input(0), b.input(1)
         h = b.host("PRF", b.const(b"\x00" * 16), b.concat(x, y))
         p = b.build([b.ite(b.eq(x, y), h, b.slice(h, 0, 4))])
-        return pad(p, p.size + cls.FILL)
+        return with_fillers(p, cls.FILL)
 
     @classmethod
     def regions(cls):
@@ -340,11 +363,11 @@ class TestPaddedProgramCodec:
         assert program_from_bytes(blob) == self.program()
 
     def test_padding_shares_one_node(self):
-        # the codec's fast path keys on that one instance
-        padded = self.program()
-        decoded = program_from_bytes(program_to_bytes(padded))
-        fill = padded.nodes[-self.FILL:] + decoded.nodes[-self.FILL:]
-        assert all(node is fill[0] for node in fill)
+        # `Program`'s one-compare skip of a trailing run keys on that one
+        # instance
+        decoded = program_from_bytes(program_to_bytes(self.program()))
+        fill = decoded.nodes[-self.FILL:]
+        assert fill[0] == Node("CONST") and all(node is fill[0] for node in fill)
 
     @pytest.mark.parametrize("region", ["header", "live-node", "filler-run", "output-list"])
     def test_every_prefix_is_truncated(self, region):
@@ -382,7 +405,7 @@ class TestPaddedProgramCodec:
     def test_live_empty_const_round_trips(self):
         b = ProgramBuilder(1)
         empty = b.const(b"")
-        p = pad(b.build([b.concat(b.input(0), empty)]), 9)
+        p = with_fillers(b.build([b.concat(b.input(0), empty)]), 6)
         blob = program_to_bytes(p)
         again = program_from_bytes(blob)
         assert again == p
@@ -391,8 +414,8 @@ class TestPaddedProgramCodec:
 
     def test_inlined_filler_round_trips(self):
         b = ProgramBuilder(2)
-        (inner,) = b.inline(pad(identity_program(), 5), [b.input(0)])
-        p = pad(b.build([b.xor(inner, b.input(1))]), 12)
+        (inner,) = b.inline(with_fillers(identity_program(), 4), [b.input(0)])
+        p = with_fillers(b.build([b.xor(inner, b.input(1))]), 5)
         # the inlined fillers sit between live nodes
         assert p.nodes[1:5] == (Node("CONST"),) * 4 and p.nodes[6].op == "XOR"
         blob = program_to_bytes(p)
@@ -427,7 +450,7 @@ class TestFillerTail:
     def test_all_trailing_fillers_take_one_compare(self):
         b = ProgramBuilder(1)
         live = b.build([b.xor(b.input(0), b.const(b"\x01"))])
-        again, blob = self.decode(pad(live, 500))
+        again, blob = self.decode(with_fillers(live, 500 - live.size))
         # one failed compare per live node, the first filler, then the rest
         assert blob.calls == live.size + 2
         assert evaluate(again, [b"\x02"]) == [b"\x03"]
@@ -451,13 +474,22 @@ class TestFillerTail:
         again, blob = self.decode(Program(nodes[:3] + (Node("CONST"),) * 20, (2, 22), 1))
         assert blob.calls == 3 and evaluate(again, [b"z"]) == [b"", b""]
 
+    @pytest.mark.parametrize("after", [0, 1, 30], ids=["last", "one-filler-after", "30-after"])
+    def test_broken_node_after_fillers_is_refused(self, after):
+        # the decoder reads the fillers as the shared instance, so `Program`
+        # tries its one-compare skip at the first of them, and it must fail
+        fill = (Node("CONST"),) * 20
+        nodes = (Node("INPUT"),) + fill + (Node("SLICE", (0,), lo=3, hi=1),) + fill[:after]
+        with pytest.raises(MalformedCircuit, match="^node 21: bad slice range$"):
+            program_from_bytes(raw_program(nodes, (0,), 1))
+
     @pytest.mark.parametrize("short", [1, 28])
     def test_filler_tail_cut_short(self, short):
         # the output list follows, so the blob still holds as many bytes as
         # the run needs; a blob that ends inside the run is
         # TestPaddedProgramCodec.test_every_prefix_is_truncated
         b = ProgramBuilder(1)
-        blob = program_to_bytes(pad(b.build([b.input(0)]), 40))
+        blob = program_to_bytes(with_fillers(b.build([b.input(0)]), 39))
         run_end = len(blob) - 8  # the output list is a count and one index
         cut = blob[:run_end - short] + blob[run_end:]
         with pytest.raises(MalformedCiphertext, match="truncated") as e:
@@ -511,7 +543,7 @@ class TestPuncturedKeyCodec:
     def test_sealed_gate_with_malformed_constant(self, mutate):
         _, blob = self.key_and_blob()
         b = ProgramBuilder(1)
-        sealed = SealedProgram(b.build([b.host("GGM_EVAL_PUNCT", b.const(mutate(blob)),
-                                                b.input(0))]), "IO")
+        p = b.build([b.host("GGM_EVAL_PUNCT", b.const(mutate(blob)), b.input(0))])
+        sealed = SealedProgram(p, MODE_IO, p.size)
         with pytest.raises(MalformedCircuit):
             sealed.run(b"\x11")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qnk import cli, encdelegate as ed
-from qnk.circuit_ir import Node, Program, SealedProgram
+from qnk.circuit_ir import Node
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
 from qnk.wire import (
@@ -23,6 +23,8 @@ from qnk.wire import (
     unpack_fields,
     unseal,
 )
+
+from program_bytes import raw_program, raw_sealed
 
 
 def raw_envelope(tag: bytes, payload: bytes, trailing: bytes = b"") -> bytes:
@@ -72,12 +74,12 @@ def abe_ct_empty_attr_len(ct: bytes) -> bytes:
 
 
 def abe_ct_crafted_program(nodes, outputs):
-    """Replace the ciphertext's program with a crafted one; anyone can seal
-    it, since the sealing key is a library constant."""
+    """Replace the ciphertext's program with a crafted node list; anyone can
+    seal it, since the sealing key is a library constant."""
     def mutate(ct: bytes) -> bytes:
         _prog, digest, attr_len = unpack_fields(ct, 3)
-        crafted = SealedProgram(Program(nodes, outputs, 2), "IO")
-        return pack_fields(crafted.to_bytes(), digest, attr_len)
+        crafted = raw_sealed(raw_program(nodes, outputs, 2), len(nodes))
+        return pack_fields(crafted, digest, attr_len)
     return mutate
 
 
@@ -114,22 +116,25 @@ def cvqc_non_utf8_oracle_mode(setup: bytes) -> bytes:
     return pack_fields(*head, seal(pack_fields(b"\xff\xfe", *rest), b"cli-oracle"))
 
 
-def cvqc_short_kwt(setup: bytes) -> bytes:
-    claim, pp, *rest = unpack_fields(setup, 5)
-    proto, sealed_pp = unpack_fields(pp, 2)
-    c, bases, secrets, kwt, variant = unpack_fields(unseal(sealed_pp), 5)
-    sealed_pp = seal(pack_fields(c, bases, secrets, kwt[:2], variant), b"cvqc-toy-pp")
-    return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
+def cvqc_toy_pp(change):
+    """Re-seal the TOY prover params of a `cvqc.setup` (claim, bases,
+    secrets, (K, w, tau), variant; K = 8, w = 4) with some fields replaced:
+    `change` maps a field index to the new field from the old."""
+    def mutate(setup: bytes) -> bytes:
+        claim, pp, *rest = unpack_fields(setup, 5)
+        proto, sealed_pp = unpack_fields(pp, 2)
+        fields = [change[i](f) if i in change else f
+                  for i, f in enumerate(unpack_fields(unseal(sealed_pp), 5))]
+        sealed_pp = seal(pack_fields(*fields), b"cvqc-toy-pp")
+        return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
+    return mutate
 
 
-def cvqc_pp_unknown_variant(setup: bytes) -> bytes:
-    """The sealed `pp` re-packed with variant `Linear`, a name outside the
-    three TOY variants."""
-    claim, pp, *rest = unpack_fields(setup, 5)
-    proto, sealed_pp = unpack_fields(pp, 2)
-    *head, _variant = unpack_fields(unseal(sealed_pp), 5)
-    sealed_pp = seal(pack_fields(*head, b"Linear"), b"cvqc-toy-pp")
-    return pack_fields(claim, pack_fields(proto, sealed_pp), *rest)
+cvqc_short_kwt = cvqc_toy_pp({3: lambda f: f[:2]})
+# `Linear` is a name outside the three TOY variants
+cvqc_pp_unknown_variant = cvqc_toy_pp({4: lambda f: b"Linear"})
+cvqc_pp_k_past_fields = cvqc_toy_pp({3: lambda f: b"\x09" + f[1:]})
+cvqc_pp_short_bases = cvqc_toy_pp({1: lambda f: f[:3]})
 
 
 def cvqc_toy_key(change):
@@ -277,10 +282,13 @@ class TestWeCommands:
         (CVQC_PROVE_CMDS, None, cvqc_short_kwt, b""),
         (CVQC_PROVE_CMDS, None, cvqc_pp_unknown_variant, b""),
         (CVQC_PROVE_CMDS, None, cvqc_pp_proto(b"toy-ish"), b""),
+        (CVQC_PROVE_CMDS, None, cvqc_pp_k_past_fields, b""),
+        (CVQC_PROVE_CMDS, None, cvqc_pp_short_bases, b""),
     ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
             "nio-empty-copies", "nio-non-utf8-field", "we-empty-count",
             "abe-keygen-empty-attr-len", "nizk-non-utf8-lang", "cvqc-non-utf8-oracle-mode",
-            "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant", "cvqc-prove-unknown-proto"])
+            "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant", "cvqc-prove-unknown-proto",
+            "cvqc-prove-k-9-over-8-entries", "cvqc-prove-short-bases"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)

@@ -1,13 +1,12 @@
 """Property tests for the program codec and the sealed-program header.
 
-`validate`'s structural rules are the decoder's rules: a node list decodes
-exactly when `validate` accepts it (host-gate registration aside, which is
-checked at evaluation), and every failure is `MalformedCircuit` or
-`MalformedCiphertext`. Hypothesis runs derandomized with bounded examples,
+The decoder's structural rules are `Program`'s: a node list decodes exactly
+when `Program` construction accepts it (host-gate registration is checked
+at evaluation), and every failure is `MalformedCircuit` or
+`MalformedCiphertext`. Hostile node lists are encoded raw, since no
+`Program` holds them. Hypothesis runs derandomized with bounded examples,
 so each run draws the same cases.
 """
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,24 +18,23 @@ from qnk.circuit_ir import (
     Node,
     Program,
     SealedProgram,
-    pad,
     program_from_bytes,
     program_to_bytes,
-    validate,
 )
 from qnk.errors import MalformedCiphertext, MalformedCircuit
-from qnk.wire import pack_bytes, pack_u32, seal
+from qnk.wire import Reader, unseal
+
+from program_bytes import raw_program, raw_sealed, with_fillers
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 GATES = ("OWF", "PRF", "PRG", "unregistered")
 
 
-def structural(p: Program) -> bool:
-    """`validate` with every host gate counted as registered."""
-    nodes = tuple(replace(n, gate="OWF") if n.op == "HOSTGATE" else n for n in p.nodes)
+def structural(nodes, outputs, input_arity) -> bool:
+    """Whether `Program` construction accepts the node list."""
     try:
-        validate(Program(nodes, p.outputs, p.input_arity))
+        Program(nodes, outputs, input_arity)
     except MalformedCircuit:
         return False
     return True
@@ -65,13 +63,13 @@ def valid_programs(draw):
             node = Node(op, tuple(draw(arg) for _ in range({"XOR": 2, "EQ": 2, "ITE": 3}[op])))
         nodes.append(node)
     outputs = tuple(draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3)))
-    p = Program(tuple(nodes), outputs, arity)
-    return pad(p, p.size + draw(st.integers(0, 4)))
+    return with_fillers(Program(tuple(nodes), outputs, arity), draw(st.integers(0, 4)))
 
 
 @st.composite
 def node_lists(draw):
-    """Any node shapes, in or out of the structural rules."""
+    """(nodes, outputs, input arity) of any node shapes, in or out of the
+    structural rules."""
     n = draw(st.integers(0, 6))
     small = st.integers(0, n + 1)
     nodes = tuple(
@@ -79,7 +77,7 @@ def node_lists(draw):
              slot=draw(st.integers(0, 3)), lo=draw(st.integers(0, 4)), hi=draw(st.integers(0, 4)),
              gate=draw(st.sampled_from(GATES)))
         for _ in range(n))
-    return Program(nodes, tuple(draw(st.lists(small, max_size=3))), draw(st.integers(0, 2)))
+    return nodes, tuple(draw(st.lists(small, max_size=3))), draw(st.integers(0, 2))
 
 
 @PROPERTY
@@ -93,10 +91,11 @@ def test_valid_programs_round_trip(p):
 
 @PROPERTY
 @given(node_lists())
-def test_decode_accepts_exactly_what_validate_accepts(p):
-    blob = program_to_bytes(p)
-    if structural(p):
-        assert program_from_bytes(blob) == p
+def test_decode_accepts_exactly_what_program_accepts(node_list):
+    blob = raw_program(*node_list)
+    if structural(*node_list):
+        assert program_from_bytes(blob) == Program(*node_list)
+        assert program_to_bytes(Program(*node_list)) == blob
     else:
         with pytest.raises(MalformedCircuit) as e:
             program_from_bytes(blob)
@@ -116,22 +115,26 @@ def test_damaged_encoding_fails_closed(p, data):
         got = program_from_bytes(damaged)
     except (MalformedCircuit, MalformedCiphertext):
         return
-    assert structural(got)
+    assert structural(got.nodes, got.outputs, got.input_arity)
 
 
 @PROPERTY
-@given(valid_programs(), st.sampled_from((MODE_IO, MODE_VBB, MODE_LOCK)))
-def test_sealed_program_round_trips(p, mode):
-    sealed = SealedProgram(p, mode)
+@given(valid_programs(), st.integers(0, 4), st.sampled_from((MODE_IO, MODE_VBB, MODE_LOCK)))
+def test_sealed_program_round_trips(p, fill, mode):
+    """The declared padding is written as `fill` filler nodes: the bytes of
+    the program with those nodes appended."""
+    sealed = SealedProgram(p, mode, p.size + fill)
     blob = sealed.to_bytes()
+    r = Reader(blob)
+    assert (r.field(), r.u32()) == (mode.encode(), p.size + fill)
+    assert unseal(r.field()) == program_to_bytes(with_fillers(p, fill))
     again = SealedProgram.from_bytes(blob)
-    assert (again.mode, again.declared_size) == (mode, p.size)
+    assert (again.mode, again.declared_size) == (mode, p.size + fill)
     assert again.to_bytes() == blob
 
 
 def sealed_blob(p: Program, mode: bytes = b"IO", declared: int | None = None) -> bytes:
-    body = seal(program_to_bytes(p), b"sealed-program")
-    return pack_bytes(mode) + pack_u32(p.size if declared is None else declared) + pack_bytes(body)
+    return raw_sealed(program_to_bytes(p), p.size if declared is None else declared, mode)
 
 
 FOUR_NODES = Program((Node("INPUT"), Node("CONST", value=b"k"), Node("XOR", (0, 1)),
@@ -158,7 +161,7 @@ def test_sealed_header_rejected(mode, declared):
     assert type(e.value) is MalformedCircuit
 
 
-# node shapes that `validate` rejects and that once decoded and evaluated
+# node shapes that `Program` rejects and that once decoded and evaluated
 # to b"" (SLICE, CONCAT) or to zero bytes (XOR with three arguments)
 SHAPES = {
     "slice-lo-above-hi": (Node("INPUT"), Node("SLICE", (0,), lo=3, hi=1)),
@@ -169,10 +172,10 @@ SHAPES = {
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_rejected_shape_fails_at_decode(shape):
-    p = Program(SHAPES[shape], (1,), 1)
     with pytest.raises(MalformedCircuit):
-        validate(p)
+        Program(SHAPES[shape], (1,), 1)
+    blob = raw_program(SHAPES[shape], (1,), 1)
     with pytest.raises(MalformedCircuit):
-        program_from_bytes(program_to_bytes(p))
+        program_from_bytes(blob)
     with pytest.raises(MalformedCircuit):
-        SealedProgram.from_bytes(sealed_blob(p))
+        SealedProgram.from_bytes(raw_sealed(blob, 2))

@@ -5,11 +5,11 @@ reachable from the outputs, and keeps it as `Program.plan`. These tests pin
 what the plan must keep from the node-by-node interpreter it replaced: the
 same outputs, the same errors, each shared node run once per call, unselected
 ITE arms never run, host gates looked up when they run, and a chain too deep
-to evaluate reported as such on every call. A hand-built program that breaks
-the structural rules fails as `validate` and the decoder fail it, whichever
-ITE arm a call takes. A plan holds no reference cycle,
-so it is freed with its program. Hypothesis runs derandomized with
-bounded examples, so each run draws the same cases.
+to evaluate reported as such on every call. A node list that breaks the
+structural rules has no plan: making its `Program` fails as the decoder
+fails its bytes. A plan holds no reference cycle, so it is freed with its
+program. Hypothesis runs derandomized with bounded examples, so each run
+draws the same cases.
 """
 import gc
 import hashlib
@@ -28,13 +28,13 @@ from qnk.circuit_ir import (
     Program,
     ProgramBuilder,
     evaluate,
-    pad,
     program_from_bytes,
     program_to_bytes,
-    validate,
 )
 from qnk.errors import DomainMismatch, MalformedCircuit, UnknownGate
 from qnk.primitives import _xor, owf
+
+from program_bytes import raw_program, with_fillers
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -146,8 +146,7 @@ def dags(draw):
             node = Node(op, tuple(draw(arg) for _ in range({"XOR": 2, "EQ": 2, "ITE": 3}[op])))
         nodes.append(node)
     outputs = tuple(draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3)))
-    p = Program(tuple(nodes), outputs, arity)
-    return pad(p, p.size + draw(st.integers(0, 4)))
+    return with_fillers(Program(tuple(nodes), outputs, arity), draw(st.integers(0, 4)))
 
 
 def outcome(run, p: Program, inputs: list[bytes]):
@@ -296,23 +295,25 @@ def test_gate_errors_are_wrapped_with_the_node_and_cause():
         assert e.value.__cause__ is None
 
 
+# (nodes, outputs) of one input that `Program` refuses
 MALFORMED = {
-    # an XOR with one argument, in the ITE arm a call on b"a" never takes
-    "short node in an untaken arm": Program(
+    # an XOR with one argument, in the ITE arm a call on b"a" would not take
+    "short node in an untaken arm": (
         (Node("INPUT"), Node("CONST", value=b"\x01"), Node("XOR", (0,)),
-         Node("ITE", (1, 0, 2))), (3,), 1),
-    "output past the nodes": Program((Node("INPUT"),), (1,), 1),
-    "negative output": Program((Node("INPUT"),), (-1,), 1),
+         Node("ITE", (1, 0, 2))), (3,)),
+    "output past the nodes": ((Node("INPUT"),), (1,)),
+    "negative output": ((Node("INPUT"),), (-1,)),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_program_raises_the_decoders_error_on_every_call(case):
-    p = MALFORMED[case]
+def test_malformed_program_is_refused_with_the_decoders_error(case):
+    nodes, outputs = MALFORMED[case]
+    with pytest.raises(MalformedCircuit) as got:
+        Program(nodes, outputs, 1)
+    if case == "negative output":  # a u32 output index cannot encode it
+        assert str(got.value) == "output -1 out of range"
+        return
     with pytest.raises(MalformedCircuit) as want:
-        validate(p)
-    for _ in range(2):
-        with pytest.raises(MalformedCircuit) as got:
-            evaluate(p, [b"a"])
-        assert str(got.value) == str(want.value)
-        assert "plan" not in vars(p)
+        program_from_bytes(raw_program(nodes, outputs, 1))
+    assert str(got.value) == str(want.value)

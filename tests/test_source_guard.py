@@ -24,6 +24,8 @@ that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
 A QMA witness is one `qma.Witness`, its classical part included, so no
 function takes the classical part as a parameter of its own.
+A program's structural rules are checked once, when its `Program` is made,
+so `_check_node(` is called only in `Program.__post_init__`.
 """
 import ast
 import re
@@ -114,6 +116,22 @@ def test_classical_witness_travels_in_the_witness():
               and any(a.arg == "classical_witness" for a in
                       (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
     assert params == []
+
+
+def check_node_calls(tree) -> int:
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_node"
+               for node in ast.walk(tree))
+
+
+def test_structural_rules_checked_only_by_program():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC}
+    program = next(node for node in trees["circuit_ir.py"].body
+                   if isinstance(node, ast.ClassDef) and node.name == "Program")
+    post_init = [node for node in program.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    # (calls in src/qnk, calls in Program.__post_init__)
+    assert (sum(map(check_node_calls, trees.values())),
+            sum(map(check_node_calls, post_init))) == (1, 1)
 
 
 FAMILY_BUILDERS = {"abe_keycheck_hybrids", "abe_encryptor_hybrids", "cprf_hybrids",
