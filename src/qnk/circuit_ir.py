@@ -11,7 +11,8 @@ and ITE runs only its selected branch.
 
 Obfuscation here normalizes size and hides constants behind the evaluator
 API. It makes no security claim: all "indistinguishability" content lives in
-functional-equivalence checks (equiv_check).
+functional-equivalence checks (equiv_check) and the hybrid chains checked
+step by step with them (check_chain).
 """
 from __future__ import annotations
 
@@ -202,6 +203,31 @@ def punctured_key_from_bytes(blob: bytes):
     path = tuple((r.take(1)[0], r.take(pr.KEY_LEN)) for _ in range(r.take(1)[0]))
     r.end()
     return pr.PuncturedKey(path, point, domain)
+
+
+def ggm_node(b: ProgramBuilder, key: pr.PrfKey | pr.PuncturedKey, x: int) -> int:
+    """F(key, x) on node x, for a GGM key (GGM_EVAL) or a punctured one
+    (GGM_EVAL_PUNCT), with the key as a CONST."""
+    if isinstance(key, pr.PuncturedKey):
+        return b.host("GGM_EVAL_PUNCT", b.const(punctured_key_to_bytes(key)), x)
+    return b.host("GGM_EVAL", b.const(ggm_key_blob(key)), x)
+
+
+def prf_encryptor(gate: str, cfg: bytes, m_key: pr.PrfKey | pr.PuncturedKey,
+                  coin_key: pr.PrfKey | pr.PuncturedKey,
+                  star: tuple[bytes, bytes, bytes] | None) -> Program:
+    """x -> gate(x, F(m_key, x), F(coin_key, x)) with host constant cfg: the
+    NIZK encryptor (WE_ENC) and the constrained-PRF pp circuit (ABE_ENC).
+    Their hybrids puncture the keys and pass star = (x_star, m, coins), which
+    hardwires x_star's encryption; the real programs pass None."""
+    b = ProgramBuilder(1)
+    x = b.input(0)
+    if star is not None:
+        ct_star = b.host(gate, *map(b.const, star), consts=(cfg,))
+    ct = b.host(gate, x, ggm_node(b, m_key, x), ggm_node(b, coin_key, x), consts=(cfg,))
+    if star is not None:
+        ct = b.ite(b.eq(x, b.const(star[0])), ct_star, ct)
+    return b.build([ct])
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +502,8 @@ def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
 
 
 # ---------------------------------------------------------------------------
-# functional-equivalence checking (the test oracle behind every "functionally
-# equivalent, hence indistinguishable" step)
+# functional-equivalence checking and hybrid chains (the test oracle behind
+# every "functionally equivalent, hence indistinguishable" step)
 
 
 def equiv_check(p1: Program, p2: Program, points: tuple[tuple[bytes, ...], ...]) -> bool:
@@ -487,6 +513,32 @@ def equiv_check(p1: Program, p2: Program, points: tuple[tuple[bytes, ...], ...])
         if evaluate(p1, list(point)) != evaluate(p2, list(point)):
             return False
     return True
+
+
+# The relation a hybrid step claims between two consecutive variants. EQUAL:
+# the same outputs on every domain point, so iO makes them indistinguishable.
+# OFF_POINT: the same outputs on every point whose first input is not the
+# challenge point or index; what changes there rests on the step's own
+# argument (a punctured key, a fresh value, a negligible event).
+EQUAL = "equal"
+OFF_POINT = "off-point"
+
+
+def check_chain(fam: dict[str, Program], steps: tuple[tuple[str, str, str], ...],
+                points: tuple[tuple[bytes, ...], ...], star: bytes) -> str | None:
+    """The first step "A->B" of a hybrid chain whose relation fails on
+    `points`, or None when every step holds. `steps` lists (A, B, relation)
+    in chain order, `star` is the first input OFF_POINT steps leave out."""
+    domain = {EQUAL: points, OFF_POINT: tuple(pt for pt in points if pt[0] != star)}
+    for a, b, relation in steps:
+        if not equiv_check(fam[a], fam[b], domain[relation]):
+            return f"{a}->{b}"
+    return None
+
+
+def chain_budget(fam: dict[str, Program], steps: tuple[tuple[str, str, str], ...]) -> int:
+    """The pad budget of a hybrid chain: the size of its largest variant."""
+    return max(fam[name].size for step in steps for name in step[:2])
 
 
 # ---------------------------------------------------------------------------

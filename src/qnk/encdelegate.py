@@ -17,21 +17,24 @@ from dataclasses import dataclass
 from . import qfhe
 from .circuit_ir import (
     BOTTOM,
+    EQUAL,
+    OFF_POINT,
     LockSpec,
     Program,
     ProgramBuilder,
     SealedProgram,
-    ggm_key_blob,
+    chain_budget,
+    ggm_node,
     lockobf,
     lockobf_sim,
     obf_io,
-    punctured_key_to_bytes,
+    prf_encryptor,
     register_gate,
     unwrap,
 )
 from .errors import MalformedCiphertext, MalformedCircuit, WidthMismatch
 from .memo import memo
-from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bqp, we_dec_bytes, we_enc_bytes
+from .nullio import WeCiphertext, we_cfg as _we_cfg, we_dec_bit, we_dec_bqp, we_enc
 from .primitives import KEY_LEN, PrfKey, commit, ggm_eval, ggm_punct, prf_gen, prg
 from .qma import (
     ATTR_WIRE_BYTES,
@@ -133,7 +136,7 @@ def _build_keycheck_program(k: PrfKey, attr_len: int) -> Program:
     s = b.input(1)
     ln = b.const(_prg_image_len(attr_len).to_bytes(2, "big"))
     left = b.host("PRG", s, ln)
-    right = b.host("PRG", b.host("GGM_EVAL", b.const(ggm_key_blob(k)), x), ln)
+    right = b.host("PRG", ggm_node(b, k, x), ln)
     return b.build([b.eq(left, right)])
 
 
@@ -156,7 +159,7 @@ def _build_encryptor_program(mpk_blob: bytes, policy: QmaLanguage, m: bytes,
     x = b.input(0)
     s = b.input(1)
     bit = b.host("SEALED_EVAL", x, s, consts=(mpk_blob,))
-    coins = b.host("GGM_EVAL", b.const(ggm_key_blob(r)), x)
+    coins = ggm_node(b, r, x)
     ct = b.host("WE_ENC", x, b.const(m), coins, consts=(_we_cfg(policy),))
     tagged = b.concat(b.const(b"\x01"), ct)
     out = b.ite(b.eq(bit, b.const(b"\x01")), tagged, b.const(BOTTOM))
@@ -230,9 +233,12 @@ def _index_chain(b: ProgramBuilder, x: int, attr_len: int, i: int,
 def abe_keycheck_hybrids(k: PrfKey, attr_len: int, i: int,
                          drbg: Drbg) -> dict[str, Program]:
     """mpk-circuit variants: puncture the key at attribute i, replace its
-    PRF value, widen to a raw random image, then reject i outright."""
+    PRF value, widen to a raw random image, then reject i outright. P3 and
+    Pstar differ at i only on the PRG-range event, a seed whose expansion
+    hits the random image: negligible once the image, attr_len * KEY_LEN
+    bytes, is longer than the seed."""
     wire_i = attr_wire(i, attr_len)
-    ki = punctured_key_to_bytes(ggm_punct(k, wire_i))
+    ki = ggm_punct(k, wire_i)
     k_at_i = ggm_eval(k, wire_i)
     k_tilde = drbg.child("ktilde").bytes(KEY_LEN)
     K_img = drbg.child("K").bytes(_prg_image_len(attr_len))
@@ -244,7 +250,7 @@ def abe_keycheck_hybrids(k: PrfKey, attr_len: int, i: int,
         s = b.input(1)
         ln = b.const(ln_bytes)
         left = b.host("PRG", s, ln)
-        rest = b.eq(left, b.host("PRG", b.host("GGM_EVAL_PUNCT", b.const(ki), x), ln))
+        rest = b.eq(left, b.host("PRG", ggm_node(b, ki, x), ln))
         if at_i == "honest":
             eq_node = b.eq(left, b.host("PRG", b.const(k_at_i), ln))
         elif at_i == "random-key":
@@ -265,6 +271,11 @@ def abe_keycheck_hybrids(k: PrfKey, attr_len: int, i: int,
     }
 
 
+# abe_keycheck_hybrids' chain as (from, to, relation); i is the challenge
+KEYCHECK_STEPS = (("P", "P1", EQUAL), ("P1", "P2", OFF_POINT), ("P2", "P3", OFF_POINT),
+                  ("P3", "Pstar", OFF_POINT))
+
+
 def abe_encryptor_hybrids(mpk_blob: bytes, policy: QmaLanguage, m0: bytes,
                           m1: bytes, r: PrfKey, attr_len: int, i: int,
                           drbg: Drbg) -> dict[str, Program]:
@@ -273,50 +284,46 @@ def abe_encryptor_hybrids(mpk_blob: bytes, policy: QmaLanguage, m0: bytes,
     punctures the coin key and hardwires index i; E2/E3 rerandomize and switch
     the message there; Estar stops releasing at i."""
     wire_i = attr_wire(i, attr_len)
-    ri = punctured_key_to_bytes(ggm_punct(r, wire_i))
+    ri = ggm_punct(r, wire_i)
     coins_i = ggm_eval(r, wire_i)
     u = drbg.child("u").bytes(KEY_LEN)
     cfg = _we_cfg(policy)
 
-    def ct_const(b: ProgramBuilder, m: bytes, coins: bytes) -> int:
-        node = b.host("WE_ENC", b.const(wire_i), b.const(m), b.const(coins),
-                      consts=(cfg,))
-        return b.concat(b.const(b"\x01"), node)
-
-    def variant(stage: str) -> Program:
+    def variant(hardwired) -> Program:
+        """`hardwired`: None for E, else index i's (message, coins) or BOTTOM
+        under the punctured coin key."""
         b = ProgramBuilder(2)
         x = b.input(0)
         s = b.input(1)
         bit = b.host("SEALED_EVAL", x, s, consts=(mpk_blob,))
-        punct = stage != "base"
-        key_blob = ri if punct else ggm_key_blob(r)
-        gate = "GGM_EVAL_PUNCT" if punct else "GGM_EVAL"
-        coins = b.host(gate, b.const(key_blob), x)
+        coins = ggm_node(b, r if hardwired is None else ri, x)
         low = b.concat(b.const(b"\x01"),
                        b.host("WE_ENC", x, b.const(m1), coins, consts=(cfg,)))
         high = b.concat(b.const(b"\x01"),
                         b.host("WE_ENC", x, b.const(m0), coins, consts=(cfg,)))
-        if stage == "base":
+        if hardwired is None:
             at_i = high
-        elif stage == "hardwired":
-            at_i = ct_const(b, m0, coins_i)
-        elif stage == "fresh-coins":
-            at_i = ct_const(b, m0, u)
-        elif stage == "switched":
-            at_i = ct_const(b, m1, u)
-        else:
+        elif hardwired == BOTTOM:
             at_i = b.const(BOTTOM)
+        else:
+            ct = b.host("WE_ENC", *map(b.const, (wire_i, *hardwired)), consts=(cfg,))
+            at_i = b.concat(b.const(b"\x01"), ct)
         selected = _index_chain(b, x, attr_len, i, low, at_i, high)
         out = b.ite(b.eq(bit, b.const(b"\x01")), selected, b.const(BOTTOM))
         return b.build([out])
 
     return {
-        "E": variant("base"),
-        "E1": variant("hardwired"),
-        "E2": variant("fresh-coins"),
-        "E3": variant("switched"),
-        "Estar": variant("drop"),
+        "E": variant(None),
+        "E1": variant((m0, coins_i)),
+        "E2": variant((m0, u)),
+        "E3": variant((m1, u)),
+        "Estar": variant(BOTTOM),
     }
+
+
+# abe_encryptor_hybrids' chain as (from, to, relation); i is the challenge
+ENCRYPTOR_STEPS = (("E", "E1", EQUAL), ("E1", "E2", OFF_POINT), ("E2", "E3", OFF_POINT),
+                   ("E3", "Estar", OFF_POINT))
 
 
 # Pad budgets. A sealed program is padded to the largest member of its hybrid
@@ -328,20 +335,17 @@ def abe_encryptor_hybrids(mpk_blob: bytes, policy: QmaLanguage, m0: bytes,
 _STAND_IN_KEY = PrfKey(bytes(KEY_LEN), 16)
 
 
-def _largest(fam: dict[str, Program]) -> int:
-    return max(p.size for p in fam.values())
-
-
 @memo(16)
 def _keycheck_budget(attr_len: int) -> int:
-    return _largest(abe_keycheck_hybrids(_STAND_IN_KEY, attr_len, 0, Drbg(b"sizing")))
+    return chain_budget(abe_keycheck_hybrids(_STAND_IN_KEY, attr_len, 0, Drbg(b"sizing")),
+                        KEYCHECK_STEPS)
 
 
 @memo(16)
 def _encryptor_budget(attr_len: int) -> int:
     policy = make_universal_language(bytes(ATTR_WIRE_BYTES))
-    return _largest(abe_encryptor_hybrids(b"", policy, b"", b"", _STAND_IN_KEY,
-                                          attr_len, 0, Drbg(b"sizing")))
+    return chain_budget(abe_encryptor_hybrids(b"", policy, b"", b"", _STAND_IN_KEY,
+                                              attr_len, 0, Drbg(b"sizing")), ENCRYPTOR_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +480,6 @@ register_gate("ABE_ENC", _gate_abe_kp_enc)
 CPRF_INPUT_BITS = 8
 
 
-def _build_cprf_program(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes) -> Program:
-    b = ProgramBuilder(1)
-    x = b.input(0)
-    m = b.host("GGM_EVAL", b.const(ggm_key_blob(k)), x)
-    coins = b.host("GGM_EVAL", b.const(ggm_key_blob(k_tilde)), x)
-    ct = b.host("ABE_ENC", x, m, coins, consts=(pack_fields(mpk_blob),))
-    return b.build([ct])
-
-
 class CprfKeys:
     """The keys of one seed, each derived on first use, so that a caller pays
     only for what it reads: evaluation needs `k`, constraining `abe`, and
@@ -508,7 +503,8 @@ class CprfKeys:
     @functools.cached_property
     def pp(self) -> SealedProgram:
         """Input wire -> serialized key-policy ABE ciphertext."""
-        program = _build_cprf_program(self.k, self.k_tilde, self.abe.mpk.to_bytes())
+        program = prf_encryptor("ABE_ENC", pack_fields(self.abe.mpk.to_bytes()), self.k,
+                                self.k_tilde, None)
         return obf_io(program, _cprf_budget())
 
 
@@ -535,39 +531,29 @@ def cprf_hybrids(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes, x_star: bytes,
                  drbg: Drbg) -> dict[str, Program]:
     """pp-circuit variants: puncture the coin key, then the value key, then
     rerandomize and zero the value at the challenge point."""
-    kp = punctured_key_to_bytes(ggm_punct(k, x_star))
-    ktp = punctured_key_to_bytes(ggm_punct(k_tilde, x_star))
+    kp, ktp = ggm_punct(k, x_star), ggm_punct(k_tilde, x_star)
     m_star = ggm_eval(k, x_star)
     coins_star = ggm_eval(k_tilde, x_star)
     u = drbg.child("u").bytes(KEY_LEN)
     cfg = pack_fields(mpk_blob)
-
-    def variant(punct_ktilde: bool, punct_k: bool, at_star_m: bytes,
-                at_star_coins: bytes) -> Program:
-        b = ProgramBuilder(1)
-        x = b.input(0)
-        ct_star = b.host("ABE_ENC", b.const(x_star), b.const(at_star_m),
-                         b.const(at_star_coins), consts=(cfg,))
-        m = (b.host("GGM_EVAL_PUNCT", b.const(kp), x) if punct_k
-             else b.host("GGM_EVAL", b.const(ggm_key_blob(k)), x))
-        coins = (b.host("GGM_EVAL_PUNCT", b.const(ktp), x) if punct_ktilde
-                 else b.host("GGM_EVAL", b.const(ggm_key_blob(k_tilde)), x))
-        ct = b.host("ABE_ENC", x, m, coins, consts=(cfg,))
-        return b.build([b.ite(b.eq(x, b.const(x_star)), ct_star, ct)])
-
     return {
-        "P": _build_cprf_program(k, k_tilde, mpk_blob),
-        "P1": variant(True, False, m_star, coins_star),
-        "P2": variant(True, True, m_star, coins_star),
-        "P3": variant(True, True, m_star, u),
-        "Pstar": variant(True, True, bytes(KEY_LEN), u),
+        "P": prf_encryptor("ABE_ENC", cfg, k, k_tilde, None),
+        "P1": prf_encryptor("ABE_ENC", cfg, k, ktp, (x_star, m_star, coins_star)),
+        "P2": prf_encryptor("ABE_ENC", cfg, kp, ktp, (x_star, m_star, coins_star)),
+        "P3": prf_encryptor("ABE_ENC", cfg, kp, ktp, (x_star, m_star, u)),
+        "Pstar": prf_encryptor("ABE_ENC", cfg, kp, ktp, (x_star, bytes(KEY_LEN), u)),
     }
+
+
+# cprf_hybrids' chain as (from, to, relation); x_star is the challenge
+CPRF_STEPS = (("P", "P1", EQUAL), ("P1", "P2", EQUAL), ("P2", "P3", OFF_POINT),
+              ("P3", "Pstar", OFF_POINT))
 
 
 @memo(1)
 def _cprf_budget() -> int:
-    return _largest(cprf_hybrids(_STAND_IN_KEY, _STAND_IN_KEY, b"",
-                                 attr_wire(0, CPRF_INPUT_BITS), Drbg(b"sizing")))
+    return chain_budget(cprf_hybrids(_STAND_IN_KEY, _STAND_IN_KEY, b"",
+                                     attr_wire(0, CPRF_INPUT_BITS), Drbg(b"sizing")), CPRF_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +597,7 @@ def ss_share(L: QmaLanguage, N: int, s: int, seed) -> ShareSet:
                         for i in range(N))
     derived = make_share_language(L, commitments)
     statement = b"".join(commitments)
-    ct = we_enc_bytes(derived, statement, bytes([s]), drbg.child("we").bytes(16))
+    ct = we_enc(derived, statement, s, drbg.child("we").bytes(16))
     return ShareSet([(openings[i], ct) for i in range(N)], commitments, L.ref)
 
 
@@ -625,6 +611,6 @@ def ss_rec(share_set: ShareSet, subset: set[int], witness: Witness, drbg: Drbg):
         share_set.shares[i][0] if i in subset else bytes(KEY_LEN)
         for i in range(N))
     ct = share_set.shares[next(iter(subset))][1] if subset else share_set.shares[0][1]
-    out = we_dec_bytes(ct, Witness(witness.state, witness.copies, cw), drbg)
+    out = we_dec_bit(ct, Witness(witness.state, witness.copies, cw), drbg)
     return None if out is None else out[0]
 

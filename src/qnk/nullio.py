@@ -313,12 +313,21 @@ def we_dec_bytes(c: WeCiphertext, witness: Witness, drbg: Drbg):
     return unwrap(_eval_raw(c.inner, witness, drbg))
 
 
+def we_dec_bit(c: WeCiphertext, witness: Witness, drbg: Drbg):
+    """The bit `we_enc` encrypted, as its one byte, or None when verification
+    fails. Any other plaintext is a forged ciphertext."""
+    m = we_dec_bytes(c, witness, drbg)
+    if m not in (None, b"\x00", b"\x01"):
+        raise MalformedCiphertext("a bit ciphertext must decrypt to one byte, 0 or 1")
+    return m
+
+
 def we_dec(L: QmaLanguage, x: bytes, c: WeCiphertext, witness: Witness,
            drbg: Drbg):
-    """Returns the decrypted message bytes, or None when verification fails."""
+    """Returns the decrypted bit as one byte, or None when verification fails."""
     if c.statement_digest != claim_for(L, x, c.inner.min_copies).digest():
         return None
-    return we_dec_bytes(c, witness, drbg)
+    return we_dec_bit(c, witness, drbg)
 
 
 def we_dec_bqp(c: WeCiphertext, drbg: Drbg):

@@ -19,12 +19,15 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .circuit_ir import (
+    EQUAL,
+    OFF_POINT,
     Program,
     ProgramBuilder,
     SealedProgram,
-    ggm_key_blob,
+    chain_budget,
+    ggm_node,
     obf_io,
-    punctured_key_to_bytes,
+    prf_encryptor,
 )
 from .errors import (
     InvalidWitness,
@@ -95,21 +98,11 @@ def _encode_stmt(L: QmaLanguage, x: bytes) -> bytes:
     return x
 
 
-def _build_p_program(L: QmaLanguage, k0_blob: bytes, k1_blob: bytes) -> Program:
-    b = ProgramBuilder(1)
-    x = b.input(0)
-    m = b.host("GGM_EVAL", b.const(k0_blob), x)
-    coins = b.host("GGM_EVAL", b.const(k1_blob), x)
-    ct = b.host("WE_ENC", x, m, coins, consts=(_we_cfg(L),))
-    return b.build([ct])
-
-
-def _build_v_program(k0_blob: bytes) -> Program:
+def _build_v_program(k0: PrfKey) -> Program:
     b = ProgramBuilder(2)
     x = b.input(0)
     y = b.input(1)
-    m = b.host("GGM_EVAL", b.const(k0_blob), x)
-    return b.build([b.eq(b.host("OWF", m), b.host("OWF", y))])
+    return b.build([b.eq(b.host("OWF", ggm_node(b, k0, x)), b.host("OWF", y))])
 
 
 def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
@@ -118,10 +111,9 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
     k0 = prf_gen(drbg.child("k0"), domain)
     k1 = prf_gen(drbg.child("k1"), domain)
     p_budget, v_budget = _nizk_budgets(domain)
-    k0b = ggm_key_blob(k0)
     return NizkCrs(
-        p_prog=obf_io(_build_p_program(L, k0b, ggm_key_blob(k1)), p_budget),
-        v_prog=obf_io(_build_v_program(k0b), v_budget),
+        p_prog=obf_io(prf_encryptor("WE_ENC", _we_cfg(L), k0, k1, None), p_budget),
+        v_prog=obf_io(_build_v_program(k0), v_budget),
         stmt_bytes=domain // 8,
         lang_ref=L.ref,
         escrow={"k0": k0, "k1": k1, "lang": L, "seed": seed},
@@ -155,11 +147,6 @@ def nizk_sim(crs: NizkCrs, x: bytes) -> NizkProof:
 # soundness-hybrid program family
 
 
-def _branch_on_xstar(b: ProgramBuilder, x: int, x_star: bytes, then_id: int,
-                     else_id: int) -> int:
-    return b.ite(b.eq(x, b.const(x_star)), then_id, else_id)
-
-
 def nizk_hybrid_programs(L: QmaLanguage, k0: PrfKey, k1: PrfKey, x_star: bytes,
                          drbg: Drbg) -> dict[str, Program]:
     """The encryptor/verdict program variants from the soundness argument:
@@ -167,26 +154,11 @@ def nizk_hybrid_programs(L: QmaLanguage, k0: PrfKey, k1: PrfKey, x_star: bytes,
     until the verdict there tests against a hardwired image of a fresh
     preimage."""
     cfg = _we_cfg(L)
-    k0b, k1b = ggm_key_blob(k0), ggm_key_blob(k1)
-    k0p = punctured_key_to_bytes(ggm_punct(k0, x_star))
-    k1p = punctured_key_to_bytes(ggm_punct(k1, x_star))
+    k0p, k1p = ggm_punct(k0, x_star), ggm_punct(k1, x_star)
     m_star = ggm_eval(k0, x_star)
     coins_star = ggm_eval(k1, x_star)
     u = drbg.child("u").bytes(KEY_LEN)
     r_tilde = drbg.child("r").bytes(KEY_LEN)
-
-    def p_variant(at_star_m: bytes, at_star_coins: bytes, punct_k0: bool) -> Program:
-        b = ProgramBuilder(1)
-        x = b.input(0)
-        ct_star = b.host("WE_ENC", b.const(x_star), b.const(at_star_m),
-                         b.const(at_star_coins), consts=(cfg,))
-        if punct_k0:
-            m = b.host("GGM_EVAL_PUNCT", b.const(k0p), x)
-        else:
-            m = b.host("GGM_EVAL", b.const(k0b), x)
-        coins = b.host("GGM_EVAL_PUNCT", b.const(k1p), x)
-        ct = b.host("WE_ENC", x, m, coins, consts=(cfg,))
-        return b.build([_branch_on_xstar(b, x, x_star, ct_star, ct)])
 
     def v_variant(at_star_key_or_image: bytes, hardwired_image: bool) -> Program:
         b = ProgramBuilder(2)
@@ -197,21 +169,28 @@ def nizk_hybrid_programs(L: QmaLanguage, k0: PrfKey, k1: PrfKey, x_star: bytes,
             star_hit = b.eq(b.const(at_star_key_or_image), hy)
         else:
             star_hit = b.eq(b.host("OWF", b.const(at_star_key_or_image)), hy)
-        m = b.host("GGM_EVAL_PUNCT", b.const(punctured_key_to_bytes(ggm_punct(k0, x_star))), x)
-        rest = b.eq(b.host("OWF", m), hy)
-        return b.build([_branch_on_xstar(b, x, x_star, star_hit, rest)])
+        rest = b.eq(b.host("OWF", ggm_node(b, k0p, x)), hy)
+        return b.build([b.ite(b.eq(x, b.const(x_star)), star_hit, rest)])
 
     return {
-        "P": _build_p_program(L, k0b, k1b),
-        "P1": p_variant(m_star, coins_star, punct_k0=False),
-        "P2": p_variant(m_star, u, punct_k0=False),
-        "P3": p_variant(m_star, u, punct_k0=True),
-        "Pstar": p_variant(bytes(KEY_LEN), u, punct_k0=True),
-        "V": _build_v_program(k0b),
+        "P": prf_encryptor("WE_ENC", cfg, k0, k1, None),
+        "P1": prf_encryptor("WE_ENC", cfg, k0, k1p, (x_star, m_star, coins_star)),
+        "P2": prf_encryptor("WE_ENC", cfg, k0, k1p, (x_star, m_star, u)),
+        "P3": prf_encryptor("WE_ENC", cfg, k0p, k1p, (x_star, m_star, u)),
+        "Pstar": prf_encryptor("WE_ENC", cfg, k0p, k1p, (x_star, bytes(KEY_LEN), u)),
+        "V": _build_v_program(k0),
         "V1": v_variant(m_star, hardwired_image=False),
         "V2": v_variant(r_tilde, hardwired_image=False),
         "Vstar": v_variant(owf(r_tilde), hardwired_image=True),
     }
+
+
+# nizk_hybrid_programs' two chains as (from, to, relation); x_star is the
+# challenge. The encryptor's chain replaces the coins, key and message at
+# x_star, the verdict's chain the preimage tested there.
+NIZK_P_STEPS = (("P", "P1", EQUAL), ("P1", "P2", OFF_POINT), ("P2", "P3", EQUAL),
+                ("P3", "Pstar", OFF_POINT))
+NIZK_V_STEPS = (("V", "V1", EQUAL), ("V1", "V2", OFF_POINT), ("V2", "Vstar", EQUAL))
 
 
 @memo(2)
@@ -223,8 +202,7 @@ def _nizk_budgets(domain: int) -> tuple[int, int]:
     k = PrfKey(bytes(KEY_LEN), domain)
     fam = nizk_hybrid_programs(make_parity_language(8), k, k, bytes(domain // 8),
                                Drbg(b"sizing"))
-    return (max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar")),
-            max(fam[n].size for n in ("V", "V1", "V2", "Vstar")))
+    return chain_budget(fam, NIZK_P_STEPS), chain_budget(fam, NIZK_V_STEPS)
 
 
 def nizk_hybrid_family(crs: NizkCrs, x_star: bytes) -> dict[str, Program]:

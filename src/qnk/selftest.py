@@ -15,8 +15,7 @@ from . import attacks, cvqc, encdelegate as ed, nullio, proofs, qsim
 from .circuit_ir import (
     LockSpec,
     ProgramBuilder,
-    equiv_check,
-    evaluate,
+    check_chain,
     lockobf,
     lockobf_sim,
     unwrap,
@@ -221,38 +220,22 @@ def criterion_6_nizk():
         pi = proofs.nizk_prove(crs, Witness.empty(), x, Drbg(i))
         if proofs.nizk_sim(crs, x).pi != pi.pi:
             return "nizk", False, f"simulator diverged at {x.hex()}"
-    # soundness-hybrid chain: seven steps, four exact equivalences and three
-    # point changes confined to the challenge statement
+    # soundness-hybrid chains on the exhaustive 8-bit domain
     x_star = b"\x2a"
     fam = proofs.nizk_hybrid_family(crs, x_star)
     k0 = crs.escrow["k0"]
-    dom_x = tuple((bytes([v]),) for v in range(256))
-    equivs = [("P", "P1"), ("P2", "P3")]
-    for a, b in equivs:
-        if not equiv_check(fam[a], fam[b], dom_x):
-            return "nizk", False, f"hybrid step {a}->{b} not equivalent"
-    vpts = []
-    for v in range(256):
-        x = bytes([v])
-        vpts += [(x, ggm_eval(k0, x)), (x, b"\x5a" * 16)]
-    dom_v = tuple(vpts)
-    for a, b in (("V", "V1"), ("V2", "Vstar")):
-        if not equiv_check(fam[a], fam[b], dom_v):
-            return "nizk", False, f"hybrid step {a}->{b} not equivalent"
-
-    def differs_only_at_star(a, b, dom):
-        for pt in dom:
-            same = evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
-            if pt[0] != x_star and not same:
-                return False
-        return True
-
-    for a, b, dom in (("P1", "P2", dom_x), ("P3", "Pstar", dom_x), ("V1", "V2", dom_v)):
-        if not differs_only_at_star(a, b, dom):
-            return "nizk", False, f"hybrid step {a}->{b} leaks outside the point"
+    xs = [bytes([v]) for v in range(256)]
+    chains = ((proofs.NIZK_P_STEPS, tuple((x,) for x in xs)),
+              (proofs.NIZK_V_STEPS,
+               tuple(pt for x in xs for pt in ((x, ggm_eval(k0, x)), (x, b"\x5a" * 16)))))
+    for steps, points in chains:
+        failed = check_chain(fam, steps, points, x_star)
+        if failed:
+            return "nizk", False, f"hybrid step {failed} fails its relation"
     return ("nizk", True,
             f"completeness exact + ghz {ok_g}/100, ZK byte-equal on 100 runs, "
-            "7 hybrid steps verified on the exhaustive 8-bit domain")
+            f"{sum(len(steps) for steps, _ in chains)} hybrid steps verified on the "
+            "exhaustive 8-bit domain")
 
 
 def criterion_7_delegation():
@@ -300,53 +283,39 @@ def criterion_7_delegation():
                     lang, mask.to_bytes(1, "big")) == "yes" else None
                 if got != want:
                     return "delegation", False, f"sharing N={n} subset {mask:0{n}b}"
-    # hybrid families on the mini domain
-    k = keys.msk
-    pts = []
-    for a in range(16):
-        wire = ed.attr_wire(a, 4)
-        pts += [(wire, ggm_eval(k, wire)), (wire, b"\x31" * 16)]
-    dom = tuple(pts)
+    # hybrid chains on the mini domains: keycheck and encryptor at index 5 of
+    # 4-bit attributes, the constrained PRF at point 3 of its 16 inputs
     i_star = 5
-    fam_p = ed.abe_keycheck_hybrids(k, 4, i_star, Drbg(b"acc-hyb"))
-    if not equiv_check(fam_p["P"], fam_p["P1"], dom):
-        return "delegation", False, "keycheck P->P1 not equivalent"
+    wires = [ed.attr_wire(a, 4) for a in range(16)]
+    pts = tuple(pt for w in wires for pt in ((w, ggm_eval(keys.msk, w)), (w, b"\x31" * 16)))
     r = prf_gen(Drbg(b"acc-hyb-r"), 16)
-    fam_e = ed.abe_encryptor_hybrids(keys.mpk.to_bytes(), make_policy_language(policy),
-                                     b"\x00", b"\x01", r, 4, i_star, Drbg(b"acc-hyb-e"))
-    if not equiv_check(fam_e["E"], fam_e["E1"], dom):
-        return "delegation", False, "encryptor E->E1 not equivalent"
-    star_wire = ed.attr_wire(i_star, 4)
-
-    def differ_only_at_star(fam, a, b):
-        for pt in pts:
-            if pt[0] == star_wire:
-                continue
-            if evaluate(fam[a], list(pt)) != evaluate(fam[b], list(pt)):
-                return False
-        return True
-
-    for fam, a, b in ((fam_p, "P1", "P2"), (fam_p, "P2", "P3"),
-                      (fam_e, "E1", "E2"), (fam_e, "E2", "E3")):
-        if not differ_only_at_star(fam, a, b):
-            return "delegation", False, f"hybrid {a}->{b} leaks outside index"
-    # P3 -> Pstar differ only on the PRG-range event: scan random images
+    c_wires = [ed.attr_wire(v, 8) for v in range(16)]
+    chains = (
+        (ed.abe_keycheck_hybrids(keys.msk, 4, i_star, Drbg(b"acc-hyb")), ed.KEYCHECK_STEPS,
+         pts, wires[i_star]),
+        (ed.abe_encryptor_hybrids(keys.mpk.to_bytes(), make_policy_language(policy), b"\x00",
+                                  b"\x01", r, 4, i_star, Drbg(b"acc-hyb-e")),
+         ed.ENCRYPTOR_STEPS, pts, wires[i_star]),
+        (ed.cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(), c_wires[3],
+                         Drbg(b"acc-cprf-hyb")),
+         ed.CPRF_STEPS, tuple((w,) for w in c_wires), c_wires[3]),
+    )
+    for fam, steps, points, star in chains:
+        failed = check_chain(fam, steps, points, star)
+        if failed:
+            return "delegation", False, f"hybrid step {failed} fails its relation"
+    # keycheck P3 -> Pstar differ at the index only on the PRG-range event:
+    # scan random images
     drbg = Drbg(b"acc-prg-range")
     for t in range(10 ** 4):
         K_img = drbg.bytes(4 * KEY_LEN)
         s = drbg.bytes(KEY_LEN)
         if prg(s, 4 * KEY_LEN) == K_img:
             return "delegation", False, "random image collided with the expander"
-    # constrained-PRF hybrid chain
-    fam_c = ed.cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
-                            ed.attr_wire(3, 8), Drbg(b"acc-cprf-hyb"))
-    dom_c = tuple((ed.attr_wire(v, 8),) for v in range(16))
-    for a, b in (("P", "P1"), ("P1", "P2")):
-        if not equiv_check(fam_c[a], fam_c[b], dom_c):
-            return "delegation", False, f"cprf hybrid {a}->{b} not equivalent"
     return ("delegation", True,
             "abe/cprf/pe exact on fixtures, sharing matches the qualified table "
-            "(N=3,4), hybrid chains verified on mini domains")
+            f"(N=3,4), {sum(len(steps) for _, steps, _, _ in chains)} hybrid steps "
+            "verified on mini domains")
 
 
 def criterion_8_lockable():

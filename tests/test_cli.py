@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from qnk import cli, encdelegate as ed
-from qnk.circuit_ir import Node
+from qnk.circuit_ir import Node, program_from_bytes
 from qnk.cli import main
 from qnk.errors import BadDigest, BadMagic, MalformedCiphertext, VersionMismatch
 from qnk.wire import (
     MAGIC,
     VERSION,
+    Reader,
     envelope,
     open_envelope,
     pack_bytes,
@@ -130,6 +131,35 @@ def cvqc_toy_pp(change):
     return mutate
 
 
+def cut_sealed_bit(ct: bytes) -> bytes:
+    """Cut a WE ciphertext's sealed message CONST, the tagged bit `01 01`, to
+    its tag byte and re-seal the program: it then decrypts to no byte at all."""
+    inner, digest = unpack_fields(ct, 2)
+    fields = unpack_fields(inner, 8)
+    r = Reader(fields[1])
+    mode, _declared, sealed = r.field(), r.u32(), r.field()
+    p = program_from_bytes(unseal(sealed))
+    nodes = [Node("CONST", value=b"\x01") if n == Node("CONST", value=b"\x01\x01") else n
+             for n in p.nodes]
+    assert nodes != list(p.nodes)
+    fields[1] = raw_sealed(raw_program(nodes, p.outputs, p.input_arity), len(nodes), mode)
+    return pack_fields(pack_fields(*fields), digest)
+
+
+def we_cut_bit(payload: bytes) -> bytes:
+    """`cut_sealed_bit` on the one ciphertext of a `we.ct`."""
+    count, cts = unpack_fields(payload, 2)
+    return pack_fields(count, pack_fields(cut_sealed_bit(unpack_fields(cts, 1)[0])))
+
+
+def shares_cut_bit(payload: bytes) -> bytes:
+    """`cut_sealed_bit` on every party's ciphertext of a three-party
+    `share.set` (language, count, (opening, ciphertext) x 3, commitments)."""
+    fields = unpack_fields(payload, 11)
+    return pack_fields(*(cut_sealed_bit(f) if i in (3, 5, 7) else f
+                         for i, f in enumerate(fields)))
+
+
 cvqc_short_kwt = cvqc_toy_pp({3: lambda f: f[:2]})
 # `Linear` is a name outside the three TOY variants
 cvqc_pp_unknown_variant = cvqc_toy_pp({4: lambda f: b"Linear"})
@@ -180,6 +210,9 @@ ABE_KEYGEN_CMDS = (["abe", "gen", "--attr-len", "4", "--seed", "1", "--out", "{}
                    ["abe", "keygen", "--keys", "{}", "--attr", "0111", "--out", "{}.out"])
 NIZK_CMDS = (["nizk", "setup", "--lang", "par8", "--seed", "1", "--out", "{}"],
              ["nizk", "prove", "--crs", "{}", "--x", "07", "--seed", "2", "--out", "{}.out"])
+SHARE_CMDS = (["share", "split", "--lang", "th23", "--parties", "3", "--secret", "1",
+               "--seed", "1", "--out", "{}"],
+              ["share", "rec", "--shares", "{}", "--subset", "0,2"])
 
 # commands that need several produced files; "{name}" is `name.bin` (or
 # `policy.txt`) in the test's directory
@@ -284,11 +317,14 @@ class TestWeCommands:
         (CVQC_PROVE_CMDS, None, cvqc_pp_proto(b"toy-ish"), b""),
         (CVQC_PROVE_CMDS, None, cvqc_pp_k_past_fields, b""),
         (CVQC_PROVE_CMDS, None, cvqc_pp_short_bases, b""),
+        (WE_CMDS, None, we_cut_bit, b""),
+        (SHARE_CMDS, None, shares_cut_bit, b""),
     ], ids=["non-utf8-tag", "trailing-bytes", "cvqc-empty-claim-reps", "cvqc-non-utf8-proto",
             "nio-empty-copies", "nio-non-utf8-field", "we-empty-count",
             "abe-keygen-empty-attr-len", "nizk-non-utf8-lang", "cvqc-non-utf8-oracle-mode",
             "cvqc-prove-short-kwt", "cvqc-prove-unknown-variant", "cvqc-prove-unknown-proto",
-            "cvqc-prove-k-9-over-8-entries", "cvqc-prove-short-bases"])
+            "cvqc-prove-k-9-over-8-entries", "cvqc-prove-short-bases", "we-dec-cut-bit",
+            "share-rec-cut-bit"])
     def test_dec_malformed_envelope_exits_1(self, tmp, capsys, cmds, tag, mutate, trailing):
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)

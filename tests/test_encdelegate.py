@@ -1,13 +1,17 @@
 import pytest
 
 from qnk.circuit_ir import (
+    OFF_POINT,
     ProgramBuilder,
     SealedProgram,
-    equiv_check,
+    check_chain,
     evaluate,
     obf_io,
 )
 from qnk.encdelegate import (
+    CPRF_STEPS,
+    ENCRYPTOR_STEPS,
+    KEYCHECK_STEPS,
     KP_ATTR_LEN,
     MAX_ATTR_BITS,
     POLICY_FAMILY,
@@ -146,15 +150,18 @@ def dom(keys):
 
 class TestAbeHybrids:
     def test_keycheck_chain(self, keys, dom):
-        i_star = 5
-        fam = abe_keycheck_hybrids(keys.msk, 4, i_star, Drbg(18))
-        assert equiv_check(fam["P"], fam["P1"], dom)
-        star = attr_wire(i_star, 4)
-        for a, b in (("P1", "P2"), ("P2", "P3"), ("P3", "Pstar")):
-            for pt in dom:
-                if pt[0] == star:
-                    continue
-                assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
+        # index 0 has no lower branch in `_index_chain`, index 15 no upper one
+        for i_star in (0, 5, 15):
+            fam = abe_keycheck_hybrids(keys.msk, 4, i_star, Drbg(18))
+            assert check_chain(fam, KEYCHECK_STEPS, dom, attr_wire(i_star, 4)) is None
+
+    def test_foreign_variant_fails_the_first_point_step(self, keys, dom):
+        # a P1 under another PRF key differs from P2 off the index as well
+        fam = abe_keycheck_hybrids(keys.msk, 4, 5, Drbg(18))
+        other = abe_keycheck_hybrids(prf_gen(Drbg(23), 16), 4, 5, Drbg(18))
+        point_steps = tuple(step for step in KEYCHECK_STEPS if step[2] == OFF_POINT)
+        assert check_chain({**fam, "P1": other["P1"]}, point_steps, dom,
+                           attr_wire(5, 4)) == "P1->P2"
 
     def test_pstar_rejects_at_index(self, keys, dom):
         i_star = 5
@@ -171,15 +178,10 @@ class TestAbeHybrids:
     def test_encryptor_chain(self, keys, dom):
         pol = make_policy_language(PARITY4)
         r = prf_gen(Drbg(21), 16)
-        fam = abe_encryptor_hybrids(keys.mpk.to_bytes(), pol, b"\x00", b"\x01",
-                                    r, 4, 5, Drbg(22))
-        assert equiv_check(fam["E"], fam["E1"], dom)
-        star = attr_wire(5, 4)
-        for a, b in (("E1", "E2"), ("E2", "E3"), ("E3", "Estar")):
-            for pt in dom:
-                if pt[0] == star:
-                    continue
-                assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
+        for i_star in (0, 5, 15):
+            fam = abe_encryptor_hybrids(keys.mpk.to_bytes(), pol, b"\x00", b"\x01",
+                                        r, 4, i_star, Drbg(22))
+            assert check_chain(fam, ENCRYPTOR_STEPS, dom, attr_wire(i_star, 4)) is None
 
 
 class TestQLock:
@@ -278,17 +280,11 @@ class TestConstrainedPrf:
             assert cprf_ceval_wrap(ck, kq2, x) == want
 
     def test_hybrid_chain(self, ck):
-        star = attr_wire(3, 8)
-        fam = cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(),
-                           star, Drbg(36))
         dom = tuple((attr_wire(v, 8),) for v in range(16))
-        assert equiv_check(fam["P"], fam["P1"], dom)
-        assert equiv_check(fam["P1"], fam["P2"], dom)
-        for a, b in (("P2", "P3"), ("P3", "Pstar")):
-            for pt in dom:
-                if pt[0] == star:
-                    continue
-                assert evaluate(fam[a], list(pt)) == evaluate(fam[b], list(pt))
+        for x_star in (0, 3, 15):
+            star = attr_wire(x_star, 8)
+            fam = cprf_hybrids(ck.k, ck.k_tilde, ck.abe.mpk.to_bytes(), star, Drbg(36))
+            assert check_chain(fam, CPRF_STEPS, dom, star) is None
 
 
 def cprf_ceval_wrap(ck, kq, x):
@@ -375,6 +371,11 @@ class TestSecretSharing:
         ss = ss_share(fixture("th23"), 3, 1, 44)
         with pytest.raises(WidthMismatch):
             ss_rec(ss, subset, Witness.empty(), Drbg(45))
+
+    @pytest.mark.parametrize("secret", [2, 300, -1])
+    def test_secret_is_one_bit(self, secret):
+        with pytest.raises(MalformedCiphertext):
+            ss_share(fixture("th23"), 3, secret, 46)
 
     def test_party_count_cap(self):
         with pytest.raises(WidthMismatch):

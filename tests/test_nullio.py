@@ -161,6 +161,13 @@ class TestWitnessEncryption:
                 hits += 1
         assert hits >= 90
 
+    @pytest.mark.parametrize("payload", [b"", b"\x02", b"\x00\x01"])
+    def test_non_bit_plaintext_is_malformed(self, payload):
+        # `we_enc` writes one byte, 0 or 1; any other plaintext is forged
+        c = we_enc_bytes(PAR, b"\x07", payload, b"\x06" * 16)
+        with pytest.raises(MalformedCiphertext):
+            we_dec(PAR, b"\x07", c, Witness.empty(), Drbg(25))
+
     def test_bytes_payload(self):
         c = we_enc_bytes(PAR, b"\x07", b"a sixteen byte m", b"\x05" * 16)
         assert we_dec_bytes(c, Witness.empty(), Drbg(25)) == b"a sixteen byte m"

@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
-from qnk.circuit_ir import equiv_check, evaluate
+from qnk.circuit_ir import EQUAL, chain_budget, check_chain, evaluate
 from qnk.errors import InvalidWitness, NoValidNizk, ProofFailed, SetupProofInvalid
 from qnk.primitives import ggm_eval, owf
 from qnk.proofs import (
+    NIZK_P_STEPS,
+    NIZK_V_STEPS,
     NiwiScheme,
     NizkProof,
     Relation,
@@ -76,10 +78,8 @@ class TestNizk:
 
     def test_crs_padding_budgets(self, crs):
         fam = nizk_hybrid_family(crs, b"\x00")
-        assert crs.p_prog.declared_size == max(
-            fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar"))
-        assert crs.v_prog.declared_size == max(
-            fam[n].size for n in ("V", "V1", "V2", "Vstar"))
+        assert crs.p_prog.declared_size == chain_budget(fam, NIZK_P_STEPS)
+        assert crs.v_prog.declared_size == chain_budget(fam, NIZK_V_STEPS)
 
     @pytest.mark.parametrize("lang", [*sorted(FIXTURES), "par12"])
     def test_memoized_budgets_match_the_families(self, lang):
@@ -89,8 +89,7 @@ class TestNizk:
         budgets = _nizk_budgets(8 * width)
         for x_star in (bytes(width), b"\x2a" * width, b"\xff" * width):
             fam = nizk_hybrid_family(crs, x_star)
-            assert (max(fam[n].size for n in ("P", "P1", "P2", "P3", "Pstar")),
-                    max(fam[n].size for n in ("V", "V1", "V2", "Vstar"))) == budgets
+            assert (chain_budget(fam, NIZK_P_STEPS), chain_budget(fam, NIZK_V_STEPS)) == budgets
         assert (crs.p_prog.declared_size, crs.v_prog.declared_size) == budgets
 
     def test_sealed_matches_unsealed_encryptor(self, crs):
@@ -126,21 +125,30 @@ class TestSimulator:
         assert pi.pi == ggm_eval(crs.escrow["k0"], b"\x03")
 
 
+def nizk_chains(crs):
+    """(steps, points) for both chains on the exhaustive 8-bit domain; the
+    verdict chain reads each statement with its PRF value and with junk."""
+    k0 = crs.escrow["k0"]
+    xs = [bytes([v]) for v in range(256)]
+    return ((NIZK_P_STEPS, tuple((x,) for x in xs)),
+            (NIZK_V_STEPS,
+             tuple(pt for x in xs for pt in ((x, ggm_eval(k0, x)), (x, b"\x5a" * 16)))))
+
+
 class TestHybridFamily:
     def test_equivalences_exhaustive(self, crs):
-        x_star = b"\x2a"
-        fam = nizk_hybrid_family(crs, x_star)
-        dom = tuple((bytes([v]),) for v in range(256))
-        assert equiv_check(fam["P"], fam["P1"], dom)
-        assert equiv_check(fam["P2"], fam["P3"], dom)
-        k0 = crs.escrow["k0"]
-        vpts = []
-        for v in range(256):
-            x = bytes([v])
-            vpts += [(x, ggm_eval(k0, x)), (x, b"\x5a" * 16)]
-        vdom = tuple(vpts)
-        assert equiv_check(fam["V"], fam["V1"], vdom)
-        assert equiv_check(fam["V2"], fam["Vstar"], vdom)
+        for x_star in (b"\x00", b"\x2a", b"\xff"):
+            fam = nizk_hybrid_family(crs, x_star)
+            for steps, points in nizk_chains(crs):
+                assert check_chain(fam, steps, points, x_star) is None
+
+    def test_point_change_declared_equal_fails(self, crs):
+        # P1 -> P2 changes the encryption coins at x_star, so the chain
+        # declared as exact equivalences fails there and names that step
+        fam = nizk_hybrid_family(crs, b"\x2a")
+        (steps, points), _ = nizk_chains(crs)
+        assert check_chain(fam, tuple((a, b, EQUAL) for a, b, _ in steps), points,
+                           b"\x2a") == "P1->P2"
 
     def test_verifier_hybrid_hardwires_image(self, crs):
         fam = nizk_hybrid_family(crs, b"\x2a")

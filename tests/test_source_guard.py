@@ -18,7 +18,10 @@ rule and bounds the cache, so `lru_cache` appears only in `memo.py`, which
 imports only `functools`. Hybrid program families model the security
 arguments; sealing reads only their memoized pad budgets, so outside
 `selftest.py` a family builder is named only by its budget helper and by
-`proofs.nizk_hybrid_family`. Only `qsim.py` names numpy, and it imports it
+`proofs.nizk_hybrid_family`. Each hybrid chain is declared once beside its
+builder and checked by `circuit_ir.check_chain` alone: `equiv_check` is
+called only there, and no function that builds or fetches a family
+evaluates its variants itself. Only `qsim.py` names numpy, and it imports it
 inside a function on the first simulation, never at module top, so actions
 that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
@@ -159,6 +162,24 @@ def test_hybrid_families_built_only_for_budgets():
     users = family_builder_users()
     assert {name for _, _, name in users} == FAMILY_BUILDERS
     assert {where for m, where, _ in users if m != "selftest.py"} == FAMILY_USERS
+
+
+def test_hybrid_steps_checked_only_by_check_chain():
+    family_names = FAMILY_BUILDERS | {"nizk_hybrid_family"}
+    equiv_callers, family_evaluators = set(), set()
+    for p in SRC:
+        for top in ast.parse(p.read_text()).body:
+            where = f"{p.name}:{getattr(top, 'name', '<module>')}"
+            nodes = list(ast.walk(top))
+            called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                      for n in nodes if isinstance(n, ast.Call)}
+            named = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                     | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+            if "equiv_check" in called:
+                equiv_callers.add(where)
+            if named & family_names and called & {"evaluate", "equiv_check"}:
+                family_evaluators.add(where)
+    assert (equiv_callers, family_evaluators) == ({"circuit_ir.py:check_chain"}, set())
 
 
 def test_xor_pattern():
