@@ -54,8 +54,10 @@ MAX_ATTR_BITS = 10
 
 
 def check_attr_len(attr_len: int) -> int:
-    if attr_len > MAX_ATTR_BITS:
-        raise WidthMismatch(f"attribute length {attr_len} exceeds {MAX_ATTR_BITS}")
+    """At least 2 bits: below that the keycheck's PRG image is no longer than
+    its seed (and empty at 0), so a forged key is no longer negligible."""
+    if not 2 <= attr_len <= MAX_ATTR_BITS:
+        raise WidthMismatch(f"attribute length {attr_len} is outside 2..{MAX_ATTR_BITS}")
     return attr_len
 
 

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MalformedCircuit, TooManyQubits, WidthMismatch
+from .memo import memo
 from .rand import Drbg
 
 MAX_QUBITS = 12
@@ -163,6 +164,16 @@ def _check_gate(name: str, targets: tuple[int, ...], n_qubits: int) -> None:
         raise MalformedCircuit(f"gate {name} has duplicate targets {targets}")
 
 
+def _apply_1q(t: np.ndarray, q: int, G: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix `G` applied to axis `q` of the n-axis tensor `t`: move
+    `q` last, multiply, move it back. The two transposes are the axis orders
+    `np.moveaxis` would compute, so the matmul sees the same strided view and
+    the amplitudes are bit-identical to the moveaxis kernel."""
+    n = t.ndim
+    t = t.transpose((*range(q), *range(q + 1, n), q)) @ G.T
+    return t.transpose((*range(q), n - 1, *range(q, n - 1)))
+
+
 def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
     """In-place gate application. Every multi-qubit gate is a controlled X:
     the last target flips where all the others are 1."""
@@ -170,10 +181,7 @@ def apply_gate(state: StateVector, name: str, targets: tuple[int, ...]) -> None:
     _check_gate(name, targets, n)
     t = state.amps.reshape([2] * n)
     if len(targets) == 1:
-        (q,) = targets
-        t = np.moveaxis(t, q, -1)
-        t = t @ GATES_1Q[name].T
-        state.amps = np.moveaxis(t, -1, q).reshape(-1)
+        state.amps = _apply_1q(t, targets[0], GATES_1Q[name]).reshape(-1)
     else:
         *controls, x = targets
         t = t.copy()
@@ -221,6 +229,8 @@ class QuantumCircuit:
     n_input: int = 0
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise MalformedCircuit("a circuit needs qubit 0, its output")
         if self.n_qubits > MAX_QUBITS:
             raise TooManyQubits(f"{self.n_qubits} qubits exceeds the cap")
         if self.n_input > self.n_qubits:
@@ -264,6 +274,19 @@ def run_circuit(Q: QuantumCircuit, inp, drbg: Drbg | None = None) -> tuple[int, 
 
 
 def accept_probability(Q: QuantumCircuit, inp) -> float:
+    """Exact probability that the output qubit reads 1, simulated once per
+    process for each (circuit, input value). The memo keys a StateVector on
+    its width and amplitude bytes, never on the mutable object, and any other
+    input on the tuple of its bits."""
+    if isinstance(inp, StateVector):
+        return _accept_probability(Q, inp.n_qubits, inp.amps.tobytes())
+    return _accept_probability(Q, None, tuple(_as_bits([0] * Q.n_input if inp is None else inp)))
+
+
+@memo(16)  # a 12-qubit key holds 64 KB of amplitudes: at most 1 MB in all
+def _accept_probability(Q: QuantumCircuit, n_qubits: int | None, inp: bytes | tuple) -> float:
+    if n_qubits is not None:
+        inp = StateVector(n_qubits, np.frombuffer(inp, dtype=complex))
     return run_unitary(Q, inp).prob_of(0, 1)
 
 
@@ -329,7 +352,7 @@ def _apply_pauli_word(amps: np.ndarray, word: str) -> np.ndarray:
     for q, c in enumerate(word):
         if c == "I":
             continue
-        t = np.moveaxis(np.moveaxis(t, q, -1) @ PAULI[c].T, -1, q)
+        t = _apply_1q(t, q, PAULI[c])
     return t.reshape(-1)
 
 

@@ -365,6 +365,9 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy_bytes(b"qubits 2\n\xff\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCiphertext"),
+        (ABE_SETUP[:1], write_policy("qubits 0\ninput 0\n"),
+         ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
+         "MalformedCircuit"),
     ] + [(CVQC_SETUP, rewrap("setup", cvqc_toy_key(change)),
           ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext")
          for change in HOSTILE_TOY_KEYS.values()],
@@ -372,7 +375,8 @@ class TestWeCommands:
              "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
              "cvqc-verify-non-utf8-proof-proto", "cvqc-verify-unknown-proof-proto",
              "abe-enc-policy-without-count",
-             "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy"]
+             "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy",
+             "abe-enc-policy-zero-qubits"]
         + [f"cvqc-verify-toy-key-{name}" for name in HOSTILE_TOY_KEYS])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):
@@ -511,6 +515,16 @@ class TestAbeCommands:
         assert main(["abe", "dec", "--keys", str(keys), "--sk", str(sk),
                      "--ct", str(ct)]) == 1
 
+    @pytest.mark.parametrize("attr_len", ["0", "1"])
+    def test_gen_refuses_attr_len_below_2(self, tmp, capsys, attr_len):
+        """Below 2 bits the keycheck's PRG image is no longer than its seed."""
+        assert main(["abe", "gen", "--attr-len", attr_len, "--seed", "1",
+                     "--out", str(tmp / "keys.bin")]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "WidthMismatch"
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp.iterdir()) == []
+
 
 def keys_fields(build):
     """Rebuild the `abe.keys` envelope from its three fields."""
@@ -543,13 +557,14 @@ BAD_DEC_KEYS = {
     "four-fields": (keys_with(extra=(b"",)), "MalformedCiphertext"),
     "attr-len-empty": (keys_with(attr_len=b""), "MalformedCiphertext"),
     "attr-len-two-bytes": (keys_with(attr_len=b"\x00\x04"), "MalformedCiphertext"),
+    "attr-len-0": (keys_with(attr_len=b"\x00"), "WidthMismatch"),
+    "attr-len-1": (keys_with(attr_len=b"\x01"), "WidthMismatch"),
     "attr-len-11": (keys_with(attr_len=b"\x0b"), "WidthMismatch"),
     "attr-len-255": (keys_with(attr_len=b"\xff"), "WidthMismatch"),
     "seal-tampered": (keys_with(sealed_seed=flip_byte), "MalformedCiphertext"),
     "seal-short": (keys_with(sealed_seed=lambda s: s[:31]), "MalformedCiphertext"),
     "seal-tampered-attr-len-11": (keys_with(sealed_seed=flip_byte, attr_len=b"\x0b"),
                                   "MalformedCiphertext"),
-    "attr-len-0": (keys_with(attr_len=b"\x00"), None),
     "attr-len-10": (keys_with(attr_len=b"\x0a"), None),
     "empty-seed": (keys_with(sealed_seed=lambda s: seal(b"", b"cli-abe")), None),
     "mpk-garbage": (keys_with(mpk=b"garbage"), None),

@@ -108,6 +108,11 @@ class TestAbe:
         with pytest.raises(WidthMismatch):
             abe_gen(11, 6)
 
+    @pytest.mark.parametrize("attr_len", [0, 1])
+    def test_attr_length_floor(self, attr_len):
+        with pytest.raises(WidthMismatch):
+            abe_gen(attr_len, 6)
+
     def test_multibyte_message(self, keys):
         ct = abe_enc_circuit(keys, PARITY4, b"sixteen-byte-msg", 7)
         assert abe_dec(abe_keygen(keys, 1), ct, Drbg(8)) == b"sixteen-byte-msg"
@@ -301,7 +306,7 @@ class TestPadBudgets:
     real keys, for every shape the library seals: the padding the iO argument
     needs is what the sealed programs get."""
 
-    @pytest.mark.parametrize("attr_len", range(1, MAX_ATTR_BITS + 1))
+    @pytest.mark.parametrize("attr_len", range(2, MAX_ATTR_BITS + 1))
     def test_keycheck(self, attr_len):
         keys = abe_gen(attr_len, 40 + attr_len)
         for i in {0, (1 << attr_len) // 2, (1 << attr_len) - 1}:

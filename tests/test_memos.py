@@ -9,7 +9,7 @@ import importlib
 import pytest
 
 import qnk.memo
-from qnk import cvqc, nullio, qfhe, qma
+from qnk import cvqc, nullio, qfhe, qma, qsim
 from qnk.circuit_ir import DEFAULT_REGISTRY
 from qnk.cvqc import (
     PROTO_ORACLE,
@@ -22,12 +22,13 @@ from qnk.cvqc import (
     star_prove,
     td_gen,
 )
-from qnk.errors import DomainMismatch, KeyMismatch, MalformedCiphertext
+from qnk.errors import DomainMismatch, KeyMismatch, MalformedCiphertext, WidthMismatch
 from qnk.memo import REGISTRY, memo
 from qnk.nullio import nio_eval, nio_obf
 from qnk.proofs import nizk_prove, nizk_setup
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
 from qnk.qma import Witness, fixture, ghz_witness
+from qnk.qsim import QuantumCircuit, StateVector, accept_probability, apply_gate
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, unpack_fields
 
@@ -64,7 +65,7 @@ ALL_MEMOS = {
     "cvqc._decode_toy_key", "encdelegate._decode_sealed", "encdelegate._keycheck_budget",
     "encdelegate._encryptor_budget", "encdelegate._cprf_budget", "nullio._decode_we",
     "nullio._gate_we_enc", "proofs._nizk_budgets", "qfhe._sk_keys", "qfhe._wrap_key_from_pk",
-    "qma._binom_tail", "cli._parser"}
+    "qma._binom_tail", "qsim._accept_probability", "cli._parser"}
 
 
 def test_registry_holds_every_memo_bounded():
@@ -321,3 +322,52 @@ def test_toy_key_memo_keeps_a_pool_of_48_keys():
             cvqc._decode_toy_key(blob)
     info = cvqc._decode_toy_key.cache_info()
     assert (info.misses, info.hits) == (48, 48)
+
+
+# ---------------------------------------------------------------------------
+# each judged circuit is simulated once per input value
+
+BELL = QuantumCircuit(2, (("H", (1,)), ("CNOT", (1, 0))), n_input=1)
+
+
+def count_simulations(monkeypatch) -> list:
+    runs = []
+    real = qsim.run_unitary
+    monkeypatch.setattr(qsim, "run_unitary",
+                        lambda Q, inp: runs.append(Q) or real(Q, inp))
+    return runs
+
+
+def test_accept_probability_simulates_each_input_once(monkeypatch):
+    other = QuantumCircuit(2, (("X", (1,)), ("CNOT", (1, 0))), n_input=1)
+    plus = StateVector(1, [2 ** -0.5, 2 ** -0.5])
+    # three spellings of one bit input, then a second input, a second
+    # circuit and a state input
+    cases = [(BELL, [0]), (BELL, "0"), (BELL, (0,)), (BELL, [1]), (other, [0]), (BELL, plus)]
+    want = [qsim.run_unitary(Q, inp).prob_of(0, 1) for Q, inp in cases]
+    clear_memos()
+    runs = count_simulations(monkeypatch)
+    for _ in range(2):
+        assert [accept_probability(Q, inp) for Q, inp in cases] == want
+    assert runs == [BELL, BELL, other, BELL]
+
+
+def test_state_changed_in_place_is_simulated_again(monkeypatch):
+    state = StateVector(1)
+    changed = StateVector(1)
+    apply_gate(changed, "H", (0,))
+    want = [qsim.run_unitary(BELL, s).prob_of(0, 1) for s in (state, changed)]
+    clear_memos()
+    runs = count_simulations(monkeypatch)
+    assert accept_probability(BELL, state) == want[0]
+    apply_gate(state, "H", (0,))
+    assert accept_probability(BELL, state) == want[1]
+    assert len(runs) == 2
+
+
+def test_width_mismatch_raises_on_every_call():
+    clear_memos()
+    for inp in ([0, 1], "01", StateVector(3)) * 2:
+        with pytest.raises(WidthMismatch):
+            accept_probability(BELL, inp)
+    assert qsim._accept_probability.cache_info().currsize == 0

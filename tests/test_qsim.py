@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnk import qsim
 from qnk.errors import MalformedCircuit, TooManyQubits, WidthMismatch
+from qnk.qma import PseudoDetCircuit
 from qnk.qsim import (
     PauliHamiltonian,
     QuantumCircuit,
@@ -23,6 +25,7 @@ from qnk.qsim import (
     run_unitary,
 )
 from qnk.rand import Drbg
+from qnk.wire import pack_fields
 
 
 SQ2 = 1 / np.sqrt(2.0)
@@ -74,6 +77,13 @@ class TestRunCircuit:
     def test_qubit_cap(self):
         with pytest.raises(TooManyQubits):
             QuantumCircuit(13, ())
+
+    @pytest.mark.parametrize("text", ["qubits 0\ninput 0\n", "qubits -1\n"])
+    def test_circuit_needs_its_output_qubit(self, text):
+        with pytest.raises(MalformedCircuit, match="qubit 0"):
+            parse_circuit(text)
+        with pytest.raises(MalformedCircuit, match="qubit 0"):
+            PseudoDetCircuit.from_bytes(pack_fields(text.encode(), b"\x01", bytes(16), bytes(16)))
 
     def test_bad_gate_target(self):
         with pytest.raises(MalformedCircuit):
@@ -204,6 +214,55 @@ def test_controlled_x_matches_index_reference(n):
             sv = StateVector(n, amps.copy())
             apply_gate(sv, name, targets)
             assert np.array_equal(sv.amps, controlled_x_reference(amps, n, targets)), targets
+
+
+def moveaxis_reference(amps, q, G):
+    """A 2x2 matrix on qubit q the way the simulator once applied it: move
+    the axis last with `np.moveaxis`, multiply, move it back."""
+    n = amps.size.bit_length() - 1
+    t = np.moveaxis(amps.reshape([2] * n), q, -1) @ G.T
+    return np.moveaxis(t, -1, q).reshape(-1)
+
+
+def pauli_word_reference(amps, word):
+    for q, c in enumerate(word):
+        if c != "I":
+            amps = moveaxis_reference(amps, q, qsim.PAULI[c])
+    return amps
+
+
+def expectation_reference(H, amps):
+    acc = 0.0
+    for coeff, word in H.terms:
+        acc += coeff * np.real(np.vdot(amps, pauli_word_reference(amps, word)))
+    return float(acc)
+
+
+@st.composite
+def random_states(draw):
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return n, rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(random_states(), st.data())
+def test_one_qubit_kernel_is_bit_identical_to_moveaxis(state, data):
+    """Every one-qubit gate on every target, and a Pauli Hamiltonian, give the
+    same bytes as the moveaxis kernel."""
+    n, amps = state
+    for name in sorted(GATE_MATRICES):
+        for q in range(n):
+            sv = StateVector(n, amps.copy())
+            apply_gate(sv, name, (q,))
+            want = moveaxis_reference(amps, q, qsim.GATES_1Q[name])
+            assert sv.amps.tobytes() == want.tobytes(), (name, q)
+    words = data.draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    H = PauliHamiltonian(n, tuple((data.draw(st.floats(-2, 2)), w) for w in words))
+    assert expectation(H, StateVector(n, amps)) == expectation_reference(H, amps)
+    for word in words:
+        assert (qsim._apply_pauli_word(amps, word).tobytes()
+                == pauli_word_reference(amps, word).tobytes()), word
 
 
 @pytest.mark.parametrize("name, targets", [("H", (0, 1)), ("CNOT", (0,)), ("CNOT", (0, 1, 2)),

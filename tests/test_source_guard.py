@@ -25,6 +25,8 @@ evaluates its variants itself. Only `qsim.py` names numpy, and it imports it
 inside a function on the first simulation, never at module top, so actions
 that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
+A one-qubit gate is a matmul between two transposes of the amplitude
+tensor, so no module calls `moveaxis`.
 A QMA witness is one `qma.Witness`, its classical part included, so no
 function takes the classical part as a parameter of its own.
 A program's structural rules are checked once, when its `Program` is made,
@@ -110,6 +112,10 @@ def test_controlled_x_named_only_in_gate_arity():
     hits = offending_lines(re.compile(r"""["'](CNOT|CCX)["']"""),
                            skip=tuple(p.name for p in SRC if p.name != "qsim.py"))
     assert [h.split(": ", 1)[1][:14] for h in hits] == ["GATE_ARITY = {"]
+
+
+def test_no_moveaxis():
+    assert offending_lines(re.compile(r"\bmoveaxis\s*\(")) == []
 
 
 def test_classical_witness_travels_in_the_witness():
