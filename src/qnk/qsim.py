@@ -274,10 +274,12 @@ def run_circuit(Q: QuantumCircuit, inp, drbg: Drbg | None = None) -> tuple[int, 
 
 
 def accept_probability(Q: QuantumCircuit, inp) -> float:
-    """Exact probability that the output qubit reads 1, simulated once per
-    process for each (circuit, input value). The memo keys a StateVector on
-    its width and amplitude bytes, never on the mutable object, and any other
-    input on the tuple of its bits."""
+    """Exact probability that the output qubit reads 1. The values of the 16
+    most recent (circuit, input value) pairs are kept, so judging one circuit
+    on one input again in a process skips the simulation: `we dec` of a k-bit
+    message judges one claim on one witness k times. The memo keys a
+    StateVector on its width and amplitude bytes, never on the mutable
+    object, and any other input on the tuple of its bits."""
     if isinstance(inp, StateVector):
         return _accept_probability(Q, inp.n_qubits, inp.amps.tobytes())
     return _accept_probability(Q, None, tuple(_as_bits([0] * Q.n_input if inp is None else inp)))

@@ -325,7 +325,7 @@ def test_toy_key_memo_keeps_a_pool_of_48_keys():
 
 
 # ---------------------------------------------------------------------------
-# each judged circuit is simulated once per input value
+# a judged circuit kept in the memo is not simulated again on the same input
 
 BELL = QuantumCircuit(2, (("H", (1,)), ("CNOT", (1, 0))), n_input=1)
 
@@ -371,3 +371,15 @@ def test_width_mismatch_raises_on_every_call():
         with pytest.raises(WidthMismatch):
             accept_probability(BELL, inp)
     assert qsim._accept_probability.cache_info().currsize == 0
+
+
+def test_we_dec_judges_a_k_bit_message_once(monkeypatch):
+    """`we dec` judges one claim on one witness for every bit: the one repeat
+    a single CLI command makes, and so the one a memo hit saves there."""
+    par8, x, bits = fixture("par8"), b"\x07", (1, 0, 1, 1)
+    cts = [nullio.we_enc(par8, x, m, Drbg(i).bytes(16)) for i, m in enumerate(bits)]
+    clear_memos()
+    runs = count_simulations(monkeypatch)
+    out = [nullio.we_dec(par8, x, c, Witness.empty(5), Drbg(i)) for i, c in enumerate(cts)]
+    assert out == [bytes([m]) for m in bits]
+    assert len(runs) == 1
