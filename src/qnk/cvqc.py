@@ -37,7 +37,6 @@ from .errors import (
     JudgeReject,
     MalformedCiphertext,
     MalformedProof,
-    WidthMismatch,
 )
 from .circuit_ir import ProgramBuilder, SealedProgram, obf_io, register_gate, unwrap
 from .memo import memo
@@ -52,8 +51,8 @@ from .primitives import (
     prf_gen,
     ro_query,
 )
-from .qma import QmaLanguage, Witness, amplify, resolve_language
-from .qsim import accept_probability, history_state, sample_bit
+from .qma import QmaLanguage, Witness, amplify, qma_verify, resolve_language
+from .qsim import history_state, sample_bit
 from .rand import Drbg
 from .wire import (
     Reader, choice, fixed, pack_bytes, pack_fields, seal, unpack_fields, unseal, utf8,
@@ -102,9 +101,6 @@ class Claim:
     def language(self) -> QmaLanguage:
         lang = resolve_language(self.lang_ref)
         return amplify(lang, self.reps) if self.reps > 1 else lang
-
-    def base_language(self) -> QmaLanguage:
-        return resolve_language(self.lang_ref)
 
     def to_bytes(self) -> bytes:
         return pack_fields(self.lang_ref, self.x, bytes([self.reps]))
@@ -270,16 +266,10 @@ class CvqcProof:
 def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg) -> bool:
     """Majority verdict of the amplified claim circuit on the witness."""
     lang = claim.language()
-    if witness.state.n_qubits != lang.witness_qubits:
-        raise WidthMismatch(
-            f"witness has {witness.state.n_qubits} qubits, claim takes {lang.witness_qubits}")
     if witness.copies < lang.reps:
         raise JudgeReject(
             f"only {witness.copies} witness copies for {lang.reps} repetitions")
-    circ = lang.verifier(claim.x, witness.classical)
-    p1 = accept_probability(circ, witness.state if lang.witness_qubits else [])
-    hits = sum(sample_bit(p1, drbg.child(f"judge{i}")) for i in range(lang.reps))
-    return hits >= lang.threshold
+    return qma_verify(lang, claim.x, witness, drbg, label="judge") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +314,7 @@ def _output_check_probability(claim: Claim, witness: Witness) -> float:
     """Probability that a fresh history-state copy, with the unary clock
     postselected onto the final step, reads 1 on the output qubit; 0.0 when
     the postselection fails."""
-    circ = claim.base_language().verifier(claim.x)
+    circ = resolve_language(claim.lang_ref).verifier(claim.x, witness.classical)
     inp = witness.state if circ.n_input else []
     hist = history_state(circ, inp)
     T = len(circ.gates)

@@ -58,8 +58,6 @@ from .wire import pack_fields, unpack_fields
 PROOF_LEN = KEY_LEN
 
 
-
-
 # ---------------------------------------------------------------------------
 # NIZK
 
@@ -275,7 +273,6 @@ class ZaprCrs:
     niwi: NiwiScheme
     setup_proof: bytes
     lang_ref: bytes
-    sbsh_t: int
     escrow: dict = field(repr=False, default=None)
 
 
@@ -307,7 +304,7 @@ def _main_relation(crs: ZaprCrs) -> Relation:
 
     def check(stmt: bytes, w: bytes) -> bool:
         x, ck1, c_nizk, c_owf = unpack_fields(stmt, 4)
-        keys = SbshKeys(crs.ck0, ck1, crs.sbsh_t)
+        keys = SbshKeys(crs.ck0, ck1)
         branch, payload, r = unpack_fields(w, 3)
         if branch == b"A":
             if sbsh_com(keys, payload, r) != c_nizk:
@@ -337,7 +334,7 @@ def zapr_setup(L: QmaLanguage, seed) -> ZaprCrs:
     ck0, gen_rand = sbsh_gen(drbg.child("sbsh"))
     zap = zap_setup(drbg.child("zap"))
     niwi = NiwiScheme(drbg.child("niwi"))
-    crs = ZaprCrs(crs0, crs1, owf(x0), owf(x1), ck0, zap, niwi, b"", L.ref, sbsh_t=4,
+    crs = ZaprCrs(crs0, crs1, owf(x0), owf(x1), ck0, zap, niwi, b"", L.ref,
                   escrow={"gen_rand": gen_rand, "x0": x0, "x1": x1})
     witness = pack_fields(b"\x00", crs0.escrow["seed"], x0)
     crs.setup_proof = niwi.prove(_setup_relation(L), _setup_stmt(crs), witness)
@@ -364,7 +361,7 @@ def zapr_prove(crs: ZaprCrs, witness: Witness, x: bytes, drbg: Drbg) -> ZaprProo
     if b is None:
         raise NoValidNizk("neither reference string yielded a verifying proof")
     ck1 = sbsh_key(crs.ck0, drbg.child("ck1"))
-    keys = SbshKeys(crs.ck0, ck1, crs.sbsh_t)
+    keys = SbshKeys(crs.ck0, ck1)
     r1 = drbg.child("r1").bytes(KEY_LEN)
     r2 = drbg.child("r2").bytes(KEY_LEN)
     c_nizk = sbsh_com(keys, bytes([b]) + pis[b].pi, r1)

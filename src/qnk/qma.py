@@ -41,7 +41,6 @@ class QmaLanguage:
     builder: object              # (x: bytes, cw: bytes) -> QuantumCircuit
     ref: bytes                   # serializable constructor reference
     reps: int = 1                # majority repetitions (odd)
-    threshold: int = 1           # accept when at least this many runs accept
     classify: object = None      # exact yes/no ground truth for fixtures, or None
 
     def __post_init__(self):
@@ -67,41 +66,45 @@ class Witness:
 
 
 @memo(64)
-def _binom_tail(r: int, p: float, threshold: int) -> float:
-    """Exact Pr[Binomial(r, p) >= threshold], memoized:
-    `amplify` recomputes the same tails for every judged claim."""
+def _binom_tail(r: int, p: float) -> float:
+    """Exact Pr[Binomial(r, p) > r // 2], the acceptance probability of `_majority`,
+    memoized: `amplify` recomputes the same tails for every judged claim."""
     pf = Fraction(p).limit_denominator(10 ** 12)
     acc = Fraction(0)
-    for k in range(threshold, r + 1):
+    for k in range(r // 2 + 1, r + 1):
         acc += comb(r, k) * pf ** k * (1 - pf) ** (r - k)
     return float(acc)
 
 
 def amplify(L: QmaLanguage, reps: int) -> QmaLanguage:
     """Majority amplification: run `reps` independent copies, accept on a
-    majority of successes. Stored thresholds are exact binomial tails.
+    majority of successes. The amplified alpha and beta are exact binomial tails.
     """
     if reps % 2 != 1 or reps > 15:
         raise WidthMismatch("repetition count must be odd and at most 15")
-    threshold = (reps + 1) // 2
     return replace(
         L,
-        alpha=_binom_tail(reps, L.alpha, threshold),
-        beta=_binom_tail(reps, L.beta, threshold),
+        alpha=_binom_tail(reps, L.alpha),
+        beta=_binom_tail(reps, L.beta),
         reps=reps,
-        threshold=threshold,
     )
 
 
-def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg) -> int:
+def _majority(p1: float, reps: int, drbg: Drbg, label: str) -> int:
+    """The one amplified decision: `reps` Born-rule bits of acceptance
+    probability p1, bit i drawn on child `label{i}`; 1 on a strict majority."""
+    hits = sum(sample_bit(p1, drbg.child(f"{label}{i}")) for i in range(reps))
+    return 1 if hits > reps // 2 else 0
+
+
+def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg, label: str = "rep") -> int:
     """Sample the (possibly amplified) verifier; consumes one witness copy per
     repetition."""
     if w.state.n_qubits != L.witness_qubits:
         raise WidthMismatch(
             f"witness has {w.state.n_qubits} qubits, language takes {L.witness_qubits}")
     p1 = accept_probability(L.verifier(x, w.classical), w.state if L.witness_qubits else [])
-    hits = sum(sample_bit(p1, drbg.child(f"rep{i}")) for i in range(L.reps))
-    return 1 if hits >= L.threshold else 0
+    return _majority(p1, L.reps, drbg, label)
 
 
 def exact_accept_probability(L: QmaLanguage, x: bytes,
@@ -110,7 +113,7 @@ def exact_accept_probability(L: QmaLanguage, x: bytes,
     circ = L.verifier(x)
     inp = state if (state is not None and state.n_qubits > 0) else []
     p = accept_probability(circ, inp)
-    return _binom_tail(L.reps, p, L.threshold)
+    return _binom_tail(L.reps, p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def make_share_language(inner: QmaLanguage, commitments: tuple[bytes, ...]) -> Q
     ref = pack_fields(b"share", inner.ref, *commitments)
     return QmaLanguage("share:" + inner.name, 8 * len(b"".join(commitments)),
                        inner.witness_qubits, inner.alpha, inner.beta, build, ref,
-                       reps=inner.reps, threshold=inner.threshold)
+                       reps=inner.reps)
 
 
 # universal policy family of the key-policy ABE wrapper: id 1 is odd parity
@@ -353,13 +356,12 @@ class PseudoDetCircuit:
 
     def decision_probability(self, x_bits) -> float:
         p = accept_probability(self.circuit, x_bits)
-        return _binom_tail(self.reps, p, (self.reps + 1) // 2)
+        return _binom_tail(self.reps, p)
 
     def run(self, x_bits, drbg: Drbg) -> bytes:
         # a decoded circuit may carry reps = 0, which draws nothing
         p1 = accept_probability(self.circuit, x_bits) if self.reps else 0.0
-        hits = sum(sample_bit(p1, drbg.child(f"rep{i}")) for i in range(self.reps))
-        return self.output_map[1 if hits > self.reps // 2 else 0]
+        return self.output_map[_majority(p1, self.reps, drbg, "rep")]
 
     def to_bytes(self) -> bytes:
         return pack_fields(format_circuit(self.circuit).encode(),

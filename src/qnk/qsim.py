@@ -231,6 +231,8 @@ class QuantumCircuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise MalformedCircuit("a circuit needs qubit 0, its output")
+        if self.n_input < 0:
+            raise MalformedCircuit("a circuit cannot take a negative number of inputs")
         if self.n_qubits > MAX_QUBITS:
             raise TooManyQubits(f"{self.n_qubits} qubits exceeds the cap")
         if self.n_input > self.n_qubits:

@@ -368,6 +368,9 @@ class TestWeCommands:
         (ABE_SETUP[:1], write_policy("qubits 0\ninput 0\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCircuit"),
+        (ABE_SETUP[:1], write_policy("qubits 3\ninput -1\nX 0\n"),
+         ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
+         "MalformedCircuit"),
     ] + [(CVQC_SETUP, rewrap("setup", cvqc_toy_key(change)),
           ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext")
          for change in HOSTILE_TOY_KEYS.values()],
@@ -376,7 +379,7 @@ class TestWeCommands:
              "cvqc-verify-non-utf8-proof-proto", "cvqc-verify-unknown-proof-proto",
              "abe-enc-policy-without-count",
              "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy",
-             "abe-enc-policy-zero-qubits"]
+             "abe-enc-policy-zero-qubits", "abe-enc-policy-negative-input"]
         + [f"cvqc-verify-toy-key-{name}" for name in HOSTILE_TOY_KEYS])
     def test_consume_malformed_artifacts_exits_1(self, tmp, capsys, produce, corrupt, consume,
                                                  error):

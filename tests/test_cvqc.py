@@ -49,7 +49,9 @@ from qnk.errors import (
     MalformedProof,
 )
 from qnk.primitives import KEY_LEN, commit, ro_query
-from qnk.qma import Witness, fixture, ghz_witness, make_share_language, qma_verify
+from qnk.qma import (
+    Witness, fixture, ghz_witness, make_share_language, qma_verify, resolve_language,
+)
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, seal, unpack_fields, unseal
 
@@ -93,7 +95,8 @@ class TestOracleProtocol:
 
 class TestShareClaimJudge:
     """The classical part of a witness (commitment openings) reaches the
-    share language's verifier through `Witness.classical`."""
+    share language's verifier through `Witness.classical`, on the judge, the
+    QMA verifier and the TOY prover alike."""
 
     OPENINGS = [Drbg(b"share-judge").child(f"r{i}").bytes(KEY_LEN) for i in range(3)]
     COMMITMENTS = tuple(commit(bytes([i + 1]), r).payload for i, r in enumerate(OPENINGS))
@@ -113,11 +116,24 @@ class TestShareClaimJudge:
         assert not self.judge(a + bytes(2 * KEY_LEN))   # one party is not qualified
 
     def test_qma_verify_reads_the_classical_part(self):
-        L = self.CLAIM.base_language()
+        L = resolve_language(self.CLAIM.lang_ref)
         a, b, _ = self.OPENINGS
         for classical, want in ((a + b + bytes(KEY_LEN), 1), (bytes(3 * KEY_LEN), 0)):
             assert qma_verify(L, self.CLAIM.x, replace(Witness.empty(), classical=classical),
                               Drbg(12)) == want
+
+    def toy_run(self, classical: bytes) -> tuple[float, int]:
+        """(output-check probability, TOY verdict) of an honest TOY proof."""
+        witness = replace(Witness.empty(), classical=classical)
+        pp, r = toy_keygen(self.CLAIM, Drbg(13))
+        assert any(r.body.bases)   # the key checks at least one position
+        return (cvqc._output_check_probability(self.CLAIM, witness),
+                toy_verify(self.CLAIM, toy_prove(pp, witness, Drbg(14)), r))
+
+    def test_toy_prover_reads_the_classical_part(self):
+        a, b, _ = self.OPENINGS
+        assert self.toy_run(a + b + bytes(KEY_LEN)) == (1.0, 1)
+        assert self.toy_run(a + bytes(2 * KEY_LEN)) == (0.0, 0)
 
 
 class TestToyProtocol:

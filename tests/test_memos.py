@@ -215,14 +215,13 @@ def test_other_key_still_mismatches_after_a_memo_hit():
 def test_memoized_binomial_tail_is_exact(name):
     lang = fixture(name)
     for reps in range(1, 16, 2):
-        threshold = (reps + 1) // 2
         for p in (lang.alpha, lang.beta):
-            want = qma._binom_tail.__wrapped__(reps, p, threshold)
-            assert qma._binom_tail(reps, p, threshold) == want
-            assert qma._binom_tail(reps, p, threshold) == want
+            want = qma._binom_tail.__wrapped__(reps, p)
+            assert qma._binom_tail(reps, p) == want
+            assert qma._binom_tail(reps, p) == want
         amplified = qma.amplify(lang, reps)
-        assert amplified.alpha == qma._binom_tail.__wrapped__(reps, lang.alpha, threshold)
-        assert amplified.beta == qma._binom_tail.__wrapped__(reps, lang.beta, threshold)
+        assert amplified.alpha == qma._binom_tail.__wrapped__(reps, lang.alpha)
+        assert amplified.beta == qma._binom_tail.__wrapped__(reps, lang.beta)
 
 
 # ---------------------------------------------------------------------------

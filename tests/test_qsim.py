@@ -85,6 +85,12 @@ class TestRunCircuit:
         with pytest.raises(MalformedCircuit, match="qubit 0"):
             PseudoDetCircuit.from_bytes(pack_fields(text.encode(), b"\x01", bytes(16), bytes(16)))
 
+    def test_circuit_input_count_is_not_negative(self):
+        with pytest.raises(MalformedCircuit, match="negative"):
+            parse_circuit("qubits 3\ninput -1\nX 0\n")
+        with pytest.raises(MalformedCircuit, match="negative"):
+            QuantumCircuit(3, (), n_input=-1)
+
     def test_bad_gate_target(self):
         with pytest.raises(MalformedCircuit):
             QuantumCircuit(1, (("CNOT", (0, 1)),))

@@ -7,6 +7,8 @@ a reference and require the same bits, seed by seed, with witnesses whose
 acceptance probability lies strictly between 0 and 1, and count the
 simulations: one per call.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from qnk.cvqc import (
     toy_prove,
 )
 from qnk.qma import PseudoDetCircuit, Witness, amplify, fixture, make_policy_language, qma_verify
-from qnk.qsim import QuantumCircuit, StateVector, history_state, parse_circuit, run_circuit
+from qnk.qsim import (
+    QuantumCircuit, StateVector, accept_probability, history_state, parse_circuit, run_circuit,
+)
 from qnk.rand import Drbg
 
 SEEDS = range(200)
@@ -31,6 +35,9 @@ MIXED = StateVector(3, np.sqrt(0.6) * np.array([2 ** -0.5, 0, 0, 0, 0, 0, 0, 2 *
                     + np.sqrt(0.4) * np.array([2 ** -0.5, 0, 0, 0, 0, 0, 0, -2 ** -0.5]))
 # output probability (1 - cos(pi/4)) / 2
 HTH = parse_circuit("qubits 2\ninput 0\nH 0\nT 0\nH 0\n")
+# output probability 1/2
+H = parse_circuit("qubits 1\ninput 0\nH 0\n")
+MAP = (b"\x00" * 16, b"\xff" * 16)
 
 
 def reference_hits(circ, inp, reps: int, drbg: Drbg, prefix: str) -> int:
@@ -57,7 +64,7 @@ def test_judge_accepts_matches_per_rep_runs():
     verdicts = []
     for seed in SEEDS:
         drbg = Drbg(seed)
-        want = reference_hits(circ, MIXED, lang.reps, drbg, "judge") >= lang.threshold
+        want = reference_hits(circ, MIXED, lang.reps, drbg, "judge") > lang.reps // 2
         assert judge_accepts(claim, Witness(MIXED), drbg) == want, seed
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
@@ -70,14 +77,14 @@ def test_qma_verify_matches_per_rep_runs(reps):
     verdicts = []
     for seed in SEEDS:
         drbg = Drbg(seed)
-        want = 1 if reference_hits(circ, MIXED, L.reps, drbg, "rep") >= L.threshold else 0
+        want = 1 if reference_hits(circ, MIXED, L.reps, drbg, "rep") > L.reps // 2 else 0
         assert qma_verify(L, b"\x01", Witness(MIXED), drbg) == want, seed
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_pseudo_det_run_matches_per_rep_runs():
-    pd = PseudoDetCircuit(HTH, 3, (b"\x00" * 16, b"\xff" * 16))
+    pd = PseudoDetCircuit(HTH, 3, MAP)
     outs = []
     for seed in SEEDS:
         drbg = Drbg(seed)
@@ -88,10 +95,34 @@ def test_pseudo_det_run_matches_per_rep_runs():
     assert len(set(outs)) == 2
 
 
+def strict_majority_tail(p: float, reps: int) -> float:
+    """Probability that more than reps // 2 of reps draws read 1, summed over
+    every outcome pattern: the rule `PseudoDetCircuit.run` applies."""
+    return sum(p ** sum(bits) * (1 - p) ** (reps - sum(bits))
+               for bits in itertools.product((0, 1), repeat=reps) if sum(bits) > reps // 2)
+
+
+@pytest.mark.parametrize("circ", [H, HTH], ids=["H", "HTH"])
+@pytest.mark.parametrize("reps", range(6))
+def test_pseudo_det_certificate_is_the_tail_of_run(circ, reps):
+    pd = PseudoDetCircuit(circ, reps, MAP)
+    want = strict_majority_tail(accept_probability(circ, []), reps)
+    assert pd.decision_probability([]) == pytest.approx(want, abs=1e-12)
+
+
+def test_pseudo_det_even_reps_certificate_matches_the_draws():
+    """Two draws of a fair bit: `run` outputs decision 1 only when both read 1."""
+    pd = PseudoDetCircuit(H, 2, MAP)
+    assert pd.decision_probability([]) == pytest.approx(0.25)
+    ones = sum(pd.run([], Drbg(seed)) == MAP[1] for seed in range(2000))
+    assert abs(ones / 2000 - 0.25) < 0.04
+
+
 def test_toy_output_checks_match_per_position_history_states():
-    claim = claim_for(make_policy_language(HTH), b"")
+    lang = make_policy_language(HTH)
+    claim = claim_for(lang, b"")
     pp, _ = toy_keygen(claim, Drbg(0), ToyParams(variant=TOY_LINEAR))
-    circ = claim.base_language().verifier(claim.x)
+    circ = lang.verifier(claim.x)
     ones = 0
     for seed in SEEDS:
         drbg = Drbg(seed)
@@ -133,7 +164,7 @@ def test_toy_prove_simulates_once_per_call(monkeypatch, checked, sims):
 
 
 def test_judge_accepts_simulates_once(monkeypatch):
-    calls = count_calls(monkeypatch, cvqc, "accept_probability")
+    calls = count_calls(monkeypatch, qma, "accept_probability")
     judge_accepts(claim_for(GHZ, b"\x01"), Witness(MIXED), Drbg(1))
     assert len(calls) == 1
 
@@ -141,5 +172,5 @@ def test_judge_accepts_simulates_once(monkeypatch):
 def test_qma_verify_and_pseudo_det_run_simulate_once(monkeypatch):
     calls = count_calls(monkeypatch, qma, "accept_probability")
     qma_verify(amplify(GHZ, 5), b"\x01", Witness(MIXED), Drbg(1))
-    PseudoDetCircuit(HTH, 5, (b"\x00" * 16, b"\xff" * 16)).run([], Drbg(1))
+    PseudoDetCircuit(HTH, 5, MAP).run([], Drbg(1))
     assert len(calls) == 2

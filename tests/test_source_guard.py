@@ -31,6 +31,10 @@ A QMA witness is one `qma.Witness`, its classical part included, so no
 function takes the classical part as a parameter of its own.
 A program's structural rules are checked once, when its `Program` is made,
 so `_check_node(` is called only in `Program.__post_init__`.
+Amplified verification is one rule: `qma._majority` draws the repeated
+Born-rule bits and accepts on a strict majority, so no other function draws
+`sample_bit(` in a `for ... in range(` generator, and the threshold is derived
+from the repetition count, so no call passes `threshold=`.
 """
 import ast
 import re
@@ -39,6 +43,7 @@ from pathlib import Path
 SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "qnk").glob("*.py"))
 
 BYTEWISE_XOR = re.compile(r"\^.*\bfor\b.*\bin\s+zip\(")
+REPEATED_DRAW = re.compile(r"\bsample_bit\(.*\bfor\b.*\bin\s+range\(")
 
 
 def offending_lines(pattern, skip=()):
@@ -127,6 +132,26 @@ def test_classical_witness_travels_in_the_witness():
     assert params == []
 
 
+def test_majority_drawn_only_in_qma_majority():
+    drawers = []
+    for p in SRC:
+        text = p.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and any(
+                    REPEATED_DRAW.search(line)
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                drawers.append(f"{p.name}:{node.name}")
+    assert drawers == ["qma.py:_majority"]
+    assert len(offending_lines(REPEATED_DRAW)) == 1
+
+
+def test_no_threshold_keyword():
+    passed = [f"{p.name}:{node.lineno}" for p in SRC for node in ast.walk(ast.parse(p.read_text()))
+              if isinstance(node, ast.keyword) and node.arg == "threshold"]
+    assert passed == []
+
+
 def check_node_calls(tree) -> int:
     return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_node"
                for node in ast.walk(tree))
@@ -191,3 +216,9 @@ def test_hybrid_steps_checked_only_by_check_chain():
 def test_xor_pattern():
     assert BYTEWISE_XOR.search("    body = bytes(a ^ b for a, b in zip(data, pad))")
     assert not BYTEWISE_XOR.search("    for i, (c_i, r_i) in enumerate(zip(commitments, openings)):")
+
+
+def test_repeated_draw_pattern():
+    assert REPEATED_DRAW.search(
+        '    hits = sum(sample_bit(p1, drbg.child(f"judge{i}")) for i in range(lang.reps))')
+    assert not REPEATED_DRAW.search('            e = 1 - sample_bit(p1, pd.child("measure"))')
