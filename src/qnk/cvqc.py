@@ -265,11 +265,7 @@ class CvqcProof:
 
 def judge_accepts(claim: Claim, witness: Witness, drbg: Drbg) -> bool:
     """Majority verdict of the amplified claim circuit on the witness."""
-    lang = claim.language()
-    if witness.copies < lang.reps:
-        raise JudgeReject(
-            f"only {witness.copies} witness copies for {lang.reps} repetitions")
-    return qma_verify(lang, claim.x, witness, drbg, label="judge") == 1
+    return qma_verify(claim.language(), claim.x, witness, drbg) == 1
 
 
 # ---------------------------------------------------------------------------

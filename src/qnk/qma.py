@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .errors import MalformedCiphertext, NotMonotone, WidthMismatch
+from .errors import JudgeReject, MalformedCiphertext, NotMonotone, WidthMismatch
 from .memo import memo
 from .primitives import KEY_LEN, commit
 from .qsim import QuantumCircuit, StateVector, accept_probability, format_circuit, parse_circuit, sample_bit
@@ -97,22 +97,22 @@ def _majority(p1: float, reps: int, drbg: Drbg, label: str) -> int:
     return 1 if hits > reps // 2 else 0
 
 
-def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg, label: str = "rep") -> int:
+def qma_verify(L: QmaLanguage, x: bytes, w: Witness, drbg: Drbg) -> int:
     """Sample the (possibly amplified) verifier; consumes one witness copy per
-    repetition."""
+    repetition, so a witness with fewer copies than `L.reps` is rejected."""
     if w.state.n_qubits != L.witness_qubits:
         raise WidthMismatch(
             f"witness has {w.state.n_qubits} qubits, language takes {L.witness_qubits}")
+    if w.copies < L.reps:
+        raise JudgeReject(f"only {w.copies} witness copies for {L.reps} repetitions")
     p1 = accept_probability(L.verifier(x, w.classical), w.state if L.witness_qubits else [])
-    return _majority(p1, L.reps, drbg, label)
+    return _majority(p1, L.reps, drbg, "judge")
 
 
-def exact_accept_probability(L: QmaLanguage, x: bytes,
-                             state: StateVector | None = None) -> float:
-    """Exact amplified acceptance probability of the given witness state."""
-    circ = L.verifier(x)
-    inp = state if (state is not None and state.n_qubits > 0) else []
-    p = accept_probability(circ, inp)
+def exact_accept_probability(L: QmaLanguage, x: bytes, w: Witness) -> float:
+    """Exact amplified acceptance probability of the witness, classical part
+    included."""
+    p = accept_probability(L.verifier(x, w.classical), w.state if L.witness_qubits else [])
     return _binom_tail(L.reps, p)
 
 

@@ -50,7 +50,8 @@ from qnk.errors import (
 )
 from qnk.primitives import KEY_LEN, commit, ro_query
 from qnk.qma import (
-    Witness, fixture, ghz_witness, make_share_language, qma_verify, resolve_language,
+    Witness, exact_accept_probability, fixture, ghz_witness, make_share_language, qma_verify,
+    resolve_language,
 )
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, seal, unpack_fields, unseal
@@ -96,7 +97,7 @@ class TestOracleProtocol:
 class TestShareClaimJudge:
     """The classical part of a witness (commitment openings) reaches the
     share language's verifier through `Witness.classical`, on the judge, the
-    QMA verifier and the TOY prover alike."""
+    QMA verifier, its exact certificate and the TOY prover alike."""
 
     OPENINGS = [Drbg(b"share-judge").child(f"r{i}").bytes(KEY_LEN) for i in range(3)]
     COMMITMENTS = tuple(commit(bytes([i + 1]), r).payload for i, r in enumerate(OPENINGS))
@@ -121,6 +122,13 @@ class TestShareClaimJudge:
         for classical, want in ((a + b + bytes(KEY_LEN), 1), (bytes(3 * KEY_LEN), 0)):
             assert qma_verify(L, self.CLAIM.x, replace(Witness.empty(), classical=classical),
                               Drbg(12)) == want
+
+    def test_exact_certificate_reads_the_classical_part(self):
+        L = resolve_language(self.CLAIM.lang_ref)
+        a, b, _ = self.OPENINGS
+        for classical, want in ((a + b + bytes(KEY_LEN), 1.0), (a + bytes(2 * KEY_LEN), 0.0)):
+            assert exact_accept_probability(
+                L, self.CLAIM.x, replace(Witness.empty(), classical=classical)) == want
 
     def toy_run(self, classical: bytes) -> tuple[float, int]:
         """(output-check probability, TOY verdict) of an honest TOY proof."""

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from qnk.errors import MalformedCiphertext, MalformedCircuit, NotMonotone, WidthMismatch
+from qnk.errors import (
+    JudgeReject, MalformedCiphertext, MalformedCircuit, NotMonotone, WidthMismatch,
+)
 from qnk.qma import (
     PseudoDetCircuit,
     QmaLanguage,
@@ -49,21 +51,28 @@ class TestParityFixture:
 class TestGhzFixture:
     def test_ghz_accepted_with_certainty(self):
         L = fixture("ghz")
-        assert exact_accept_probability(L, b"\x01", ghz_witness()) == pytest.approx(1.0)
+        assert exact_accept_probability(L, b"\x01", Witness(ghz_witness())) == pytest.approx(1.0)
 
     def test_phase_flipped_ghz_rejected(self):
         L = fixture("ghz")
         minus = StateVector(3, [2 ** -0.5, 0, 0, 0, 0, 0, 0, -(2 ** -0.5)])
-        assert exact_accept_probability(L, b"\x01", minus) == pytest.approx(0.0)
+        assert exact_accept_probability(L, b"\x01", Witness(minus)) == pytest.approx(0.0)
 
     def test_no_instance_rejects_everything(self):
         L = fixture("ghz")
-        assert exact_accept_probability(L, b"\x00", ghz_witness()) == pytest.approx(0.0)
+        assert exact_accept_probability(L, b"\x00", Witness(ghz_witness())) == pytest.approx(0.0)
 
     def test_width_mismatch(self):
         L = fixture("ghz")
         with pytest.raises(WidthMismatch):
             qma_verify(L, b"\x01", Witness.empty(), Drbg(3))
+
+    def test_copies_checked_after_width(self):
+        L = amplify(fixture("ghz"), 5)
+        with pytest.raises(JudgeReject):
+            qma_verify(L, b"\x01", Witness(ghz_witness(), copies=4), Drbg(3))
+        with pytest.raises(WidthMismatch):
+            qma_verify(L, b"\x01", Witness.empty(copies=4), Drbg(3))
 
     def test_sampled_acceptance_matches_exact(self):
         L = fixture("ghz")
@@ -172,7 +181,7 @@ class TestReferences:
 
     def test_null_language_rejects(self):
         L = make_null_language(3)
-        assert exact_accept_probability(L, b"\x01", ghz_witness()) == pytest.approx(0.0)
+        assert exact_accept_probability(L, b"\x01", Witness(ghz_witness())) == pytest.approx(0.0)
 
 
 class TestPseudoDet:

@@ -77,7 +77,7 @@ def test_qma_verify_matches_per_rep_runs(reps):
     verdicts = []
     for seed in SEEDS:
         drbg = Drbg(seed)
-        want = 1 if reference_hits(circ, MIXED, L.reps, drbg, "rep") > L.reps // 2 else 0
+        want = 1 if reference_hits(circ, MIXED, L.reps, drbg, "judge") > L.reps // 2 else 0
         assert qma_verify(L, b"\x01", Witness(MIXED), drbg) == want, seed
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
