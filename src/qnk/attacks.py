@@ -33,11 +33,13 @@ _MAX_STATS_BODIES = 16  # encodings a stats adapter keeps; the attack needs 2
 class AttackTranscript:
     queries: list = field(default_factory=list)   # (encoded proof, verdict)
     recovered: tuple = ()
-    query_count: int = 0
+
+    @property
+    def query_count(self) -> int:
+        return len(self.queries)
 
     def record(self, encoded: bytes, verdict: int) -> int:
         self.queries.append((encoded, verdict))
-        self.query_count += 1
         return verdict
 
     def to_json(self) -> str:

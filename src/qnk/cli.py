@@ -159,7 +159,9 @@ def cmd_cvqc(args) -> int:
         return _saved(args, "cvqc.proof",
                       pack_fields(setup.pp.proto.encode(), proof.encode(setup.pp.proto)))
     proto_b, blob = unpack_fields(_load(args, "proof", "cvqc.proof"), 2)
-    proto = choice(proto_b, cvqc.PROTOCOLS)
+    proto = setup.pp.proto
+    if choice(proto_b, cvqc.PROTOCOLS) != proto:
+        return _verdict("accept", 0)  # a proof of the other protocol does not verify
     proof = cvqc.CvqcProof.decode(proto, blob)
     if setup.td is not None and setup.r is None:
         bit = cvqc.td_verify(setup.claim, proof, setup.td, setup.oracle, proto)

@@ -214,15 +214,10 @@ class CvqcVerifyKey:
 # ---------------------------------------------------------------------------
 # proof encodings (canonical layouts in FORMATS.md)
 
-REJECT_MARK = b"R"
-
-
 def encode_base_proof(proto: str, pi) -> bytes:
     # TOY first: one compare on the path every sealed TOY query takes
     if proto != PROTO_TOY and proto != PROTO_ORACLE:
         raise DomainMismatch(f"unknown proof protocol {proto!r}")
-    if pi == REJECT_MARK:
-        return REJECT_MARK
     if proto == PROTO_ORACLE:
         return b"O" + pi
     return b"T" + bytes([len(pi), *[v for b, d in pi for v in (b, d)]])
@@ -231,8 +226,6 @@ def encode_base_proof(proto: str, pi) -> bytes:
 def decode_base_proof(proto: str, blob: bytes):
     if proto != PROTO_TOY and proto != PROTO_ORACLE:
         raise DomainMismatch(f"unknown proof protocol {proto!r}")
-    if blob[:1] == REJECT_MARK:
-        raise MalformedProof("prover emitted a reject marker")
     if proto == PROTO_ORACLE:
         if blob[:1] != b"O" or len(blob) != 17:
             raise MalformedProof("bad tag proof encoding")
@@ -247,16 +240,15 @@ def decode_base_proof(proto: str, blob: bytes):
 @dataclass(frozen=True)
 class CvqcProof:
     pi: object          # bytes tag (ORACLE) or ((b, d), ...) (TOY)
-    h: bytes | None = None  # 17-byte oracle digest in the dual-mode layer
+    h: bytes = b""      # 17-byte oracle digest in the dual-mode layer; empty outside it
 
     def encode(self, proto: str) -> bytes:
-        return pack_fields(encode_base_proof(proto, self.pi),
-                           self.h if self.h is not None else b"")
+        return pack_fields(encode_base_proof(proto, self.pi), self.h)
 
     @classmethod
     def decode(cls, proto: str, blob: bytes) -> "CvqcProof":
         pi_bytes, h = unpack_fields(blob, 2)
-        return cls(decode_base_proof(proto, pi_bytes), h if h else None)
+        return cls(decode_base_proof(proto, pi_bytes), h)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +479,14 @@ def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg) -> CvqcProo
 
 def star_verify(claim: Claim, proof: CvqcProof, r: CvqcVerifyKey, oracle) -> int:
     enc = encode_base_proof(r.proto, proof.pi)
-    if proof.h is None or ro_query(oracle, enc) != proof.h:
+    if ro_query(oracle, enc) != proof.h:
         return 0
     return base_verify(claim, proof.pi, r)
 
 
 def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) -> int:
     enc = encode_base_proof(proto, proof.pi)
-    if proof.h is None or ro_query(oracle, enc) != proof.h:
+    if ro_query(oracle, enc) != proof.h:
         return 0
     return (proof.h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
 
@@ -686,7 +678,7 @@ def _challenge_d(c: bytes, i: int, w: int) -> int:
     return prf_eval(PrfKey(c), b"d" + bytes([i]))[0] % (1 << w)
 
 
-def _toy_prove2(pp: CvqcParams, y: bytes, c: bytes, state: bytes):
+def _toy_prove2(pp: CvqcParams, c: bytes, state: bytes):
     claim, bases, secrets, K, w, tau, variant = _toy_open_pp(pp)
     pairs = []
     for i in range(K):
@@ -695,7 +687,7 @@ def _toy_prove2(pp: CvqcParams, y: bytes, c: bytes, state: bytes):
     return tuple(pairs)
 
 
-def _toy_verify4(claim: Claim, y: bytes, c: bytes, pi, r: CvqcVerifyKey) -> int:
+def _toy_verify4(claim: Claim, c: bytes, pi, r: CvqcVerifyKey) -> int:
     vk = r.body
     for i, (b, d) in enumerate(pi):
         if d != _challenge_d(c, i, vk.w):
@@ -749,7 +741,7 @@ def blind_prove(bp: BlindParams, witness: Witness, oracle, drbg: Drbg) -> BlindP
 
     def prove2(carried: bytes) -> bytes:
         padded_pp, y, st = unpack_fields(carried, 3)
-        pi = _toy_prove2(_unpad_pp(padded_pp), y, c, st)
+        pi = _toy_prove2(_unpad_pp(padded_pp), c, st)
         return pack_fields(y, encode_base_proof(PROTO_TOY, pi))
 
     ct_pi = qfhe.qfhe_eval(bp.pk, prove2, ct_y, drbg.child("eval2"))
@@ -760,8 +752,8 @@ def blind_verify(claim: Claim, proof: BlindProof, bvk: BlindVerifyKey, oracle) -
     if ro_query(oracle, b"challenge" + proof.ct_y.payload)[:KEY_LEN] != proof.c:
         return 0
     try:
-        y, pi_bytes = unpack_fields(qfhe.qfhe_dec(bvk.sk, proof.ct_pi), 2)
+        _, pi_bytes = unpack_fields(qfhe.qfhe_dec(bvk.sk, proof.ct_pi), 2)
         pi = decode_base_proof(PROTO_TOY, pi_bytes)
     except (MalformedCiphertext, MalformedProof):
         return 0
-    return _toy_verify4(claim, y, proof.c, pi, bvk.r)
+    return _toy_verify4(claim, proof.c, pi, bvk.r)

@@ -168,15 +168,10 @@ def _build_encryptor_program(mpk_blob: bytes, policy: QmaLanguage, m: bytes,
     return b.build([out])
 
 
-def abe_enc(keys_mpk: SealedProgram, policy: QmaLanguage, m: bytes, seed,
+def abe_enc(mpk_blob: bytes, policy: QmaLanguage, m: bytes, seed,
             attr_len: int) -> AbeCiphertext:
-    """Encrypt to a policy language over attributes; decryptable by keys whose
-    attribute the policy accepts."""
-    return _abe_enc_blob(keys_mpk.to_bytes(), policy, m, seed, attr_len)
-
-
-def _abe_enc_blob(mpk_blob: bytes, policy: QmaLanguage, m: bytes, seed,
-                  attr_len: int) -> AbeCiphertext:
+    """Encrypt to a policy language over attributes under the serialized mpk;
+    decryptable by keys whose attribute the policy accepts."""
     r = prf_gen(Drbg(seed).child("abe-enc").child("r"), 16)
     program = _build_encryptor_program(mpk_blob, policy, m, r)
     budget = _encryptor_budget(attr_len)
@@ -185,7 +180,7 @@ def _abe_enc_blob(mpk_blob: bytes, policy: QmaLanguage, m: bytes, seed,
 
 
 def abe_enc_circuit(keys: AbeKeys, Q: QuantumCircuit, m: bytes, seed) -> AbeCiphertext:
-    return abe_enc(keys.mpk, make_policy_language(Q), m, seed, keys.attr_len)
+    return abe_enc(keys.mpk.to_bytes(), make_policy_language(Q), m, seed, keys.attr_len)
 
 
 def abe_dec(sk: AbeSecretKey, ct: AbeCiphertext, drbg: Drbg):
@@ -206,16 +201,9 @@ def kp_gen(seed) -> AbeKeys:
     return abe_gen(KP_ATTR_LEN, seed)
 
 
-def kp_keygen(keys: AbeKeys, policy_id: int) -> AbeSecretKey:
-    return abe_keygen(keys, policy_id)
-
-
 def kp_enc(keys_mpk: SealedProgram, x_attr: bytes, m: bytes, seed) -> AbeCiphertext:
-    return abe_enc(keys_mpk, make_universal_language(x_attr), m, seed, KP_ATTR_LEN)
-
-
-def kp_dec(sk: AbeSecretKey, ct: AbeCiphertext, drbg: Drbg):
-    return abe_dec(sk, ct, drbg)
+    return abe_enc(keys_mpk.to_bytes(), make_universal_language(x_attr), m, seed,
+                   KP_ATTR_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +461,7 @@ def pe_dec(sk: AbeSecretKey, ct: PeCiphertext):
 def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
     _decode_sealed(mpk_blob)  # a malformed mpk fails here, not at decryption
-    return _abe_enc_blob(mpk_blob, make_universal_language(x), m, coins,
-                         KP_ATTR_LEN).to_bytes()
+    return abe_enc(mpk_blob, make_universal_language(x), m, coins, KP_ATTR_LEN).to_bytes()
 
 
 register_gate("ABE_ENC", _gate_abe_kp_enc)
@@ -519,14 +506,14 @@ def cprf_eval(keys: CprfKeys, x) -> bytes:
 
 
 def cprf_constrain(keys: CprfKeys, policy_id: int) -> AbeSecretKey:
-    return kp_keygen(keys.abe, policy_id)
+    return abe_keygen(keys.abe, policy_id)
 
 
 def cprf_ceval(pp: SealedProgram, k_q: AbeSecretKey, x, drbg: Drbg):
     """Constrained evaluation: returns the PRF value, or None when the key's
     policy rejects the input."""
     ct_bytes = pp.run(attr_wire(x, CPRF_INPUT_BITS))
-    return kp_dec(k_q, AbeCiphertext.from_bytes(ct_bytes), drbg)
+    return abe_dec(k_q, AbeCiphertext.from_bytes(ct_bytes), drbg)
 
 
 def cprf_hybrids(k: PrfKey, k_tilde: PrfKey, mpk_blob: bytes, x_star: bytes,
@@ -595,8 +582,7 @@ def ss_share(L: QmaLanguage, N: int, s: int, seed) -> ShareSet:
         raise WidthMismatch("access language width must equal the party count")
     drbg = Drbg(seed).child("share")
     openings = [drbg.child(f"r{i}").bytes(KEY_LEN) for i in range(N)]
-    commitments = tuple(commit(bytes([i + 1]), openings[i]).payload
-                        for i in range(N))
+    commitments = tuple(commit(bytes([i + 1]), openings[i]) for i in range(N))
     derived = make_share_language(L, commitments)
     statement = b"".join(commitments)
     ct = we_enc(derived, statement, s, drbg.child("we").bytes(16))

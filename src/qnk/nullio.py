@@ -212,7 +212,6 @@ class VbbNullCircuit:
     sealed_C: SealedProgram
     sim: object
     q_digest: bytes
-    proto: str
     min_copies: int
     escrow_key: PrfKey = field(repr=False, compare=False)
 
@@ -253,7 +252,7 @@ def nio_obf_vbb(claim: Claim, seed, proto: str = PROTO_ORACLE) -> VbbNullCircuit
     program = b.build([out])
 
     sealed, sim = obf_vbb(program, program.size + 4)
-    return VbbNullCircuit(pp, sealed, sim, claim.digest(), proto, claim.reps, k)
+    return VbbNullCircuit(pp, sealed, sim, claim.digest(), claim.reps, k)
 
 
 def nio_eval_vbb(obf: VbbNullCircuit, witness: Witness, drbg: Drbg) -> int:
@@ -265,7 +264,7 @@ def nio_eval_vbb(obf: VbbNullCircuit, witness: Witness, drbg: Drbg) -> int:
         proof = star_prove(obf.pp, witness, oracle, drbg.child("prove"))
     except JudgeReject:
         return 0
-    return 1 if obf.sealed_C.run(b"\x01", proof.encode(obf.proto)) == b"\x01" else 0
+    return 1 if obf.sealed_C.run(b"\x01", proof.encode(obf.pp.proto)) == b"\x01" else 0
 
 
 # ---------------------------------------------------------------------------

@@ -182,26 +182,18 @@ def ggm_eval_punct(kz: PuncturedKey, x) -> bytes:
 # keyed-hash collision resistance; computational at this scale)
 
 
-@dataclass(frozen=True)
-class Commitment:
-    payload: bytes
-
-    def __post_init__(self):
-        if len(self.payload) != 2 * DIGEST_LEN:
-            raise MessageTooLong("commitment payload must be two digests long")
-
-
-def commit(m: bytes, r: bytes) -> Commitment:
+def commit(m: bytes, r: bytes) -> bytes:
+    """The 64-byte commitment PRG(r) || HMAC(r, m)."""
     if len(m) > 64:
         raise MessageTooLong(f"message of {len(m)} bytes exceeds 64")
     if len(r) != KEY_LEN:
         raise DomainMismatch("commitment randomness must be 16 bytes")
-    return Commitment(prg(r, DIGEST_LEN) + _hmac(r, m))
+    return prg(r, DIGEST_LEN) + _hmac(r, m)
 
 
-def verify_open(c: Commitment, m: bytes, r: bytes) -> bool:
+def verify_open(c: bytes, m: bytes, r: bytes) -> bool:
     try:
-        return commit(m, r).payload == c.payload
+        return commit(m, r) == c
     except MessageTooLong:
         return False
 
@@ -221,10 +213,8 @@ class RandomOracle:
     bit with F(td, x) XOR verify(x); SIMGEN with F(td, x) alone. The first 16
     bytes agree bit-exactly across all three modes for a fixed seed.
 
-    The memo table supports concurrent insert-if-absent without a lock:
-    `dict.setdefault` with a bytes key runs no Python code, so it is atomic,
-    the first computed answer wins and every reader sees it (answers are
-    deterministic, so racing writers agree).
+    `table` memoizes the answers: each input is answered once, and since the
+    answers are deterministic a repeated query returns the same bytes.
     """
 
     def __init__(self, seed: bytes, mode: str = MODE_UNIFORM,
@@ -288,7 +278,7 @@ def sbsh_gen(drbg: Drbg) -> tuple[bytes, bytes]:
     return ck0, gen_rand
 
 
-def sbsh_key(ck0: bytes, drbg: Drbg) -> bytes:
+def sbsh_key(drbg: Drbg) -> bytes:
     return drbg.bytes(KEY_LEN)
 
 

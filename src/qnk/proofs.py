@@ -66,9 +66,8 @@ PROOF_LEN = KEY_LEN
 class NizkCrs:
     p_prog: SealedProgram    # statement -> serialized WE ciphertext
     v_prog: SealedProgram    # (statement, candidate) -> verdict byte
-    stmt_bytes: int
     lang_ref: bytes
-    escrow: dict = field(repr=False, default=None)  # test-only setup randomness
+    escrow: dict = field(repr=False)  # setup randomness: `nizk_sim` and the hybrids read it
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.p_prog.to_bytes() + self.v_prog.to_bytes()).digest()
@@ -112,7 +111,6 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
     return NizkCrs(
         p_prog=obf_io(prf_encryptor("WE_ENC", _we_cfg(L), k0, k1, None), p_budget),
         v_prog=obf_io(_build_v_program(k0), v_budget),
-        stmt_bytes=domain // 8,
         lang_ref=L.ref,
         escrow={"k0": k0, "k1": k1, "lang": L, "seed": seed},
     )
@@ -135,8 +133,6 @@ def nizk_verify(crs: NizkCrs, proof: NizkProof, x: bytes) -> int:
 def nizk_sim(crs: NizkCrs, x: bytes) -> NizkProof:
     """Simulation from the setup randomness: the proof is the PRF value the
     honest prover would decrypt."""
-    if crs.escrow is None:
-        raise ProofFailed("simulator needs the setup-randomness escrow")
     L = resolve_language(crs.lang_ref)
     return NizkProof(ggm_eval(crs.escrow["k0"], _encode_stmt(L, x)))
 
@@ -204,8 +200,6 @@ def _nizk_budgets(domain: int) -> tuple[int, int]:
 
 
 def nizk_hybrid_family(crs: NizkCrs, x_star: bytes) -> dict[str, Program]:
-    if crs.escrow is None:
-        raise ProofFailed("hybrid family needs the setup-randomness escrow")
     return nizk_hybrid_programs(
         crs.escrow["lang"], crs.escrow["k0"], crs.escrow["k1"], x_star,
         Drbg(crs.escrow["seed"]).child("hybrids"))
@@ -252,10 +246,6 @@ class ZapScheme(NiwiScheme):
         return super()._tag(rel, self.crs + b"|" + x)
 
 
-def zap_setup(drbg: Drbg) -> ZapScheme:
-    return ZapScheme(drbg)
-
-
 # ---------------------------------------------------------------------------
 # ZAPR
 
@@ -273,7 +263,7 @@ class ZaprCrs:
     niwi: NiwiScheme
     setup_proof: bytes
     lang_ref: bytes
-    escrow: dict = field(repr=False, default=None)
+    escrow: dict = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -321,7 +311,7 @@ def _main_relation(crs: ZaprCrs) -> Relation:
     return Relation("zapr-main", check)
 
 
-def _main_stmt(crs: ZaprCrs, x: bytes, proof: ZaprProof) -> bytes:
+def _main_stmt(x: bytes, proof: ZaprProof) -> bytes:
     return pack_fields(x, proof.ck1, proof.c_nizk, proof.c_owf)
 
 
@@ -332,7 +322,7 @@ def zapr_setup(L: QmaLanguage, seed) -> ZaprCrs:
     x0 = drbg.child("x0").bytes(KEY_LEN)
     x1 = drbg.child("x1").bytes(KEY_LEN)
     ck0, gen_rand = sbsh_gen(drbg.child("sbsh"))
-    zap = zap_setup(drbg.child("zap"))
+    zap = ZapScheme(drbg.child("zap"))
     niwi = NiwiScheme(drbg.child("niwi"))
     crs = ZaprCrs(crs0, crs1, owf(x0), owf(x1), ck0, zap, niwi, b"", L.ref,
                   escrow={"gen_rand": gen_rand, "x0": x0, "x1": x1})
@@ -346,33 +336,28 @@ def zapr_prove(crs: ZaprCrs, witness: Witness, x: bytes, drbg: Drbg) -> ZaprProo
     if crs.niwi.verify(_setup_relation(L), crs.setup_proof, _setup_stmt(crs)) != 1:
         raise SetupProofInvalid("reference-string consistency proof rejected")
     half = Witness(witness.state, witness.copies // 2, witness.classical)
-    pis = []
-    for idx, sub_crs in enumerate((crs.crs0, crs.crs1)):
+    # each reference string proves on its own child stream, so a proof's bytes
+    # do not depend on whether the other string was tried
+    for b, sub_crs in enumerate((crs.crs0, crs.crs1)):
         try:
-            pi = nizk_prove(sub_crs, half, x, drbg.child(f"nizk{idx}"))
+            pi = nizk_prove(sub_crs, half, x, drbg.child(f"nizk{b}"))
         except ProofFailed:
-            pi = None
-        pis.append(pi)
-    b = None
-    for idx, pi in enumerate(pis):
-        if pi is not None and nizk_verify((crs.crs0, crs.crs1)[idx], pi, x) == 1:
-            b = idx
+            continue
+        if nizk_verify(sub_crs, pi, x) == 1:
             break
-    if b is None:
+    else:
         raise NoValidNizk("neither reference string yielded a verifying proof")
-    ck1 = sbsh_key(crs.ck0, drbg.child("ck1"))
+    ck1 = sbsh_key(drbg.child("ck1"))
     keys = SbshKeys(crs.ck0, ck1)
     r1 = drbg.child("r1").bytes(KEY_LEN)
     r2 = drbg.child("r2").bytes(KEY_LEN)
-    c_nizk = sbsh_com(keys, bytes([b]) + pis[b].pi, r1)
+    c_nizk = sbsh_com(keys, bytes([b]) + pi.pi, r1)
     c_owf = sbsh_com(keys, bytes(_SBSH_MSG_LEN), r2)
     proof = ZaprProof(ck1, c_nizk, c_owf, b"")
-    zap_witness = pack_fields(b"A", bytes([b]) + pis[b].pi, r1)
-    zap_proof = crs.zap.prove(_main_relation(crs), _main_stmt(crs, x, proof),
-                              zap_witness)
+    zap_witness = pack_fields(b"A", bytes([b]) + pi.pi, r1)
+    zap_proof = crs.zap.prove(_main_relation(crs), _main_stmt(x, proof), zap_witness)
     return ZaprProof(ck1, c_nizk, c_owf, zap_proof)
 
 
 def zapr_verify(crs: ZaprCrs, proof: ZaprProof, x: bytes) -> int:
-    return crs.zap.verify(_main_relation(crs), proof.zap_proof,
-                          _main_stmt(crs, x, proof))
+    return crs.zap.verify(_main_relation(crs), proof.zap_proof, _main_stmt(x, proof))

@@ -213,10 +213,6 @@ def make_threshold_language(n: int, t: int) -> QmaLanguage:
                        pack_fields(b"th", bytes([n, t])), classify=classify)
 
 
-def make_threshold23_language() -> QmaLanguage:
-    return make_threshold_language(3, 2)
-
-
 def make_null_language(p: int) -> QmaLanguage:
     """Rejects every input: the output qubit is a fresh ancilla never touched."""
 
@@ -256,7 +252,7 @@ def make_share_language(inner: QmaLanguage, commitments: tuple[bytes, ...]) -> Q
         openings = [cw[i * KEY_LEN:(i + 1) * KEY_LEN] for i in range(N)]
         bits = 0
         for i, (c_i, r_i) in enumerate(zip(commitments, openings)):
-            if len(r_i) == KEY_LEN and commit(bytes([i + 1]), r_i).payload == c_i:
+            if len(r_i) == KEY_LEN and commit(bytes([i + 1]), r_i) == c_i:
                 bits |= 1 << (N - 1 - i)
         subset = bits.to_bytes((inner.statement_bits + 7) // 8, "big")
         return inner.verifier(subset)
@@ -298,7 +294,7 @@ FIXTURES = {
     "par4": lambda: make_parity_language(4),
     "par8": lambda: make_parity_language(8),
     "ghz": make_ghz_language,
-    "th23": make_threshold23_language,
+    "th23": lambda: make_threshold_language(3, 2),
     "null0": lambda: make_null_language(0),
     "null3": lambda: make_null_language(3),
 }

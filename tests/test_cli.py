@@ -419,6 +419,25 @@ class TestCvqcCommands:
         main(["cvqc", "prove", "--setup", str(sim), "--seed", "8", "--out", str(proof)])
         assert main(["cvqc", "verify", "--setup", str(sim), "--proof", str(proof)]) == 1
 
+    # (setup argv, protocol of the proof's own setup): the proof names the
+    # other protocol, so it does not verify under the setup
+    @pytest.mark.parametrize("setup_argv, proof_proto", [
+        (["keygen", "--proto", "oracle"], "toy"),
+        (["keygen", "--proto", "toy"], "oracle"),
+        (["tdgen", "--proto", "toy"], "oracle"),
+    ], ids=["oracle-setup-toy-proof", "toy-setup-oracle-proof", "toy-tdgen-oracle-proof"])
+    def test_proof_of_the_other_protocol_is_rejected(self, tmp, capsys, setup_argv,
+                                                    proof_proto):
+        setup, other, proof = tmp / "s.bin", tmp / "o.bin", tmp / "p.bin"
+        assert main(["cvqc", *setup_argv, "--x", "07", "--seed", "5", "--out", str(setup)]) == 0
+        assert main(["cvqc", "keygen", "--proto", proof_proto, "--x", "07", "--seed", "6",
+                     "--out", str(other)]) == 0
+        assert main(["cvqc", "prove", "--setup", str(other), "--seed", "7",
+                     "--out", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["cvqc", "verify", "--setup", str(setup), "--proof", str(proof)]) == 1
+        assert capsys.readouterr().out.splitlines() == ['{"status": "ok", "accept": 0}']
+
     def test_no_instance_prove_fails(self, tmp, capsys):
         setup = tmp / "s.bin"
         main(["cvqc", "keygen", "--proto", "oracle", "--x", "03", "--seed", "9",

@@ -100,7 +100,7 @@ class TestShareClaimJudge:
     QMA verifier, its exact certificate and the TOY prover alike."""
 
     OPENINGS = [Drbg(b"share-judge").child(f"r{i}").bytes(KEY_LEN) for i in range(3)]
-    COMMITMENTS = tuple(commit(bytes([i + 1]), r).payload for i, r in enumerate(OPENINGS))
+    COMMITMENTS = tuple(commit(bytes([i + 1]), r) for i, r in enumerate(OPENINGS))
     CLAIM = claim_for(make_share_language(fixture("th23"), COMMITMENTS), b"".join(COMMITMENTS))
 
     def judge(self, classical: bytes) -> bool:
@@ -177,6 +177,12 @@ class TestToyProtocol:
         pi = toy_prove(pp, Witness.empty(), Drbg(14))
         with pytest.raises(MalformedProof):
             toy_verify(YES, pi[:-1], r)
+
+    @pytest.mark.parametrize("proto", sorted(cvqc.PROTOCOLS))
+    def test_unknown_proof_tag_is_malformed(self, proto):
+        for blob in (b"", b"R", b"R" + bytes(16), b"S" + bytes(18)):
+            with pytest.raises(MalformedProof):
+                decode_base_proof(proto, blob)
 
     def test_proof_encoding_roundtrip(self):
         pp, _ = toy_keygen(YES, Drbg(15))
@@ -615,8 +621,8 @@ class TestBlindWrapper:
             # unblinded replay with the same prover randomness
             pp, r = toy_keygen(YES, Drbg(800 + s).child("keygen"))
             y, st = _toy_prove1(pp, Witness.empty(), Drbg(900 + s).child("prove1"))
-            pi = _toy_prove2(pp, y, proof.c, st)
-            clear_bit = _toy_verify4(YES, y, proof.c, pi, r)
+            pi = _toy_prove2(pp, proof.c, st)
+            clear_bit = _toy_verify4(YES, proof.c, pi, r)
             assert blind_bit == clear_bit == 1
             # and the decrypted transcript matches the clear one
             dec_y, dec_pi = unpack_fields(qfhe_dec(bvk.sk, proof.ct_pi), 2)

@@ -77,10 +77,8 @@ TOY_PI = BASE_PROOFS[cvqc.PROTO_TOY]
 # name -> call(proto) for every codec that takes a protocol name
 PROOF_CODECS = {
     "encode_base_proof": lambda proto: cvqc.encode_base_proof(proto, TOY_PI),
-    "encode_reject_mark": lambda proto: cvqc.encode_base_proof(proto, cvqc.REJECT_MARK),
     "decode_base_proof": lambda proto: cvqc.decode_base_proof(
         proto, cvqc.encode_base_proof(cvqc.PROTO_TOY, TOY_PI)),
-    "decode_reject_mark": lambda proto: cvqc.decode_base_proof(proto, cvqc.REJECT_MARK),
     "CvqcProof.encode": lambda proto: cvqc.CvqcProof(TOY_PI).encode(proto),
     "CvqcProof.decode": lambda proto: cvqc.CvqcProof.decode(
         proto, cvqc.CvqcProof(TOY_PI, b"h" * 17).encode(cvqc.PROTO_TOY)),

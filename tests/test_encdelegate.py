@@ -35,10 +35,8 @@ from qnk.encdelegate import (
     cprf_eval,
     cprf_gen,
     cprf_hybrids,
-    kp_dec,
     kp_enc,
     kp_gen,
-    kp_keygen,
     pe_dec,
     pe_enc,
     qlock_eval,
@@ -122,12 +120,12 @@ class TestKeyPolicy:
     def test_policy_key_decrypts_matching_attribute(self):
         kpk = kp_gen(9)
         ct = kp_enc(kpk.mpk, attr_wire(0b0111, 4), b"\x42", 10)
-        assert kp_dec(kp_keygen(kpk, 1), ct, Drbg(11)) == b"\x42"
+        assert abe_dec(abe_keygen(kpk, 1), ct, Drbg(11)) == b"\x42"
 
     def test_rejecting_policy(self):
         kpk = kp_gen(12)
         ct = kp_enc(kpk.mpk, attr_wire(0b0111, 4), b"\x42", 13)
-        assert kp_dec(kp_keygen(kpk, 3), ct, Drbg(14)) is None
+        assert abe_dec(abe_keygen(kpk, 3), ct, Drbg(14)) is None
 
     def test_role_swap_agreement(self):
         # key-policy decryption succeeds exactly when the registered circuit
@@ -139,7 +137,7 @@ class TestKeyPolicy:
             attr = d.randint(0, 15)
             kct = kp_enc(kpk.mpk, attr_wire(attr, 4), b"\x01", d.child(f"k{t}").bytes(16))
             cct = abe_enc_circuit(cpk, POLICY_FAMILY[1], b"\x01", d.child(f"c{t}").bytes(16))
-            kp_ok = kp_dec(kp_keygen(kpk, 1), kct, d.child(f"kd{t}")) is not None
+            kp_ok = abe_dec(abe_keygen(kpk, 1), kct, d.child(f"kd{t}")) is not None
             cp_ok = abe_dec(abe_keygen(cpk, attr), cct, d.child(f"cd{t}")) is not None
             assert kp_ok == cp_ok == (bin(attr).count("1") % 2 == 1)
 
@@ -390,7 +388,7 @@ class TestSecretSharing:
         from qnk.primitives import commit
         ss = ss_share(fixture("th23"), 3, 1, 47)
         for i, (r_i, _) in enumerate(ss.shares):
-            assert commit(bytes([i + 1]), r_i).payload == ss.commitments[i]
+            assert commit(bytes([i + 1]), r_i) == ss.commitments[i]
 
 
 def count_sealed_decodes(monkeypatch) -> list:

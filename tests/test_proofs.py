@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from qnk import proofs
 from qnk.circuit_ir import EQUAL, chain_budget, check_chain, evaluate
 from qnk.errors import InvalidWitness, NoValidNizk, ProofFailed, SetupProofInvalid
 from qnk.primitives import ggm_eval, owf
@@ -11,13 +12,13 @@ from qnk.proofs import (
     NiwiScheme,
     NizkProof,
     Relation,
+    ZapScheme,
     _nizk_budgets,
     nizk_hybrid_family,
     nizk_prove,
     nizk_setup,
     nizk_sim,
     nizk_verify,
-    zap_setup,
     zapr_prove,
     zapr_setup,
     zapr_verify,
@@ -85,7 +86,7 @@ class TestNizk:
     def test_memoized_budgets_match_the_families(self, lang):
         L = make_parity_language(12) if lang == "par12" else fixture(lang)
         crs = nizk_setup(L, 9)
-        width = crs.stmt_bytes
+        width = 1 if L.statement_bits <= 8 else 2  # 8- or 16-bit statement domain
         budgets = _nizk_budgets(8 * width)
         for x_star in (bytes(width), b"\x2a" * width, b"\xff" * width):
             fam = nizk_hybrid_family(crs, x_star)
@@ -184,8 +185,8 @@ class TestModeledNiwi:
         assert hits == 0
 
     def test_zap_crs_scopes_tags(self):
-        z1 = zap_setup(Drbg(14))
-        z2 = zap_setup(Drbg(15))
+        z1 = ZapScheme(Drbg(14))
+        z2 = ZapScheme(Drbg(15))
         rel = Relation("any", lambda x, w: True)
         assert z1.prove(rel, b"x", b"") != z2.prove(rel, b"x", b"")
         assert z1.verify(rel, z1.prove(rel, b"x", b""), b"x") == 1
@@ -206,6 +207,34 @@ class TestZapr:
         proof = zapr_prove(zcrs, Witness.empty(copies=10), b"\x07", Drbg(18))
         bad = dataclasses.replace(proof, zap_proof=bytes(16))
         assert zapr_verify(zcrs, bad, b"\x07") == 0
+
+    @staticmethod
+    def count_nizk_proofs(monkeypatch, fail_first=False):
+        """Record the reference string of every `nizk_prove` call that
+        `zapr_prove` makes; with `fail_first`, the first call raises
+        ProofFailed."""
+        calls = []
+
+        def counting(crs, *args):
+            calls.append(crs)
+            if fail_first and len(calls) == 1:
+                raise ProofFailed("stand-in failure")
+            return nizk_prove(crs, *args)
+
+        monkeypatch.setattr(proofs, "nizk_prove", counting)
+        return calls
+
+    def test_first_verifying_proof_ends_the_search(self, zcrs, monkeypatch):
+        calls = self.count_nizk_proofs(monkeypatch)
+        proof = zapr_prove(zcrs, Witness.empty(copies=10), b"\x07", Drbg(17))
+        assert len(calls) == 1 and calls[0] is zcrs.crs0
+        assert zapr_verify(zcrs, proof, b"\x07") == 1
+
+    def test_second_reference_string_after_a_failed_first(self, zcrs, monkeypatch):
+        calls = self.count_nizk_proofs(monkeypatch, fail_first=True)
+        proof = zapr_prove(zcrs, Witness.empty(copies=10), b"\x07", Drbg(17))
+        assert len(calls) == 2 and calls[1] is zcrs.crs1
+        assert zapr_verify(zcrs, proof, b"\x07") == 1
 
     def test_no_instance_aborts(self, zcrs):
         with pytest.raises((NoValidNizk, ProofFailed)):

@@ -35,6 +35,11 @@ Amplified verification is one rule: `qma._majority` draws the repeated
 Born-rule bits and accepts on a strict majority, so no other function draws
 `sample_bit(` in a `for ... in range(` generator, and the threshold is derived
 from the repetition count, so no call passes `threshold=`.
+Every module-level function and method reads each of its parameters (other
+than `self` and `cls`), so no caller computes an argument that nothing uses.
+The one exception is the `claim` of `toy_verify`, `stats_verify` and
+`td_verify`, which keeps the verifiers' signature uniform with the ones that
+check the claim.
 """
 import ast
 import re
@@ -222,3 +227,37 @@ def test_repeated_draw_pattern():
     assert REPEATED_DRAW.search(
         '    hits = sum(sample_bit(p1, drbg.child(f"judge{i}")) for i in range(lang.reps))')
     assert not REPEATED_DRAW.search('            e = 1 - sample_bit(p1, pd.child("measure"))')
+
+
+# (module, function) -> parameters it may leave unread, with the reason above
+UNREAD_PARAMETERS = {
+    ("cvqc.py", "toy_verify"): {"claim"},
+    ("cvqc.py", "stats_verify"): {"claim"},
+    ("cvqc.py", "td_verify"): {"claim"},
+}
+
+
+def top_level_functions(tree):
+    """(qualified name, node) of every module-level function and method."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{top.name}.{node.name}", node
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for p in SRC:
+        for name, fn in top_level_functions(ast.parse(p.read_text())):
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if x is not None and x.arg not in ("self", "cls")]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            allowed = UNREAD_PARAMETERS.get((p.name, name), set())
+            unread += [f"{p.name}:{fn.lineno}: {name}({q})" for q in params
+                       if q not in read and q not in allowed]
+    assert unread == []
