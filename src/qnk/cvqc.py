@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 from . import qfhe
 from .errors import (
@@ -215,12 +216,21 @@ class CvqcVerifyKey:
 # proof encodings (canonical layouts in FORMATS.md)
 
 def encode_base_proof(proto: str, pi) -> bytes:
+    """The layout of FORMATS.md: "O" | tag, or "T" | K | (b_i | d_i)*. A TOY
+    entry that does not unpack into two values raises TypeError or ValueError,
+    as unpacking does; then K >= 256 and a value outside 0..255 raise
+    ValueError and a non-int TypeError, as `bytes()` does."""
     # TOY first: one compare on the path every sealed TOY query takes
     if proto != PROTO_TOY and proto != PROTO_ORACLE:
         raise DomainMismatch(f"unknown proof protocol {proto!r}")
     if proto == PROTO_ORACLE:
         return b"O" + pi
-    return b"T" + bytes([len(pi), *[v for b, d in pi for v in (b, d)]])
+    for b, d in pi:  # reject a non-pair before any value is read
+        pass
+    body = bytes((len(pi), *chain.from_iterable(pi)))
+    if len(body) != 2 * len(pi) + 1:
+        raise ValueError("proof entries must be re-iterable (b, d) pairs")
+    return b"T" + body
 
 
 def decode_base_proof(proto: str, blob: bytes):
@@ -478,10 +488,16 @@ def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg) -> CvqcProo
 
 
 def star_verify(claim: Claim, proof: CvqcProof, r: CvqcVerifyKey, oracle) -> int:
+    """Accept iff the digest matches and the base verifier accepts. A proof
+    the key cannot read (a TOY pair count other than K, an entry out of
+    range) is a rejection, as in the trapdoor oracle's verdict."""
     enc = encode_base_proof(r.proto, proof.pi)
     if ro_query(oracle, enc) != proof.h:
         return 0
-    return base_verify(claim, proof.pi, r)
+    try:
+        return base_verify(claim, proof.pi, r)
+    except MalformedProof:
+        return 0
 
 
 def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) -> int:

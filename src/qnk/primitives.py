@@ -91,7 +91,7 @@ def prg(s: bytes, out_len: int) -> bytes:
 def _prg(s: bytes, out_len: int) -> bytes:
     n = (out_len + 31) // 32
     if n <= 4:
-        return _hmac(s, *[i.to_bytes(4, "big") for i in range(n)])[:out_len]
+        return b"".join([_hmac(s, i.to_bytes(4, "big")) for i in range(n)])[:out_len]
     return _hmac(s, bytes(4)) + hashlib.pbkdf2_hmac("sha256", s, b"", 1, out_len - 32)
 
 

@@ -1,10 +1,11 @@
 """Deterministic randomness: every sampling operation in the toolkit draws from
 an HMAC-SHA256 counter generator so that a seed fully determines all artifacts.
 
-`_hmac` is the toolkit's one HMAC-SHA256. It starts each message from the
+`_hmac` is the toolkit's one HMAC-SHA256, of one message. It starts from the
 key's inner and outer SHA-256 states, precomputed once per key as RFC 2104 §4
-suggests, instead of hashing the padded key again for every block; `_keyed`
-memoizes those states.
+suggests, instead of hashing the padded key again for every call; `_keyed`
+memoizes those states. A caller that needs several blocks joins one `_hmac`
+per block.
 """
 from __future__ import annotations
 
@@ -29,18 +30,14 @@ def _keyed(key: bytes) -> tuple:
     return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
 
 
-def _hmac(key: bytes, *msgs: bytes) -> bytes:
-    """HMAC-SHA256(key, msg) of each message, concatenated; the key's states
-    are looked up once per call."""
+def _hmac(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256(key, msg), from the key's memoized inner and outer states."""
     inner, outer = _keyed(key)
-    out = []
-    for msg in msgs:
-        h = inner.copy()
-        h.update(msg)
-        o = outer.copy()
-        o.update(h.digest())
-        out.append(o.digest())
-    return b"".join(out)
+    h = inner.copy()
+    h.update(msg)
+    o = outer.copy()
+    o.update(h.digest())
+    return o.digest()
 
 
 class Drbg:
@@ -72,7 +69,7 @@ class Drbg:
             return _hmac(self._key, b"blk" + c.to_bytes(8, "big"))[:n]
         blocks = range(c, c + max(0, (n + 31) // 32))
         self._counter = blocks.stop
-        return _hmac(self._key, *[b"blk" + i.to_bytes(8, "big") for i in blocks])[:n]
+        return b"".join([_hmac(self._key, b"blk" + i.to_bytes(8, "big")) for i in blocks])[:n]
 
     def bit(self) -> int:
         return self.bytes(1)[0] & 1

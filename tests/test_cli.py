@@ -438,6 +438,20 @@ class TestCvqcCommands:
         assert main(["cvqc", "verify", "--setup", str(setup), "--proof", str(proof)]) == 1
         assert capsys.readouterr().out.splitlines() == ['{"status": "ok", "accept": 0}']
 
+    @pytest.mark.parametrize("gen", ("keygen", "tdgen"))
+    def test_proof_of_other_params_is_rejected(self, tmp, capsys, gen):
+        # one seed gives one oracle seed whatever the params, so the mini
+        # proof's digest matches under the default-params setup
+        setup, mini, proof = tmp / "s.bin", tmp / "m.bin", tmp / "p.bin"
+        common = ["--lang", "par8", "--x", "07", "--proto", "toy", "--seed", "3"]
+        assert main(["cvqc", gen, *common, "--out", str(setup)]) == 0
+        assert main(["cvqc", "keygen", *common, "--params", "mini", "--out", str(mini)]) == 0
+        assert main(["cvqc", "prove", "--setup", str(mini), "--seed", "4",
+                     "--out", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["cvqc", "verify", "--setup", str(setup), "--proof", str(proof)]) == 1
+        assert capsys.readouterr().out.splitlines() == ['{"status": "ok", "accept": 0}']
+
     def test_no_instance_prove_fails(self, tmp, capsys):
         setup = tmp / "s.bin"
         main(["cvqc", "keygen", "--proto", "oracle", "--x", "03", "--seed", "9",

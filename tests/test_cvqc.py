@@ -197,7 +197,9 @@ class TestToyProtocol:
         (((-1, 0),), ValueError),
         (((0.5, 0),), TypeError),
         (((0, 0),) * 256, ValueError),
-    ], ids=["non-pair", "triple", "single", "over-255", "negative", "float", "too-long"])
+        ((iter((0, 1)),), ValueError),
+    ], ids=["non-pair", "triple", "single", "over-255", "negative", "float", "too-long",
+            "one-shot"])
     def test_proof_encoding_rejects_bad_entries(self, pi, error):
         with pytest.raises(error):
             encode_base_proof(PROTO_TOY, pi)
@@ -213,6 +215,65 @@ class TestToyProtocol:
             for bad in wrong:
                 with pytest.raises(MalformedProof):
                     decode_base_proof(PROTO_TOY, bad)
+
+
+def reference_toy_encoding(pi) -> bytes:
+    """The TOY base-proof encoder written as one comprehension, the layout of
+    FORMATS.md: "T" | K | (b_i | d_i)*."""
+    return b"T" + bytes([len(pi), *[v for b, d in pi for v in (b, d)]])
+
+
+BYTE = st.integers(0, 255)
+# entries the comprehension rejects: not a pair, a value outside 0..255, a non-int
+BAD_ENTRIES = st.one_of(
+    st.integers(-5, 300), st.none(), st.just(()), st.tuples(BYTE),
+    st.tuples(BYTE, BYTE, BYTE), st.text(max_size=3),
+    st.tuples(st.integers(256, 10**4) | st.integers(-10**4, -1), BYTE),
+    st.tuples(BYTE, st.floats(0, 255) | st.text(max_size=1) | st.none()),
+    st.tuples(BYTE, BYTE, st.floats(0, 255)),
+)
+
+
+@st.composite
+def toy_proofs(draw, max_K=255):
+    """K (b, d) pairs of bytes, each a tuple or, when its flag byte is odd, a list."""
+    K = draw(st.integers(0, max_K))
+    values = draw(st.binary(min_size=2 * K, max_size=2 * K))
+    flags = draw(st.binary(min_size=K, max_size=K))
+    return [[b, d] if f & 1 else (b, d) for b, d, f in zip(values[::2], values[1::2], flags)]
+
+
+@st.composite
+def malformed_proofs(draw):
+    """A TOY proof with up to 3 rejected entries spliced in, or K >= 256."""
+    pi = draw(toy_proofs(300))
+    for _ in range(draw(st.integers(0 if len(pi) >= 256 else 1, 3))):
+        pi.insert(draw(st.integers(0, len(pi))), draw(BAD_ENTRIES))
+    return tuple(pi)
+
+
+def raised(encode, pi):
+    """The exception type `encode(pi)` raises, or None."""
+    try:
+        encode(pi)
+    except Exception as e:
+        return type(e)
+    return None
+
+
+class TestToyProofEncoder:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(toy_proofs())
+    def test_encoding_matches_the_comprehension(self, pi):
+        pi = tuple(pi)
+        assert encode_base_proof(PROTO_TOY, pi) == reference_toy_encoding(pi)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(malformed_proofs())
+    def test_rejections_match_the_comprehension(self, pi):
+        want = raised(reference_toy_encoding, pi)
+        assert want in (TypeError, ValueError)
+        assert raised(lambda p: encode_base_proof(PROTO_TOY, p), pi) is want
 
 
 def reference_verdict(pi, vk, mask: bytes) -> int:
@@ -314,6 +375,27 @@ class TestStarLayer:
             tested += 1
             rejected += 1 - star_verify(YES, CvqcProof(pi, proof.h), s.r, s.oracle)
         assert rejected == tested
+
+    @pytest.mark.parametrize("gen", (keygen_star, td_gen), ids=("keygen", "tdgen"))
+    def test_unreadable_proof_with_a_matching_digest_rejects(self, gen):
+        # a well-encoded proof of 4 pairs (setups of one seed share their
+        # oracle seed whatever their params, so the mini proof of a keygen
+        # setup carries a valid digest for the default-params one) or with an
+        # entry out of range, under the digest the setup's oracle gives it
+        s = gen(YES, PROTO_TOY, Drbg(35))
+        mini = gen(YES, PROTO_TOY, Drbg(35), MINI_PARAMS)
+        short = star_prove(mini.pp, Witness.empty(), mini.oracle, Drbg(36))
+        honest = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(37))
+        i = s.r.body.bases.index(0)
+        out_of_range = honest.pi[:i] + ((7, 200),) + honest.pi[i + 1:]
+        sealed = cvqc._sealed_verdict(*cvqc.star_gate(s, False))
+        for pi in (short.pi, out_of_range):
+            proof = CvqcProof(pi, ro_query(s.oracle, encode_base_proof(PROTO_TOY, pi)))
+            assert star_verify(YES, proof, s.r, s.oracle) == 0
+            assert sealed.run(proof.encode(PROTO_TOY)) == b"\x00"
+            if s.td is not None:
+                assert td_verify(YES, proof, s.td, s.oracle, PROTO_TOY) == 0
+        assert sealed.run(honest.encode(PROTO_TOY)) == b"\x01"
 
 
 class TestTrapdoorLayer:

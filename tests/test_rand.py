@@ -119,10 +119,21 @@ def test_prg_matches_reference_at_the_length_cap_on_a_miss_and_a_hit(n):
     assert primitives._prg.cache_info().hits == 1
 
 
-def test_hmac_of_several_messages_is_the_concatenation():
-    key, msgs = b"k" * 16, (b"", b"a", pattern(100))
-    assert _hmac(key, *msgs) == b"".join(ref_hmac(key, m) for m in msgs)
-    assert _hmac(key) == b""
+@pytest.mark.parametrize("n", (33, 64, 65, 4096))
+def test_multi_block_draw_is_one_hmac_per_block(n):
+    d, ref = Drbg(b"multi"), RefDrbg(b"multi")
+    d.bytes(5)
+    ref.bytes(5)
+    assert d.bytes(n) == ref.bytes(n)
+    assert d.bytes(32) == ref.bytes(32)   # the counter moved on by one per block
+
+
+@pytest.mark.parametrize("blocks", (1, 2, 3, 4))
+def test_short_prg_is_one_hmac_per_block(blocks):
+    s = pattern(16, blocks)
+    for n in (32 * blocks - 31, 32 * blocks):
+        primitives._prg.cache_clear()
+        assert prg(s, n) == ref_prg(s, n)
 
 
 def test_keyed_memo_stays_bounded():

@@ -29,6 +29,8 @@ A one-qubit gate is a matmul between two transposes of the amplitude
 tensor, so no module calls `moveaxis`.
 A QMA witness is one `qma.Witness`, its classical part included, so no
 function takes the classical part as a parameter of its own.
+`_hmac` takes one message, so every `_hmac(` call passes exactly a key and a
+message, neither starred, and a caller that needs several blocks joins them.
 A program's structural rules are checked once, when its `Program` is made,
 so `_check_node(` is called only in `Program.__post_init__`.
 Amplified verification is one rule: `qma._majority` draws the repeated
@@ -261,3 +263,16 @@ def test_every_parameter_is_read():
             unread += [f"{p.name}:{fn.lineno}: {name}({q})" for q in params
                        if q not in read and q not in allowed]
     assert unread == []
+
+
+def test_hmac_takes_one_message():
+    calls, bad = 0, []
+    for p in SRC:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Call) and "_hmac" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls += 1
+                if (len(node.args) != 2 or node.keywords
+                        or any(isinstance(a, ast.Starred) for a in node.args)):
+                    bad.append(f"{p.name}:{node.lineno}: {ast.unparse(node)}")
+    assert calls > 0 and bad == []
