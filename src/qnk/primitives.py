@@ -12,7 +12,7 @@ classical throughout.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DomainMismatch,
@@ -214,7 +214,11 @@ class RandomOracle:
     bytes agree bit-exactly across all three modes for a fixed seed.
 
     `table` memoizes the answers: each input is answered once, and since the
-    answers are deterministic a repeated query returns the same bytes.
+    answers are deterministic a repeated query returns the same bytes. A
+    TDGEN oracle also keeps, in `verdicts`, the bit verify(x) & 1 it masked
+    into each answer, which `cvqc.td_verify` under the oracle's own key
+    reads instead of recomputing F(td, x). SIMGEN and UNIFORM oracles keep
+    nothing more: a SIMGEN bit masks no verdict.
     """
 
     def __init__(self, seed: bytes, mode: str = MODE_UNIFORM,
@@ -232,6 +236,7 @@ class RandomOracle:
         self.td = td
         self.verify_closure = verify_closure
         self.table: dict[bytes, bytes] = {}
+        self.verdicts: dict[bytes, int] = {}  # TDGEN only
 
     def _answer(self, x: bytes) -> bytes:
         prefix = _hmac(self.seed, b"G" + x)[:KEY_LEN]
@@ -240,7 +245,8 @@ class RandomOracle:
         elif self.mode == MODE_SIMGEN:
             bit = prf_eval(self.td, x)[0] & 1
         else:
-            bit = (prf_eval(self.td, x)[0] & 1) ^ (self.verify_closure(x) & 1)
+            verdict = self.verdicts[x] = self.verify_closure(x) & 1
+            bit = (prf_eval(self.td, x)[0] & 1) ^ verdict
         return prefix + bytes([bit])
 
     def query(self, x: bytes) -> bytes:
@@ -267,8 +273,6 @@ class SbshKeys:
     ck0: bytes
     ck1: bytes
     binding_bits: int = SBSH_DEFAULT_T
-    # generation randomness, held by the key issuer only (extraction hook)
-    gen_rand: bytes | None = field(default=None, repr=False)
 
 
 def sbsh_gen(drbg: Drbg) -> tuple[bytes, bytes]:

@@ -28,6 +28,7 @@ from .cvqc import (
     ToyParams,
     claim_for,
     encode_base_proof,
+    hashed_proof,
     keygen_star,
     sealed_star_td_verifier,
     sealed_toy_verifier,
@@ -111,16 +112,14 @@ def criterion_3_sim_no_accepting():
     claim = claim_for(par, b"\x07")
     sim = sim_gen(claim, PROTO_TOY, Drbg(b"acc-sim"), MINI_PARAMS)
     for pairs in _mini_proof_space():
-        enc = encode_base_proof(PROTO_TOY, pairs)
-        proof = CvqcProof(pairs, ro_query(sim.oracle, enc))
+        proof = hashed_proof(PROTO_TOY, pairs, sim.oracle)
         if td_verify(claim, proof, sim.td, sim.oracle, PROTO_TOY):
             return "sim-mode-lockout", False, f"accepting input {pairs}"
     simf = sim_gen(claim_for(fixture("par8"), b"\x07"), PROTO_TOY, Drbg(b"acc-sim8"))
     drbg = Drbg(b"acc-sim-rand")
     for t in range(10 ** 5):
         pairs = tuple((drbg.bit(), drbg.randint(0, 15)) for _ in range(8))
-        enc = encode_base_proof(PROTO_TOY, pairs)
-        proof = CvqcProof(pairs, ro_query(simf.oracle, enc))
+        proof = hashed_proof(PROTO_TOY, pairs, simf.oracle)
         if td_verify(simf.claim, proof, simf.td, simf.oracle, PROTO_TOY):
             return "sim-mode-lockout", False, f"random accepting input at {t}"
     return "sim-mode-lockout", True, "0 accepting inputs over 2^12 + 10^5 consistent pairs"

@@ -115,7 +115,7 @@ class TestSbsh:
         ck1 = Drbg(6).child(str(index)).bytes(16)
         assert sbsh_is_binding(ck0, ck1) is binding
         m, r = b"\x00\x00known answer", b"\x11" * 16
-        c = sbsh_com(SbshKeys(ck0, ck1, gen_rand=gen_rand), m, r)
+        c = sbsh_com(SbshKeys(ck0, ck1), m, r)
         assert c.hex() == r.hex() + want
         if binding:
             assert sbsh_ext(gen_rand, ck0, ck1, c) == m

@@ -300,6 +300,18 @@ class TestRandomOracle:
         assert tdo.query(b"hit")[16] ^ sim.query(b"hit")[16] == 1
         assert tdo.query(b"miss") == sim.query(b"miss")
 
+    def test_only_a_trapdoor_oracle_keeps_verdicts(self):
+        seed, td = b"\x05" * 16, PrfKey(b"\x07" * 16)
+        tdo = RandomOracle(seed, MODE_TDGEN, td, lambda x: x[0] & 3)
+        sim = RandomOracle(seed, MODE_SIMGEN, td)
+        uni = RandomOracle(seed)
+        qs = [bytes([i]) for i in range(64)]
+        for o in (tdo, sim, uni):
+            for q in qs + qs:
+                o.query(q)
+        assert tdo.verdicts == {q: q[0] & 1 for q in qs}
+        assert sim.verdicts == uni.verdicts == {}
+
     def test_answer_length(self):
         o = RandomOracle(b"\x01" * 16)
         ans = ro_query(o, b"x")
