@@ -493,10 +493,10 @@ def unmasked_verdict(proof, td, oracle, proto) -> int:
 
 @st.composite
 def dual_cases(draw):
-    """(setup, proto, key, proof, digest matches): an honest or random base
-    proof under a matching or forged digest, and the oracle's own key, an
-    equal key rebuilt from its bytes, or another key (the only one a UNIFORM
-    oracle, which has no trapdoor, is given)."""
+    """(setup, fresh oracle, proto, key, proof, digest matches): an honest or
+    random base proof under a matching or forged digest, and the oracle's own
+    key, an equal key rebuilt from its bytes, or another key (the only one a
+    UNIFORM oracle, which has no trapdoor, is given)."""
     mode = draw(st.sampled_from(sorted(DUAL_GENS)))
     proto = draw(st.sampled_from(sorted(cvqc.PROTOCOLS)))
     s, honest, spec, other = dual_setup(mode, proto)
@@ -543,14 +543,10 @@ class TestKeptVerdict:
         assert calls == []
 
 
-def toy_pi(pi) -> tuple:
-    return tuple(map(tuple, pi))
-
-
 class TestKeptEncoding:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.one_of(
-        st.tuples(st.just(PROTO_TOY), toy_proofs().map(toy_pi)),
+        st.tuples(st.just(PROTO_TOY), toy_proofs().map(lambda pi: tuple(map(tuple, pi)))),
         st.tuples(st.just(cvqc.PROTO_ORACLE), st.binary(min_size=16, max_size=16))),
         st.binary(max_size=20))
     def test_decode_then_encode_is_byte_identical(self, proto_pi, h):
