@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass, field
 
 from .circuit_ir import SealedProgram
-from .cvqc import PROTO_TOY, encode_base_proof, hashed_proof
+from .cvqc import PROTO_TOY, CvqcProof, encode_base_proof
 from .errors import NoAcceptingProof, RankDeficient
-from .primitives import KEY_LEN
+from .primitives import KEY_LEN, ro_query
 from .rand import Drbg
 
 DEFAULT_STATS_THRESHOLD = 0.25
@@ -96,7 +96,8 @@ def stats_verdict(sealed: SealedProgram):
 def star_verdict(sealed: SealedProgram, oracle):
     """Dual-mode surface adapter: hash the base proof through the public
     oracle and submit the consistent (pi, h) pair."""
-    return _verdict(sealed, lambda pi: hashed_proof(PROTO_TOY, pi, oracle).encode(PROTO_TOY))
+    return _verdict(sealed, lambda pi: CvqcProof(
+        pi, ro_query(oracle, encode_base_proof(PROTO_TOY, pi))).encode(PROTO_TOY))
 
 
 def _as_verdict(verifier, adapter):

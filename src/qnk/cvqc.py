@@ -249,35 +249,16 @@ def decode_base_proof(proto: str, blob: bytes):
 
 @dataclass(frozen=True)
 class CvqcProof:
-    """A base proof and its oracle digest. `base_bytes` keeps the encoding of
-    pi (under the protocol last asked for: only an empty pi encodes under
-    both) in the instance dict, outside the fields, so ==, hash and repr see
-    only (pi, h). pi is not to be mutated."""
-
     pi: object          # bytes tag (ORACLE) or ((b, d), ...) (TOY)
     h: bytes = b""      # 17-byte oracle digest in the dual-mode layer; empty outside it
 
-    @classmethod
-    def _keeping(cls, pi, h: bytes, proto: str, enc: bytes) -> "CvqcProof":
-        """A proof whose base encoding under `proto` is already known."""
-        proof = cls(pi, h)
-        proof.__dict__["_encoded"] = proto, enc
-        return proof
-
-    def base_bytes(self, proto: str) -> bytes:
-        kept = self.__dict__.get("_encoded")
-        if kept is None or kept[0] != proto:
-            kept = self.__dict__["_encoded"] = proto, encode_base_proof(proto, self.pi)
-        return kept[1]
-
     def encode(self, proto: str) -> bytes:
-        return pack_fields(self.base_bytes(proto), self.h)
+        return pack_fields(encode_base_proof(proto, self.pi), self.h)
 
     @classmethod
     def decode(cls, proto: str, blob: bytes) -> "CvqcProof":
-        # decoding is canonical, so the bytes read are the pairs' encoding
         pi_bytes, h = unpack_fields(blob, 2)
-        return cls._keeping(decode_base_proof(proto, pi_bytes), h, proto, bytes(pi_bytes))
+        return cls(decode_base_proof(proto, pi_bytes), h)
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +482,17 @@ def sim_gen(claim: Claim, proto: str, drbg: Drbg,
     return StarSetup(claim, pp, None, oracle, td)
 
 
-def hashed_proof(proto: str, pi, oracle) -> CvqcProof:
-    """(pi, H(pi)), keeping the encoding of pi that the oracle hashed."""
-    enc = encode_base_proof(proto, pi)
-    return CvqcProof._keeping(pi, ro_query(oracle, enc), proto, enc)
-
-
 def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg) -> CvqcProof:
-    return hashed_proof(pp.proto, base_prove(pp, witness, drbg), oracle)
+    pi = base_prove(pp, witness, drbg)
+    return CvqcProof(pi, ro_query(oracle, encode_base_proof(pp.proto, pi)))
 
 
 def star_verify(claim: Claim, proof: CvqcProof, r: CvqcVerifyKey, oracle) -> int:
     """Accept iff the digest matches and the base verifier accepts. A proof
     the key cannot read (a TOY pair count other than K, an entry out of
     range) is a rejection, as in the trapdoor oracle's verdict."""
-    if ro_query(oracle, proof.base_bytes(r.proto)) != proof.h:
+    enc = encode_base_proof(r.proto, proof.pi)
+    if ro_query(oracle, enc) != proof.h:
         return 0
     try:
         return base_verify(claim, proof.pi, r)
@@ -530,7 +507,7 @@ def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) ->
     reads) the verdict the oracle masked is read back, without the HMAC: the
     one a TDGEN oracle kept in `verdicts`, and none (0) under SIMGEN. Any
     other key, or a UNIFORM oracle, unmasks with F(td, pi)."""
-    enc = proof.base_bytes(proto)
+    enc = encode_base_proof(proto, proof.pi)
     if ro_query(oracle, enc) != proof.h:
         return 0
     if oracle.mode != MODE_UNIFORM and oracle.td.bytes == td.bytes:

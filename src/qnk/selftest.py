@@ -28,7 +28,6 @@ from .cvqc import (
     ToyParams,
     claim_for,
     encode_base_proof,
-    hashed_proof,
     keygen_star,
     sealed_star_td_verifier,
     sealed_toy_verifier,
@@ -41,7 +40,9 @@ from .cvqc import (
     toy_prove,
 )
 from .errors import NoAcceptingProof, PuncturedPoint
-from .primitives import KEY_LEN, ggm_eval, ggm_eval_punct, ggm_punct, prf_gen, prg, ro_query
+from .primitives import (
+    KEY_LEN, ggm_eval, ggm_eval_punct, ggm_punct, prf_eval, prf_gen, prg, ro_query,
+)
 from .qma import (
     Witness,
     fixture,
@@ -78,6 +79,15 @@ def criterion_1_ggm():
     return "ggm-puncturable-prf", True, "20 keys x 255 points exact, removed point errors"
 
 
+def _oracle_verdict(proof: CvqcProof, enc: bytes, td, oracle) -> int:
+    """The verdict the oracle masked into its answer on `enc`, unmasked with
+    F(td, enc) here rather than by `td_verify` (which, under the oracle's
+    own trapdoor, reads back what the oracle kept); 0 on a wrong digest."""
+    if ro_query(oracle, enc) != proof.h:
+        return 0
+    return (proof.h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
+
+
 def criterion_2_verification_equivalence():
     par = fixture("par4")
     claim = claim_for(par, b"\x07")
@@ -89,7 +99,7 @@ def criterion_2_verification_equivalence():
             proof = CvqcProof(pairs, h)
             a = star_verify(claim, proof, setup.r, setup.oracle)
             b = td_verify(claim, proof, setup.td, setup.oracle, PROTO_TOY)
-            if a != b:
+            if not a == b == _oracle_verdict(proof, enc, setup.td, setup.oracle):
                 return "dual-mode-verification-equivalence", False, f"disagree on {pairs}"
             checked += 1
     full = td_gen(claim_for(fixture("par8"), b"\x07"), PROTO_TOY, Drbg(b"acc-vereq8"))
@@ -99,8 +109,9 @@ def criterion_2_verification_equivalence():
         enc = encode_base_proof(PROTO_TOY, pairs)
         h = ro_query(full.oracle, enc) if t % 4 else drbg.bytes(17)
         proof = CvqcProof(pairs, h)
-        if star_verify(full.claim, proof, full.r, full.oracle) != \
-                td_verify(full.claim, proof, full.td, full.oracle, PROTO_TOY):
+        a = star_verify(full.claim, proof, full.r, full.oracle)
+        b = td_verify(full.claim, proof, full.td, full.oracle, PROTO_TOY)
+        if not a == b == _oracle_verdict(proof, enc, full.td, full.oracle):
             return "dual-mode-verification-equivalence", False, f"random disagree at {t}"
         checked += 1
     return ("dual-mode-verification-equivalence", True,
@@ -112,15 +123,19 @@ def criterion_3_sim_no_accepting():
     claim = claim_for(par, b"\x07")
     sim = sim_gen(claim, PROTO_TOY, Drbg(b"acc-sim"), MINI_PARAMS)
     for pairs in _mini_proof_space():
-        proof = hashed_proof(PROTO_TOY, pairs, sim.oracle)
-        if td_verify(claim, proof, sim.td, sim.oracle, PROTO_TOY):
+        enc = encode_base_proof(PROTO_TOY, pairs)
+        proof = CvqcProof(pairs, ro_query(sim.oracle, enc))
+        if td_verify(claim, proof, sim.td, sim.oracle, PROTO_TOY) or \
+                _oracle_verdict(proof, enc, sim.td, sim.oracle):
             return "sim-mode-lockout", False, f"accepting input {pairs}"
     simf = sim_gen(claim_for(fixture("par8"), b"\x07"), PROTO_TOY, Drbg(b"acc-sim8"))
     drbg = Drbg(b"acc-sim-rand")
     for t in range(10 ** 5):
         pairs = tuple((drbg.bit(), drbg.randint(0, 15)) for _ in range(8))
-        proof = hashed_proof(PROTO_TOY, pairs, simf.oracle)
-        if td_verify(simf.claim, proof, simf.td, simf.oracle, PROTO_TOY):
+        enc = encode_base_proof(PROTO_TOY, pairs)
+        proof = CvqcProof(pairs, ro_query(simf.oracle, enc))
+        if td_verify(simf.claim, proof, simf.td, simf.oracle, PROTO_TOY) or \
+                _oracle_verdict(proof, enc, simf.td, simf.oracle):
             return "sim-mode-lockout", False, f"random accepting input at {t}"
     return "sim-mode-lockout", True, "0 accepting inputs over 2^12 + 10^5 consistent pairs"
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qnk import attacks, cvqc
+from qnk import cvqc
 from qnk.circuit_ir import SealedProgram
 from qnk.cvqc import (
     MINI_PARAMS,
@@ -467,8 +467,8 @@ class TestSimMode:
 
 
 # ---------------------------------------------------------------------------
-# what the dual-mode layer keeps: the oracle's verdict bits and each proof's
-# base encoding, neither of which may change a verdict, a byte or an error
+# what a TDGEN oracle keeps: the verdict bits it masked, which td_verify
+# reads back under the oracle's own trapdoor and which may change no verdict
 
 DUAL_GENS = {"tdgen": td_gen, "simgen": sim_gen, "uniform": keygen_star}
 
@@ -483,8 +483,8 @@ def dual_setup(mode: str, proto: str):
 
 
 def unmasked_verdict(proof, td, oracle, proto) -> int:
-    """`td_verify` as it was: re-encode pi, check the digest, unmask the
-    last bit with F(td, pi)."""
+    """The PRF-recomputing formula: re-encode pi, check the digest, unmask
+    the last bit with F(td, pi)."""
     enc = encode_base_proof(proto, proof.pi)
     if ro_query(oracle, enc) != proof.h:
         return 0
@@ -542,103 +542,22 @@ class TestKeptVerdict:
             assert td_verify(YES, proof, td, oracle, proto) == 1
         assert calls == []
 
-
-class TestKeptEncoding:
-    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(st.one_of(
-        st.tuples(st.just(PROTO_TOY), toy_proofs().map(lambda pi: tuple(map(tuple, pi)))),
-        st.tuples(st.just(cvqc.PROTO_ORACLE), st.binary(min_size=16, max_size=16))),
-        st.binary(max_size=20))
-    def test_decode_then_encode_is_byte_identical(self, proto_pi, h):
-        proto, pi = proto_pi
-        blob = CvqcProof(pi, h).encode(proto)
-        decoded = CvqcProof.decode(proto, blob)
-        assert decoded.encode(proto) == blob
-        assert decoded.base_bytes(proto) == encode_base_proof(proto, pi)
-        plain = CvqcProof(decoded.pi, decoded.h)
-        assert (decoded, hash(decoded), repr(decoded)) == (plain, hash(plain), repr(plain))
-
-    @pytest.mark.parametrize("proto", sorted(cvqc.PROTOCOLS))
-    def test_kept_bytes_leave_eq_hash_and_repr_alone(self, proto):
-        s, *_ = dual_setup("tdgen", proto)
-        proof = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(b"kept-eq"))
-        plain = CvqcProof(proof.pi, proof.h)
-        assert proof == plain and hash(proof) == hash(plain) and repr(proof) == repr(plain)
-        assert {proof: 1}[plain] == 1
-        assert proof.encode(proto) == plain.encode(proto)
-        assert CvqcProof.decode(proto, proof.encode(proto)) == plain
-
-    def test_bytes_are_kept_per_protocol(self):
-        pairs = CvqcProof.decode(PROTO_TOY, CvqcProof(((1, 2),), b"h").encode(PROTO_TOY))
-        with pytest.raises(TypeError):  # as encode_base_proof("ORACLE", pairs) raises
-            pairs.base_bytes(cvqc.PROTO_ORACLE)
-        empty = CvqcProof(b"")  # the one pi both protocols encode
-        got = [empty.base_bytes(p) for p in (cvqc.PROTO_ORACLE, PROTO_TOY, cvqc.PROTO_ORACLE)]
-        assert got == [b"O", b"T\x00", b"O"]
-
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(malformed_proofs())
-    def test_bad_pairs_raise_the_encoders_error_every_time(self, pi):
-        want = raised(reference_toy_encoding, pi)
-        s, *_ = dual_setup("tdgen", PROTO_TOY)
-        proof = CvqcProof(pi, bytes(17))
-        for _ in range(2):  # a failed encoding is not kept
-            assert raised(lambda p: p.encode(PROTO_TOY), proof) is want
-            assert raised(lambda p: star_verify(YES, p, s.r, s.oracle), proof) is want
-            assert raised(lambda p: td_verify(YES, p, s.td, s.oracle, PROTO_TOY), proof) is want
-
-    @pytest.mark.parametrize("mode", ("tdgen", "uniform"))
-    def test_unreadable_decoded_proof_still_rejects(self, mode):
-        s, honest, *_ = dual_setup(mode, PROTO_TOY)
-        i = s.r.body.bases.index(0)
-        for pi in (honest[:4], honest[:i] + ((7, 200),) + honest[i + 1:]):
-            enc = encode_base_proof(PROTO_TOY, pi)
-            blob = pack_fields(enc, ro_query(s.oracle, enc))
-            proof = CvqcProof.decode(PROTO_TOY, blob)
-            assert proof.pi == pi
-            assert star_verify(YES, proof, s.r, s.oracle) == 0
-            if s.td is not None:
-                assert td_verify(YES, proof, s.td, s.oracle, PROTO_TOY) == 0
-
-
-class TestEncodeOnce:
-    """Regression guard, counted through the module attributes: a dual-mode
-    proof is encoded once, by its prover, and trapdoor verification under
-    the oracle's own key makes no PRF call."""
-
-    @staticmethod
-    def counted(monkeypatch) -> dict:
-        counts = {"encode_base_proof": 0, "prf_eval": 0}
-        for name in counts:
-            real = getattr(cvqc, name)
-
-            def counted(*a, _name=name, _real=real):
-                counts[_name] += 1
-                return _real(*a)
-            monkeypatch.setattr(cvqc, name, counted)
-        return counts
-
-    def test_one_encode_per_proof_and_no_trapdoor_prf(self, monkeypatch):
-        s = td_gen(YES, PROTO_TOY, Drbg(b"encode-once"))
+    def test_batch_and_sealed_gate_make_no_trapdoor_prf_call(self, monkeypatch):
+        """Regression guard, counted through the module attribute: a TDGEN
+        batch of `star_prove` proofs checked by both verifiers, then by the
+        sealed CVQC_TDVERIFY gate, calls `cvqc.prf_eval` nowhere. A
+        `td_verify` that recomputed F(td, pi) would call it once a proof."""
+        s = td_gen(YES, PROTO_TOY, Drbg(b"kept-batch"))
         sealed = sealed_star_td_verifier(s)
-        counts = self.counted(monkeypatch)
-        proofs = [star_prove(s.pp, Witness.empty(), s.oracle, Drbg(b"once%d" % i))
+        proofs = [star_prove(s.pp, Witness.empty(), s.oracle, Drbg(b"kept-batch%d" % i))
                   for i in range(8)]
+        calls = []
+        real = cvqc.prf_eval
+        monkeypatch.setattr(cvqc, "prf_eval", lambda *a: calls.append(a) or real(*a))
         assert [star_verify(YES, p, s.r, s.oracle) for p in proofs] == [1] * 8
         assert [td_verify(YES, p, s.td, s.oracle, PROTO_TOY) for p in proofs] == [1] * 8
-        assert counts == {"encode_base_proof": 8, "prf_eval": 0}
         assert [sealed.run(p.encode(PROTO_TOY)) for p in proofs] == [b"\x01"] * 8
-        assert counts == {"encode_base_proof": 8, "prf_eval": 0}
-
-    def test_star_verdict_encodes_each_query_once(self, monkeypatch):
-        s = sim_gen(YES, PROTO_TOY, Drbg(b"encode-once"))
-        verdict = attacks.star_verdict(sealed_star_td_verifier(s), s.oracle)
-        counts = self.counted(monkeypatch)
-        monkeypatch.setattr(attacks, "encode_base_proof", cvqc.encode_base_proof)
-        d = Drbg(b"encode-once-queries")
-        queries = [tuple((d.bit(), d.randint(0, 15)) for _ in range(8)) for _ in range(8)]
-        assert [verdict(pi) for pi in queries] == [0] * 8
-        assert counts == {"encode_base_proof": 8, "prf_eval": 0}
+        assert calls == []
 
 
 class TestVariants:
