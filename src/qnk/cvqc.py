@@ -164,17 +164,28 @@ class ToyVerifyKey:
         return PrfKey(self.subset_key)
 
     @functools.cached_property
-    def checks(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-        """Check table, built on first use: for each position the key reads
-        (every position in the linear variant), `(i, mask byte, mask shift,
-        expected)`, where `expected[d]` is the b that matches the target at
-        d. At most 255 x 256 entries, since a decoded key has K <= 255 and
-        w <= 8."""
+    def checks(self) -> tuple[tuple[int, int, int, int, tuple[int, ...]], ...]:
+        """Check table, built on first use: for each position i the key reads
+        (every position in the linear variant), `(i, 2 + 2i, mask byte, mask
+        bit, expected)`, where 2 + 2i is the offset of b_i in the encoding and
+        `expected[d]` is the b that matches the target at d. At most 255 x
+        256 entries, since a decoded key has K <= 255 and w <= 8."""
         read_all = self.variant == TOY_LINEAR
         return tuple(
-            (i, i // 8, 7 - i % 8, tuple(t ^ _dot_bits(d, s) for d in range(1 << self.w)))
+            (i, 2 + 2 * i, i // 8, 0x80 >> i % 8,
+             tuple(t ^ _dot_bits(d, s) for d in range(1 << self.w)))
             for i, (x, s, t) in enumerate(zip(self.bases, self.secrets, self.target))
             if read_all or x == 1)
+
+    @functools.cached_property
+    def layout(self) -> tuple[int, int, int]:
+        """`(length, mask, want)`, built on first use: an encoding `enc` is one
+        this key can read, "T" | K | (b_i | d_i)* with the key's K, each b_i a
+        bit and each d_i below 2^w, iff `len(enc) == length` and
+        `int.from_bytes(enc, "big") & mask == want`."""
+        entry = bytes((0xFE, 0xFF << self.w & 0xFF)) * self.K
+        return (2 + 2 * self.K, int.from_bytes(b"\xff\xff" + entry, "big"),
+                int.from_bytes(b"T" + bytes([self.K]) + bytes(2 * self.K), "big"))
 
 
 def _check_toy_key(K: int, w: int, bases: bytes, secrets: bytes, *more: bytes) -> None:
@@ -233,18 +244,23 @@ def encode_base_proof(proto: str, pi) -> bytes:
     return b"T" + body
 
 
-def decode_base_proof(proto: str, blob: bytes):
+def _check_base_layout(proto: str, blob: bytes) -> None:
+    """Raise MalformedProof unless `blob` has the layout of FORMATS.md: "O" |
+    16-byte tag, or "T" | K | K pairs of bytes, whatever their values."""
     if proto != PROTO_TOY and proto != PROTO_ORACLE:
         raise DomainMismatch(f"unknown proof protocol {proto!r}")
     if proto == PROTO_ORACLE:
         if blob[:1] != b"O" or len(blob) != 17:
             raise MalformedProof("bad tag proof encoding")
-        return blob[1:]
-    if blob[:1] != b"T":
+    elif blob[:1] != b"T":
         raise MalformedProof("bad measurement proof encoding")
-    if len(blob) < 2 or len(blob) != 2 + 2 * blob[1]:
+    elif len(blob) < 2 or len(blob) != 2 + 2 * blob[1]:
         raise MalformedProof("bad measurement proof length")
-    return tuple(zip(blob[2::2], blob[3::2]))
+
+
+def decode_base_proof(proto: str, blob: bytes):
+    _check_base_layout(proto, blob)
+    return blob[1:] if proto == PROTO_ORACLE else tuple(zip(blob[2::2], blob[3::2]))
 
 
 @dataclass(frozen=True)
@@ -393,9 +409,24 @@ def _toy_verdict(pi, vk: ToyVerifyKey, mask: bytes) -> int:
         if b not in (0, 1) or not 0 <= d < d_bound:
             raise MalformedProof("proof entry out of range")
     mismatches = 0
-    for i, byte, shift, expected in vk.checks:
+    for i, _, byte, bit, expected in vk.checks:
         b, d = pi[i]
-        if mask[byte] >> shift & 1 and b ^ expected[d]:
+        if mask[byte] & bit and b ^ expected[d]:
+            mismatches += 1
+    return 1 if mismatches <= vk.tau else 0
+
+
+def _toy_verdict_bytes(enc: bytes, vk: ToyVerifyKey, mask: bytes) -> int:
+    """`_toy_verdict` on the encoding of the pairs: one compare against
+    `vk.layout` checks every entry, then the same `vk.checks` walk reads b_i
+    and d_i at offsets 2 + 2i and 3 + 2i. The tag compare also turns
+    away a str or a list of ints, which `int.from_bytes` would read."""
+    length, bits, want = vk.layout
+    if len(enc) != length or enc[:1] != b"T" or int.from_bytes(enc, "big") & bits != want:
+        raise MalformedProof("proof is not a measurement encoding this key reads")
+    mismatches = 0
+    for _, j, byte, bit, expected in vk.checks:
+        if mask[byte] & bit and enc[j] ^ expected[enc[j + 1]]:
             mismatches += 1
     return 1 if mismatches <= vk.tau else 0
 
@@ -445,13 +476,15 @@ def _oracle_seed(drbg: Drbg) -> bytes:
     return drbg.child("oracle-seed").bytes(KEY_LEN)
 
 
-def _base_verify_closure(claim: Claim, r: CvqcVerifyKey):
-    def vc(x: bytes) -> int:
-        try:
-            return base_verify(claim, decode_base_proof(r.proto, x), r)
-        except MalformedProof:
-            return 0
-    return vc
+def _base_verify_bytes(claim: Claim, r: CvqcVerifyKey, enc: bytes) -> int:
+    """`base_verify` on the encoding of a base proof, the trapdoor oracle's
+    verify closure: a proof the key cannot read is a rejection."""
+    try:
+        if r.proto == PROTO_TOY:
+            return _toy_verdict_bytes(enc, r.body, _EVERY_POSITION)
+        return oracle_verify(claim, decode_base_proof(PROTO_ORACLE, enc), r)
+    except MalformedProof:
+        return 0
 
 
 def keygen_star(claim: Claim, proto: str, drbg: Drbg,
@@ -468,7 +501,7 @@ def td_gen(claim: Claim, proto: str, drbg: Drbg,
     pp, r = base_keygen(claim, proto, drbg.child("keygen"), toy_params)
     td = prf_gen(drbg.child("td"))
     oracle = RandomOracle(_oracle_seed(drbg), MODE_TDGEN, td,
-                          _base_verify_closure(claim, r))
+                          functools.partial(_base_verify_bytes, claim, r))
     return StarSetup(claim, pp, r, oracle, td)
 
 
@@ -487,17 +520,29 @@ def star_prove(pp: CvqcParams, witness: Witness, oracle, drbg: Drbg) -> CvqcProo
     return CvqcProof(pi, ro_query(oracle, encode_base_proof(pp.proto, pi)))
 
 
+def _star_verdict(claim: Claim, enc: bytes, h: bytes, r: CvqcVerifyKey, oracle) -> int:
+    """`star_verify` on the base encoding `enc` of the proof and its digest."""
+    if ro_query(oracle, enc) != h:
+        return 0
+    return _base_verify_bytes(claim, r, enc)
+
+
 def star_verify(claim: Claim, proof: CvqcProof, r: CvqcVerifyKey, oracle) -> int:
     """Accept iff the digest matches and the base verifier accepts. A proof
-    the key cannot read (a TOY pair count other than K, an entry out of
-    range) is a rejection, as in the trapdoor oracle's verdict."""
-    enc = encode_base_proof(r.proto, proof.pi)
-    if ro_query(oracle, enc) != proof.h:
+    the key cannot read (TOY pairs not in a tuple, a pair count other than
+    K, an entry out of range) is a rejection, as in the trapdoor oracle's
+    verdict."""
+    verdict = _star_verdict(claim, encode_base_proof(r.proto, proof.pi), proof.h, r, oracle)
+    return verdict if r.proto == PROTO_ORACLE or isinstance(proof.pi, tuple) else 0
+
+
+def _td_verdict(enc: bytes, h: bytes, td: PrfKey, oracle) -> int:
+    """`td_verify` on the base encoding `enc` of the proof and its digest."""
+    if ro_query(oracle, enc) != h:
         return 0
-    try:
-        return base_verify(claim, proof.pi, r)
-    except MalformedProof:
-        return 0
+    if oracle.mode != MODE_UNIFORM and oracle.td.bytes == td.bytes:
+        return oracle.verdicts[enc] if oracle.mode == MODE_TDGEN else 0
+    return (h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
 
 
 def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) -> int:
@@ -507,12 +552,7 @@ def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) ->
     reads) the verdict the oracle masked is read back, without the HMAC: the
     one a TDGEN oracle kept in `verdicts`, and none (0) under SIMGEN. Any
     other key, or a UNIFORM oracle, unmasks with F(td, pi)."""
-    enc = encode_base_proof(proto, proof.pi)
-    if ro_query(oracle, enc) != proof.h:
-        return 0
-    if oracle.mode != MODE_UNIFORM and oracle.td.bytes == td.bytes:
-        return oracle.verdicts[enc] if oracle.mode == MODE_TDGEN else 0
-    return (proof.h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
+    return _td_verdict(encode_base_proof(proto, proof.pi), proof.h, td, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +579,7 @@ def _decode_oracle_spec(spec: bytes) -> tuple:
         return seed, mode, td, None
     claim = Claim.from_bytes(claim_bytes)
     r = CvqcVerifyKey.from_bytes(r_bytes)
-    return seed, mode, td, _base_verify_closure(claim, r)
+    return seed, mode, td, functools.partial(_base_verify_bytes, claim, r)
 
 
 def oracle_from_spec(spec: bytes) -> RandomOracle:
@@ -578,12 +618,13 @@ def _star_gate_fn(use_td: bool):
         claim, proto, key, spec = _decode_star_constant(blob, use_td)
         oracle = oracle_from_spec(spec)
         try:
-            proof = CvqcProof.decode(proto, plain)
+            enc, h = unpack_fields(plain, 2)
+            _check_base_layout(proto, enc)  # what `CvqcProof.decode` accepts
         except (MalformedProof, MalformedCiphertext):
             return b"\x00"
         if use_td:
-            return bytes([td_verify(claim, proof, key, oracle, proto)])
-        return bytes([star_verify(claim, proof, key, oracle)])
+            return bytes([_td_verdict(enc, h, key, oracle)])
+        return bytes([_star_verdict(claim, enc, h, key, oracle)])
     return gate
 
 
@@ -609,10 +650,9 @@ def _sealed_verdict(gate: str, blob: bytes) -> SealedProgram:
 
 
 def _gate_toy_verify(proof_bytes: bytes, vk_blob: bytes) -> bytes:
-    claim, r = _decode_toy_key(vk_blob)
+    _, r = _decode_toy_key(vk_blob)
     try:
-        pi = decode_base_proof(PROTO_TOY, proof_bytes)
-        return bytes([toy_verify(claim, pi, r)])
+        return bytes([_toy_verdict_bytes(proof_bytes, r.body, _EVERY_POSITION)])
     except MalformedProof:
         return b"\x00"
 
@@ -643,25 +683,28 @@ def stats_encode(salt: bytes, pi) -> bytes:
     return b"S" + salt + encode_base_proof(PROTO_TOY, pi)
 
 
-def stats_decode(blob: bytes) -> tuple[bytes, tuple]:
-    if blob[:1] != b"S" or len(blob) < 1 + KEY_LEN:
-        raise MalformedProof("bad salted proof encoding")
-    return blob[1:1 + KEY_LEN], decode_base_proof(PROTO_TOY, blob[1 + KEY_LEN:])
-
-
-def _stats_verify(pi, encoded: bytes, r: CvqcVerifyKey) -> int:
-    """`stats_verify` with the check mask keyed on `encoded`, the salted
-    encoding of pi that the caller already holds."""
-    vk = r.body
+def _stats_mask(encoded: bytes, vk: ToyVerifyKey) -> bytes:
+    """The check mask of a salted encoding: the subset PRF of all of it."""
     if vk.variant != TOY_STATS:
         raise MalformedProof("verification key is not the resampling variant")
-    _check_toy_length(pi, vk)
-    return _toy_verdict(pi, vk, prf_eval(vk.subset_prf, encoded))
+    return prf_eval(vk.subset_prf, encoded)
 
 
 def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
     _check_toy_length(pi, r.body)  # before stats_encode reads the pairs
-    return _stats_verify(pi, stats_encode(salt, pi), r)
+    return _toy_verdict(pi, r.body, _stats_mask(stats_encode(salt, pi), r.body))
+
+
+def _stats_verify(encoded: bytes, r: CvqcVerifyKey) -> int:
+    """`stats_verify` on a salted encoding "S" | salt | "T" | K | (b_i |
+    d_i)*. The layout and K are checked before the subset PRF and the
+    entries' ranges after it, in `stats_verify`'s order, so a key whose
+    subset key is broken fails on the same proofs."""
+    vk = r.body
+    if (encoded[:1] != b"S" or len(encoded) != 1 + KEY_LEN + vk.layout[0]
+            or encoded[1 + KEY_LEN] != 0x54 or encoded[2 + KEY_LEN] != vk.K):  # "T" | K
+        raise MalformedProof("bad salted proof encoding")
+    return _toy_verdict_bytes(encoded[1 + KEY_LEN:], vk, _stats_mask(encoded, vk))
 
 
 def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
@@ -671,9 +714,7 @@ def toy_prove_stats(pp: CvqcParams, witness: Witness, drbg: Drbg):
 def _gate_toy_verify_stats(proof_bytes: bytes, vk_blob: bytes) -> bytes:
     _, r = _decode_toy_key(vk_blob)
     try:
-        _, pi = stats_decode(proof_bytes)
-        # stats_decode is canonical, so proof_bytes is stats_encode(salt, pi)
-        return bytes([_stats_verify(pi, proof_bytes, r)])
+        return bytes([_stats_verify(proof_bytes, r)])
     except MalformedProof:
         return b"\x00"
 

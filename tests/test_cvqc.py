@@ -17,6 +17,7 @@ from qnk.cvqc import (
     CvqcProof,
     CvqcVerifyKey,
     ToyParams,
+    base_verify,
     blind_keygen,
     blind_prove,
     blind_verify,
@@ -331,6 +332,8 @@ class TestCheckTable:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(toy_cases())
     def test_table_verdict_matches_per_pair_rule(self, case):
+        """The pair reader and, on every proof that has an encoding, the
+        byte reader give the per-pair rule's verdict or error."""
         r, mask, pi, hostile = case
         vk = r.body
         want = verdict_or_error(reference_verdict, pi, vk, mask)
@@ -338,8 +341,28 @@ class TestCheckTable:
         assert (want is MalformedProof) == hostile
         if mask == cvqc._EVERY_POSITION:
             assert verdict_or_error(toy_verify, YES, pi, r) == want
+        if all(0 <= v <= 255 for pair in pi for v in pair):
+            enc = encode_base_proof(PROTO_TOY, pi)
+            assert verdict_or_error(cvqc._toy_verdict_bytes, enc, vk, mask) == want
         assert len(vk.checks) <= vk.K <= 255
         assert all(len(expected) == 1 << vk.w for *_, expected in vk.checks)
+
+    @pytest.mark.parametrize("variant", (TOY_STANDARD, TOY_LINEAR))
+    def test_byte_reader_rejects_unreadable_encodings(self, variant):
+        pp, r = toy_keygen(YES, Drbg(27), ToyParams(variant=variant))
+        vk = r.body
+        enc = encode_base_proof(PROTO_TOY, toy_prove(pp, Witness.empty(), Drbg(28)))
+        assert cvqc._toy_verdict_bytes(enc, vk, cvqc._EVERY_POSITION) == 1
+        K = enc[1]
+        bad = [b"S" + enc[1:], b"O" + enc[1:], enc[:1] + bytes([K - 1]) + enc[2:],
+               enc[:1] + bytes([K + 1]) + enc[2:], enc[:1] + bytes([K + 1]) + enc[2:] + b"\x00\x00",
+               enc[:-1], enc + b"\x00", b"", b"T"]
+        for j in range(2, len(enc), 2):  # every position, read or ignored
+            bad += [enc[:j] + bytes([b]) + enc[j + 1:] for b in (2, 3, 128, 255)]
+            bad += [enc[:j + 1] + bytes([d]) + enc[j + 2:] for d in (1 << vk.w, 255)]
+        for blob in bad:
+            with pytest.raises(MalformedProof):
+                cvqc._toy_verdict_bytes(blob, vk, cvqc._EVERY_POSITION)
 
     def test_table_is_built_once_per_key(self, monkeypatch):
         pp, r = toy_keygen(YES, Drbg(25))
@@ -400,6 +423,15 @@ class TestStarLayer:
             if s.td is not None:
                 assert td_verify(YES, proof, s.td, s.oracle, PROTO_TOY) == 0
         assert sealed.run(honest.encode(PROTO_TOY)) == b"\x01"
+
+
+    def test_pairs_outside_a_tuple_reject(self):
+        # the pair verifier reads a tuple of pairs; a list encodes the same
+        # bytes, and the digest the oracle gives them does not make it read
+        s = keygen_star(YES, PROTO_TOY, Drbg(38))
+        honest = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(39))
+        assert star_verify(YES, CvqcProof(tuple(honest.pi), honest.h), s.r, s.oracle) == 1
+        assert star_verify(YES, CvqcProof(list(honest.pi), honest.h), s.r, s.oracle) == 0
 
 
 class TestTrapdoorLayer:
@@ -762,6 +794,160 @@ class TestSealedVerifiers:
             assert isinstance(failed.value.__cause__, DomainMismatch)
             with pytest.raises(DomainMismatch):
                 stats_verify(YES, salt, pi, bad)
+
+
+# ---------------------------------------------------------------------------
+# sealed surfaces read the proof bytes they are given; the reference decodes
+# the bytes into pairs and runs the pair verifiers, as the gates once did
+
+
+def decoded_toy_verdict(r, blob) -> int:
+    try:
+        return toy_verify(YES, decode_base_proof(PROTO_TOY, blob), r)
+    except MalformedProof:
+        return 0
+
+
+def decoded_stats_verdict(r, blob) -> int:
+    if blob[:1] != b"S" or len(blob) < 1 + KEY_LEN:
+        return 0
+    try:
+        pi = decode_base_proof(PROTO_TOY, blob[1 + KEY_LEN:])
+        return stats_verify(YES, blob[1:1 + KEY_LEN], pi, r)
+    except MalformedProof:
+        return 0
+
+
+def decoded_star_verdict(s, proto, blob, use_td: bool) -> int:
+    """Decode, re-encode, check the digest, then the base verifier on the
+    pairs or (use_td) the PRF unmasking of the oracle's last bit."""
+    try:
+        proof = CvqcProof.decode(proto, blob)
+    except (MalformedProof, MalformedCiphertext):
+        return 0
+    oracle = oracle_from_spec(oracle_spec(s))
+    if use_td:
+        return unmasked_verdict(proof, s.td, oracle, proto)
+    if ro_query(oracle, encode_base_proof(proto, proof.pi)) != proof.h:
+        return 0
+    try:
+        return base_verify(YES, proof.pi, s.r)
+    except MalformedProof:
+        return 0
+
+
+def decoded_base_verdict(s, proto, blob) -> int:
+    try:
+        return base_verify(YES, decode_base_proof(proto, blob), s.r)
+    except MalformedProof:
+        return 0
+
+
+TOY_SURFACES = {  # name: (sealed verifier, key params, salted input)
+    "toy-standard": (sealed_toy_verifier, ToyParams(), False),
+    "toy-linear": (sealed_toy_verifier, ToyParams(variant=TOY_LINEAR), False),
+    "toy-mini": (sealed_toy_verifier, MINI_PARAMS, False),
+    "toy-stats-key": (sealed_toy_verifier, ToyParams(variant=TOY_STATS), False),
+    "stats": (sealed_stats_verifier, ToyParams(variant=TOY_STATS), True),
+    "stats-standard-key": (sealed_stats_verifier, ToyParams(), True),
+}
+STAR_SURFACES = [(mode, proto, use_td) for proto in sorted(cvqc.PROTOCOLS)
+                 for mode, use_td in (("uniform", False), ("tdgen", False), ("tdgen", True),
+                                      ("simgen", True))]
+
+
+@functools.lru_cache(maxsize=None)
+def byte_surface(name):
+    """(surface, honest input, reference) of a named surface: a sealed
+    verifier's `run`, or the TDGEN oracle's verify closure."""
+    if name in TOY_SURFACES:
+        sealer, params, salted = TOY_SURFACES[name]
+        pp, r = toy_keygen(YES, Drbg(b"bytes-" + name.encode()), params)
+        pi = toy_prove(pp, Witness.empty(), Drbg(b"bytes-prove"))
+        if salted:
+            return (sealer(YES, r).run, stats_encode(Drbg(b"bytes-salt").bytes(KEY_LEN), pi),
+                    lambda blob: decoded_stats_verdict(r, blob))
+        return (sealer(YES, r).run, encode_base_proof(PROTO_TOY, pi),
+                lambda blob: decoded_toy_verdict(r, blob))
+    kind, mode, proto, use_td = name
+    s, honest, spec, _ = dual_setup(mode, proto)
+    enc = encode_base_proof(proto, honest)
+    if kind == "closure":
+        return (oracle_from_spec(spec).verify_closure, enc,
+                lambda blob: decoded_base_verdict(s, proto, blob))
+    h = ro_query(oracle_from_spec(spec), enc)
+    return (cvqc._sealed_verdict(*cvqc.star_gate(s, use_td)).run, pack_fields(enc, h),
+            lambda blob: decoded_star_verdict(s, proto, blob, use_td))
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` with up to 3 bytes set (mostly to small values), cut or added."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("set", "cut", "add")))
+        value = draw(st.one_of(st.integers(0, 2), st.integers(0, 17), BYTE))
+        if edit == "add" or not out:
+            out.insert(draw(st.integers(0, len(out))), value)
+        elif edit == "set":
+            out[draw(st.integers(0, len(out) - 1))] = value
+        else:
+            del out[draw(st.integers(0, len(out) - 1))]
+    return bytes(out)
+
+
+@st.composite
+def star_inputs(draw, mode, proto):
+    """A dual-mode proof whose base bytes are mutated under the digest the
+    oracle gives them, then possibly mutated again as a whole."""
+    _, honest, spec, _ = dual_setup(mode, proto)
+    enc = draw(mutated(encode_base_proof(proto, honest)))
+    blob = pack_fields(enc, ro_query(oracle_from_spec(spec), enc))
+    return draw(mutated(blob)) if draw(st.booleans()) else blob
+
+
+SURFACE_NAMES = ([*TOY_SURFACES] + [("star", *case) for case in STAR_SURFACES]
+                 + [("closure", "tdgen", proto, False) for proto in sorted(cvqc.PROTOCOLS)])
+
+
+class TestByteReaders:
+    @pytest.mark.parametrize("name", SURFACE_NAMES, ids=str)
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_surface_matches_decode_then_verify(self, name, data):
+        surface, honest, reference = byte_surface(name)
+        if name[0] == "star" and data.draw(st.booleans()):
+            blob = data.draw(star_inputs(*name[1:3]))
+        else:
+            blob = data.draw(st.one_of(mutated(honest), st.binary(max_size=2 * len(honest))))
+        got = surface(blob)
+        want = reference(blob)
+        assert got == (bytes([want]) if isinstance(got, bytes) else want)
+
+    @pytest.mark.parametrize("name", SURFACE_NAMES, ids=str)
+    def test_honest_input_accepts_unless_simulated(self, name):
+        surface, honest, reference = byte_surface(name)
+        want = 0 if name[:2] == ("star", "simgen") or name == "stats-standard-key" else 1
+        assert reference(honest) == want
+        assert surface(honest) in (want, bytes([want]))
+
+    def test_broken_subset_key_fails_between_layout_and_range_checks(self):
+        """As `stats_verify` orders them: a salted proof of the wrong layout
+        is rejected before the subset PRF, whose broken key then fails on a
+        well-laid-out proof, even one with an entry out of range."""
+        pp, r = toy_keygen(YES, Drbg(71), ToyParams(variant=TOY_STATS))
+        bad = CvqcVerifyKey(PROTO_TOY, replace(r.body, subset_key=bytes(15)))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(72))
+        sealed = sealed_stats_verifier(YES, bad)
+        for unreadable in (stats_encode(salt, pi[:-1]), stats_encode(salt[1:], pi),
+                           b"S" + stats_encode(salt, pi)[1:-1]):
+            assert sealed.run(unreadable) == b"\x00"
+        for readable_layout in (pi, ((7, 200),) + pi[1:]):
+            with pytest.raises(MalformedCircuit) as failed:
+                sealed.run(stats_encode(salt, readable_layout))
+            assert isinstance(failed.value.__cause__, DomainMismatch)
+            with pytest.raises(DomainMismatch):
+                stats_verify(YES, salt, readable_layout, bad)
 
 
 class TestBlindWrapper:

@@ -42,6 +42,9 @@ than `self` and `cls`), so no caller computes an argument that nothing uses.
 The one exception is the `claim` of `toy_verify`, `stats_verify` and
 `td_verify`, which keeps the verifiers' signature uniform with the ones that
 check the claim.
+A TOY verifier that holds a proof's bytes reads them (`cvqc._toy_verdict_bytes`)
+instead of decoding pairs, so `decode_base_proof(` is called only where pairs
+are wanted, in `CvqcProof.decode` and `blind_verify`, or for `PROTO_ORACLE`.
 """
 import ast
 import re
@@ -276,3 +279,20 @@ def test_hmac_takes_one_message():
                         or any(isinstance(a, ast.Starred) for a in node.args)):
                     bad.append(f"{p.name}:{node.lineno}: {ast.unparse(node)}")
     assert calls > 0 and bad == []
+
+
+PAIR_DECODERS = {("cvqc.py", "CvqcProof.decode"), ("cvqc.py", "blind_verify")}
+
+
+def test_pairs_decoded_only_where_wanted():
+    is_decode = lambda n: isinstance(n, ast.Call) and "decode_base_proof" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    everywhere, calls = 0, []  # calls: (module, function, decodes a tag proof)
+    for p in SRC:
+        tree = ast.parse(p.read_text())
+        everywhere += sum(map(is_decode, ast.walk(tree)))
+        calls += [(p.name, name, getattr(call.args[0], "id", None) == "PROTO_ORACLE")
+                  for name, fn in top_level_functions(tree)
+                  for call in filter(is_decode, ast.walk(fn))]
+    assert everywhere == len(calls)
+    assert {(m, name) for m, name, oracle in calls if not oracle} == PAIR_DECODERS
