@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import primitives as pr
 from .errors import MalformedCircuit, TargetTooSmall, UnknownGate
+from .memo import memo
 from .primitives import _xor
 from .wire import Reader, pack_bytes, pack_u32, seal, unseal
 
@@ -411,33 +412,66 @@ class SealedProgram:
             raise TargetTooSmall(f"target {declared_size} below program size {program.size}")
         self.__program = program
         self.__size = declared_size
-        self.mode = mode
+        self.__mode = mode
+        self.__blob = None
 
     @property
     def declared_size(self) -> int:
         return self.__size
 
+    @property
+    def mode(self) -> str:
+        return self.__mode
+
     def run(self, *inputs: bytes) -> bytes:
         return evaluate(self.__program, list(inputs))[0]
 
     def to_bytes(self) -> bytes:
-        """mode (field) | declared_size (u32) | sealed program (field)"""
-        sealed = seal(_program_bytes(self.__program, self.__size), b"sealed-program")
-        return pack_bytes(self.mode.encode()) + pack_u32(self.__size) + pack_bytes(sealed)
+        """mode (field) | declared_size (u32) | sealed program (field),
+        encoded once per object. Bytes that `from_bytes` accepts prime its
+        memo with this object, so this process never decodes them."""
+        if self.__blob is None:
+            sealed = seal(_program_bytes(self.__program, self.__size), b"sealed-program")
+            mode = self.__mode.encode()
+            blob = _Encoded(pack_bytes(mode) + pack_u32(self.__size) + pack_bytes(sealed))
+            if mode in _MODES:
+                blob.sealed = self
+                _decode_sealed(blob)
+                del blob.sealed  # the memo keeps this object, the bytes no cycle
+            self.__blob = blob
+        return self.__blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "SealedProgram":
-        r = Reader(blob)
-        mode, declared, sealed = r.field(), r.u32(), r.field()
-        if not r.done():
-            raise MalformedCircuit("trailing bytes after sealed program")
-        if mode not in _MODES:
-            raise MalformedCircuit(f"unknown sealed program mode {mode!r}")
-        program = program_from_bytes(unseal(sealed))
-        if declared != program.size:
-            raise MalformedCircuit(
-                f"declared size {declared}, program has {program.size} nodes")
-        return cls(program, _MODES[mode], declared)
+        return _decode_sealed(blob)
+
+
+class _Encoded(bytes):
+    """The bytes `SealedProgram.to_bytes` returns, equal to and hashed as
+    plain bytes. In the one call that primes `_decode_sealed` they carry the
+    object they encode (`sealed`), so the memo keeps it under the key that a
+    later decode of equal bytes looks up."""
+
+
+@memo(8)
+def _decode_sealed(blob: bytes) -> SealedProgram:
+    """The one decoder of sealed programs, so a blob is decoded once across
+    all callers (a kp mpk is about 117 KB decoded), and not at all after this
+    process encoded it."""
+    primed = getattr(blob, "sealed", None)
+    if primed is not None:
+        return primed
+    r = Reader(blob)
+    mode, declared, sealed = r.field(), r.u32(), r.field()
+    if not r.done():
+        raise MalformedCircuit("trailing bytes after sealed program")
+    if mode not in _MODES:
+        raise MalformedCircuit(f"unknown sealed program mode {mode!r}")
+    program = program_from_bytes(unseal(sealed))
+    if declared != program.size:
+        raise MalformedCircuit(
+            f"declared size {declared}, program has {program.size} nodes")
+    return SealedProgram(program, _MODES[mode], declared)
 
 
 def obf_io(p: Program, target: int) -> SealedProgram:

@@ -551,15 +551,21 @@ def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) ->
     the TDGEN or SIMGEN oracle's own trapdoor (the same key bytes, all that F
     reads) the verdict the oracle masked is read back, without the HMAC: the
     one a TDGEN oracle kept in `verdicts`, and none (0) under SIMGEN. Any
-    other key, or a UNIFORM oracle, unmasks with F(td, pi)."""
+    other key, or a UNIFORM oracle, unmasks with F(td, pi). TOY pairs not in
+    a tuple are a rejection, as in `star_verify`."""
     # the body of `_td_verdict`, inlined: calling it read 2.4% slower on
-    # batches of SIMGEN verifications (perfbench `verify` consume_p50)
+    # batches of SIMGEN verifications (perfbench `verify` consume_p50). The
+    # pair check comes last, so a SIMGEN verdict under its own trapdoor skips it.
     enc = encode_base_proof(proto, proof.pi)
     if ro_query(oracle, enc) != proof.h:
         return 0
     if oracle.mode != MODE_UNIFORM and oracle.td.bytes == td.bytes:
-        return oracle.verdicts[enc] if oracle.mode == MODE_TDGEN else 0
-    return (proof.h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
+        if oracle.mode != MODE_TDGEN:
+            return 0
+        verdict = oracle.verdicts[enc]
+    else:
+        verdict = (proof.h[16] & 1) ^ (prf_eval(td, enc)[0] & 1)
+    return verdict if proto == PROTO_ORACLE or isinstance(proof.pi, tuple) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,8 @@ class AbeCiphertext:
         return cls(SealedProgram.from_bytes(prog), digest, fixed(al, 1)[0])
 
 
-@memo(8)
-def _decode_sealed(blob: bytes) -> SealedProgram:
-    """Nested program of the SEALED_EVAL gate and the ABE_ENC mpk, decoded
-    once per distinct blob across all programs (a kp mpk is about 117 KB
-    decoded)."""
-    return SealedProgram.from_bytes(blob)
-
-
 def _gate_sealed_eval(*args) -> bytes:
-    return _decode_sealed(args[-1]).run(*args[:-1])
+    return SealedProgram.from_bytes(args[-1]).run(*args[:-1])
 
 
 register_gate("SEALED_EVAL", _gate_sealed_eval)
@@ -460,7 +452,7 @@ def pe_dec(sk: AbeSecretKey, ct: PeCiphertext):
 
 def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
-    _decode_sealed(mpk_blob)  # a malformed mpk fails here, not at decryption
+    SealedProgram.from_bytes(mpk_blob)  # a malformed mpk fails here, not at decryption
     return abe_enc(mpk_blob, make_universal_language(x), m, coins, KP_ATTR_LEN).to_bytes()
 
 

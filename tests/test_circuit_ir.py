@@ -6,6 +6,7 @@ import pytest
 from qnk.circuit_ir import (
     BOTTOM,
     MODE_IO,
+    MODE_VBB,
     LockSpec,
     Node,
     Program,
@@ -178,7 +179,7 @@ class TestSealed:
 
     def test_no_constant_accessor(self):
         sealed = obf_io(identity_program(), 4)
-        assert [a for a in vars(sealed) if not a.startswith("_")] == ["mode"]
+        assert [a for a in vars(sealed) if not a.startswith("_")] == []
         public = {a for a in dir(sealed) if not a.startswith("_")}
         assert public == {"declared_size", "mode", "run", "to_bytes", "from_bytes"}
 
@@ -188,6 +189,13 @@ class TestSealed:
             sealed.declared_size = 5
         again = SealedProgram.from_bytes(sealed.to_bytes())
         assert again.declared_size == sealed.declared_size == 4
+
+    def test_mode_is_read_only(self):
+        # a decode hands back the encoder's object, so no holder may change it
+        sealed = obf_io(identity_program(), 4)
+        with pytest.raises(AttributeError):
+            sealed.mode = MODE_VBB
+        assert SealedProgram.from_bytes(sealed.to_bytes()).mode == sealed.mode == MODE_IO
 
     def test_serialization_roundtrip(self):
         b = ProgramBuilder(1)

@@ -18,6 +18,7 @@ from qnk.circuit_ir import (
     Node,
     Program,
     SealedProgram,
+    _decode_sealed,
     program_from_bytes,
     program_to_bytes,
 )
@@ -128,9 +129,43 @@ def test_sealed_program_round_trips(p, fill, mode):
     r = Reader(blob)
     assert (r.field(), r.u32()) == (mode.encode(), p.size + fill)
     assert unseal(r.field()) == program_to_bytes(with_fillers(p, fill))
+    _decode_sealed.cache_clear()  # drop the entry `to_bytes` primed, so this decodes
     again = SealedProgram.from_bytes(blob)
+    assert again is not sealed
     assert (again.mode, again.declared_size) == (mode, p.size + fill)
     assert again.to_bytes() == blob
+
+
+def outcome(sealed: SealedProgram, inputs):
+    try:
+        return sealed.run(*inputs)
+    except Exception as e:  # whatever evaluation raises, both sides must agree
+        return type(e), e.args
+
+
+@PROPERTY
+@given(valid_programs(), st.integers(0, 4), st.sampled_from((MODE_IO, MODE_VBB, MODE_LOCK)),
+       st.lists(st.lists(st.binary(max_size=6), max_size=4), min_size=1, max_size=4))
+def test_primed_decode_matches_cold_decode(p, fill, mode, queries):
+    """`to_bytes` primes the decode memo with its own object; a decode of the
+    same bytes after the memo is emptied must behave the same."""
+    primed = SealedProgram(p, mode, p.size + fill)
+    _decode_sealed.cache_clear()  # so no earlier example's equal blob answers
+    blob = primed.to_bytes()
+    assert SealedProgram.from_bytes(blob) is primed
+    _decode_sealed.cache_clear()
+    cold = SealedProgram.from_bytes(blob)
+    assert cold is not primed
+    assert (primed.declared_size, primed.mode) == (cold.declared_size, cold.mode)
+    assert primed.to_bytes() == cold.to_bytes() == blob
+    for inputs in queries:
+        assert outcome(primed, inputs) == outcome(cold, inputs)
+
+
+def test_unknown_mode_still_fails_to_decode():
+    blob = SealedProgram(FOUR_NODES, "XX", 4).to_bytes()
+    with pytest.raises(MalformedCircuit):
+        SealedProgram.from_bytes(blob)
 
 
 def sealed_blob(p: Program, mode: bytes = b"IO", declared: int | None = None) -> bytes:

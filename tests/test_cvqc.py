@@ -53,7 +53,7 @@ from qnk.errors import (
     MalformedCircuit,
     MalformedProof,
 )
-from qnk.primitives import KEY_LEN, PrfKey, commit, prf_eval, ro_query
+from qnk.primitives import KEY_LEN, PrfKey, commit, prf_eval, prf_gen, ro_query
 from qnk.qma import (
     Witness, exact_accept_probability, fixture, ghz_witness, make_share_language, qma_verify,
     resolve_language,
@@ -469,6 +469,23 @@ class TestTrapdoorLayer:
         proof = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(31))
         assert td_verify(YES, CvqcProof(proof.pi, bytes(17)), s.td, s.oracle,
                          PROTO_TOY) == 0
+
+
+    @pytest.mark.parametrize("gen", (td_gen, sim_gen), ids=("tdgen", "simgen"))
+    def test_verifiers_agree_on_pairs_outside_a_tuple(self, gen):
+        # an honest proof's pairs in a list, under the digest the oracle gives
+        # their bytes: the trapdoor verifier rejects them as `star_verify` does,
+        # with the setup's own trapdoor and with a foreign one
+        s = gen(YES, PROTO_TOY, Drbg(40))
+        r = td_gen(YES, PROTO_TOY, Drbg(40)).r  # the key sim_gen drops
+        honest = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(41))
+        listed = CvqcProof(list(honest.pi), honest.h)
+        verdicts = [star_verify(YES, listed, r, s.oracle)] + [
+            td_verify(YES, listed, td, s.oracle, PROTO_TOY) for td in (s.td, prf_gen(Drbg(42)))]
+        assert verdicts == [0, 0, 0]
+        if gen is td_gen:
+            assert star_verify(YES, honest, r, s.oracle) == 1
+            assert td_verify(YES, honest, s.td, s.oracle, PROTO_TOY) == 1
 
 
 class TestSimMode:

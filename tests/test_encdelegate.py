@@ -4,6 +4,7 @@ from qnk.circuit_ir import (
     OFF_POINT,
     ProgramBuilder,
     SealedProgram,
+    _decode_sealed,
     check_chain,
     evaluate,
     obf_io,
@@ -16,7 +17,6 @@ from qnk.encdelegate import (
     MAX_ATTR_BITS,
     POLICY_FAMILY,
     _cprf_budget,
-    _decode_sealed,
     _encryptor_budget,
     _keycheck_budget,
     AbeCiphertext,
@@ -392,12 +392,22 @@ class TestSecretSharing:
 
 
 def count_sealed_decodes(monkeypatch) -> list:
+    """Empty the sealed-program decode memo, then list each blob that
+    `SealedProgram.from_bytes` decodes: the calls that add a miss to
+    `_decode_sealed.cache_info()`."""
     _decode_sealed.cache_clear()
-    calls = []
+    decoded = []
     original = SealedProgram.from_bytes
-    monkeypatch.setattr(SealedProgram, "from_bytes",
-                        classmethod(lambda cls, blob: calls.append(blob) or original(blob)))
-    return calls
+
+    def counted(cls, blob):
+        misses = _decode_sealed.cache_info().misses
+        try:
+            return original(blob)
+        finally:
+            if _decode_sealed.cache_info().misses > misses:
+                decoded.append(blob)
+    monkeypatch.setattr(SealedProgram, "from_bytes", classmethod(counted))
+    return decoded
 
 
 def owf_program() -> SealedProgram:
@@ -438,13 +448,38 @@ def test_programs_sharing_a_nested_blob_decode_it_once(monkeypatch):
 def test_cprf_ceval_decodes_mpk_once(ck, monkeypatch):
     from qnk.encdelegate import cprf_ceval
     kq = cprf_constrain(ck, 1)
-    # a fresh copy of pp, whose ABE_ENC node has never run
-    pp = SealedProgram.from_bytes(ck.pp.to_bytes())
-    mpk = ck.abe.mpk.to_bytes()
+    mpk, pp_blob = ck.abe.mpk.to_bytes(), ck.pp.to_bytes()
     calls = count_sealed_decodes(monkeypatch)
+    # a fresh copy of pp, whose ABE_ENC node has never run
+    pp = SealedProgram.from_bytes(pp_blob)
+    assert pp is not ck.pp
     # the ABE_ENC gate checks the mpk; the ciphertext's SEALED_EVAL reuses it
     assert cprf_ceval(pp, kq, 0b0111, Drbg(7)) == cprf_eval(ck, 0b0111)
     assert calls.count(mpk) == 1
+
+
+def test_cprf_ceval_decodes_no_ciphertext_it_encoded(ck, monkeypatch):
+    from qnk import nullio
+    from qnk.encdelegate import cprf_ceval
+    kq = cprf_constrain(ck, 1)
+    pp, mpk = ck.pp, ck.abe.mpk.to_bytes()
+    nullio._gate_we_enc.cache_clear()  # so the WE ciphertext is encoded here
+    decoded = count_sealed_decodes(monkeypatch)
+    assert cprf_ceval(pp, kq, 0b0111, Drbg(9)) == cprf_eval(ck, 0b0111)
+    # The mpk left the memo above, so it is decoded once. The ABE ciphertext
+    # and the WE ciphertext are read back from the memo their `to_bytes`
+    # primed (hits 1 and 3); hit 2 is SEALED_EVAL's mpk.
+    assert decoded == [mpk]
+    assert _decode_sealed.cache_info().hits == 3
+
+
+def test_share_set_decodes_its_we_program_once(monkeypatch):
+    blob = ss_share(fixture("th23"), 3, 1, 44).to_bytes()
+    decoded = count_sealed_decodes(monkeypatch)
+    again = ShareSet.from_bytes(blob)
+    # every party holds the same WE ciphertext, so the same sealed program
+    assert len(decoded) == 1
+    assert len({id(ct.inner.sealed_C) for _, ct in again.shares}) == 1
 
 
 def test_abe_enc_gate_does_not_reseal_mpk(ck, monkeypatch):

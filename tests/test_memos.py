@@ -62,7 +62,7 @@ def clear_memos():
 
 ALL_MEMOS = {
     "rand._keyed", "primitives._prg", "cvqc._decode_oracle_spec", "cvqc._decode_star_constant",
-    "cvqc._decode_toy_key", "encdelegate._decode_sealed", "encdelegate._keycheck_budget",
+    "cvqc._decode_toy_key", "circuit_ir._decode_sealed", "encdelegate._keycheck_budget",
     "encdelegate._encryptor_budget", "encdelegate._cprf_budget", "nullio._decode_we",
     "nullio._gate_we_enc", "proofs._nizk_budgets", "qfhe._sk_keys", "qfhe._wrap_key_from_pk",
     "qma._binom_tail", "qsim._accept_probability", "cli._parser"}

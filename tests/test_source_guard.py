@@ -45,6 +45,9 @@ check the claim.
 A TOY verifier that holds a proof's bytes reads them (`cvqc._toy_verdict_bytes`)
 instead of decoding pairs, so `decode_base_proof(` is called only where pairs
 are wanted, in `CvqcProof.decode` and `blind_verify`, or for `PROTO_ORACLE`.
+Sealed programs have one decode memo, `circuit_ir._decode_sealed`, which
+`SealedProgram.to_bytes` primes, so no `@memo` function outside
+`circuit_ir.py` calls `SealedProgram.from_bytes`.
 """
 import ast
 import re
@@ -296,3 +299,33 @@ def test_pairs_decoded_only_where_wanted():
                   for call in filter(is_decode, ast.walk(fn))]
     assert everywhere == len(calls)
     assert {(m, name) for m, name, oracle in calls if not oracle} == PAIR_DECODERS
+
+
+def sealed_decoding_memos(path_name: str, tree) -> list:
+    """`module:function` for each `@memo(...)` function that calls
+    `SealedProgram.from_bytes`."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "memo"
+                for d in fn.decorator_list) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "from_bytes"
+                and getattr(n.func.value, "id", None) == "SealedProgram"
+                for n in ast.walk(fn)):
+            found.append(f"{path_name}:{fn.name}")
+    return found
+
+
+def test_sealed_programs_decoded_by_one_memo():
+    found = [hit for p in SRC if p.name != "circuit_ir.py"
+             for hit in sealed_decoding_memos(p.name, ast.parse(p.read_text()))]
+    assert found == []
+
+
+def test_sealed_decoding_memo_pattern():
+    per_module = ast.parse("@memo(8)\ndef _decode_sealed(blob):\n"
+                           "    return SealedProgram.from_bytes(blob)\n")
+    assert sealed_decoding_memos("encdelegate.py", per_module) == ["encdelegate.py:_decode_sealed"]
+    plain = ast.parse("def decode(blob):\n    return SealedProgram.from_bytes(blob)\n")
+    assert sealed_decoding_memos("encdelegate.py", plain) == []
