@@ -502,28 +502,21 @@ def obf_vbb(p: Program, target: int) -> tuple[SealedProgram, SimHandle]:
 _LOCK_BASE_NODES = 6
 
 
-@dataclass(frozen=True)
-class LockSpec:
-    lock: bytes               # u, 16 bytes
-    payload: bytes            # z
-    inner: Program            # C, one input
-
-    def __post_init__(self):
-        if len(self.lock) != 16:
-            raise MalformedCircuit("lock value must be 16 bytes")
-
-
 def lock_pad_target(size_c: int, size_z: int) -> int:
     return _LOCK_BASE_NODES + size_c + (size_z + 15) // 16
 
 
-def lockobf(spec: LockSpec) -> SealedProgram:
-    target = lock_pad_target(spec.inner.size, len(spec.payload))
+def lockobf(lock: bytes, payload: bytes, inner: Program) -> SealedProgram:
+    """Release `payload` (z) on the inputs where the one-input program
+    `inner` (C) outputs the 16-byte `lock` (u), and bottom elsewhere."""
+    if len(lock) != 16:
+        raise MalformedCircuit("lock value must be 16 bytes")
+    target = lock_pad_target(inner.size, len(payload))
     b = ProgramBuilder(1)
-    (cx,) = b.inline(spec.inner, [b.input(0)])
-    u = b.const(spec.lock)
+    (cx,) = b.inline(inner, [b.input(0)])
+    u = b.const(lock)
     hit = b.eq(cx, u)
-    z = b.const(wrap_some(spec.payload))
+    z = b.const(wrap_some(payload))
     bot = b.const(BOTTOM)
     return SealedProgram(b.build([b.ite(hit, z, bot)]), MODE_LOCK, target)
 

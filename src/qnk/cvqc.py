@@ -400,27 +400,28 @@ def _check_toy_length(pi, vk: ToyVerifyKey) -> None:
         raise MalformedProof(f"proof must carry exactly {vk.K} pairs")
 
 
-def _toy_verdict(pi, vk: ToyVerifyKey, mask: bytes) -> int:
+def _toy_verdict(pi, vk: ToyVerifyKey) -> int:
     """Range-check every pair, then accept iff at most tau of the positions
-    the key reads (all of them in the linear variant) and bit i of `mask`
-    selects miss the target pattern (one `vk.checks` lookup per position)."""
+    the key reads (all of them in the linear variant) miss the target
+    pattern (one `vk.checks` lookup per position)."""
     d_bound = 1 << vk.w
     for b, d in pi:
         if b not in (0, 1) or not 0 <= d < d_bound:
             raise MalformedProof("proof entry out of range")
     mismatches = 0
-    for i, _, byte, bit, expected in vk.checks:
+    for i, _, _, _, expected in vk.checks:
         b, d = pi[i]
-        if mask[byte] & bit and b ^ expected[d]:
+        if b ^ expected[d]:
             mismatches += 1
     return 1 if mismatches <= vk.tau else 0
 
 
 def _toy_verdict_bytes(enc: bytes, vk: ToyVerifyKey, mask: bytes) -> int:
-    """`_toy_verdict` on the encoding of the pairs: one compare against
-    `vk.layout` checks every entry, then the same `vk.checks` walk reads b_i
-    and d_i at offsets 2 + 2i and 3 + 2i. The tag compare also turns
-    away a str or a list of ints, which `int.from_bytes` would read."""
+    """`_toy_verdict` on the encoding of the pairs, counting only the
+    positions bit i of `mask` selects: one compare against `vk.layout`
+    checks every entry, then the same `vk.checks` walk reads b_i and d_i at
+    offsets 2 + 2i and 3 + 2i. The tag compare also turns away a str or a
+    list of ints, which `int.from_bytes` would read."""
     length, bits, want = vk.layout
     if len(enc) != length or enc[:1] != b"T" or int.from_bytes(enc, "big") & bits != want:
         raise MalformedProof("proof is not a measurement encoding this key reads")
@@ -432,8 +433,11 @@ def _toy_verdict_bytes(enc: bytes, vk: ToyVerifyKey, mask: bytes) -> int:
 
 
 def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
+    # reads the pairs as given: encoding them for `_toy_verdict_bytes` took
+    # 4.2 us a call against 2.0 us (median of 48 timings, 16 par8 keys), and
+    # this is the perfbench `prove` workload's consume step
     _check_toy_length(pi, r.body)
-    return _toy_verdict(pi, r.body, _EVERY_POSITION)
+    return _toy_verdict(pi, r.body)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +455,6 @@ def base_prove(pp: CvqcParams, witness: Witness, drbg: Drbg):
     if pp.proto == PROTO_ORACLE:
         return oracle_prove(pp, witness, drbg)
     return toy_prove(pp, witness, drbg)
-
-
-def base_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
-    if r.proto == PROTO_ORACLE:
-        return oracle_verify(claim, pi, r)
-    return toy_verify(claim, pi, r)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +475,8 @@ def _oracle_seed(drbg: Drbg) -> bytes:
 
 
 def _base_verify_bytes(claim: Claim, r: CvqcVerifyKey, enc: bytes) -> int:
-    """`base_verify` on the encoding of a base proof, the trapdoor oracle's
-    verify closure: a proof the key cannot read is a rejection."""
+    """The base verifier on the encoding of a base proof, the trapdoor
+    oracle's verify closure: a proof the key cannot read is a rejection."""
     try:
         if r.proto == PROTO_TOY:
             return _toy_verdict_bytes(enc, r.body, _EVERY_POSITION)
@@ -553,9 +551,10 @@ def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) ->
     one a TDGEN oracle kept in `verdicts`, and none (0) under SIMGEN. Any
     other key, or a UNIFORM oracle, unmasks with F(td, pi). TOY pairs not in
     a tuple are a rejection, as in `star_verify`."""
-    # the body of `_td_verdict`, inlined: calling it read 2.4% slower on
-    # batches of SIMGEN verifications (perfbench `verify` consume_p50). The
-    # pair check comes last, so a SIMGEN verdict under its own trapdoor skips it.
+    # the body of `_td_verdict`, inlined: calling it moved perfbench `verify`
+    # consume_p50 from 2.747 to 2.898 us (+5.5%, 6 of 6 alternated pairs on 2
+    # cores) and ops/s by -1.9%. The pair check comes last, so a SIMGEN
+    # verdict under its own trapdoor skips it.
     enc = encode_base_proof(proto, proof.pi)
     if ro_query(oracle, enc) != proof.h:
         return 0
@@ -664,6 +663,8 @@ def _sealed_verdict(gate: str, blob: bytes) -> SealedProgram:
 
 def _gate_toy_verify(proof_bytes: bytes, vk_blob: bytes) -> bytes:
     _, r = _decode_toy_key(vk_blob)
+    # its own try: calling `_base_verify_bytes` moved perfbench `attack`
+    # consume_p50 from 0.293 to 0.302 ms (+3.1%, 4 of 4 alternated pairs)
     try:
         return bytes([_toy_verdict_bytes(proof_bytes, r.body, _EVERY_POSITION)])
     except MalformedProof:
@@ -705,14 +706,14 @@ def _stats_mask(encoded: bytes, vk: ToyVerifyKey) -> bytes:
 
 def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
     _check_toy_length(pi, r.body)  # before stats_encode reads the pairs
-    return _toy_verdict(pi, r.body, _stats_mask(stats_encode(salt, pi), r.body))
+    return _stats_verify(stats_encode(salt, pi), r)
 
 
 def _stats_verify(encoded: bytes, r: CvqcVerifyKey) -> int:
-    """`stats_verify` on a salted encoding "S" | salt | "T" | K | (b_i |
-    d_i)*. The layout and K are checked before the subset PRF and the
-    entries' ranges after it, in `stats_verify`'s order, so a key whose
-    subset key is broken fails on the same proofs."""
+    """The verdict on a salted encoding "S" | salt | "T" | K | (b_i | d_i)*.
+    The layout (a 16-byte salt) and K are checked before the subset PRF and
+    the entries' ranges after it, so a key whose subset key is broken fails
+    only on a proof of the right layout."""
     vk = r.body
     if (encoded[:1] != b"S" or len(encoded) != 1 + KEY_LEN + vk.layout[0]
             or encoded[1 + KEY_LEN] != 0x54 or encoded[2 + KEY_LEN] != vk.K):  # "T" | K
@@ -765,12 +766,12 @@ def _toy_prove2(pp: CvqcParams, c: bytes, state: bytes):
     return tuple(pairs)
 
 
-def _toy_verify4(claim: Claim, c: bytes, pi, r: CvqcVerifyKey) -> int:
-    vk = r.body
-    for i, (b, d) in enumerate(pi):
-        if d != _challenge_d(c, i, vk.w):
-            return 0
-    return toy_verify(claim, pi, r)
+def _toy_verify4(claim: Claim, c: bytes, enc: bytes, r: CvqcVerifyKey) -> int:
+    """Accept iff the key reads and accepts the measurement encoding `enc`
+    and each d_i in it is the challenge's; an unreadable proof is 0."""
+    if not _base_verify_bytes(claim, r, enc):
+        return 0
+    return int(all(d == _challenge_d(c, i, r.body.w) for i, d in enumerate(enc[3::2])))
 
 
 @dataclass(frozen=True)
@@ -831,7 +832,6 @@ def blind_verify(claim: Claim, proof: BlindProof, bvk: BlindVerifyKey, oracle) -
         return 0
     try:
         _, pi_bytes = unpack_fields(qfhe.qfhe_dec(bvk.sk, proof.ct_pi), 2)
-        pi = decode_base_proof(PROTO_TOY, pi_bytes)
-    except (MalformedCiphertext, MalformedProof):
+    except MalformedCiphertext:
         return 0
-    return _toy_verify4(claim, proof.c, pi, bvk.r)
+    return _toy_verify4(claim, proof.c, pi_bytes, bvk.r)

@@ -19,7 +19,6 @@ from .circuit_ir import (
     BOTTOM,
     EQUAL,
     OFF_POINT,
-    LockSpec,
     Program,
     ProgramBuilder,
     SealedProgram,
@@ -370,7 +369,7 @@ def qlock_obf(Q, u: bytes, z: bytes, seed) -> QLockObf:
     keys = qfhe.qfhe_gen(drbg.child("qfhe"))
     desc = Q.to_bytes()
     ct = qfhe.qfhe_enc(keys.pk, desc, drbg.child("enc"))
-    cc = lockobf(LockSpec(u, z, _dec_compare_program(keys.sk)))
+    cc = lockobf(u, z, _dec_compare_program(keys.sk))
     return QLockObf(ct, cc, keys.pk, len(desc), len(z))
 
 
@@ -438,7 +437,7 @@ def pe_enc(keys: AbeKeys, Q: QuantumCircuit, m: bytes, seed) -> PeCiphertext:
     sk_in = b.input(0)
     out = b.host("ABE_DEC", sk_in, b.const(abe_ct.to_bytes()))
     inner = b.build([out])
-    cc = lockobf(LockSpec(u, m, inner))
+    cc = lockobf(u, m, inner)
     return PeCiphertext(cc, len(m))
 
 

@@ -268,13 +268,6 @@ def ro_query(oracle: RandomOracle, x: bytes) -> bytes:
 SBSH_DEFAULT_T = 4
 
 
-@dataclass(frozen=True)
-class SbshKeys:
-    ck0: bytes
-    ck1: bytes
-    binding_bits: int = SBSH_DEFAULT_T
-
-
 def sbsh_gen(drbg: Drbg) -> tuple[bytes, bytes]:
     """Returns (ck0, gen_rand); ck0 is a digest of the hidden randomness."""
     gen_rand = drbg.bytes(KEY_LEN)
@@ -286,12 +279,9 @@ def sbsh_key(drbg: Drbg) -> bytes:
     return drbg.bytes(KEY_LEN)
 
 
-def sbsh_is_binding(ck0: bytes, ck1: bytes, t: int = SBSH_DEFAULT_T) -> bool:
-    """Public predicate: the first t bits of H(ck0 || ck1) are zero."""
-    if t == 0:
-        return True
-    v = int.from_bytes(_sha(ck0 + ck1)[: (t + 7) // 8], "big")
-    return (v >> ((t + 7) // 8 * 8 - t)) == 0
+def sbsh_is_binding(ck0: bytes, ck1: bytes) -> bool:
+    """Public predicate: the first SBSH_DEFAULT_T bits of H(ck0 || ck1) are zero."""
+    return int.from_bytes(_sha(ck0 + ck1), "big") >> 256 - SBSH_DEFAULT_T == 0
 
 
 def _binding_pad(ck0: bytes, ck1: bytes, r: bytes, n: int) -> bytes:
@@ -303,23 +293,22 @@ def _hiding_pad(ck0: bytes, ck1: bytes, r: bytes, n: int) -> bytes:
     return prg(_hmac(r, b"hide" + ck0 + ck1)[:KEY_LEN], n)
 
 
-def sbsh_com(keys: SbshKeys, m: bytes, r: bytes) -> bytes:
+def sbsh_com(ck0: bytes, ck1: bytes, m: bytes, r: bytes) -> bytes:
     """Commitment is r || (m XOR pad). The pad is keyed off (ck0, ck1) when the
     keys are binding (so the extractor can recompute it) and off fresh r
     otherwise (so the transcript distribution is message-independent)."""
     if len(r) != KEY_LEN:
         raise DomainMismatch("commitment randomness must be 16 bytes")
-    if sbsh_is_binding(keys.ck0, keys.ck1, keys.binding_bits):
-        pad = _binding_pad(keys.ck0, keys.ck1, r, len(m))
+    if sbsh_is_binding(ck0, ck1):
+        pad = _binding_pad(ck0, ck1, r, len(m))
     else:
-        pad = _hiding_pad(keys.ck0, keys.ck1, r, len(m))
+        pad = _hiding_pad(ck0, ck1, r, len(m))
     return r + _xor(m, pad)
 
 
-def sbsh_ext(gen_rand: bytes, ck0: bytes, ck1: bytes, c: bytes,
-             t: int = SBSH_DEFAULT_T) -> bytes:
+def sbsh_ext(gen_rand: bytes, ck0: bytes, ck1: bytes, c: bytes) -> bytes:
     """Extract the committed message; only defined on binding key pairs."""
-    if not sbsh_is_binding(ck0, ck1, t):
+    if not sbsh_is_binding(ck0, ck1):
         raise NotBinding("key pair is outside the binding event")
     if _hmac(gen_rand, b"ck0")[:KEY_LEN] != ck0:
         raise NotBinding("generation randomness does not match ck0")

@@ -41,7 +41,6 @@ from .nullio import _decode_we, we_cfg as _we_cfg, we_dec_bytes
 from .primitives import (
     KEY_LEN,
     PrfKey,
-    SbshKeys,
     ggm_eval,
     ggm_punct,
     owf,
@@ -294,16 +293,15 @@ def _main_relation(crs: ZaprCrs) -> Relation:
 
     def check(stmt: bytes, w: bytes) -> bool:
         x, ck1, c_nizk, c_owf = unpack_fields(stmt, 4)
-        keys = SbshKeys(crs.ck0, ck1)
         branch, payload, r = unpack_fields(w, 3)
         if branch == b"A":
-            if sbsh_com(keys, payload, r) != c_nizk:
+            if sbsh_com(crs.ck0, ck1, payload, r) != c_nizk:
                 return False
             b = payload[0]
             pi = NizkProof(payload[1:])
             target = crs.crs0 if b == 0 else crs.crs1
             return nizk_verify(target, pi, x) == 1
-        if sbsh_com(keys, payload, r) != c_owf:
+        if sbsh_com(crs.ck0, ck1, payload, r) != c_owf:
             return False
         b = payload[0]
         return owf(payload[1:]) == (crs.y0 if b == 0 else crs.y1)
@@ -348,11 +346,10 @@ def zapr_prove(crs: ZaprCrs, witness: Witness, x: bytes, drbg: Drbg) -> ZaprProo
     else:
         raise NoValidNizk("neither reference string yielded a verifying proof")
     ck1 = sbsh_key(drbg.child("ck1"))
-    keys = SbshKeys(crs.ck0, ck1)
     r1 = drbg.child("r1").bytes(KEY_LEN)
     r2 = drbg.child("r2").bytes(KEY_LEN)
-    c_nizk = sbsh_com(keys, bytes([b]) + pi.pi, r1)
-    c_owf = sbsh_com(keys, bytes(_SBSH_MSG_LEN), r2)
+    c_nizk = sbsh_com(crs.ck0, ck1, bytes([b]) + pi.pi, r1)
+    c_owf = sbsh_com(crs.ck0, ck1, bytes(_SBSH_MSG_LEN), r2)
     proof = ZaprProof(ck1, c_nizk, c_owf, b"")
     zap_witness = pack_fields(b"A", bytes([b]) + pi.pi, r1)
     zap_proof = crs.zap.prove(_main_relation(crs), _main_stmt(x, proof), zap_witness)

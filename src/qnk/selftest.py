@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, qsim
 from .circuit_ir import (
-    LockSpec,
     ProgramBuilder,
     check_chain,
     lockobf,
@@ -338,7 +337,7 @@ def criterion_8_lockable():
     x = b.input(0)
     c_prog = b.build([b.concat(x, b.const(bytes(range(15))))])
     u = bytes([0xAB]) + bytes(range(15))
-    obj = lockobf(LockSpec(u, b"released", c_prog))
+    obj = lockobf(u, b"released", c_prog)
     sim = lockobf_sim(c_prog.size, len(b"released"))
     for v in range(256):
         got = unwrap(obj.run(bytes([v])))

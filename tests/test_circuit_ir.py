@@ -7,7 +7,6 @@ from qnk.circuit_ir import (
     BOTTOM,
     MODE_IO,
     MODE_VBB,
-    LockSpec,
     Node,
     Program,
     ProgramBuilder,
@@ -222,25 +221,30 @@ class TestSealed:
 class TestLockable:
     def test_identity_lock(self):
         u = bytes(range(16))
-        obj = lockobf(LockSpec(u, b"payload", identity_program()))
+        obj = lockobf(u, b"payload", identity_program())
         assert unwrap(obj.run(u)) == b"payload"
         assert unwrap(obj.run(b"\x00" * 16)) is None
 
     def test_lock_survives_serialization(self):
         u = bytes(range(16))
-        obj = lockobf(LockSpec(u, b"p", identity_program()))
+        obj = lockobf(u, b"p", identity_program())
         again = SealedProgram.from_bytes(obj.to_bytes())
         assert (again.mode, again.declared_size) == (obj.mode, obj.declared_size)
         for x in (u, b"\x00" * 16, u[:15], b""):
             assert again.run(x) == obj.run(x)
         assert unwrap(again.run(u)) == b"p"
 
+    @pytest.mark.parametrize("length", (0, 15, 17))
+    def test_lock_must_be_16_bytes(self, length):
+        with pytest.raises(MalformedCircuit):
+            lockobf(bytes(length), b"p", identity_program())
+
     def test_exhaustive_and_sim(self):
         b = ProgramBuilder(1)
         x = b.input(0)
         inner = b.build([b.concat(x, b.const(b"\x11" * 15))])
         u = b"\x2a" + b"\x11" * 15
-        obj = lockobf(LockSpec(u, b"z!", inner))
+        obj = lockobf(u, b"z!", inner)
         sim = lockobf_sim(inner.size, 2)
         for v in range(256):
             got = unwrap(obj.run(bytes([v])))

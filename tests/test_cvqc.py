@@ -9,6 +9,7 @@ from qnk import cvqc
 from qnk.circuit_ir import SealedProgram
 from qnk.cvqc import (
     MINI_PARAMS,
+    PROTO_ORACLE,
     PROTO_TOY,
     TOY_LINEAR,
     TOY_STANDARD,
@@ -17,7 +18,6 @@ from qnk.cvqc import (
     CvqcProof,
     CvqcVerifyKey,
     ToyParams,
-    base_verify,
     blind_keygen,
     blind_prove,
     blind_verify,
@@ -332,14 +332,15 @@ class TestCheckTable:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(toy_cases())
     def test_table_verdict_matches_per_pair_rule(self, case):
-        """The pair reader and, on every proof that has an encoding, the
-        byte reader give the per-pair rule's verdict or error."""
+        """The pair reader, which reads every position, and on every proof
+        that has an encoding the byte reader, under any mask, give the
+        per-pair rule's verdict or error."""
         r, mask, pi, hostile = case
         vk = r.body
         want = verdict_or_error(reference_verdict, pi, vk, mask)
-        assert verdict_or_error(cvqc._toy_verdict, pi, vk, mask) == want
         assert (want is MalformedProof) == hostile
         if mask == cvqc._EVERY_POSITION:
+            assert verdict_or_error(cvqc._toy_verdict, pi, vk) == want
             assert verdict_or_error(toy_verify, YES, pi, r) == want
         if all(0 <= v <= 255 for pair in pi for v in pair):
             enc = encode_base_proof(PROTO_TOY, pi)
@@ -835,6 +836,9 @@ def decoded_stats_verdict(r, blob) -> int:
         return 0
 
 
+PAIR_VERIFIERS = {PROTO_ORACLE: oracle_verify, PROTO_TOY: toy_verify}
+
+
 def decoded_star_verdict(s, proto, blob, use_td: bool) -> int:
     """Decode, re-encode, check the digest, then the base verifier on the
     pairs or (use_td) the PRF unmasking of the oracle's last bit."""
@@ -848,14 +852,14 @@ def decoded_star_verdict(s, proto, blob, use_td: bool) -> int:
     if ro_query(oracle, encode_base_proof(proto, proof.pi)) != proof.h:
         return 0
     try:
-        return base_verify(YES, proof.pi, s.r)
+        return PAIR_VERIFIERS[proto](YES, proof.pi, s.r)
     except MalformedProof:
         return 0
 
 
 def decoded_base_verdict(s, proto, blob) -> int:
     try:
-        return base_verify(YES, decode_base_proof(proto, blob), s.r)
+        return PAIR_VERIFIERS[proto](YES, decode_base_proof(proto, blob), s.r)
     except MalformedProof:
         return 0
 
@@ -966,6 +970,18 @@ class TestByteReaders:
             with pytest.raises(DomainMismatch):
                 stats_verify(YES, salt, readable_layout, bad)
 
+    @pytest.mark.parametrize("length", (0, 15, 17))
+    def test_salt_of_other_length_unreadable(self, length):
+        """`stats_verify` reads a salted proof only with 16 salt bytes, as
+        the sealed stats verifier does."""
+        pp, r = toy_keygen(YES, Drbg(71), ToyParams(variant=TOY_STATS))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(72))
+        assert stats_verify(YES, salt, pi, r) == 1
+        wrong = (salt * 2)[:length]
+        with pytest.raises(MalformedProof):
+            stats_verify(YES, wrong, pi, r)
+        assert sealed_stats_verifier(YES, r).run(stats_encode(wrong, pi)) == b"\x00"
+
 
 class TestBlindWrapper:
     def test_completeness(self):
@@ -1005,11 +1021,23 @@ class TestBlindWrapper:
             pp, r = toy_keygen(YES, Drbg(800 + s).child("keygen"))
             y, st = _toy_prove1(pp, Witness.empty(), Drbg(900 + s).child("prove1"))
             pi = _toy_prove2(pp, proof.c, st)
-            clear_bit = _toy_verify4(YES, proof.c, pi, r)
+            clear_bit = _toy_verify4(YES, proof.c, encode_base_proof(PROTO_TOY, pi), r)
             assert blind_bit == clear_bit == 1
             # and the decrypted transcript matches the clear one
             dec_y, dec_pi = unpack_fields(qfhe_dec(bvk.sk, proof.ct_pi), 2)
             assert dec_y == y and decode_base_proof(PROTO_TOY, dec_pi) == pi
+
+    def test_unreadable_decrypted_proof_rejected(self):
+        """A decrypted proof the key cannot read is a rejection, as on the
+        sealed surfaces: here an entry out of range, or one pair too few."""
+        from qnk.qfhe import qfhe_dec, qfhe_enc
+        bp, bvk, oracle = blind_keygen(YES, Drbg(800))
+        proof = blind_prove(bp, Witness.empty(), oracle, Drbg(900))
+        assert blind_verify(YES, proof, bvk, oracle) == 1
+        y, enc = unpack_fields(qfhe_dec(bvk.sk, proof.ct_pi), 2)
+        for bad in (enc[:2] + b"\x02" + enc[3:], b"T" + bytes([enc[1] - 1]) + enc[2:-2]):
+            ct_pi = qfhe_enc(bp.pk, pack_fields(y, bad), Drbg(901))
+            assert blind_verify(YES, replace(proof, ct_pi=ct_pi), bvk, oracle) == 0
 
     def test_claim_digest_changes(self):
         assert YES.digest() != NO.digest()

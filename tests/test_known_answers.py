@@ -33,7 +33,7 @@ from qnk.cvqc import (
 from qnk.encdelegate import abe_gen, attr_wire, cprf_gen
 from qnk.errors import ProofFailed
 from qnk.nullio import nio_eval, nio_obf, nio_obf_stage, nio_obf_vbb
-from qnk.primitives import SbshKeys, sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
+from qnk.primitives import sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
 from qnk.proofs import nizk_prove, nizk_setup
 from qnk.qma import Witness, fixture, ghz_witness, make_policy_language
@@ -115,7 +115,7 @@ class TestSbsh:
         ck1 = Drbg(6).child(str(index)).bytes(16)
         assert sbsh_is_binding(ck0, ck1) is binding
         m, r = b"\x00\x00known answer", b"\x11" * 16
-        c = sbsh_com(SbshKeys(ck0, ck1), m, r)
+        c = sbsh_com(ck0, ck1, m, r)
         assert c.hex() == r.hex() + want
         if binding:
             assert sbsh_ext(gen_rand, ck0, ck1, c) == m

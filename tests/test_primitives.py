@@ -20,7 +20,6 @@ from qnk.primitives import (
     MODE_TDGEN,
     PrfKey,
     RandomOracle,
-    SbshKeys,
     commit,
     ggm_eval,
     ggm_eval_punct,
@@ -334,18 +333,19 @@ class TestRandomOracle:
 
 
 class TestSbsh:
-    def test_always_binding_extraction(self):
+    def test_binding_extraction(self):
         d = Drbg(13)
         ck0, gen_rand = sbsh_gen(d)
         ck1 = sbsh_key(d)
-        keys = SbshKeys(ck0, ck1, 0)
-        c = sbsh_com(keys, b"the committed value", d.bytes(16))
-        assert sbsh_ext(gen_rand, ck0, ck1, c, 0) == b"the committed value"
+        while not sbsh_is_binding(ck0, ck1):
+            ck1 = sbsh_key(d)
+        c = sbsh_com(ck0, ck1, b"the committed value", d.bytes(16))
+        assert sbsh_ext(gen_rand, ck0, ck1, c) == b"the committed value"
 
     def test_binding_frequency_matches_rate(self):
         d = Drbg(14)
         ck0, _ = sbsh_gen(d)
-        hits = sum(sbsh_is_binding(ck0, sbsh_key(d), 4) for _ in range(10 ** 4))
+        hits = sum(sbsh_is_binding(ck0, sbsh_key(d)) for _ in range(10 ** 4))
         # binomial(10^4, 2^-4): mean 625, sigma ~24.8
         assert abs(hits - 625) <= 3 * 24.8
 
@@ -353,27 +353,25 @@ class TestSbsh:
         d = Drbg(15)
         ck0, gen_rand = sbsh_gen(d)
         ck1 = sbsh_key(d)
-        while sbsh_is_binding(ck0, ck1, 4):
+        while sbsh_is_binding(ck0, ck1):
             ck1 = sbsh_key(d)
-        keys = SbshKeys(ck0, ck1, 4)
-        c = sbsh_com(keys, b"m", d.bytes(16))
+        c = sbsh_com(ck0, ck1, b"m", d.bytes(16))
         with pytest.raises(NotBinding):
-            sbsh_ext(gen_rand, ck0, ck1, c, 4)
+            sbsh_ext(gen_rand, ck0, ck1, c)
 
     def test_non_binding_distributions_close(self):
         # per-byte empirical distance between commitments to two messages
         d = Drbg(16)
         ck0, _ = sbsh_gen(d)
         ck1 = sbsh_key(d)
-        while sbsh_is_binding(ck0, ck1, 4):
+        while sbsh_is_binding(ck0, ck1):
             ck1 = sbsh_key(d)
-        keys = SbshKeys(ck0, ck1, 4)
         ones = [0] * 8
         zeros = [0] * 8
         n = 10 ** 4
         for _ in range(n):
-            c0 = sbsh_com(keys, b"\x00" * 8, d.bytes(16))[16:]
-            c1 = sbsh_com(keys, b"\xff" * 8, d.bytes(16))[16:]
+            c0 = sbsh_com(ck0, ck1, b"\x00" * 8, d.bytes(16))[16:]
+            c1 = sbsh_com(ck0, ck1, b"\xff" * 8, d.bytes(16))[16:]
             for j in range(8):
                 zeros[j] += bin(c0[j]).count("1")
                 ones[j] += bin(c1[j]).count("1")

@@ -44,7 +44,9 @@ The one exception is the `claim` of `toy_verify`, `stats_verify` and
 check the claim.
 A TOY verifier that holds a proof's bytes reads them (`cvqc._toy_verdict_bytes`)
 instead of decoding pairs, so `decode_base_proof(` is called only where pairs
-are wanted, in `CvqcProof.decode` and `blind_verify`, or for `PROTO_ORACLE`.
+are wanted, in `CvqcProof.decode`, or for `PROTO_ORACLE`. The pair reader
+`cvqc._toy_verdict` serves the one verifier that is handed pairs, so
+`toy_verify` alone names it.
 Sealed programs have one decode memo, `circuit_ir._decode_sealed`, which
 `SealedProgram.to_bytes` primes, so no `@memo` function outside
 `circuit_ir.py` calls `SealedProgram.from_bytes`.
@@ -284,7 +286,7 @@ def test_hmac_takes_one_message():
     assert calls > 0 and bad == []
 
 
-PAIR_DECODERS = {("cvqc.py", "CvqcProof.decode"), ("cvqc.py", "blind_verify")}
+PAIR_DECODERS = {("cvqc.py", "CvqcProof.decode")}
 
 
 def test_pairs_decoded_only_where_wanted():
@@ -299,6 +301,17 @@ def test_pairs_decoded_only_where_wanted():
                   for call in filter(is_decode, ast.walk(fn))]
     assert everywhere == len(calls)
     assert {(m, name) for m, name, oracle in calls if not oracle} == PAIR_DECODERS
+
+
+def test_pair_reader_named_only_by_toy_verify():
+    names_it = lambda n: "_toy_verdict" in (getattr(n, "id", None), getattr(n, "attr", None))
+    uses = []  # (module, top-level function or "<module>") per reference
+    for p in SRC:
+        tree = ast.parse(p.read_text())
+        inside = [(p.name, name) for name, fn in top_level_functions(tree)
+                  for node in ast.walk(fn) if names_it(node)]
+        uses += inside + [(p.name, "<module>")] * (sum(map(names_it, ast.walk(tree))) - len(inside))
+    assert uses == [("cvqc.py", "toy_verify")]
 
 
 def sealed_decoding_memos(path_name: str, tree) -> list:
