@@ -71,20 +71,11 @@ class Program:
     input_arity: int
 
     def __post_init__(self):
-        nodes = self.nodes
-        tail_tried = False
-        for i, node in enumerate(nodes):
-            if node is _FILLER:
-                # Once per program, at the first filler, test whether every
-                # node left is one too (as padding decodes) with one compare.
-                if not tail_tried:
-                    tail_tried = True
-                    if nodes[i:] == (_FILLER,) * (len(nodes) - i):
-                        break
-                continue
-            _check_node(i, node, self.input_arity)
+        for i, node in enumerate(self.nodes):
+            if node is not _FILLER:
+                _check_node(i, node, self.input_arity)
         for o in self.outputs:
-            if not 0 <= o < len(nodes):
+            if not 0 <= o < len(self.nodes):
                 raise MalformedCircuit(f"output {o} out of range")
 
     @property
@@ -621,23 +612,11 @@ def program_from_bytes(blob: bytes) -> Program:
         raise MalformedCircuit("unknown program format version")
     input_arity = r.u32()
     nodes = []
-    count = r.u32()
-    tail_tried = False
     # one try around the loop, not one per node
     try:
-        for i in range(count):
+        for _ in range(r.u32()):
             if r.skip(_FILLER_BYTES):
                 nodes.append(_FILLER)
-                rest = count - 1 - i
-                # Once per decode, at the first filler, test whether every node
-                # left is one too (as padding is written) with one compare. The
-                # run is built only if the blob still holds its bytes, so a
-                # hostile count allocates no more than the blob's length.
-                if not tail_tried and rest * len(_FILLER_BYTES) <= len(blob) - r.pos:
-                    tail_tried = True
-                    if r.skip(_FILLER_BYTES * rest):
-                        nodes += [_FILLER] * rest
-                        break
                 continue
             op = _TAG_OPS[r.take(1)[0]]
             args = tuple(r.u32() for _ in range(r.u32()))

@@ -36,6 +36,7 @@ from . import qfhe
 from .errors import (
     DomainMismatch,
     JudgeReject,
+    KeyMismatch,
     MalformedCiphertext,
     MalformedProof,
 )
@@ -437,7 +438,10 @@ def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
     # 4.2 us a call against 2.0 us (median of 48 timings, 16 par8 keys), and
     # this is the perfbench `prove` workload's consume step
     _check_toy_length(pi, r.body)
-    return _toy_verdict(pi, r.body)
+    try:
+        return _toy_verdict(pi, r.body)
+    except (TypeError, ValueError) as e:
+        raise MalformedProof("proof entry is not a pair of ints") from e
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +532,13 @@ def _star_verdict(claim: Claim, enc: bytes, h: bytes, r: CvqcVerifyKey, oracle) 
 def star_verify(claim: Claim, proof: CvqcProof, r: CvqcVerifyKey, oracle) -> int:
     """Accept iff the digest matches and the base verifier accepts. A proof
     the key cannot read (TOY pairs not in a tuple, a pair count other than
-    K, an entry out of range) is a rejection, as in the trapdoor oracle's
-    verdict."""
-    verdict = _star_verdict(claim, encode_base_proof(r.proto, proof.pi), proof.h, r, oracle)
+    K, an entry out of range or one that does not encode) is a rejection, as
+    in the trapdoor oracle's verdict."""
+    try:
+        enc = encode_base_proof(r.proto, proof.pi)
+    except (TypeError, ValueError):
+        return 0
+    verdict = _star_verdict(claim, enc, proof.h, r, oracle)
     return verdict if r.proto == PROTO_ORACLE or isinstance(proof.pi, tuple) else 0
 
 
@@ -550,12 +558,16 @@ def td_verify(claim: Claim, proof: CvqcProof, td: PrfKey, oracle, proto: str) ->
     reads) the verdict the oracle masked is read back, without the HMAC: the
     one a TDGEN oracle kept in `verdicts`, and none (0) under SIMGEN. Any
     other key, or a UNIFORM oracle, unmasks with F(td, pi). TOY pairs not in
-    a tuple are a rejection, as in `star_verify`."""
+    a tuple, or entries that do not encode, are a rejection, as in
+    `star_verify`."""
     # the body of `_td_verdict`, inlined: calling it moved perfbench `verify`
     # consume_p50 from 2.747 to 2.898 us (+5.5%, 6 of 6 alternated pairs on 2
     # cores) and ops/s by -1.9%. The pair check comes last, so a SIMGEN
     # verdict under its own trapdoor skips it.
-    enc = encode_base_proof(proto, proof.pi)
+    try:
+        enc = encode_base_proof(proto, proof.pi)
+    except (TypeError, ValueError):
+        return 0
     if ro_query(oracle, enc) != proof.h:
         return 0
     if oracle.mode != MODE_UNIFORM and oracle.td.bytes == td.bytes:
@@ -706,7 +718,11 @@ def _stats_mask(encoded: bytes, vk: ToyVerifyKey) -> bytes:
 
 def stats_verify(claim: Claim, salt: bytes, pi, r: CvqcVerifyKey) -> int:
     _check_toy_length(pi, r.body)  # before stats_encode reads the pairs
-    return _stats_verify(stats_encode(salt, pi), r)
+    try:
+        encoded = stats_encode(salt, pi)
+    except (TypeError, ValueError) as e:
+        raise MalformedProof("proof entry does not encode") from e
+    return _stats_verify(encoded, r)
 
 
 def _stats_verify(encoded: bytes, r: CvqcVerifyKey) -> int:
@@ -832,6 +848,6 @@ def blind_verify(claim: Claim, proof: BlindProof, bvk: BlindVerifyKey, oracle) -
         return 0
     try:
         _, pi_bytes = unpack_fields(qfhe.qfhe_dec(bvk.sk, proof.ct_pi), 2)
-    except MalformedCiphertext:
+    except (KeyMismatch, MalformedCiphertext):
         return 0
     return _toy_verify4(claim, proof.c, pi_bytes, bvk.r)

@@ -2,19 +2,18 @@
 classical keys.
 
 Ciphertexts carry the plaintext sealed behind a key-derived pad; Eval opens
-the sealing boundary internally, applies the function (classical closure or a
-quantum circuit routed through the simulator), and reseals. Semantic security
-is modeled, not real: the mock preserves dataflow so that provers can run
-under encryption. The scheme is leveled; every Eval ticks a depth counter.
+the sealing boundary internally, applies a function on bytes (which may call
+the simulator), and reseals. Semantic security is modeled, not real: the mock
+preserves dataflow so that provers can run under encryption. The scheme is
+leveled; every Eval ticks a depth counter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthExceeded, KeyMismatch, MalformedCiphertext
+from .errors import DepthExceeded, KeyMismatch
 from .memo import memo
 from .primitives import KEY_LEN
-from .qsim import QuantumCircuit, run_circuit
 from .rand import Drbg, _hmac
 from .wire import Reader, _seal_keyed, _unseal_keyed, pack_bytes, pack_u32, seal, unseal
 
@@ -25,10 +24,6 @@ DEFAULT_MAX_DEPTH = 8
 class QfheKeys:
     pk: bytes  # key id (8 bytes) || sealed wrapping key
     sk: bytes  # 16 bytes
-
-    @property
-    def key_id(self) -> bytes:
-        return self.pk[:8]
 
 
 @dataclass(frozen=True)
@@ -80,25 +75,15 @@ def qfhe_dec(sk: bytes, ct: QfheCiphertext) -> bytes:
 
 
 def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> QfheCiphertext:
-    """Homomorphic application of C inside the sealing boundary.
-
-    C is either a callable bytes -> bytes or a QuantumCircuit (the plaintext
-    is then parsed as input bits; the sampled output bit is the result).
-    """
+    """Homomorphic application of C, a callable bytes -> bytes, inside the
+    sealing boundary."""
     if pk[:8] != ct.key_id:
         raise KeyMismatch("public key does not match ciphertext")
     if ct.eval_depth + 1 > ct.max_depth:
         raise DepthExceeded(f"evaluation depth {ct.eval_depth + 1} exceeds {ct.max_depth}")
     wrap_key = _wrap_key_from_pk(pk)
     m = _unseal_keyed(wrap_key, ct.payload)
-    if isinstance(C, QuantumCircuit):
-        if m.translate(None, b"01"):
-            raise MalformedCiphertext("circuit input is not a bitstring of 0s and 1s")
-        bits = [int(c) for c in m.decode()]
-        bit, _ = run_circuit(C, bits, drbg if drbg is not None else Drbg(0))
-        out = bytes([bit])
-    else:
-        out = C(m)
+    out = C(m)
     nonce_src = drbg.bytes(16) if drbg is not None else _hmac(wrap_key, b"renonce" + ct.payload)[:16]
     return QfheCiphertext(ct.key_id, _seal_keyed(wrap_key, out, nonce_src),
                           ct.eval_depth + 1, ct.max_depth)

@@ -982,6 +982,28 @@ class TestByteReaders:
             stats_verify(YES, wrong, pi, r)
         assert sealed_stats_verifier(YES, r).run(stats_encode(wrong, pi)) == b"\x00"
 
+    @pytest.mark.parametrize("verifier", ("star", "td", "stats", "toy"))
+    @pytest.mark.parametrize("entry", [(256, 0), (0, -1), ("x", 0), (0, 0, 0)], ids=str)
+    def test_entry_that_does_not_encode_fails_closed(self, verifier, entry):
+        """A last entry with no encoding is a rejection, as FORMATS.md says:
+        0 from `star_verify` and `td_verify`, MalformedProof from the
+        pair-level verifiers, not the encoder's TypeError or ValueError."""
+        s = td_gen(YES, PROTO_TOY, Drbg(73))
+        honest = star_prove(s.pp, Witness.empty(), s.oracle, Drbg(74))
+        pp, r = toy_keygen(YES, Drbg(71), ToyParams(variant=TOY_STATS))
+        salt, pi = toy_prove_stats(pp, Witness.empty(), Drbg(72))
+        bad = CvqcProof(honest.pi[:-1] + (entry,), honest.h)
+        if verifier == "star":
+            assert star_verify(YES, bad, s.r, s.oracle) == 0
+        elif verifier == "td":
+            assert td_verify(YES, bad, s.td, s.oracle, PROTO_TOY) == 0
+        else:
+            with pytest.raises(MalformedProof):
+                if verifier == "stats":
+                    stats_verify(YES, salt, pi[:-1] + (entry,), r)
+                else:
+                    toy_verify(YES, bad.pi, s.r)
+
 
 class TestBlindWrapper:
     def test_completeness(self):
@@ -1038,6 +1060,15 @@ class TestBlindWrapper:
         for bad in (enc[:2] + b"\x02" + enc[3:], b"T" + bytes([enc[1] - 1]) + enc[2:-2]):
             ct_pi = qfhe_enc(bp.pk, pack_fields(y, bad), Drbg(901))
             assert blind_verify(YES, replace(proof, ct_pi=ct_pi), bvk, oracle) == 0
+
+    def test_ciphertext_under_another_key_rejected(self):
+        """A proof ciphertext whose key id is not the verifier's is a
+        rejection, as the sealed QFHE_DEC gate reads it."""
+        bp, bvk, oracle = blind_keygen(YES, Drbg(800))
+        proof = blind_prove(bp, Witness.empty(), oracle, Drbg(900))
+        assert blind_verify(YES, proof, bvk, oracle) == 1
+        bad = replace(proof, ct_pi=replace(proof.ct_pi, key_id=bytes(8)))
+        assert blind_verify(YES, bad, bvk, oracle) == 0
 
     def test_claim_digest_changes(self):
         assert YES.digest() != NO.digest()

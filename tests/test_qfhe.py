@@ -3,7 +3,6 @@ import pytest
 from qnk.errors import DepthExceeded, KeyMismatch, MalformedCiphertext
 from qnk.primitives import owf
 from qnk.qfhe import QfheCiphertext, qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
-from qnk.qsim import QuantumCircuit
 from qnk.rand import Drbg
 
 
@@ -58,19 +57,6 @@ class TestEval:
             ct = qfhe_enc(keys.pk, m, d.child(m.hex() + "e"))
             out = qfhe_eval(keys.pk, owf, ct, d.child(m.hex() + "v"))
             assert qfhe_dec(keys.sk, out) == owf(m)
-
-    def test_quantum_circuit_routing(self, keys):
-        Q = QuantumCircuit(1, (("X", (0,)),), n_input=1)
-        ct = qfhe_enc(keys.pk, b"0", Drbg(10))
-        out = qfhe_eval(keys.pk, Q, ct, Drbg(11))
-        assert qfhe_dec(keys.sk, out) == b"\x01"
-
-    @pytest.mark.parametrize("payload", [b"2", b"\xff", b"a", b"0 ", b"01\x00"])
-    def test_quantum_circuit_takes_only_a_bitstring(self, keys, payload):
-        Q = QuantumCircuit(1, (("X", (0,)),), n_input=1)
-        ct = qfhe_enc(keys.pk, payload, Drbg(10))
-        with pytest.raises(MalformedCiphertext, match="bitstring"):
-            qfhe_eval(keys.pk, Q, ct, Drbg(11))
 
     def test_depth_cap(self, keys):
         ct = qfhe_enc(keys.pk, b"m", Drbg(12))

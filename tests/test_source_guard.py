@@ -25,6 +25,8 @@ evaluates its variants itself. Only `qsim.py` names numpy, and it imports it
 inside a function on the first simulation, never at module top, so actions
 that never simulate do not load it. Every multi-qubit gate is a controlled X
 with one kernel, so outside `GATE_ARITY` `qsim.py` names no "CNOT" or "CCX".
+QFHE Eval runs a function on bytes, which may call the simulator itself, so
+`qfhe.py` imports nothing from `qsim`.
 A one-qubit gate is a matmul between two transposes of the amplitude
 tensor, so no module calls `moveaxis`.
 A QMA witness is one `qma.Witness`, its classical part included, so no
@@ -126,6 +128,13 @@ def test_qsim_imports_numpy_lazily():
     imported = ({a.name.split(".")[0] for n in top if isinstance(n, ast.Import) for a in n.names}
                 | {n.module.split(".")[0] for n in top if isinstance(n, ast.ImportFrom) and n.module})
     assert "math" in imported and "numpy" not in imported
+
+
+def test_qfhe_does_not_import_qsim():
+    qfhe = next(p for p in SRC if p.name == "qfhe.py")
+    imports = [ast.unparse(n) for n in ast.walk(ast.parse(qfhe.read_text()))
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports and [i for i in imports if re.search(r"\bqsim\b", i)] == []
 
 
 def test_controlled_x_named_only_in_gate_arity():
