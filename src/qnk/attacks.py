@@ -1,17 +1,25 @@
 """Cryptanalysis of obfuscated measurement-protocol verifiers that answer
 queries on accepting instances.
 
-All attacks drive a sealed verifier through its public evaluation surface
-only. Starting from one honest accepting proof:
+All attacks drive a verifier through its public evaluation surface only: a
+sealed surface (`SealedProgram`), or a callable with the same contract, query
+bytes in and verdict byte out. Each attack encodes its accepting proof once
+in the FORMATS.md layout "T" | K | (b_i | d_i)*; every later query is that
+encoding with one byte XORed (after "S" | salt in the stats attack, whose
+salted queries also repeat the unflipped encoding). Starting from one honest
+accepting proof:
 
-* basis-flip — flip each position's bit in turn; the verdict flips exactly at
-  the positions the verifier reads, recovering the hidden basis string x.
+* basis-flip — flip each position's bit b_i (byte 2 + 2i) in turn; the
+  verdict flips exactly at the positions the verifier reads, recovering the
+  hidden basis string x.
 * acceptance statistics — against the subset-resampling variant, estimate
-  per-position acceptance rates over fresh salts; read positions drop to
-  about one half, ignored positions stay at one.
+  per-position acceptance rates over fresh salts, querying "S" | salt | the
+  encoding with b_i flipped or not; read positions drop to about one half,
+  ignored positions stay at one.
 * linear equations — against the no-ignored-positions variant, XOR probe
-  vectors into d_i; each verdict is one linear equation over GF(2) in the
-  verifier secret s_i, solved by elimination once the probes span.
+  vectors into d_i (byte 3 + 2i); each verdict is one linear equation over
+  GF(2) in the verifier secret s_i, solved by elimination once the probes
+  span.
 """
 from __future__ import annotations
 
@@ -19,19 +27,19 @@ import json
 from dataclasses import dataclass, field
 
 from .circuit_ir import SealedProgram
-from .cvqc import PROTO_TOY, CvqcProof, encode_base_proof
+from .cvqc import PROTO_TOY, encode_base_proof
 from .errors import NoAcceptingProof, RankDeficient
 from .primitives import KEY_LEN, ro_query
 from .rand import Drbg
+from .wire import pack_fields
 
 DEFAULT_STATS_THRESHOLD = 0.25
 MIN_STATS_SAMPLES = 4
-_MAX_STATS_BODIES = 16  # encodings a stats adapter keeps; the attack needs 2
 
 
 @dataclass
 class AttackTranscript:
-    queries: list = field(default_factory=list)   # (encoded proof, verdict)
+    queries: list = field(default_factory=list)   # (query bytes, verdict)
     recovered: tuple = ()
 
     @property
@@ -51,57 +59,34 @@ class AttackTranscript:
         }, indent=2)
 
 
-def _verdict(sealed: SealedProgram, encode):
-    """Verdict adapter: encode the query, run the sealed surface, map its
-    output to 0/1 and record the pair in the transcript, if one is given."""
+def _verdict(verifier, accepting: bytes):
+    """The one verdict adapter. `verifier` is a sealed surface or a callable
+    with its contract, query bytes in and verdict byte out. Returns the
+    attack's transcript and a function that submits a query, maps the output
+    byte to 0/1 and records the pair; raises unless `accepting` accepts."""
+    run = verifier.run if isinstance(verifier, SealedProgram) else verifier
+    t = AttackTranscript()
 
-    def f(query, transcript: AttackTranscript | None = None) -> int:
-        enc = encode(query)
-        v = 1 if sealed.run(enc) == b"\x01" else 0
-        if transcript is not None:
-            transcript.record(enc, v)
-        return v
+    def verdict(query: bytes) -> int:
+        return t.record(query, 1 if run(query) == b"\x01" else 0)
 
-    return f
-
-
-def toy_verdict(sealed: SealedProgram):
-    """Plain-pairs verdict adapter for the standard/linear verifier surface."""
-    return _verdict(sealed, lambda pi: encode_base_proof(PROTO_TOY, pi))
+    if verdict(accepting) != 1:
+        raise NoAcceptingProof("supplied proof does not accept")
+    return t, verdict
 
 
-def stats_verdict(sealed: SealedProgram):
-    """Salted-proof verdict adapter: each query is `stats_encode(salt, pi)`.
-    The stats attack asks about one pi under many salts, so the encoding of
-    pi is kept for reuse while the same hashable (so immutable) pi object
-    comes back; an equal but distinct pi is encoded afresh."""
-    bodies = {}
-
-    def encode(salt, pi):
-        head = b"S" + salt
-        try:
-            seen, body = bodies.get(pi, (None, None))
-        except TypeError:  # unhashable, e.g. a list of lists
-            return head + encode_base_proof(PROTO_TOY, pi)
-        if seen is not pi:
-            body = encode_base_proof(PROTO_TOY, pi)
-            if len(bodies) >= _MAX_STATS_BODIES:
-                bodies.clear()
-            bodies[pi] = (pi, body)
-        return head + body
-
-    return _verdict(sealed, lambda salted: encode(*salted))
+def _xor_byte(blob: bytes, offset: int, mask: int) -> bytes:
+    """`blob` with byte `offset` XORed by `mask`; a result outside 0..255
+    raises ValueError, as encoding that entry would."""
+    out = bytearray(blob)
+    out[offset] ^= mask
+    return bytes(out)
 
 
 def star_verdict(sealed: SealedProgram, oracle):
-    """Dual-mode surface adapter: hash the base proof through the public
-    oracle and submit the consistent (pi, h) pair."""
-    return _verdict(sealed, lambda pi: CvqcProof(
-        pi, ro_query(oracle, encode_base_proof(PROTO_TOY, pi))).encode(PROTO_TOY))
-
-
-def _as_verdict(verifier, adapter):
-    return adapter(verifier) if isinstance(verifier, SealedProgram) else verifier
+    """Dual-mode surface adapter: hash the encoded base proof through the
+    public oracle and submit the consistent (pi, h) pair."""
+    return lambda enc: sealed.run(pack_fields(enc, ro_query(oracle, enc)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +96,9 @@ def _as_verdict(verifier, adapter):
 def attack_basis_flip(verifier, accepting_pi) -> AttackTranscript:
     """Recover the basis string: position i is read (x_i = 1) exactly when
     flipping b_i turns the accepting proof into a rejecting one."""
-    verdict = _as_verdict(verifier, toy_verdict)
-    t = AttackTranscript()
-    if verdict(accepting_pi, t) != 1:
-        raise NoAcceptingProof("supplied proof does not accept")
-    recovered = []
-    for i in range(len(accepting_pi)):
-        flipped = list(accepting_pi)
-        b, d = flipped[i]
-        flipped[i] = (1 - b, d)
-        recovered.append(1 if verdict(tuple(flipped), t) == 0 else 0)
-    t.recovered = tuple(recovered)
+    enc = encode_base_proof(PROTO_TOY, accepting_pi)
+    t, verdict = _verdict(verifier, enc)
+    t.recovered = tuple(1 - verdict(_xor_byte(enc, 2 + 2 * i, 1)) for i in range(enc[1]))
     return t
 
 
@@ -132,25 +109,21 @@ def attack_basis_flip(verifier, accepting_pi) -> AttackTranscript:
 def attack_stats(verifier, accepting_salted, samples: int, *, seed=0) -> AttackTranscript:
     """Estimate, per position, the acceptance rate of the bit-flipped proof
     over fresh salts; a drop beyond the threshold marks a read position.
-    With too few samples a position stays undetermined (None)."""
-    verdict = _as_verdict(verifier, stats_verdict)
+    With too few samples a position stays undetermined (None). Queries are
+    `cvqc.stats_encode(salt, pi)`: "S" | salt | encoding."""
     salt0, pi = accepting_salted
-    t = AttackTranscript()
-    if verdict((salt0, pi), t) != 1:
-        raise NoAcceptingProof("supplied proof does not accept")
+    enc = encode_base_proof(PROTO_TOY, pi)
+    t, verdict = _verdict(verifier, b"S" + salt0 + enc)
     drbg = Drbg(seed).child("stats-attack")
     recovered = []
-    for i in range(len(pi)):
-        flipped = list(pi)
-        b, d = flipped[i]
-        flipped[i] = (1 - b, d)
-        flipped = tuple(flipped)
+    for i in range(enc[1]):
+        flipped = _xor_byte(enc, 2 + 2 * i, 1)
         base_hits = 0
         flip_hits = 0
         for s in range(samples):
             salt = drbg.child(f"salt-{i}-{s}").bytes(KEY_LEN)
-            base_hits += verdict((salt, pi), t)
-            flip_hits += verdict((salt, flipped), t)
+            base_hits += verdict(b"S" + salt + enc)
+            flip_hits += verdict(b"S" + salt + flipped)
         if samples < MIN_STATS_SAMPLES:
             recovered.append(None)
             continue
@@ -201,22 +174,13 @@ def attack_linear(verifier, accepting_pi, width: int,
     """Against the variant with no ignored positions: flipping d_i by a probe
     vector v flips the verdict exactly when <v, s_i> = 1. Gather equations
     until each s_i is pinned down, then eliminate."""
-    verdict = _as_verdict(verifier, toy_verdict)
-    t = AttackTranscript()
-    if verdict(accepting_pi, t) != 1:
-        raise NoAcceptingProof("supplied proof does not accept")
-    if probes is None:
-        probes = [1 << j for j in range(width)]
+    enc = encode_base_proof(PROTO_TOY, accepting_pi)
+    t, verdict = _verdict(verifier, enc)
+    probes = [1 << j for j in range(width)] if probes is None else list(probes)
     recovered = []
-    for i in range(len(accepting_pi)):
-        rows, rhs = [], []
-        for v in probes:
-            mutated = list(accepting_pi)
-            b, d = mutated[i]
-            mutated[i] = (b, d ^ v)
-            # verdict 0 means e_i moved, i.e. <v, s_i> = 1
-            rhs.append(1 - verdict(tuple(mutated), t))
-            rows.append(v)
-        recovered.append(_gf2_solve(rows, rhs, width))
+    for i in range(enc[1]):
+        # verdict 0 means e_i moved, i.e. <v, s_i> = 1
+        rhs = [1 - verdict(_xor_byte(enc, 3 + 2 * i, v)) for v in probes]
+        recovered.append(_gf2_solve(probes, rhs, width))
     t.recovered = tuple(recovered)
     return t

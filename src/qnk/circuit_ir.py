@@ -189,7 +189,7 @@ def punctured_key_to_bytes(kz) -> bytes:
 
 def punctured_key_from_bytes(blob: bytes):
     """Inverse of `punctured_key_to_bytes`; a short or overlong blob raises
-    MalformedCiphertext."""
+    MalformedCiphertext, a point outside the domain DomainMismatch."""
     r = Reader(blob)
     domain, point = r.take(1)[0], int.from_bytes(r.take(4), "big")
     path = tuple((r.take(1)[0], r.take(pr.KEY_LEN)) for _ in range(r.take(1)[0]))

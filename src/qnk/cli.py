@@ -47,6 +47,14 @@ def count(s: str) -> int:
     return n
 
 
+def positive(s: str) -> int:
+    """An integer of at least 1, such as a sample count."""
+    n = int(s)
+    if n < 1:
+        raise ValueError(s)
+    return n
+
+
 def bits(s: str) -> int:
     """A non-empty string of 0s and 1s, read as a binary number."""
     if not s or s.strip("01"):
@@ -466,7 +474,7 @@ def _parser() -> argparse.ArgumentParser:
                  flag("--subset", type=int_set, default="0,1",
                       help="comma-separated party indices"), *prover))
     attack = (lang, hex_x, params, *prover, flag("--report"))
-    command("attack", flip=attack, stats=(*attack, flag("--samples", type=int, default=50)),
+    command("attack", flip=attack, stats=(*attack, flag("--samples", type=positive, default=50)),
             linear=attack)
     sub.add_parser("selftest", parents=[flag("--only", type=criteria,
                                              help="comma-separated criterion numbers")])

@@ -131,6 +131,8 @@ class PuncturedKey:
     def __post_init__(self):
         if len(self.path_keys) != self.domain_bits:
             raise DomainMismatch("punctured key must carry one sibling per tree level")
+        if not 0 <= self.point < 1 << self.domain_bits:
+            raise DomainMismatch(f"punctured point {self.point:#x} outside the domain")
 
 
 def ggm_eval(k: PrfKey, x) -> bytes:
@@ -165,16 +167,13 @@ def ggm_eval_punct(kz: PuncturedKey, x) -> bytes:
     x = _as_point(x, n)
     if x == kz.point:
         raise PuncturedPoint(f"evaluation at the removed point {x:#x}")
-    # first level where x departs from the punctured path
-    for i in range(n):
-        xb = (x >> (n - 1 - i)) & 1
-        zb = (kz.point >> (n - 1 - i)) & 1
-        if xb != zb:
-            s = kz.path_keys[i][1]
-            for j in range(i + 1, n):
-                s = _g_child(s, (x >> (n - 1 - j)) & 1)
-            return s
-    raise PuncturedPoint("unreachable: x equals the removed point")
+    # x != point, so some bit differs; the highest one (bit n - 1 - i) is
+    # level i, where x departs from the punctured path
+    i = n - (x ^ kz.point).bit_length()
+    s = kz.path_keys[i][1]
+    for j in range(i + 1, n):
+        s = _g_child(s, (x >> (n - 1 - j)) & 1)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -430,7 +430,7 @@ def criterion_10_attacks():
     except NoAcceptingProof:
         immune += 1
     try:
-        attacks.attack_stats(lambda salted, t=None: verdict(salted[1], t),
+        attacks.attack_stats(lambda q: verdict(q[1 + KEY_LEN:]),
                              (bytes(16), pi_h.pi), samples=8)
     except NoAcceptingProof:
         immune += 1

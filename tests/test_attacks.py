@@ -3,13 +3,12 @@ import json
 
 import pytest
 
+from qnk import attacks
 from qnk.attacks import (
-    AttackTranscript,
     attack_basis_flip,
     attack_linear,
     attack_stats,
     star_verdict,
-    stats_verdict,
 )
 from qnk.cvqc import (
     PROTO_TOY,
@@ -112,7 +111,7 @@ class TestStats:
 
 
 def stats_accepts(sealed, salt, pi):
-    return stats_verdict(sealed)((salt, pi)) == 1
+    return sealed.run(stats_encode(salt, pi)) == b"\x01"
 
 
 class TestLinear:
@@ -159,7 +158,7 @@ class TestSimModeImmunity:
         for attack in (
             lambda: attack_basis_flip(verdict, proof.pi),
             lambda: attack_linear(verdict, proof.pi, width=4),
-            lambda: attack_stats(lambda s, t=None: verdict(s[1], t),
+            lambda: attack_stats(lambda q: verdict(q[1 + KEY_LEN:]),
                                  (bytes(16), proof.pi), samples=8),
         ):
             with pytest.raises(NoAcceptingProof):
@@ -217,43 +216,82 @@ class TestPinnedTranscripts:
         assert [q for q, _ in t.queries] == want
 
 
-class TestStatsAdapter:
-    """`stats_verdict` reuses the encoding of a pi it has seen; what it
-    submits, returns and raises must not depend on that."""
+@pytest.fixture(scope="module")
+def setups():
+    """Per attack: a call taking (verifier, pairs), the sealed verifier of
+    one fixed key, and that key's honest accepting pairs."""
+    pp, r = toy_keygen(CLAIM, Drbg(4))
+    ppl, rl = toy_keygen(CLAIM, Drbg(300), ToyParams(variant=TOY_LINEAR))
+    rs, (salt, pis) = stats_setup()
+    return {
+        "flip": (attack_basis_flip, sealed_toy_verifier(CLAIM, r),
+                 toy_prove(pp, Witness.empty(), Drbg(5))),
+        "linear": (lambda v, pi: attack_linear(v, pi, width=4), sealed_toy_verifier(CLAIM, rl),
+                   toy_prove(ppl, Witness.empty(), Drbg(400))),
+        "stats": (lambda v, pi: attack_stats(v, (salt, pi), samples=4, seed=3),
+                  sealed_stats_verifier(CLAIM, rs), pis),
+    }
 
-    def test_list_of_lists_matches_tuples(self):
-        r, (salt, pi) = stats_setup()
-        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
-        as_lists = [list(pair) for pair in pi]
-        t = AttackTranscript()
-        assert [verdict((salt, pi), t), verdict((salt, as_lists), t),
-                verdict((salt, as_lists), t), verdict((salt, pi), t)] == [1, 1, 1, 1]
-        assert [q for q, _ in t.queries] == [stats_encode(salt, pi)] * 4
-        as_lists[0][0] ^= 1  # a mutated list is encoded afresh
-        assert verdict((salt, as_lists), t) == stats_verdict(
-            sealed_stats_verifier(CLAIM, r))((salt, as_lists))
-        assert t.queries[-1][0] == stats_encode(salt, as_lists)
 
-    def test_an_equal_but_distinct_pi_is_encoded_afresh(self):
-        r, (salt, pi) = stats_setup()
-        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
-        assert verdict((salt, pi)) == 1
-        floats = tuple((float(b), d) for b, d in pi)
-        assert floats == pi
-        with pytest.raises(TypeError):
-            stats_encode(salt, floats)
-        with pytest.raises(TypeError):
-            verdict((salt, floats))
+ATTACKS = ["flip", "linear", "stats"]
 
-    @pytest.mark.parametrize("salted", [
-        (bytes(16),), (bytes(16), ((0, 1),), b""), ("salt", ((0, 1),)),
-        (bytes(16), ((0, 300),)), (bytes(16), ((0, 1, 2),)), (bytes(16), 5),
+BAD_PAIRS = {  # pairs -> what an attack given them raises, or None if it runs
+    "float-b": (lambda pi: ((float(pi[0][0]), pi[0][1]),) + pi[1:], TypeError),
+    "b-2": (lambda pi: ((2, pi[0][1]),) + pi[1:], NoAcceptingProof),
+    "k-minus-1": (lambda pi: pi[:-1], NoAcceptingProof),
+    "int": (lambda pi: 5, TypeError),
+    "lists": (lambda pi: [list(pair) for pair in pi], None),
+}
+
+
+class TestQueryBytes:
+    """Each attack encodes its accepting proof once and XORs one byte of
+    that encoding per query; the verifier is a sealed surface or a callable
+    on the same query bytes."""
+
+    @pytest.mark.parametrize("kind", ATTACKS)
+    def test_each_attack_encodes_its_proof_once(self, setups, monkeypatch, kind):
+        run, sealed, pi = setups[kind]
+        encoded = []
+        real = attacks.encode_base_proof
+        monkeypatch.setattr(attacks, "encode_base_proof",
+                            lambda proto, pairs: encoded.append(pairs) or real(proto, pairs))
+        t = run(sealed, pi)
+        assert t.query_count > 1 and encoded == [pi]
+
+    @pytest.mark.parametrize("kind", ATTACKS)
+    def test_run_callable_gives_the_sealed_transcript(self, setups, kind):
+        run, sealed, pi = setups[kind]
+        want = run(sealed, pi)
+        got = run(sealed.run, pi)
+        assert (got.queries, got.recovered) == (want.queries, want.recovered)
+
+    @pytest.mark.parametrize("kind", ATTACKS)
+    @pytest.mark.parametrize("bad", list(BAD_PAIRS))
+    def test_bad_pairs(self, setups, kind, bad):
+        run, sealed, pi = setups[kind]
+        mutate, error = BAD_PAIRS[bad]
+        if error is None:
+            assert run(sealed, mutate(pi)).queries == run(sealed, pi).queries
+        else:
+            with pytest.raises(error):
+                run(sealed, mutate(pi))
+
+    @pytest.mark.parametrize("salted, error", [
+        ((bytes(16),), ValueError), ((bytes(16), ((0, 1),), b""), ValueError),
+        (("salt", ((0, 1),)), TypeError), ((bytes(16), ((0, 300),)), ValueError),
+        ((bytes(16), ((0, 1, 2),)), ValueError), ((bytes(16), 5), TypeError),
     ], ids=["one-field", "three-fields", "str-salt", "byte-overflow", "triple", "int-pi"])
-    def test_bad_input_raises_what_stats_encode_raises(self, salted):
-        r, _ = stats_setup()
-        verdict = stats_verdict(sealed_stats_verifier(CLAIM, r))
-        with pytest.raises(Exception) as want:
-            stats_encode(*salted)
-        for _ in range(2):
-            with pytest.raises(type(want.value)):
-                verdict(salted)
+    def test_bad_salted_proof(self, setups, salted, error):
+        _, sealed, _ = setups["stats"]
+        with pytest.raises(error):
+            attack_stats(sealed, salted, samples=4)
+
+    @pytest.mark.parametrize("probes, error", [
+        ([1, 2, 4, 300], ValueError), ([1, 2, 4, -8], ValueError), ([1.0, 2, 4, 8], TypeError),
+    ], ids=["over-a-byte", "negative", "float"])
+    def test_probe_that_does_not_encode(self, setups, probes, error):
+        """d_i ^ v outside 0..255 raises as encoding that entry would."""
+        _, sealed, pi = setups["linear"]
+        with pytest.raises(error):
+            attack_linear(sealed, pi, width=4, probes=probes)

@@ -886,6 +886,8 @@ HOSTILE_FLAGS = [
     ["we", "enc", "--seed", str(1 << 128)],
     ["we", "enc", "--lang", "nope"],
     ["nizk", "setup", "--lang", "par9"],
+    ["attack", "stats", "--samples", "0"],
+    ["attack", "stats", "--samples", "-3"],
 ]
 
 

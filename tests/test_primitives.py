@@ -19,6 +19,7 @@ from qnk.primitives import (
     MODE_SIMGEN,
     MODE_TDGEN,
     PrfKey,
+    PuncturedKey,
     RandomOracle,
     commit,
     ggm_eval,
@@ -115,6 +116,27 @@ class TestGgm:
         kz = ggm_punct(prf_gen(Drbg(8), 16), 0x1234)
         assert len(kz.path_keys) == 16
         assert kz.point == 0x1234
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_punctured_agrees_on_wide_domains(self, n):
+        """The departure level is read off the highest bit where x and the
+        point differ, including the root level and the last one."""
+        d = Drbg(9).child(str(n))
+        k = prf_gen(d, n)
+        z = int.from_bytes(d.bytes(n // 8), "big")
+        kz = ggm_punct(k, z)
+        xs = {z ^ 1, z ^ (1 << (n - 1)), 0, (1 << n) - 1}
+        xs |= {int.from_bytes(d.bytes(n // 8), "big") for _ in range(30)}
+        for x in xs - {z}:
+            assert ggm_eval_punct(kz, x) == ggm_eval(k, x)
+
+    def test_point_outside_domain_rejected(self):
+        """A point of more than domain_bits bits (the codec carries 4 bytes)
+        is refused when the key is made, so every x != point departs from
+        the path at some level."""
+        kz = ggm_punct(prf_gen(Drbg(10), 8), 0x2A)
+        with pytest.raises(DomainMismatch):
+            PuncturedKey(kz.path_keys, 0x12A, 8)
 
 
 class TestXor:

@@ -52,6 +52,10 @@ are wanted, in `CvqcProof.decode`, or for `PROTO_ORACLE`. The pair reader
 Sealed programs have one decode memo, `circuit_ir._decode_sealed`, which
 `SealedProgram.to_bytes` primes, so no `@memo` function outside
 `circuit_ir.py` calls `SealedProgram.from_bytes`.
+An attack encodes its accepting proof once and XORs bytes of that encoding
+per query, so in `attacks.py` `encode_base_proof(` is called only in the
+bodies of the three `attack_*` functions, never inside a loop, a
+comprehension or a nested function.
 """
 import ast
 import re
@@ -351,3 +355,51 @@ def test_sealed_decoding_memo_pattern():
     assert sealed_decoding_memos("encdelegate.py", per_module) == ["encdelegate.py:_decode_sealed"]
     plain = ast.parse("def decode(blob):\n    return SealedProgram.from_bytes(blob)\n")
     assert sealed_decoding_memos("encdelegate.py", plain) == []
+
+
+ATTACK_ENTRIES = {"attack_basis_flip", "attack_linear", "attack_stats"}
+LOOPS_AND_SCOPES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                    ast.DictComp, ast.GeneratorExp, ast.FunctionDef, ast.AsyncFunctionDef,
+                    ast.Lambda, ast.ClassDef)
+
+
+def run_once_nodes(stmts):
+    """Every node of `stmts` that runs at most once per call: the walk does
+    not enter loops, comprehensions or nested scopes."""
+    todo = list(stmts)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, LOOPS_AND_SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def encodes_outside_entry(tree) -> list:
+    """Line of each `encode_base_proof(` call that does not run once per
+    call of an attack entry."""
+    is_encode = lambda n: isinstance(n, ast.Call) and "encode_base_proof" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    at_entry = {id(n) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name in ATTACK_ENTRIES
+                for n in run_once_nodes(fn.body)}
+    return [n.lineno for n in ast.walk(tree) if is_encode(n) and id(n) not in at_entry]
+
+
+def test_attacks_encode_only_at_entry():
+    source = next(p for p in SRC if p.name == "attacks.py").read_text()
+    assert "encode_base_proof(" in source
+    assert encodes_outside_entry(ast.parse(source)) == []
+
+
+def test_attacks_encode_pattern():
+    head = "def attack_stats(v, pi):\n"
+    assert encodes_outside_entry(ast.parse(head + "    enc = encode_base_proof(T, pi)\n")) == []
+    for body in ("    for i in pi:\n        encode_base_proof(T, pi)\n",
+                 "    while pi:\n        pi = cvqc.encode_base_proof(T, pi)\n",
+                 "    return [encode_base_proof(T, p) for p in pi]\n",
+                 "    return lambda p: encode_base_proof(T, p)\n",
+                 "    def f(p):\n        return encode_base_proof(T, p)\n"):
+        # the call sits on the last line of `body`
+        assert encodes_outside_entry(ast.parse(head + body)) == [1 + body.count("\n")]
+    adapter = "def toy_verdict(v):\n    return encode_base_proof(T, v)\n"
+    assert encodes_outside_entry(ast.parse(adapter)) == [2]
