@@ -16,10 +16,10 @@ accepting proof:
   per-position acceptance rates over fresh salts, querying "S" | salt | the
   encoding with b_i flipped or not; read positions drop to about one half,
   ignored positions stay at one.
-* linear equations — against the no-ignored-positions variant, XOR probe
-  vectors into d_i (byte 3 + 2i); each verdict is one linear equation over
-  GF(2) in the verifier secret s_i, solved by elimination once the probes
-  span.
+* linear equations — against the no-ignored-positions variant, XOR each
+  unit vector 2^j (j < width) into d_i (byte 3 + 2i); the verdict flips
+  exactly when bit j of the verifier secret s_i is set, so each verdict gives
+  one bit of s_i.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .circuit_ir import SealedProgram
 from .cvqc import PROTO_TOY, encode_base_proof
-from .errors import NoAcceptingProof, RankDeficient
+from .errors import NoAcceptingProof
 from .primitives import KEY_LEN, ro_query
 from .rand import Drbg
 from .wire import pack_fields
@@ -137,50 +137,15 @@ def attack_stats(verifier, accepting_salted, samples: int, *, seed=0) -> AttackT
 # secret-recovery attack via linear equations
 
 
-def _gf2_solve(rows: list[int], rhs: list[int], width: int) -> int:
-    """Solve M s = rhs over GF(2) (rows are bitmasks over `width` unknowns);
-    raises when the rows do not span."""
-    system = [(rows[i] << 1) | rhs[i] for i in range(len(rows))]
-    pivots = {}
-    for item in system:
-        cur = item
-        for col in range(width - 1, -1, -1):
-            if not (cur >> (col + 1)) & 1:
-                continue
-            if col in pivots:
-                cur ^= pivots[col]
-            else:
-                pivots[col] = cur
-                break
-    if len(pivots) < width:
-        raise RankDeficient(
-            f"probe set spans only {len(pivots)} of {width} dimensions")
-    # echelon rows hold bits at or below their pivot column: solve upward
-    s = 0
-    for col in sorted(pivots):
-        row = pivots[col]
-        acc = row & 1
-        mask = row >> 1
-        for c2 in range(col):
-            if (mask >> c2) & 1 and (s >> c2) & 1:
-                acc ^= 1
-        if acc:
-            s |= 1 << col
-    return s
-
-
-def attack_linear(verifier, accepting_pi, width: int,
-                  probes: list[int] | None = None) -> AttackTranscript:
-    """Against the variant with no ignored positions: flipping d_i by a probe
-    vector v flips the verdict exactly when <v, s_i> = 1. Gather equations
-    until each s_i is pinned down, then eliminate."""
+def attack_linear(verifier, accepting_pi, width: int) -> AttackTranscript:
+    """Against the variant with no ignored positions: XORing 2^j into d_i
+    flips the verdict exactly when bit j of s_i is 1, so a rejecting verdict
+    reads that bit as 1."""
     enc = encode_base_proof(PROTO_TOY, accepting_pi)
     t, verdict = _verdict(verifier, enc)
-    probes = [1 << j for j in range(width)] if probes is None else list(probes)
     recovered = []
     for i in range(enc[1]):
-        # verdict 0 means e_i moved, i.e. <v, s_i> = 1
-        rhs = [1 - verdict(_xor_byte(enc, 3 + 2 * i, v)) for v in probes]
-        recovered.append(_gf2_solve(probes, rhs, width))
+        bits = [1 - verdict(_xor_byte(enc, 3 + 2 * i, 1 << j)) for j in range(width)]
+        recovered.append(sum(bit << j for j, bit in enumerate(bits)))
     t.recovered = tuple(recovered)
     return t

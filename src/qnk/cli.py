@@ -249,7 +249,7 @@ def cmd_nizk(args) -> int:
         return _crs_setup(args, proofs.nizk_setup)
     crs = _crs(args, proofs.nizk_setup)
     if args.action == "verify":
-        pi = proofs.NizkProof(_load(args, "proof", "nizk.proof"))
+        pi = _load(args, "proof", "nizk.proof")
         return _verdict("accept", proofs.nizk_verify(crs, pi, args.x))
     if args.action == "sim":
         pi = proofs.nizk_sim(crs, args.x)
@@ -258,7 +258,7 @@ def cmd_nizk(args) -> int:
             pi = proofs.nizk_prove(crs, _witness(args), args.x, Drbg(args.seed))
         except ProofFailed:
             return _bottom()
-    return _saved(args, "nizk.proof", pi.pi, out=args.out, proof=pi.pi.hex())
+    return _saved(args, "nizk.proof", pi, out=args.out, proof=pi.hex())
 
 
 def cmd_zapr(args) -> int:

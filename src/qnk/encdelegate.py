@@ -49,7 +49,7 @@ from .qma import (
 from .rand import Drbg
 from .wire import Reader, fixed, pack_fields, unpack_fields
 
-MAX_ATTR_BITS = 10
+MAX_ATTR_BITS = 8  # at 9, `abe enc` needs a seal pad past primitives.prg's 2^16-byte cap
 
 
 def check_attr_len(attr_len: int) -> int:
@@ -192,9 +192,8 @@ def kp_gen(seed) -> AbeKeys:
     return abe_gen(KP_ATTR_LEN, seed)
 
 
-def kp_enc(keys_mpk: SealedProgram, x_attr: bytes, m: bytes, seed) -> AbeCiphertext:
-    return abe_enc(keys_mpk.to_bytes(), make_universal_language(x_attr), m, seed,
-                   KP_ATTR_LEN)
+def kp_enc(mpk_blob: bytes, x_attr: bytes, m: bytes, seed) -> AbeCiphertext:
+    return abe_enc(mpk_blob, make_universal_language(x_attr), m, seed, KP_ATTR_LEN)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +451,7 @@ def pe_dec(sk: AbeSecretKey, ct: PeCiphertext):
 def _gate_abe_kp_enc(x: bytes, m: bytes, coins: bytes, cfg: bytes) -> bytes:
     mpk_blob, = unpack_fields(cfg, 1)
     SealedProgram.from_bytes(mpk_blob)  # a malformed mpk fails here, not at decryption
-    return abe_enc(mpk_blob, make_universal_language(x), m, coins, KP_ATTR_LEN).to_bytes()
+    return kp_enc(mpk_blob, x, m, coins).to_bytes()
 
 
 register_gate("ABE_ENC", _gate_abe_kp_enc)

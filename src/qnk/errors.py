@@ -101,10 +101,6 @@ class NoAcceptingProof(QnkError):
     pass
 
 
-class RankDeficient(QnkError):
-    pass
-
-
 # serialization envelopes
 class BadMagic(QnkError):
     pass

@@ -211,7 +211,6 @@ class VbbNullCircuit:
     pp: CvqcParams
     sealed_C: SealedProgram
     sim: object
-    q_digest: bytes
     min_copies: int
     escrow_key: PrfKey = field(repr=False, compare=False)
 
@@ -252,7 +251,7 @@ def nio_obf_vbb(claim: Claim, seed, proto: str = PROTO_ORACLE) -> VbbNullCircuit
     program = b.build([out])
 
     sealed, sim = obf_vbb(program, program.size + 4)
-    return VbbNullCircuit(pp, sealed, sim, claim.digest(), claim.reps, k)
+    return VbbNullCircuit(pp, sealed, sim, claim.reps, k)
 
 
 def nio_eval_vbb(obf: VbbNullCircuit, witness: Witness, drbg: Drbg) -> int:

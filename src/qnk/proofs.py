@@ -72,15 +72,6 @@ class NizkCrs:
         return hashlib.sha256(self.p_prog.to_bytes() + self.v_prog.to_bytes()).digest()
 
 
-@dataclass(frozen=True)
-class NizkProof:
-    pi: bytes
-
-    def __post_init__(self):
-        if len(self.pi) != PROOF_LEN:
-            raise WidthMismatch("proof must be 16 bytes")
-
-
 def _stmt_domain_bits(L: QmaLanguage) -> int:
     if L.statement_bits > 16:
         raise WidthMismatch("statement space wider than 16 bits")
@@ -115,25 +106,27 @@ def nizk_setup(L: QmaLanguage, seed) -> NizkCrs:
     )
 
 
-def nizk_prove(crs: NizkCrs, witness: Witness, x: bytes, drbg: Drbg) -> NizkProof:
+def nizk_prove(crs: NizkCrs, witness: Witness, x: bytes, drbg: Drbg) -> bytes:
     L = resolve_language(crs.lang_ref)
     ct = _decode_we(crs.p_prog.run(_encode_stmt(L, x)))
     m = we_dec_bytes(ct, witness, drbg)
     if m is None:
         raise ProofFailed("witness decryption returned bottom")
-    return NizkProof(m)
+    return m
 
 
-def nizk_verify(crs: NizkCrs, proof: NizkProof, x: bytes) -> int:
+def nizk_verify(crs: NizkCrs, proof: bytes, x: bytes) -> int:
+    if len(proof) != PROOF_LEN:
+        raise WidthMismatch("proof must be 16 bytes")
     L = resolve_language(crs.lang_ref)
-    return 1 if crs.v_prog.run(_encode_stmt(L, x), proof.pi) == b"\x01" else 0
+    return 1 if crs.v_prog.run(_encode_stmt(L, x), proof) == b"\x01" else 0
 
 
-def nizk_sim(crs: NizkCrs, x: bytes) -> NizkProof:
+def nizk_sim(crs: NizkCrs, x: bytes) -> bytes:
     """Simulation from the setup randomness: the proof is the PRF value the
     honest prover would decrypt."""
     L = resolve_language(crs.lang_ref)
-    return NizkProof(ggm_eval(crs.escrow["k0"], _encode_stmt(L, x)))
+    return ggm_eval(crs.escrow["k0"], _encode_stmt(L, x))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +290,8 @@ def _main_relation(crs: ZaprCrs) -> Relation:
         if branch == b"A":
             if sbsh_com(crs.ck0, ck1, payload, r) != c_nizk:
                 return False
-            b = payload[0]
-            pi = NizkProof(payload[1:])
-            target = crs.crs0 if b == 0 else crs.crs1
-            return nizk_verify(target, pi, x) == 1
+            target = crs.crs0 if payload[0] == 0 else crs.crs1
+            return nizk_verify(target, payload[1:], x) == 1
         if sbsh_com(crs.ck0, ck1, payload, r) != c_owf:
             return False
         b = payload[0]
@@ -348,10 +339,10 @@ def zapr_prove(crs: ZaprCrs, witness: Witness, x: bytes, drbg: Drbg) -> ZaprProo
     ck1 = sbsh_key(drbg.child("ck1"))
     r1 = drbg.child("r1").bytes(KEY_LEN)
     r2 = drbg.child("r2").bytes(KEY_LEN)
-    c_nizk = sbsh_com(crs.ck0, ck1, bytes([b]) + pi.pi, r1)
+    c_nizk = sbsh_com(crs.ck0, ck1, bytes([b]) + pi, r1)
     c_owf = sbsh_com(crs.ck0, ck1, bytes(_SBSH_MSG_LEN), r2)
     proof = ZaprProof(ck1, c_nizk, c_owf, b"")
-    zap_witness = pack_fields(b"A", bytes([b]) + pi.pi, r1)
+    zap_witness = pack_fields(b"A", bytes([b]) + pi, r1)
     zap_proof = crs.zap.prove(_main_relation(crs), _main_stmt(x, proof), zap_witness)
     return ZaprProof(ck1, c_nizk, c_owf, zap_proof)
 

@@ -34,7 +34,7 @@ MAX_QUBITS = 12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "S": 1, "T": 1, "CNOT": 2, "CCX": 3}
-MAX_PROPAGATION_TERMS = 256
+MAX_PAULI_TERMS = 256
 
 
 def _load_numpy():
@@ -198,23 +198,6 @@ def sample_bit(p1: float, drbg: Drbg) -> int:
     return 1 if int.from_bytes(drbg.bytes(8), "big") / 2 ** 64 < p1 else 0
 
 
-def measure_qubit(state: StateVector, i: int, basis: str, drbg: Drbg) -> tuple[int, StateVector]:
-    """Born-rule measurement of one qubit; returns (bit, renormalized post-state).
-
-    In the 'hadamard' basis, outcome 0 corresponds to |+>.
-    """
-    if basis not in ("computational", "hadamard"):
-        raise WidthMismatch(f"unknown basis {basis!r}")
-    work = state.copy()
-    if basis == "hadamard":
-        apply_gate(work, "H", (i,))
-    bit = sample_bit(work.prob_of(i, 1), drbg)
-    post, _ = work.project({i: bit})
-    if basis == "hadamard":
-        apply_gate(post, "H", (i,))
-    return bit, post
-
-
 # ---------------------------------------------------------------------------
 # circuits
 
@@ -340,11 +323,10 @@ class PauliHamiltonian:
 
     n_qubits: int
     terms: tuple[tuple[float, str], ...]
-    max_terms: int = 64
 
     def __post_init__(self):
-        if len(self.terms) > self.max_terms:
-            raise WidthMismatch(f"{len(self.terms)} terms exceeds cap {self.max_terms}")
+        if len(self.terms) > MAX_PAULI_TERMS:
+            raise WidthMismatch(f"{len(self.terms)} terms exceeds cap {MAX_PAULI_TERMS}")
         for _, word in self.terms:
             if len(word) != self.n_qubits or any(c not in "IXYZ" for c in word):
                 raise WidthMismatch(f"bad Pauli word {word!r}")
@@ -441,7 +423,7 @@ def propagation_hamiltonian(Q: QuantumCircuit) -> PauliHamiltonian:
     T = len(Q.gates)
     n = T + Q.n_qubits
     if T == 0:
-        return PauliHamiltonian(n, (), MAX_PROPAGATION_TERMS)
+        return PauliHamiltonian(n, ())
     acc: dict[str, complex] = {}
 
     proj = {0: [(0.5, "I"), (0.5, "Z")], 1: [(0.5, "I"), (-0.5, "Z")]}
@@ -498,4 +480,4 @@ def propagation_hamiltonian(Q: QuantumCircuit) -> PauliHamiltonian:
             raise WidthMismatch("non-Hermitian accumulation (internal error)")
         if abs(coeff.real) > 1e-12:
             terms.append((float(coeff.real), word))
-    return PauliHamiltonian(n, tuple(terms), MAX_PROPAGATION_TERMS)
+    return PauliHamiltonian(n, tuple(terms))

@@ -1,11 +1,14 @@
 """Acceptance gate: every exit criterion at its stated tolerance, one
-pass/fail line each (visible with `pytest -s` or in the failure report)."""
+pass/fail line each (visible with `pytest -s` or in the failure report).
+Each criterion is also run with one planted fault, to show that it can fail."""
 
+import subprocess
 import time
 
 import pytest
 
 from qnk import selftest
+from qnk.attacks import AttackTranscript
 
 LIMITS_SECONDS = {
     1: 1, 2: 30, 3: 30, 4: 120, 5: 120, 6: 120, 7: 180, 8: 30, 9: 60,
@@ -23,3 +26,46 @@ def test_criterion(idx):
     print(line)
     assert ok, line
     assert elapsed < LIMITS_SECONDS[idx], f"criterion {idx} took {elapsed:.1f}s"
+
+
+def doubled_amplitudes(state, name, targets):
+    state.amps = state.amps * 2
+
+
+def failed_run(argv, **kwargs):
+    return subprocess.CompletedProcess(argv, 1, b"", b"stand-in failure")
+
+
+# criterion -> (object, name the criterion reads there, stand-in, expected result)
+FAULTS = {
+    1: (selftest, "ggm_eval", lambda k, x: bytes(16),
+        ("ggm-puncturable-prf", False, "mismatch at key 0, x=0")),
+    2: (selftest, "td_verify", lambda *args: 0,
+        ("dual-mode-verification-equivalence", False,
+         "disagree on ((0, 0), (0, 0), (0, 0), (0, 0))")),
+    3: (selftest, "td_verify", lambda *args: 1,
+        ("sim-mode-lockout", False, "accepting input ((0, 0), (0, 0), (0, 0), (0, 0))")),
+    4: (selftest.nullio, "nio_eval", lambda *args: 0,
+        ("null-io-correctness", False, "parity instance 00000001")),
+    5: (selftest.nullio, "we_dec", lambda *args: None,
+        ("witness-encryption", False, "yes 07 lost message")),
+    6: (selftest.proofs, "nizk_verify", lambda *args: 0,
+        ("nizk", False, "completeness failed at 07")),
+    7: (selftest.ed, "abe_dec", lambda *args: None,
+        ("delegation", False, "abe attribute 0001")),
+    8: (selftest, "unwrap", lambda out: b"released",
+        ("lockable-obfuscation", False, "lock semantics at 00")),
+    9: (selftest.qsim, "apply_gate", doubled_amplitudes,
+        ("simulator-numerics", False, "norm drift in trial 0")),
+    10: (selftest.attacks, "attack_basis_flip", lambda verifier, pi: AttackTranscript(),
+         ("cryptanalysis", False, "basis recovery failed on instance 0")),
+    11: (selftest.subprocess, "run", failed_run,
+         ("cli-determinism", False, "we failed: stand-in failure")),
+}
+
+
+@pytest.mark.parametrize("idx", range(1, 12))
+def test_criterion_can_fail(monkeypatch, idx):
+    owner, name, stand_in, want = FAULTS[idx]
+    monkeypatch.setattr(owner, name, stand_in)
+    assert selftest.CRITERIA[idx - 1]() == want

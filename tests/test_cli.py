@@ -220,6 +220,8 @@ ABE_SETUP = (["abe", "gen", "--attr-len", "4", "--seed", "1", "--out", "{keys}"]
              ["abe", "keygen", "--keys", "{keys}", "--attr", "0111", "--out", "{sk}"])
 ABE_ENC = ["abe", "enc", "--keys", "{keys}", "--m", "2a", "--seed", "2", "--out", "{ct}"]
 PE_ENC = ["pe", "enc", "--keys", "{keys}", "--m", "2a", "--seed", "2", "--out", "{ct}"]
+NIZK_SETUP = (["nizk", "setup", "--lang", "par8", "--seed", "1", "--out", "{setup}"],
+              ["nizk", "prove", "--crs", "{setup}", "--x", "07", "--seed", "2", "--out", "{proof}"])
 CVQC_SETUP = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "--out", "{setup}"],
               ["cvqc", "prove", "--setup", "{setup}", "--seed", "6", "--out", "{proof}"])
 
@@ -356,6 +358,9 @@ class TestWeCommands:
          ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext"),
         (CVQC_SETUP, rewrap("proof", first_field(b"Whatever")),
          ["cvqc", "verify", "--setup", "{setup}", "--proof", "{proof}"], "MalformedCiphertext"),
+        (NIZK_SETUP, rewrap("proof", lambda pi: pi[:15]),
+         ["nizk", "verify", "--crs", "{setup}", "--x", "07", "--proof", "{proof}"],
+         "WidthMismatch"),
         (ABE_SETUP[:1], write_policy("qubits\n"),
          ["abe", "enc", "--keys", "{keys}", "--policy-file", "{policy}", "--out", "{ct}"],
          "MalformedCircuit"),
@@ -377,6 +382,7 @@ class TestWeCommands:
         ids=["abe-dec-empty-attr-len", "abe-dec-short-attr-wire", "abe-dec-cyclic-program",
              "abe-dec-output-out-of-range", "abe-dec-deep-chain", "pe-dec-empty-payload-len",
              "cvqc-verify-non-utf8-proof-proto", "cvqc-verify-unknown-proof-proto",
+             "nizk-verify-15-byte-proof",
              "abe-enc-policy-without-count",
              "abe-enc-policy-duplicate-target", "abe-enc-non-utf8-policy",
              "abe-enc-policy-zero-qubits", "abe-enc-policy-negative-input"]
@@ -551,6 +557,19 @@ class TestAbeCommands:
         assert main(["abe", "dec", "--keys", str(keys), "--sk", str(sk),
                      "--ct", str(ct)]) == 1
 
+    def test_full_flow_at_the_widest_attribute(self, tmp, capsys):
+        """--attr-len 8, MAX_ATTR_BITS: every command of the flow finishes."""
+        paths = {name: str(tmp / f"{name}.bin") for name in ("keys", "sk", "ct")}
+        for argv in (["abe", "gen", "--attr-len", "8", "--seed", "1", "--out", "{keys}"],
+                     ["abe", "keygen", "--keys", "{keys}", "--attr", "01010111",
+                      "--out", "{sk}"],
+                     ["abe", "enc", "--keys", "{keys}", "--policy-id", "1", "--m", "2a",
+                      "--seed", "2", "--out", "{ct}"]):
+            assert main([a.format(**paths) for a in argv]) == 0
+        assert main(["abe", "dec", "--keys", paths["keys"], "--sk", paths["sk"],
+                     "--ct", paths["ct"]]) == 0
+        assert last_json(capsys) == {"status": "ok", "m": "2a"}
+
     @pytest.mark.parametrize("attr_len", ["0", "1"])
     def test_gen_refuses_attr_len_below_2(self, tmp, capsys, attr_len):
         """Below 2 bits the keycheck's PRG image is no longer than its seed."""
@@ -595,13 +614,14 @@ BAD_DEC_KEYS = {
     "attr-len-two-bytes": (keys_with(attr_len=b"\x00\x04"), "MalformedCiphertext"),
     "attr-len-0": (keys_with(attr_len=b"\x00"), "WidthMismatch"),
     "attr-len-1": (keys_with(attr_len=b"\x01"), "WidthMismatch"),
+    "attr-len-9": (keys_with(attr_len=b"\x09"), "WidthMismatch"),
+    "attr-len-10": (keys_with(attr_len=b"\x0a"), "WidthMismatch"),
     "attr-len-11": (keys_with(attr_len=b"\x0b"), "WidthMismatch"),
     "attr-len-255": (keys_with(attr_len=b"\xff"), "WidthMismatch"),
     "seal-tampered": (keys_with(sealed_seed=flip_byte), "MalformedCiphertext"),
     "seal-short": (keys_with(sealed_seed=lambda s: s[:31]), "MalformedCiphertext"),
     "seal-tampered-attr-len-11": (keys_with(sealed_seed=flip_byte, attr_len=b"\x0b"),
                                   "MalformedCiphertext"),
-    "attr-len-10": (keys_with(attr_len=b"\x0a"), None),
     "empty-seed": (keys_with(sealed_seed=lambda s: seal(b"", b"cli-abe")), None),
     "mpk-garbage": (keys_with(mpk=b"garbage"), None),
 }

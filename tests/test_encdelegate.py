@@ -119,12 +119,12 @@ class TestAbe:
 class TestKeyPolicy:
     def test_policy_key_decrypts_matching_attribute(self):
         kpk = kp_gen(9)
-        ct = kp_enc(kpk.mpk, attr_wire(0b0111, 4), b"\x42", 10)
+        ct = kp_enc(kpk.mpk.to_bytes(), attr_wire(0b0111, 4), b"\x42", 10)
         assert abe_dec(abe_keygen(kpk, 1), ct, Drbg(11)) == b"\x42"
 
     def test_rejecting_policy(self):
         kpk = kp_gen(12)
-        ct = kp_enc(kpk.mpk, attr_wire(0b0111, 4), b"\x42", 13)
+        ct = kp_enc(kpk.mpk.to_bytes(), attr_wire(0b0111, 4), b"\x42", 13)
         assert abe_dec(abe_keygen(kpk, 3), ct, Drbg(14)) is None
 
     def test_role_swap_agreement(self):
@@ -135,7 +135,7 @@ class TestKeyPolicy:
         d = Drbg(17)
         for t in range(50):
             attr = d.randint(0, 15)
-            kct = kp_enc(kpk.mpk, attr_wire(attr, 4), b"\x01", d.child(f"k{t}").bytes(16))
+            kct = kp_enc(kpk.mpk.to_bytes(), attr_wire(attr, 4), b"\x01", d.child(f"k{t}").bytes(16))
             cct = abe_enc_circuit(cpk, POLICY_FAMILY[1], b"\x01", d.child(f"c{t}").bytes(16))
             kp_ok = abe_dec(abe_keygen(kpk, 1), kct, d.child(f"kd{t}")) is not None
             cp_ok = abe_dec(abe_keygen(cpk, attr), cct, d.child(f"cd{t}")) is not None
@@ -325,7 +325,7 @@ class TestPadBudgets:
 
     def test_sealed_ciphertexts_use_the_budget(self, parity_ct):
         assert parity_ct.e_prog.declared_size == _encryptor_budget(4)
-        mpk = kp_gen(53).mpk
+        mpk = kp_gen(53).mpk.to_bytes()
         ct = kp_enc(mpk, attr_wire(7, KP_ATTR_LEN), b"m", 54)
         assert ct.e_prog.declared_size == _encryptor_budget(KP_ATTR_LEN)
 

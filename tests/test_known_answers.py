@@ -291,7 +291,7 @@ class TestSampledProvers:
         for seed in range(8):
             try:
                 proofs.append(nizk_prove(crs, Witness(WITNESS_STATES[witness]()),
-                                         b"\x01", Drbg(seed)).pi)
+                                         b"\x01", Drbg(seed)))
             except ProofFailed:
                 proofs.append(b"-")
         assert "".join("F" if p == b"-" else "-" for p in proofs) == failed

@@ -4,15 +4,22 @@ import pytest
 
 from qnk import proofs
 from qnk.circuit_ir import EQUAL, chain_budget, check_chain, evaluate
-from qnk.errors import InvalidWitness, NoValidNizk, ProofFailed, SetupProofInvalid
-from qnk.primitives import ggm_eval, owf
+from qnk.errors import (
+    InvalidWitness,
+    NoValidNizk,
+    ProofFailed,
+    SetupProofInvalid,
+    WidthMismatch,
+)
+from qnk.primitives import ggm_eval, owf, sbsh_com, sbsh_key
 from qnk.proofs import (
     NIZK_P_STEPS,
     NIZK_V_STEPS,
     NiwiScheme,
-    NizkProof,
     Relation,
+    ZaprProof,
     ZapScheme,
+    _main_relation,
     _nizk_budgets,
     nizk_hybrid_family,
     nizk_prove,
@@ -26,6 +33,7 @@ from qnk.proofs import (
 from qnk.qma import FIXTURES, Witness, fixture, ghz_witness, make_parity_language
 from qnk.qsim import StateVector
 from qnk.rand import Drbg
+from qnk.wire import pack_fields
 
 PAR = fixture("par8")
 
@@ -70,8 +78,13 @@ class TestNizk:
     def test_forgeries_rejected(self, crs):
         d = Drbg(5)
         x = b"\x03"  # no instance
-        hits = sum(nizk_verify(crs, NizkProof(d.bytes(16)), x) for _ in range(10 ** 4))
+        hits = sum(nizk_verify(crs, d.bytes(16), x) for _ in range(10 ** 4))
         assert hits == 0
+
+    @pytest.mark.parametrize("length", [0, 15, 17])
+    def test_proof_of_another_length_raises(self, crs, length):
+        with pytest.raises(WidthMismatch, match="proof must be 16 bytes"):
+            nizk_verify(crs, bytes(length), b"\x07")
 
     def test_prove_fails_on_no_instance(self, crs):
         with pytest.raises(ProofFailed):
@@ -107,7 +120,7 @@ class TestSimulator:
         for v in (0x01, 0x07, 0x15):
             x = bytes([v])
             pi = nizk_prove(crs, Witness.empty(), x, Drbg(v))
-            assert nizk_sim(crs, x).pi == pi.pi
+            assert nizk_sim(crs, x) == pi
 
     def test_sim_matches_whenever_prove_succeeds(self):
         crs_g = nizk_setup(fixture("ghz"), 8)
@@ -117,13 +130,12 @@ class TestSimulator:
                 pi = nizk_prove(crs_g, Witness(ghz_witness(), 5), b"\x01", Drbg(i))
             except ProofFailed:
                 continue
-            assert nizk_sim(crs_g, b"\x01").pi == pi.pi
+            assert nizk_sim(crs_g, b"\x01") == pi
             matched += 1
         assert matched >= 45
 
     def test_sim_defined_on_no_instances(self, crs):
-        pi = nizk_sim(crs, b"\x03")
-        assert pi.pi == ggm_eval(crs.escrow["k0"], b"\x03")
+        assert nizk_sim(crs, b"\x03") == ggm_eval(crs.escrow["k0"], b"\x03")
 
 
 def nizk_chains(crs):
@@ -267,3 +279,46 @@ class TestZapr:
         sigma = (n * 8 * 0.25) ** 0.5
         for j in range(8):
             assert abs(counts[0][j] - counts[1][j]) < 6 * sigma
+
+
+class TestZaprPreimageBranch:
+    """The main relation's second branch: c_owf opens to b | a preimage of
+    y_b. `zapr_setup` escrows x0 and x1, so these tests hold that witness."""
+
+    @staticmethod
+    def statement(zcrs, committed: bytes, x=b"\x07"):
+        """The fields (ck1, c_nizk, c_owf) and the packed statement for `x`,
+        where c_owf commits to `committed` under randomness bytes(16)."""
+        ck1 = sbsh_key(Drbg(30))
+        c_nizk = sbsh_com(zcrs.ck0, ck1, bytes(17), b"\x01" * 16)
+        c_owf = sbsh_com(zcrs.ck0, ck1, committed, bytes(16))
+        return (ck1, c_nizk, c_owf), pack_fields(x, ck1, c_nizk, c_owf)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_committed_preimage_accepted(self, zcrs, b):
+        payload = bytes([b]) + zcrs.escrow[f"x{b}"]
+        _, stmt = self.statement(zcrs, payload)
+        assert _main_relation(zcrs).check(stmt, pack_fields(b"B", payload, bytes(16)))
+
+    def test_preimage_proves_a_no_instance(self, zcrs):
+        """The trapdoor branch needs no NIZK proof, so the escrowed preimage
+        makes a verifying ZAPR proof even for a no instance."""
+        payload = b"\x00" + zcrs.escrow["x0"]
+        fields, stmt = self.statement(zcrs, payload, x=b"\x03")
+        tag = zcrs.zap.prove(_main_relation(zcrs), stmt, pack_fields(b"B", payload, bytes(16)))
+        assert zapr_verify(zcrs, ZaprProof(*fields, tag), b"\x03") == 1
+
+    @pytest.mark.parametrize("case", ["x1-for-y0", "x0-for-y1", "zero-preimage",
+                                      "does-not-open", "other-randomness"])
+    def test_rejected(self, zcrs, case):
+        """A wrong preimage, or a commitment that does not open to the payload."""
+        x0, x1 = zcrs.escrow["x0"], zcrs.escrow["x1"]
+        committed, opened, r = {
+            "x1-for-y0": (b"\x00" + x1, b"\x00" + x1, bytes(16)),
+            "x0-for-y1": (b"\x01" + x0, b"\x01" + x0, bytes(16)),
+            "zero-preimage": (bytes(17), bytes(17), bytes(16)),
+            "does-not-open": (bytes(17), b"\x00" + x0, bytes(16)),
+            "other-randomness": (b"\x00" + x0, b"\x00" + x0, b"\x01" * 16),
+        }[case]
+        _, stmt = self.statement(zcrs, committed)
+        assert not _main_relation(zcrs).check(stmt, pack_fields(b"B", opened, r))

@@ -56,6 +56,9 @@ An attack encodes its accepting proof once and XORs bytes of that encoding
 per query, so in `attacks.py` `encode_base_proof(` is called only in the
 bodies of the three `attack_*` functions, never inside a loop, a
 comprehension or a nested function.
+A record with one field wraps a value its callers could hold themselves and
+adds a `.field` read at each use, so no `@dataclass` in `src/qnk` has exactly
+one field.
 """
 import ast
 import re
@@ -403,3 +406,27 @@ def test_attacks_encode_pattern():
         assert encodes_outside_entry(ast.parse(head + body)) == [1 + body.count("\n")]
     adapter = "def toy_verdict(v):\n    return encode_base_proof(T, v)\n"
     assert encodes_outside_entry(ast.parse(adapter)) == [2]
+
+
+def single_field_records(tree) -> list:
+    """Name of each `@dataclass` class with exactly one field (an annotated
+    class attribute that is not a `ClassVar`)."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            and sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(s.annotation)
+                    for s in node.body) == 1]
+
+
+def test_no_single_field_record():
+    assert [f"{p.name}: {name}" for p in SRC
+            for name in single_field_records(ast.parse(p.read_text()))] == []
+
+
+def test_single_field_record_pattern():
+    one = "@dataclass(frozen=True)\nclass Proof:\n    pi: bytes\n"
+    assert single_field_records(ast.parse(one)) == ["Proof"]
+    assert single_field_records(ast.parse(one + "    h: bytes\n")) == []
+    assert single_field_records(ast.parse(one + "    CAP: ClassVar[int] = 16\n")) == ["Proof"]
+    assert single_field_records(ast.parse(one.replace("@dataclass(frozen=True)\n", ""))) == []
