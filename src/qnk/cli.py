@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import attacks, cvqc, encdelegate as ed, nullio, proofs, selftest
-from .errors import JudgeReject, NoAcceptingProof, ProofFailed, QnkError
+from .errors import JudgeReject, NoAcceptingProof, ProofFailed, QnkError, WidthMismatch
 from .memo import memo
 from .primitives import PrfKey
-from .qma import FIXTURES, Witness, fixture, ghz_witness
+from .qma import FIXTURES, QmaLanguage, Witness, fixture, ghz_witness
 from .qsim import parse_circuit
 from .rand import Drbg
 from .wire import (
@@ -137,8 +137,17 @@ def _toy_params(args) -> cvqc.ToyParams:
     return cvqc.MINI_PARAMS if args.params == "mini" else cvqc.ToyParams()
 
 
+def _statement(lang: QmaLanguage, x: bytes) -> bytes:
+    """`x` if it is exactly as wide as `lang`'s statements, else WidthMismatch."""
+    n = (lang.statement_bits + 7) // 8
+    if len(x) != n:
+        raise WidthMismatch(f"statement must be {n} bytes for this language")
+    return x
+
+
 def _claim(args) -> cvqc.Claim:
-    return cvqc.claim_for(fixture(args.lang), args.x)
+    lang = fixture(args.lang)
+    return cvqc.claim_for(lang, _statement(lang, args.x))
 
 
 def _witness(args) -> Witness:
@@ -210,15 +219,16 @@ def cmd_nio(args) -> int:
 
 def cmd_we(args) -> int:
     lang = fixture(args.lang)
+    x = _statement(lang, args.x)
     if args.action == "enc":
-        cts = [nullio.we_enc(lang, args.x, m, Drbg(args.seed).child(f"bit{i}").bytes(16))
+        cts = [nullio.we_enc(lang, x, m, Drbg(args.seed).child(f"bit{i}").bytes(16))
                for i, m in enumerate(args.m)]
         payload = pack_fields(*(c.to_bytes() for c in cts))
         return _saved(args, "we.ct", pack_fields(bytes([len(cts)]), payload), bits=len(cts))
     count_b, payload = unpack_fields(_load(args, "ct", "we.ct"), 2)
     out_bits = ""
     for i, blob in enumerate(unpack_fields(payload, fixed(count_b, 1)[0])):
-        m = nullio.we_dec(lang, args.x, nullio.WeCiphertext.from_bytes(blob),
+        m = nullio.we_dec(lang, x, nullio.WeCiphertext.from_bytes(blob),
                           _witness(args), Drbg(args.seed).child(f"bit{i}"))
         if m is None:
             return _bottom(bit_index=i)
@@ -413,9 +423,11 @@ def cmd_selftest(args) -> int:
 
 
 @memo(1)
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
     """The whole flag grammar, built on first use and kept for the process:
-    each (command, action) takes exactly the flags its handler reads."""
+    each (command, action) takes exactly the flags its handler reads. Returns
+    the tree and the map from (command, action) to that action's parser in
+    the tree, which sets `command` and `action` itself."""
     def flag(name, **kw) -> argparse.ArgumentParser:
         f = argparse.ArgumentParser(add_help=False)
         f.add_argument(name, **kw)
@@ -440,11 +452,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(prog="qnk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    leaves = {}
 
     def command(name, **actions) -> None:
         acts = sub.add_parser(name).add_subparsers(dest="action", required=True)
         for action, parents in actions.items():
-            acts.add_parser(action, parents=list(parents))
+            leaf = leaves[name, action] = acts.add_parser(action, parents=list(parents))
+            leaf.set_defaults(command=name, action=action)
 
     o, setup = out("cvqc.bin"), flag("--setup", required=True)
     command("cvqc", keygen=(*gen, o), prove=(setup, *prover, o), verify=(setup, proof),
@@ -478,11 +492,21 @@ def _parser() -> argparse.ArgumentParser:
             linear=attack)
     sub.add_parser("selftest", parents=[flag("--only", type=criteria,
                                              help="comma-separated criterion numbers")])
-    return p
+    return p, leaves
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    tree, leaves = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        args = tree.parse_args(argv)
+    else:
+        # one parser level instead of three; leftovers are reported by the
+        # tree, as its own `parse_args` would report them
+        args, extra = leaf.parse_known_args(argv[2:])
+        if extra:
+            tree.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # looked up per call, so a handler rebound on this module is the one that runs
         return globals()[f"cmd_{args.command}"](args)

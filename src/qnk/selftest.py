@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
 import tempfile
@@ -449,6 +450,9 @@ def criterion_11_cli_determinism():
                    "--secret", "1", "--seed", "7"],
         "obf": ["nio", "obf", "--lang", "par8", "--x", "07", "--seed", "7"],
     }
+    # the children import the qnk this module belongs to, installed or not
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     artifacts = {}
     for run in range(2):
         with tempfile.TemporaryDirectory() as tmp:
@@ -457,7 +461,7 @@ def criterion_11_cli_determinism():
                 out = Path(tmp) / f"{name}.bin"
                 proc = subprocess.run(
                     [sys.executable, "-m", "qnk.cli"] + argv + ["--out", str(out)],
-                    capture_output=True)
+                    capture_output=True, env=env)
                 if proc.returncode != 0:
                     return ("cli-determinism", False,
                             f"{name} failed: {proc.stderr.decode()[:120]}")

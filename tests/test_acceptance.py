@@ -28,6 +28,14 @@ def test_criterion(idx):
     assert elapsed < LIMITS_SECONDS[idx], f"criterion {idx} took {elapsed:.1f}s"
 
 
+def test_cli_determinism_needs_no_pythonpath(monkeypatch):
+    """Criterion 11's `python -m qnk.cli` children find the package under
+    test when the caller sets no PYTHONPATH, as under a plain `pytest`."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    name, ok, detail = selftest.criterion_11_cli_determinism()
+    assert ok, detail
+
+
 def doubled_amplitudes(state, name, targets):
     state.amps = state.amps * 2
 

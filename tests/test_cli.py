@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -802,7 +804,7 @@ def cli_surface() -> set:
     """(command, action, flag) for every flag the parser accepts, the flag
     marked "*" when it is required."""
     triples = set()
-    for command, cp in _choices(cli._parser()).items():
+    for command, cp in _choices(cli._parser()[0]).items():
         for action, ap in (_choices(cp) or {None: cp}).items():
             triples |= {(command, action, a.option_strings[0] + "*" * a.required)
                         for a in ap._actions if a.option_strings and a.dest != "help"}
@@ -944,6 +946,132 @@ class TestHostileInput:
         for run in range(2):
             assert main(["we", "enc", "--m", "", "--out", str(tmp / f"we{run}.bin")]) == 0
         assert cli._parser.cache_info().misses <= 1
+
+
+class TestStatementWidth:
+    """Every action that makes a claim from a fixture and --x refuses an --x
+    of another width than the fixture's statements (one byte for each)."""
+
+    @pytest.mark.parametrize("x", ["0707", ""], ids=["two-bytes", "empty"])
+    @pytest.mark.parametrize("argv", [
+        ["cvqc", "keygen", "--lang", "par8"],
+        ["nio", "obf", "--lang", "par8"],
+        ["we", "enc", "--lang", "par8"],
+        ["we", "dec", "--lang", "par8", "--ct", "{ct}"],
+        ["attack", "flip", "--lang", "par4", "--report", "flip.json"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_wrong_width_exits_1_and_writes_nothing(self, tmp_path_factory, capsys,
+                                                    monkeypatch, argv, x):
+        ct = tmp_path_factory.mktemp("ct") / "we.bin"
+        if "{ct}" in argv:  # a real ciphertext, so only the width can fail
+            assert main(["we", "enc", "--lang", "par8", "--x", "07", "--out", str(ct)]) == 0
+        work = tmp_path_factory.mktemp("work")
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert main([a.format(ct=ct) for a in argv] + ["--x", x]) == 1
+        line = json.loads(capsys.readouterr().out)
+        assert (line["status"], line["error"]) == ("error", "WidthMismatch")
+        assert list(work.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# `main` parses a (command, action) with that action's parser alone
+
+
+def readme_argv() -> list[list[str]]:
+    """The argv of every `qnk` command in README's shell blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qnk ")]
+
+
+# a value each flag accepts, other than its default
+FLAG_VALUES = {
+    "--seed": "9", "--lang": "par4", "--params": "mini", "--x": "01", "--proto": "toy",
+    "--witness": "ghz", "--copies": "3", "--out": "o.bin", "--report": "r.json",
+    "--samples": "7", "--policy-id": "2", "--policy-file": "policy.txt", "--m": "01",
+    "--attr-len": "3", "--attr": "01", "--parties": "4", "--secret": "0",
+    "--split-dir": "parties", "--subset": "0,2", "--only": "1,8",
+    **{flag: f"{flag[2:]}.bin" for flag in
+       ("--setup", "--proof", "--obf", "--ct", "--crs", "--keys", "--sk", "--ck", "--shares")},
+}
+
+
+def flag_argv() -> list[list[str]]:
+    """For each action the parser walk finds: its required flags alone, then
+    with each other flag added."""
+    argvs = []
+    for command, cp in _choices(cli._parser()[0]).items():
+        for action, ap in (_choices(cp) or {None: cp}).items():
+            head = [command] + ([action] if action else [])
+            flags = [a.option_strings[0] for a in ap._actions
+                     if a.option_strings and a.dest != "help"]
+            required = [v for a in ap._actions if a.required and a.option_strings
+                        for v in (a.option_strings[0], FLAG_VALUES[a.option_strings[0]])]
+            argvs.append(head + required)
+            argvs += [head + required + [f, FLAG_VALUES[f]] for f in flags if f not in required]
+    return argvs
+
+
+# README's exit-2 cases (with the malformed values of HOSTILE_FLAGS) and the
+# forms argparse reads in its own way
+USAGE_ERRORS = [
+    [], ["frobnicate"], ["we", "frob"], ["nizk"], ["abe", "dec"], ["nio", "eval"],
+    ["selftest", "--params", "mini"], ["abe", "gen", "--lang", "ghz"],
+    ["we", "enc", "--x", "zz"], ["abe", "dec", "--keys", "k.bin", "--bogus"],
+    ["we", "enc", "--bogus", "1", "--seed"], ["we", "enc", "--", "x"],
+    ["we", "enc", "extra", "--seed", "1", "--more"], ["share", "split", "--se", "1"],
+    ["nizk", "verify", "--x", "07", "--seed", "1"], *HOSTILE_FLAGS,
+]
+
+
+def help_argv() -> list[list[str]]:
+    """--help at every level of the parser walk."""
+    argvs = [["--help"], ["-h"]]
+    for command, cp in _choices(cli._parser()[0]).items():
+        argvs.append([command, "--help"])
+        argvs += [[command, action, "--help"] for action in _choices(cp)]
+    return argvs
+
+
+def exit_of(capsys, parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of `parse(argv)`, which must exit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+class TestLeafParsers:
+    def test_every_action_of_the_walk_has_its_tree_parser(self):
+        tree, leaves = cli._parser()
+        walked = {(command, action): ap for command, cp in _choices(tree).items()
+                  for action, ap in _choices(cp).items()}
+        assert len(walked) == 31 and walked.keys() == leaves.keys()
+        assert all(leaves[key] is ap for key, ap in walked.items())
+
+    def test_namespace_equals_the_trees(self, monkeypatch):
+        tree, readme = cli._parser()[0], readme_argv()
+        assert {argv[0] for argv in readme} == _choices(tree).keys()
+        for argv in readme + flag_argv() + [
+                ["we", "enc", "--seed=5"], ["we", "enc", "--se", "5"], ["we", "enc", "--x=0a"]]:
+            seen = []
+            monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+            assert main(argv) == 0, argv
+            assert seen == [vars(tree.parse_args(argv))], argv
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS + help_argv(), ids=" ".join)
+    def test_exit_and_output_equal_the_trees(self, capsys, argv):
+        want = exit_of(capsys, cli._parser()[0].parse_args, argv)
+        assert exit_of(capsys, main, argv) == want
+        assert want[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+    def test_an_action_call_does_not_walk_the_tree(self, tmp, capsys, monkeypatch):
+        tree = cli._parser()[0]
+        monkeypatch.setattr(tree, "parse_known_args", None)
+        assert main(["we", "enc", "--m", "", "--out", str(tmp / "we.bin")]) == 0
 
 
 COLD_PATH = """

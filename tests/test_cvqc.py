@@ -592,6 +592,26 @@ class TestKeptVerdict:
             assert td_verify(YES, proof, td, oracle, proto) == 1
         assert calls == []
 
+    @pytest.mark.parametrize("mode", sorted(DUAL_GENS))
+    @pytest.mark.parametrize("proto", sorted(cvqc.PROTOCOLS))
+    def test_sealed_gate_unmasks_with_a_foreign_key(self, mode, proto):
+        """A CVQC_TDVERIFY constant whose key is not its oracle's trapdoor
+        (every key is foreign to a UNIFORM oracle) unmasks the digest's last
+        bit with F(key, pi): the verdict `td_verify` gives under that key."""
+        s, honest, spec, _ = dual_setup(mode, proto)
+        proof = CvqcProof(honest, ro_query(oracle_from_spec(spec),
+                                           encode_base_proof(proto, honest)))
+        verdicts = []
+        for i in range(8):
+            key = prf_gen(Drbg(b"foreign%d" % i))
+            blob = pack_fields(YES.to_bytes(), proto.encode(), key.bytes, spec)
+            got = cvqc._sealed_verdict("CVQC_TDVERIFY", blob).run(proof.encode(proto))
+            want = unmasked_verdict(proof, key, oracle_from_spec(spec), proto)
+            assert td_verify(YES, proof, key, oracle_from_spec(spec), proto) == want
+            assert got == bytes([want])
+            verdicts.append(want)
+        assert set(verdicts) == {0, 1}
+
     def test_batch_and_sealed_gate_make_no_trapdoor_prf_call(self, monkeypatch):
         """Regression guard, counted through the module attribute: a TDGEN
         batch of `star_prove` proofs checked by both verifiers, then by the

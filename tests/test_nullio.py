@@ -1,6 +1,7 @@
 import pytest
 
-from qnk.circuit_ir import unwrap
+from qnk import nullio
+from qnk.circuit_ir import BOTTOM, unwrap
 from qnk.cvqc import MINI_PARAMS, PROTO_TOY, claim_for, encode_base_proof
 from qnk.errors import InsufficientCopies, MalformedCiphertext
 from qnk.nullio import (
@@ -19,6 +20,7 @@ from qnk.nullio import (
     we_enc,
     we_enc_bytes,
 )
+from qnk.qfhe import qfhe_enc, qfhe_eval, qfhe_gen
 from qnk.qma import Witness, fixture, ghz_witness
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, unpack_fields
@@ -85,6 +87,26 @@ class TestCorrectness:
     def test_toy_base_protocol(self):
         obf = nio_obf(claim_for(PAR, b"\x07"), 10, PROTO_TOY)
         assert nio_eval(obf, Witness.empty(), Drbg(11)) == 1
+
+
+class TestQfheDecGate:
+    def test_bottom_on_a_foreign_key_or_a_malformed_ciphertext(self):
+        keys, other = qfhe_gen(Drbg(1)), qfhe_gen(Drbg(2))
+        ct = qfhe_enc(keys.pk, b"proof", Drbg(3)).to_bytes()
+        assert unwrap(nullio._gate_qfhe_dec(keys.sk, ct)) == b"proof"
+        assert nullio._gate_qfhe_dec(other.sk, ct) == BOTTOM
+        assert nullio._gate_qfhe_dec(keys.sk, ct[:-1]) == BOTTOM
+
+    def test_sealed_verifier_rejects_a_proof_it_cannot_decrypt(self):
+        """The honest proof is accepted under the obfuscation's QFHE key and
+        rejected under another key or in a truncated ciphertext."""
+        obf = nio_obf(claim_for(PAR, b"\x07"), 1)
+        prove, proofs = nullio._prove_closure(obf, Witness.empty(), Drbg(2)), []
+        ct = qfhe_eval(obf.pk, lambda pp: proofs.append(prove(pp)) or proofs[-1],
+                       obf.ct_pp, Drbg(3)).to_bytes()
+        foreign = qfhe_enc(qfhe_gen(Drbg(4)).pk, proofs[0], Drbg(5)).to_bytes()
+        assert [obf.sealed_C.run(c) for c in (ct, foreign, ct[:-1])] == \
+            [b"\x01", b"\x00", b"\x00"]
 
 
 class TestNullGuard:

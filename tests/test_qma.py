@@ -11,6 +11,8 @@ from qnk.errors import (
     JudgeReject, MalformedCiphertext, MalformedCircuit, NotMonotone, WidthMismatch,
 )
 from qnk.qma import (
+    ATTR_WIRE_BYTES,
+    POLICY_FAMILY,
     PseudoDetCircuit,
     QmaLanguage,
     Witness,
@@ -22,6 +24,7 @@ from qnk.qma import (
     make_null_language,
     make_parity_language,
     make_threshold_language,
+    make_universal_language,
     monotone_check,
     qma_verify,
     resolve_language,
@@ -182,6 +185,26 @@ class TestReferences:
     def test_null_language_rejects(self):
         L = make_null_language(3)
         assert exact_accept_probability(L, b"\x01", Witness(ghz_witness())) == pytest.approx(0.0)
+
+
+class TestUniversalLanguage:
+    """Instance pid of the universal language over an attribute is a yes
+    instance exactly when family policy pid accepts that attribute."""
+    ATTR = bytes([0b0111])  # odd parity, two of its three low bits set
+
+    @pytest.mark.parametrize("pid, p", [(1, 1.0), (2, 1.0), (3, 0.0)])
+    def test_family_policy_decides(self, pid, p):
+        x = pid.to_bytes(ATTR_WIRE_BYTES, "big")
+        L = make_universal_language(self.ATTR)
+        assert exact_accept_probability(L, x, Witness.empty()) == pytest.approx(p)
+
+    @pytest.mark.parametrize("pid", [0, 4, 255, 0xFFFF])
+    def test_unknown_policy_id_accepts_with_probability_0(self, pid):
+        assert pid not in POLICY_FAMILY
+        x = pid.to_bytes(ATTR_WIRE_BYTES, "big")
+        L = make_universal_language(self.ATTR)
+        assert exact_accept_probability(L, x, Witness.empty()) == 0.0
+        assert qma_verify(L, x, Witness.empty(), Drbg(pid)) == 0
 
 
 class TestPseudoDet:
