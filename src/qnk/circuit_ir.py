@@ -422,7 +422,7 @@ class SealedProgram:
         encoded once per object. Bytes that `from_bytes` accepts prime its
         memo with this object, so this process never decodes them."""
         if self.__blob is None:
-            sealed = seal(_program_bytes(self.__program, self.__size), b"sealed-program")
+            sealed = seal(program_to_bytes(self.__program, self.__size), b"sealed-program")
             mode = self.__mode.encode()
             blob = _Encoded(pack_bytes(mode) + pack_u32(self.__size) + pack_bytes(sealed))
             if mode in _MODES:
@@ -512,11 +512,16 @@ def lockobf(lock: bytes, payload: bytes, inner: Program) -> SealedProgram:
     return SealedProgram(b.build([b.ite(hit, z, bot)]), MODE_LOCK, target)
 
 
-def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
-    """Input-independent bottom program with the same declared size."""
+def bottom_program() -> Program:
+    """The one-input program that ignores its input and outputs BOTTOM."""
     b = ProgramBuilder(1)
     b.input(0)
-    return SealedProgram(b.build([b.const(BOTTOM)]), MODE_LOCK, lock_pad_target(size_c, size_z))
+    return b.build([b.const(BOTTOM)])
+
+
+def lockobf_sim(size_c: int, size_z: int) -> SealedProgram:
+    """Input-independent bottom program with the same declared size."""
+    return SealedProgram(bottom_program(), MODE_LOCK, lock_pad_target(size_c, size_z))
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +592,7 @@ def _pack_node(out: bytearray, node: Node) -> bytearray:
 _FILLER_BYTES = bytes(_pack_node(bytearray(), _FILLER))
 
 
-def program_to_bytes(p: Program) -> bytes:
-    return _program_bytes(p, p.size)
-
-
-def _program_bytes(p: Program, size: int) -> bytes:
+def program_to_bytes(p: Program, size: int) -> bytes:
     """The encoding of `p` padded to `size` nodes: filler nodes between its
     own and the output list."""
     out = bytearray(b"\x01")  # format version

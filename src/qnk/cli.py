@@ -5,10 +5,12 @@ Every artifact is written as a QNK1 envelope (magic, version, type tag,
 payload, digest) and every command is a pure function of its flags: a fixed
 --seed reproduces artifacts byte for byte.
 
-Exit codes: 0 success; 1 protocol-level failure (rejection / bottom), or a
-malformed, missing or unwritable artifact, reported as a JSON error line;
-2 usage errors: a malformed flag value, a missing action or path flag, or a
-flag the action does not read.
+Exit codes: 0 success; 1 protocol-level failure (rejection / bottom), a
+malformed, missing or unwritable artifact, an --x statement of another width
+than the language's (WidthMismatch), or a share split over a non-monotone
+access language (NotMonotone), reported as a JSON error line; 2 usage
+errors: a malformed flag value, a missing action or path flag, or a flag the
+action does not read.
 """
 from __future__ import annotations
 
@@ -99,7 +101,7 @@ def _store(path: str, tag: str, payload: bytes) -> None:
 
 def _load(args, flag: str, tag: str) -> bytes:
     """The payload of the `tag` artifact named by the (required) `--flag`."""
-    return open_envelope(Path(getattr(args, flag)).read_bytes(), tag)[1]
+    return open_envelope(Path(getattr(args, flag)).read_bytes(), tag)
 
 
 def _say(**kv) -> None:

@@ -98,7 +98,7 @@ class Claim:
 
     lang_ref: bytes
     x: bytes
-    reps: int = JUDGE_REPS
+    reps: int
 
     def language(self) -> QmaLanguage:
         lang = resolve_language(self.lang_ref)
@@ -267,7 +267,7 @@ def decode_base_proof(proto: str, blob: bytes):
 @dataclass(frozen=True)
 class CvqcProof:
     pi: object          # bytes tag (ORACLE) or ((b, d), ...) (TOY)
-    h: bytes = b""      # 17-byte oracle digest in the dual-mode layer; empty outside it
+    h: bytes            # 17-byte oracle digest
 
     def encode(self, proto: str) -> bytes:
         return pack_fields(encode_base_proof(proto, self.pi), self.h)
@@ -448,8 +448,7 @@ def toy_verify(claim: Claim, pi, r: CvqcVerifyKey) -> int:
 # unified base API
 
 
-def base_keygen(claim: Claim, proto: str, drbg: Drbg,
-                toy_params: ToyParams = ToyParams()):
+def base_keygen(claim: Claim, proto: str, drbg: Drbg, toy_params: ToyParams):
     if proto == PROTO_ORACLE:
         return oracle_keygen(claim, drbg)
     return toy_keygen(claim, drbg, toy_params)
@@ -811,14 +810,14 @@ class BlindProof:
 
 def blind_keygen(claim: Claim, drbg: Drbg) -> tuple[BlindParams, BlindVerifyKey, RandomOracle]:
     pp, r = toy_keygen(claim, drbg.child("keygen"), ToyParams())
-    keys = qfhe.qfhe_gen(drbg.child("qfhe"))
+    pk, sk = qfhe.qfhe_gen(drbg.child("qfhe"))
     pp_bytes = pack_bytes(pp.to_bytes())
     if len(pp_bytes) > _PP_PAD_BUCKET:
         raise MalformedCiphertext("parameter envelope exceeds the padding bucket")
     padded = pp_bytes + b"\x00" * (_PP_PAD_BUCKET - len(pp_bytes))
-    ct_pp = qfhe.qfhe_enc(keys.pk, padded, drbg.child("enc"))
+    ct_pp = qfhe.qfhe_enc(pk, padded, drbg.child("enc"))
     oracle = RandomOracle(_oracle_seed(drbg), MODE_UNIFORM)
-    return BlindParams(keys.pk, ct_pp), BlindVerifyKey(r, keys.sk), oracle
+    return BlindParams(pk, ct_pp), BlindVerifyKey(r, sk), oracle
 
 
 def _unpad_pp(padded_pp: bytes) -> CvqcParams:

@@ -45,6 +45,7 @@ from .qma import (
     make_policy_language,
     make_share_language,
     make_universal_language,
+    monotone_check,
 )
 from .rand import Drbg
 from .wire import Reader, fixed, pack_fields, unpack_fields
@@ -60,10 +61,8 @@ def check_attr_len(attr_len: int) -> int:
     return attr_len
 
 
-def attr_wire(x, attr_len: int) -> bytes:
+def attr_wire(x: int, attr_len: int) -> bytes:
     """Attribute as a 2-byte wire (low attr_len bits significant)."""
-    if isinstance(x, bytes):
-        x = int.from_bytes(x, "big")
     if not 0 <= x < (1 << attr_len):
         raise WidthMismatch(f"attribute {x} out of range for {attr_len} bits")
     return x.to_bytes(ATTR_WIRE_BYTES, "big")
@@ -365,11 +364,11 @@ def qlock_obf(Q, u: bytes, z: bytes, seed) -> QLockObf:
     """Lock the payload z behind the event "the encrypted circuit's output
     register equals u"."""
     drbg = Drbg(seed).child("qlock")
-    keys = qfhe.qfhe_gen(drbg.child("qfhe"))
+    pk, sk = qfhe.qfhe_gen(drbg.child("qfhe"))
     desc = Q.to_bytes()
-    ct = qfhe.qfhe_enc(keys.pk, desc, drbg.child("enc"))
-    cc = lockobf(u, z, _dec_compare_program(keys.sk))
-    return QLockObf(ct, cc, keys.pk, len(desc), len(z))
+    ct = qfhe.qfhe_enc(pk, desc, drbg.child("enc"))
+    cc = lockobf(u, z, _dec_compare_program(sk))
+    return QLockObf(ct, cc, pk, len(desc), len(z))
 
 
 def qlock_eval(obj: QLockObf, x_bits, drbg: Drbg):
@@ -390,10 +389,10 @@ def qlock_eval(obj: QLockObf, x_bits, drbg: Drbg):
 def qlock_sim(desc_len: int, payload_len: int, seed) -> QLockObf:
     """Input-independent simulator object with matching declared sizes."""
     drbg = Drbg(seed).child("qlock-sim")
-    keys = qfhe.qfhe_gen(drbg.child("qfhe"))
-    ct = qfhe.qfhe_enc(keys.pk, bytes(desc_len), drbg.child("enc"))
-    size_c = _dec_compare_program(keys.sk).size
-    return QLockObf(ct, lockobf_sim(size_c, payload_len), keys.pk,
+    pk, sk = qfhe.qfhe_gen(drbg.child("qfhe"))
+    ct = qfhe.qfhe_enc(pk, bytes(desc_len), drbg.child("enc"))
+    size_c = _dec_compare_program(sk).size
+    return QLockObf(ct, lockobf_sim(size_c, payload_len), pk,
                     desc_len, payload_len)
 
 
@@ -565,11 +564,13 @@ class ShareSet:
 
 def ss_share(L: QmaLanguage, N: int, s: int, seed) -> ShareSet:
     """Party i receives a commitment opening; the secret is witness-encrypted
-    to the statement "enough openings verify to form a qualified subset"."""
+    to the statement "enough openings verify to form a qualified subset".
+    The access structure `L` must be monotone."""
     if N > 10:
         raise WidthMismatch("at most 10 parties")
     if L.statement_bits != N:
         raise WidthMismatch("access language width must equal the party count")
+    monotone_check(L)
     drbg = Drbg(seed).child("share")
     openings = [drbg.child(f"r{i}").bytes(KEY_LEN) for i in range(N)]
     commitments = tuple(commit(bytes([i + 1]), openings[i]) for i in range(N))

@@ -24,6 +24,7 @@ from .circuit_ir import (
     BOTTOM,
     ProgramBuilder,
     SealedProgram,
+    bottom_program,
     obf_io,
     obf_vbb,
     register_gate,
@@ -119,19 +120,13 @@ def _verify_program(sk: bytes, setup: StarSetup, release: bytes | None,
     return b.build([out])
 
 
-def _bottom_program():
-    b = ProgramBuilder(1)
-    b.input(0)
-    return b.build([b.const(BOTTOM)])
-
-
 # ---------------------------------------------------------------------------
 # obfuscation
 
 
 def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
            release: bytes | None, stage: str) -> ObfuscatedNullCircuit:
-    keys = qfhe.qfhe_gen(drbg.child("qfhe"))
+    pk, sk = qfhe.qfhe_gen(drbg.child("qfhe"))
     if stage == "honest":
         setup = keygen_star(claim, proto, drbg.child("cvqc"), toy_params)
     elif stage == "td":
@@ -142,15 +137,15 @@ def _build(claim: Claim, drbg: Drbg, proto: str, toy_params: ToyParams,
         raise ValueError(f"unknown stage {stage!r}")
     # the honest, trapdoor and simulation verifiers share one shape, so every
     # stage pads to its size; the bottom program is smaller
-    program = _verify_program(keys.sk, setup, release, stage != "honest")
+    program = _verify_program(sk, setup, release, stage != "honest")
     target = program.size
     if stage == "bottom":
-        program = _bottom_program()
-    ct_pp = qfhe.qfhe_enc(keys.pk, setup.pp.to_bytes(), drbg.child("encpp"))
+        program = bottom_program()
+    ct_pp = qfhe.qfhe_enc(pk, setup.pp.to_bytes(), drbg.child("encpp"))
     sealed = obf_io(program, target)
     return ObfuscatedNullCircuit(
         ct_pp=ct_pp, sealed_C=sealed, variant=VARIANT_IO,
-        q_digest=claim.digest(), pk=keys.pk,
+        q_digest=claim.digest(), pk=pk,
         oracle_spec_sealed=seal(oracle_spec(setup), b"nio-oracle"),
         proto=proto, min_copies=claim.reps)
 

@@ -21,12 +21,6 @@ DEFAULT_MAX_DEPTH = 8
 
 
 @dataclass(frozen=True)
-class QfheKeys:
-    pk: bytes  # key id (8 bytes) || sealed wrapping key
-    sk: bytes  # 16 bytes
-
-
-@dataclass(frozen=True)
 class QfheCiphertext:
     key_id: bytes
     payload: bytes       # nonce || body || tag, pad keyed off the wrapping key
@@ -56,10 +50,12 @@ def _wrap_key_from_pk(pk: bytes) -> bytes:
     return unseal(pk[8:])
 
 
-def qfhe_gen(drbg: Drbg) -> QfheKeys:
+def qfhe_gen(drbg: Drbg) -> tuple[bytes, bytes]:
+    """(pk, sk): pk is the key id (8 bytes) || the sealed wrapping key, sk
+    16 bytes."""
     sk = drbg.bytes(KEY_LEN)
     key_id, wrap_key = _sk_keys(sk)
-    return QfheKeys(pk=key_id + seal(wrap_key, b"qfhe-pk"), sk=sk)
+    return key_id + seal(wrap_key, b"qfhe-pk"), sk
 
 
 def qfhe_enc(pk: bytes, m: bytes, drbg: Drbg) -> QfheCiphertext:
@@ -74,16 +70,14 @@ def qfhe_dec(sk: bytes, ct: QfheCiphertext) -> bytes:
     return _unseal_keyed(wrap_key, ct.payload)
 
 
-def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg | None = None) -> QfheCiphertext:
+def qfhe_eval(pk: bytes, C, ct: QfheCiphertext, drbg: Drbg) -> QfheCiphertext:
     """Homomorphic application of C, a callable bytes -> bytes, inside the
-    sealing boundary."""
+    sealing boundary, resealed under a fresh nonce from `drbg`."""
     if pk[:8] != ct.key_id:
         raise KeyMismatch("public key does not match ciphertext")
     if ct.eval_depth + 1 > ct.max_depth:
         raise DepthExceeded(f"evaluation depth {ct.eval_depth + 1} exceeds {ct.max_depth}")
     wrap_key = _wrap_key_from_pk(pk)
     m = _unseal_keyed(wrap_key, ct.payload)
-    out = C(m)
-    nonce_src = drbg.bytes(16) if drbg is not None else _hmac(wrap_key, b"renonce" + ct.payload)[:16]
-    return QfheCiphertext(ct.key_id, _seal_keyed(wrap_key, out, nonce_src),
+    return QfheCiphertext(ct.key_id, _seal_keyed(wrap_key, C(m), drbg.bytes(16)),
                           ct.eval_depth + 1, ct.max_depth)

@@ -57,7 +57,7 @@ class QmaLanguage:
 @dataclass(frozen=True)
 class Witness:
     state: StateVector
-    copies: int = DEFAULT_WITNESS_COPIES
+    copies: int
     classical: bytes = b""       # classical part, e.g. commitment openings
 
     @classmethod

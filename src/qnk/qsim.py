@@ -208,7 +208,7 @@ class QuantumCircuit:
     measurement of qubit 0. Inputs fill the last `n_input` qubits."""
 
     n_qubits: int
-    gates: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    gates: tuple[tuple[str, tuple[int, ...]], ...]
     n_input: int = 0
 
     def __post_init__(self):

@@ -48,11 +48,9 @@ class Drbg:
     sub-samples from the same seed.
     """
 
-    def __init__(self, seed: bytes | int | str):
+    def __init__(self, seed: bytes | int):
         if isinstance(seed, int):
             seed = seed.to_bytes(16, "big", signed=False)
-        elif isinstance(seed, str):
-            seed = seed.encode()
         self._key = _hmac(b"qnk-drbg-v1", seed)
         self._counter = 0
 

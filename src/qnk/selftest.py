@@ -490,7 +490,7 @@ CRITERIA = [
 ]
 
 
-def run_all(only: list[int] | None = None):
+def run_all(only: list[int] | None):
     results = []
     for idx, fn in enumerate(CRITERIA, 1):
         if only and idx not in only:

@@ -138,7 +138,7 @@ def _unseal_keyed(key: bytes, blob: bytes) -> bytes:
     return _xor(body, prg(_hmac(key, b"pad" + nonce)[:16], len(body)))
 
 
-def seal(data: bytes, context: bytes = b"") -> bytes:
+def seal(data: bytes, context: bytes) -> bytes:
     """`context` only feeds the nonce, so `unseal` takes none."""
     return _seal_keyed(_SEAL_KEY, data, _hmac(_SEAL_KEY, b"nonce" + context + data)[:16])
 
@@ -156,7 +156,8 @@ def envelope(type_tag: str, payload: bytes) -> bytes:
     return head + hashlib.sha256(head).digest()
 
 
-def open_envelope(blob: bytes, expect_tag: str | None = None) -> tuple[str, bytes]:
+def open_envelope(blob: bytes, expect_tag: str) -> bytes:
+    """The payload of an envelope whose type tag is `expect_tag`."""
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagic("missing QNK1 magic")
     body, digest = blob[:-32], blob[-32:]
@@ -170,6 +171,6 @@ def open_envelope(blob: bytes, expect_tag: str | None = None) -> tuple[str, byte
     tag = utf8(r.field())
     payload = r.field()
     r.end()
-    if expect_tag is not None and tag != expect_tag:
+    if tag != expect_tag:
         raise VersionMismatch(f"envelope holds {tag!r}, expected {expect_tag!r}")
-    return tag, payload
+    return payload

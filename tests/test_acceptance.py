@@ -1,6 +1,7 @@
 """Acceptance gate: every exit criterion at its stated tolerance, one
 pass/fail line each (visible with `pytest -s` or in the failure report).
-Each criterion is also run with one planted fault, to show that it can fail."""
+Each criterion is also run with one planted fault, to show that it can fail,
+and three criteria with a fault that only a later check of theirs catches."""
 
 import subprocess
 import time
@@ -75,5 +76,33 @@ FAULTS = {
 @pytest.mark.parametrize("idx", range(1, 12))
 def test_criterion_can_fail(monkeypatch, idx):
     owner, name, stand_in, want = FAULTS[idx]
+    monkeypatch.setattr(owner, name, stand_in)
+    assert selftest.CRITERIA[idx - 1]() == want
+
+
+NULL_CLAIM_DIGEST = selftest.claim_for(selftest.fixture("null3"), b"\x01").digest()
+real_nio_eval = selftest.nullio.nio_eval
+
+
+def accepts_the_null_claim(obf, witness, drbg):
+    return 1 if obf.q_digest == NULL_CLAIM_DIGEST else real_nio_eval(obf, witness, drbg)
+
+
+# a fault that passes a criterion's earlier checks and fails a later return:
+# name -> (criterion, object, name the criterion reads there, stand-in, expected result)
+LATER_FAULTS = {
+    "4-null-accepted": (4, selftest.nullio, "nio_eval", accepts_the_null_claim,
+                        ("null-io-correctness", False, "null fixture accepted 100 times")),
+    "7-pe-qualifying": (7, selftest.ed, "pe_dec", lambda sk, ct: None,
+                        ("delegation", False, "pe qualifying key failed")),
+    "10-linear-recovery": (10, selftest.attacks, "attack_linear",
+                           lambda verifier, pi, width: AttackTranscript(),
+                           ("cryptanalysis", False, "linear secret recovery failed")),
+}
+
+
+@pytest.mark.parametrize("fault", LATER_FAULTS)
+def test_later_return_can_fail(monkeypatch, fault):
+    idx, owner, name, stand_in, want = LATER_FAULTS[fault]
     monkeypatch.setattr(owner, name, stand_in)
     assert selftest.CRITERIA[idx - 1]() == want

@@ -139,7 +139,7 @@ class TestPad:
         padded = program_from_bytes(sealed_body(sealed))
         assert sealed.declared_size == again.declared_size == padded.size == 40
         assert padded == with_fillers(p, 40 - p.size)
-        assert program_to_bytes(padded) == sealed_body(sealed)
+        assert program_to_bytes(padded, padded.size) == sealed_body(sealed)
         d = Drbg(3)
         for _ in range(100):
             v = [d.bytes(4)]
@@ -147,7 +147,7 @@ class TestPad:
 
     def test_pad_identity_at_own_size(self):
         p = identity_program()
-        assert sealed_body(obf_io(p, p.size)) == program_to_bytes(p)
+        assert sealed_body(obf_io(p, p.size)) == program_to_bytes(p, p.size)
 
     def test_target_too_small(self):
         b = ProgramBuilder(1)
@@ -291,7 +291,7 @@ def test_program_serialization_roundtrip():
     y = b.input(1)
     h = b.host("PRF", b.const(b"\x00" * 16), b.concat(x, y))
     p = b.build([b.ite(b.eq(x, y), h, b.slice(h, 0, 4))])
-    again = program_from_bytes(program_to_bytes(p))
+    again = program_from_bytes(program_to_bytes(p, p.size))
     assert again == p
     assert evaluate(again, [b"a", b"a"]) == evaluate(p, [b"a", b"a"])
 
@@ -302,7 +302,8 @@ class TestProgramDecoding:
     @staticmethod
     def blob():
         b = ProgramBuilder(1)
-        return program_to_bytes(b.build([b.host("ab", b.input(0))]))
+        p = b.build([b.host("ab", b.input(0))])
+        return program_to_bytes(p, p.size)
 
     def test_unknown_op_tag(self):
         blob = bytearray(self.blob())
@@ -337,7 +338,8 @@ class TestProgramDecoding:
             SealedProgram.from_bytes(sealed + b"\x00")
 
     def test_sealed_non_utf8_mode(self):
-        body = program_to_bytes(identity_program())
+        p = identity_program()
+        body = program_to_bytes(p, p.size)
         assert SealedProgram.from_bytes(raw_sealed(body, 1)).run(b"x") == b"x"
         with pytest.raises(MalformedCircuit):
             SealedProgram.from_bytes(raw_sealed(body, 1, b"\xff"))
@@ -361,7 +363,8 @@ class TestPaddedProgramCodec:
     def regions(cls):
         """(start, end) of the header, the live nodes, the filler run and the
         output list in the program's encoding."""
-        blob = program_to_bytes(cls.program())
+        p = cls.program()
+        blob = program_to_bytes(p, p.size)
         outputs_len = 4 + 4 * len(cls.program().outputs)
         run = len(blob) - outputs_len - 29 * cls.FILL
         return blob, {"header": (0, 9), "live-node": (9, run),
@@ -377,7 +380,8 @@ class TestPaddedProgramCodec:
     def test_padding_shares_one_node(self):
         # `Program` skips the structural checks by identity with that one
         # instance
-        decoded = program_from_bytes(program_to_bytes(self.program()))
+        p = self.program()
+        decoded = program_from_bytes(program_to_bytes(p, p.size))
         fill = decoded.nodes[-self.FILL:]
         assert fill[0] == Node("CONST") and all(node is fill[0] for node in fill)
 
@@ -408,7 +412,7 @@ class TestPaddedProgramCodec:
             got = program_from_bytes(mutated)
             assert got.nodes[got.size - self.FILL + 3] == Node(outcome)
             # the encoding is canonical, so this pins the whole program
-            assert program_to_bytes(got) == mutated
+            assert program_to_bytes(got, got.size) == mutated
         else:
             with pytest.raises(outcome) as e:
                 program_from_bytes(mutated)
@@ -418,10 +422,10 @@ class TestPaddedProgramCodec:
         b = ProgramBuilder(1)
         empty = b.const(b"")
         p = with_fillers(b.build([b.concat(b.input(0), empty)]), 6)
-        blob = program_to_bytes(p)
+        blob = program_to_bytes(p, p.size)
         again = program_from_bytes(blob)
         assert again == p
-        assert program_to_bytes(again) == blob
+        assert program_to_bytes(again, again.size) == blob
         assert evaluate(again, [b"q"]) == [b"q"]
 
     def test_inlined_filler_round_trips(self):
@@ -430,10 +434,10 @@ class TestPaddedProgramCodec:
         p = with_fillers(b.build([b.xor(inner, b.input(1))]), 5)
         # the inlined fillers sit between live nodes
         assert p.nodes[1:5] == (Node("CONST"),) * 4 and p.nodes[6].op == "XOR"
-        blob = program_to_bytes(p)
+        blob = program_to_bytes(p, p.size)
         again = program_from_bytes(blob)
         assert again == p
-        assert program_to_bytes(again) == blob
+        assert program_to_bytes(again, again.size) == blob
         assert evaluate(again, [b"\x0f", b"\xf0"]) == [b"\xff"]
 
 
@@ -451,10 +455,10 @@ class TestFillerTail:
 
     @staticmethod
     def decode(p: Program) -> tuple[Program, CountedBlob]:
-        blob = CountedBlob(program_to_bytes(p))
+        blob = CountedBlob(program_to_bytes(p, p.size))
         again = program_from_bytes(blob)
         assert again == p
-        assert program_to_bytes(again) == blob
+        assert program_to_bytes(again, again.size) == blob
         return again, blob
 
     def test_all_trailing_fillers_take_one_compare(self):
@@ -497,7 +501,8 @@ class TestFillerTail:
         # that ends inside the run is
         # TestPaddedProgramCodec.test_every_prefix_is_truncated
         b = ProgramBuilder(1)
-        blob = program_to_bytes(with_fillers(b.build([b.input(0)]), 39))
+        p = with_fillers(b.build([b.input(0)]), 39)
+        blob = program_to_bytes(p, p.size)
         run_end = len(blob) - 8  # the output list is a count and one index
         cut = blob[:run_end - short] + blob[run_end:]
         with pytest.raises(MalformedCiphertext, match="truncated") as e:

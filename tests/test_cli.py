@@ -36,6 +36,11 @@ def raw_envelope(tag: bytes, payload: bytes, trailing: bytes = b"") -> bytes:
     return head + hashlib.sha256(head).digest()
 
 
+def envelope_tag(blob: bytes) -> str:
+    """The type tag of an envelope, read past its magic and version."""
+    return Reader(blob[6:]).field().decode()
+
+
 def empty_claim_reps(setup: bytes) -> bytes:
     claim, *rest = unpack_fields(setup, 5)
     ref, x, _reps = unpack_fields(claim, 3)
@@ -231,8 +236,9 @@ CVQC_SETUP = (["cvqc", "keygen", "--proto", "toy", "--x", "07", "--seed", "5", "
 def rewrap(name, mutate):
     """Corrupt the payload of artifact `name` and re-envelope it."""
     def corrupt(paths):
-        tag, payload = open_envelope(paths[name].read_bytes())
-        paths[name].write_bytes(envelope(tag, mutate(payload)))
+        blob = paths[name].read_bytes()
+        tag = envelope_tag(blob)
+        paths[name].write_bytes(envelope(tag, mutate(open_envelope(blob, tag))))
     return corrupt
 
 
@@ -252,32 +258,31 @@ def tmp(tmp_path):
 class TestEnvelope:
     def test_roundtrip(self):
         blob = envelope("test.tag", b"payload bytes")
-        tag, payload = open_envelope(blob)
-        assert (tag, payload) == ("test.tag", b"payload bytes")
+        assert open_envelope(blob, "test.tag") == b"payload bytes"
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
-            open_envelope(b"XXXX" + b"\x00" * 40)
+            open_envelope(b"XXXX" + b"\x00" * 40, "t")
 
     def test_bit_flip_detected(self):
         blob = bytearray(envelope("t", b"payload"))
         blob[12] ^= 1
         with pytest.raises(BadDigest):
-            open_envelope(bytes(blob))
+            open_envelope(bytes(blob), "t")
 
     def test_version_mismatch(self):
         head = MAGIC + (9).to_bytes(2, "big") + pack_bytes(b"t") + pack_bytes(b"p")
         with pytest.raises(VersionMismatch):
-            open_envelope(head + hashlib.sha256(head).digest())
+            open_envelope(head + hashlib.sha256(head).digest(), "t")
 
     def test_non_utf8_tag(self):
         with pytest.raises(MalformedCiphertext):
-            open_envelope(raw_envelope(b"\xff\xfe", b"p"))
+            open_envelope(raw_envelope(b"\xff\xfe", b"p"), "t")
 
     def test_trailing_bytes_under_digest(self):
-        assert open_envelope(raw_envelope(b"t", b"p")) == ("t", b"p")
+        assert open_envelope(raw_envelope(b"t", b"p"), "t") == b"p"
         with pytest.raises(MalformedCiphertext):
-            open_envelope(raw_envelope(b"t", b"p", trailing=b"\x00"))
+            open_envelope(raw_envelope(b"t", b"p", trailing=b"\x00"), "t")
 
     def test_wrong_tag(self):
         blob = envelope("a", b"p")
@@ -333,7 +338,8 @@ class TestWeCommands:
         path = tmp / "artifact.bin"
         produce, consume = ([a.format(path) for a in argv] for argv in cmds)
         assert main(produce) == 0
-        good_tag, payload = open_envelope(path.read_bytes())
+        good_tag = envelope_tag(path.read_bytes())
+        payload = open_envelope(path.read_bytes(), good_tag)
         if mutate is not None:
             payload = mutate(payload)
         path.write_bytes(raw_envelope(tag or good_tag.encode(), payload, trailing))
@@ -586,7 +592,7 @@ class TestAbeCommands:
 def keys_fields(build):
     """Rebuild the `abe.keys` envelope from its three fields."""
     def corrupt(good: bytes) -> bytes:
-        sealed_seed, attr_len, mpk = unpack_fields(open_envelope(good, "abe.keys")[1], 3)
+        sealed_seed, attr_len, mpk = unpack_fields(open_envelope(good, "abe.keys"), 3)
         return build(sealed_seed, attr_len, mpk)
     return corrupt
 
@@ -724,6 +730,15 @@ class TestShareCommands:
         captured = capsys.readouterr()
         assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "WidthMismatch"
         assert "Traceback" not in captured.out + captured.err
+
+    def test_non_monotone_language_exits_1_and_writes_nothing(self, tmp, capsys):
+        shares, parties = tmp / "shares.bin", tmp / "parties"
+        assert main(["share", "split", "--lang", "par4", "--parties", "4", "--seed", "1",
+                     "--out", str(shares), "--split-dir", str(parties)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip().splitlines()[-1])["error"] == "NotMonotone"
+        assert "Traceback" not in captured.out + captured.err
+        assert not shares.exists() and not parties.exists()
 
 
 class TestAttackCommands:

@@ -55,7 +55,7 @@ CASES = {
     "QLockObf": (ed.QLockObf, lambda: ed.qlock_obf(PDC, U, b"z", 4), "fffff", {3: 4, 4: 4}),
     "ShareSet": (ed.ShareSet, lambda: ed.ss_share(fixture("th23"), 3, 1, 5), "f" * 11, {1: 1}),
     "QfheCiphertext": (qfhe.QfheCiphertext,
-                       lambda: qfhe.qfhe_enc(qfhe.qfhe_gen(Drbg(6)).pk, b"m", Drbg(7)),
+                       lambda: qfhe.qfhe_enc(qfhe.qfhe_gen(Drbg(6))[0], b"m", Drbg(7)),
                        "ffuu", {2: 4, 3: 4}),
     "PseudoDetCircuit": (PseudoDetCircuit, lambda: PDC, "ffff", {1: 1}),
 }
@@ -79,7 +79,7 @@ PROOF_CODECS = {
     "encode_base_proof": lambda proto: cvqc.encode_base_proof(proto, TOY_PI),
     "decode_base_proof": lambda proto: cvqc.decode_base_proof(
         proto, cvqc.encode_base_proof(cvqc.PROTO_TOY, TOY_PI)),
-    "CvqcProof.encode": lambda proto: cvqc.CvqcProof(TOY_PI).encode(proto),
+    "CvqcProof.encode": lambda proto: cvqc.CvqcProof(TOY_PI, b"").encode(proto),
     "CvqcProof.decode": lambda proto: cvqc.CvqcProof.decode(
         proto, cvqc.CvqcProof(TOY_PI, b"h" * 17).encode(cvqc.PROTO_TOY)),
 }

@@ -45,7 +45,7 @@ from qnk.encdelegate import (
     ss_rec,
     ss_share,
 )
-from qnk.errors import MalformedCiphertext, WidthMismatch
+from qnk.errors import MalformedCiphertext, NotMonotone, WidthMismatch
 from qnk.primitives import ggm_eval, prf_gen, prg
 from qnk.qma import (
     PseudoDetCircuit,
@@ -383,6 +383,11 @@ class TestSecretSharing:
     def test_party_count_cap(self):
         with pytest.raises(WidthMismatch):
             ss_share(fixture("th23"), 11, 0, 46)
+
+    def test_non_monotone_language_rejected(self):
+        # under parity, {0} qualifies but its superset {0, 1} does not
+        with pytest.raises(NotMonotone):
+            ss_share(fixture("par4"), 4, 1, 46)
 
     def test_commitments_bind_party_indices(self):
         from qnk.primitives import commit

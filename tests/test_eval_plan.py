@@ -201,11 +201,11 @@ def test_shared_node_runs_once_per_call_and_untaken_arm_never():
 def test_plan_is_kept_with_the_program_and_out_of_its_bytes():
     b = ProgramBuilder(1)
     p = b.build([b.host("OWF", b.input(0))])
-    blob = program_to_bytes(p)
+    blob = program_to_bytes(p, p.size)
     assert evaluate(p, [b"q"]) == [owf(b"q")]
     plan = p.plan
     assert evaluate(p, [b"r"]) == [owf(b"r")] and p.plan is plan
-    assert program_to_bytes(p) == blob and p == program_from_bytes(blob)
+    assert program_to_bytes(p, p.size) == blob and p == program_from_bytes(blob)
 
 
 def test_dropped_plan_is_freed_without_the_cycle_collector():
@@ -271,7 +271,8 @@ def test_unregistered_gate_raises_only_when_it_runs(monkeypatch, n_args):
     (gate,) = b.inline(late, [x])
     # an ITE whose taken arm never reaches the gate
     guarded = b.ite(b.eq(x, b.const(b"safe")), b.const(b"skipped"), gate)
-    p = program_from_bytes(program_to_bytes(b.build([guarded])))  # decodes
+    p = b.build([guarded])
+    p = program_from_bytes(program_to_bytes(p, p.size))           # decodes
     assert p.plan                                                 # and builds
     assert evaluate(p, [b"safe"]) == [b"skipped"]
     with pytest.raises(UnknownGate, match="'T_LATE' not registered"):

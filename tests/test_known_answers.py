@@ -36,7 +36,9 @@ from qnk.nullio import nio_eval, nio_obf, nio_obf_stage, nio_obf_vbb
 from qnk.primitives import sbsh_com, sbsh_ext, sbsh_gen, sbsh_is_binding
 from qnk.qfhe import qfhe_dec, qfhe_enc, qfhe_eval, qfhe_gen
 from qnk.proofs import nizk_prove, nizk_setup
-from qnk.qma import Witness, fixture, ghz_witness, make_policy_language
+from qnk.qma import (
+    DEFAULT_WITNESS_COPIES, Witness, fixture, ghz_witness, make_policy_language,
+)
 from qnk.qsim import StateVector, parse_circuit
 from qnk.rand import Drbg
 from qnk.wire import pack_fields, seal, unseal
@@ -55,7 +57,7 @@ class TestSeal:
         assert unseal(blob) == b"known answer"
 
     def test_empty(self):
-        assert seal(b"").hex() == ("a544c2ed90748cd5ae10fbf81234ffbf"
+        assert seal(b"", b"").hex() == ("a544c2ed90748cd5ae10fbf81234ffbf"
                                    "4e5a78c77bb55612a6145d926d7eec1f")
 
     def test_4k(self):
@@ -66,41 +68,32 @@ class TestSeal:
 
 
 class TestQfhe:
-    @pytest.fixture
-    def keys(self):
-        return qfhe_gen(Drbg(1))
+    PK, SK = qfhe_gen(Drbg(1))
 
-    def test_keys(self, keys):
-        assert keys.pk.hex() == ("15b82edab5e5eebb83f163e083204805ac60d0e216d0ba42"
+    def test_keys(self):
+        assert self.PK.hex() == ("15b82edab5e5eebb83f163e083204805ac60d0e216d0ba42"
                                  "63d65dc0168a2b598ad44be30fbbfc289d7c8a7fe9e350c8"
                                  "f0eecfb7ebffc91e")
 
-    def test_enc(self, keys):
-        ct = qfhe_enc(keys.pk, b"known answer", Drbg(2))
+    def test_enc(self):
+        ct = qfhe_enc(self.PK, b"known answer", Drbg(2))
         assert ct.payload.hex() == ("811604562e58dcf4a40260849a688edf"
                                     "aab7ce0bbd5e67618682deee"
                                     "0f7f58e79d035594046c21c261c67020")
-        assert qfhe_dec(keys.sk, ct) == b"known answer"
+        assert qfhe_dec(self.SK, ct) == b"known answer"
 
-    def test_enc_empty(self, keys):
-        ct = qfhe_enc(keys.pk, b"", Drbg(3))
+    def test_enc_empty(self):
+        ct = qfhe_enc(self.PK, b"", Drbg(3))
         assert ct.payload.hex() == ("15f39f30d4c01befd108ff864dba4f30"
                                     "6bbc282c866b478bb6774d8d1b990430")
 
-    def test_eval_renonce(self, keys):
-        ct = qfhe_enc(keys.pk, b"known answer", Drbg(2))
-        out = qfhe_eval(keys.pk, lambda m: m[::-1], ct)
-        assert out.payload.hex() == ("205b0228fd0820ceb0a75adeb1f3558b"
-                                     "482c8b185dfeaa71816440cc"
-                                     "4af45a8e46a9b5ef71926c4c7c4df4c6")
-        assert qfhe_dec(keys.sk, out) == b"rewsna nwonk"
-
-    def test_eval_drbg(self, keys):
-        ct = qfhe_enc(keys.pk, b"known answer", Drbg(2))
-        out = qfhe_eval(keys.pk, lambda m: m[::-1], ct, Drbg(4))
+    def test_eval_drbg(self):
+        ct = qfhe_enc(self.PK, b"known answer", Drbg(2))
+        out = qfhe_eval(self.PK, lambda m: m[::-1], ct, Drbg(4))
         assert out.payload.hex() == ("7bbf663f11c08380df414f5539919847"
                                      "0c8b3510fc6cd881472a9d0c"
                                      "9026d5096bcb2f9ec4e51f0146cd332c")
+        assert qfhe_dec(self.SK, out) == b"rewsna nwonk"
 
 
 class TestSbsh:
@@ -290,8 +283,8 @@ class TestSampledProvers:
         proofs = []
         for seed in range(8):
             try:
-                proofs.append(nizk_prove(crs, Witness(WITNESS_STATES[witness]()),
-                                         b"\x01", Drbg(seed)))
+                w = Witness(WITNESS_STATES[witness](), DEFAULT_WITNESS_COPIES)
+                proofs.append(nizk_prove(crs, w, b"\x01", Drbg(seed)))
             except ProofFailed:
                 proofs.append(b"-")
         assert "".join("F" if p == b"-" else "-" for p in proofs) == failed
@@ -303,8 +296,9 @@ class TestSampledProvers:
     ])
     def test_nio_eval(self, witness, want):
         obf = nio_obf(GHZ_YES, 31)
-        assert "".join(str(nio_eval(obf, Witness(WITNESS_STATES[witness]()), Drbg(seed)))
-                       for seed in range(16)) == want
+        got = [nio_eval(obf, Witness(WITNESS_STATES[witness](), DEFAULT_WITNESS_COPIES), Drbg(seed))
+               for seed in range(16)]
+        assert "".join(map(str, got)) == want
 
     @pytest.mark.parametrize("variant, want", [
         ("standard", "a30ceadc17b3f5078df6ca52739ef1883a9a7b333c1f026bb6515f7973dbcb84"),

@@ -186,9 +186,9 @@ def test_malformed_oracle_spec_raises_on_every_call(spec, error):
 @pytest.mark.parametrize("cut", (slice(None, 8), slice(None, -1)),
                          ids=("key id only", "seal cut short"))
 def test_malformed_pk_raises_on_every_call(cut):
-    keys = qfhe_gen(Drbg(6))
-    ct = qfhe_enc(keys.pk, b"m", Drbg(7))
-    bad = keys.pk[cut]
+    pk, _ = qfhe_gen(Drbg(6))
+    ct = qfhe_enc(pk, b"m", Drbg(7))
+    bad = pk[cut]
     before = qfhe._wrap_key_from_pk.cache_info().currsize
     for _ in range(2):
         with pytest.raises(MalformedCiphertext):
@@ -199,15 +199,15 @@ def test_malformed_pk_raises_on_every_call(cut):
 
 
 def test_other_key_still_mismatches_after_a_memo_hit():
-    mine, other = qfhe_gen(Drbg(10)), qfhe_gen(Drbg(11))
-    assert qfhe_dec(mine.sk, qfhe_enc(mine.pk, b"m", Drbg(12))) == b"m"
-    theirs = qfhe_enc(other.pk, b"m", Drbg(13))
+    (pk, sk), (other_pk, _) = qfhe_gen(Drbg(10)), qfhe_gen(Drbg(11))
+    assert qfhe_dec(sk, qfhe_enc(pk, b"m", Drbg(12))) == b"m"
+    theirs = qfhe_enc(other_pk, b"m", Drbg(13))
     hits = qfhe._sk_keys.cache_info().hits
     for _ in range(2):
         with pytest.raises(KeyMismatch):
-            qfhe_dec(mine.sk, theirs)
+            qfhe_dec(sk, theirs)
         with pytest.raises(KeyMismatch):
-            qfhe_eval(mine.pk, lambda m: m, theirs)
+            qfhe_eval(pk, lambda m: m, theirs, Drbg(14))
     assert qfhe._sk_keys.cache_info().hits == hits + 2
 
 

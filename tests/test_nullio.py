@@ -91,11 +91,11 @@ class TestCorrectness:
 
 class TestQfheDecGate:
     def test_bottom_on_a_foreign_key_or_a_malformed_ciphertext(self):
-        keys, other = qfhe_gen(Drbg(1)), qfhe_gen(Drbg(2))
-        ct = qfhe_enc(keys.pk, b"proof", Drbg(3)).to_bytes()
-        assert unwrap(nullio._gate_qfhe_dec(keys.sk, ct)) == b"proof"
-        assert nullio._gate_qfhe_dec(other.sk, ct) == BOTTOM
-        assert nullio._gate_qfhe_dec(keys.sk, ct[:-1]) == BOTTOM
+        (pk, sk), (_, other_sk) = qfhe_gen(Drbg(1)), qfhe_gen(Drbg(2))
+        ct = qfhe_enc(pk, b"proof", Drbg(3)).to_bytes()
+        assert unwrap(nullio._gate_qfhe_dec(sk, ct)) == b"proof"
+        assert nullio._gate_qfhe_dec(other_sk, ct) == BOTTOM
+        assert nullio._gate_qfhe_dec(sk, ct[:-1]) == BOTTOM
 
     def test_sealed_verifier_rejects_a_proof_it_cannot_decrypt(self):
         """The honest proof is accepted under the obfuscation's QFHE key and
@@ -104,7 +104,7 @@ class TestQfheDecGate:
         prove, proofs = nullio._prove_closure(obf, Witness.empty(), Drbg(2)), []
         ct = qfhe_eval(obf.pk, lambda pp: proofs.append(prove(pp)) or proofs[-1],
                        obf.ct_pp, Drbg(3)).to_bytes()
-        foreign = qfhe_enc(qfhe_gen(Drbg(4)).pk, proofs[0], Drbg(5)).to_bytes()
+        foreign = qfhe_enc(qfhe_gen(Drbg(4))[0], proofs[0], Drbg(5)).to_bytes()
         assert [obf.sealed_C.run(c) for c in (ct, foreign, ct[:-1])] == \
             [b"\x01", b"\x00", b"\x00"]
 

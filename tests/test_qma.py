@@ -12,6 +12,7 @@ from qnk.errors import (
 )
 from qnk.qma import (
     ATTR_WIRE_BYTES,
+    DEFAULT_WITNESS_COPIES,
     POLICY_FAMILY,
     PseudoDetCircuit,
     QmaLanguage,
@@ -54,16 +55,19 @@ class TestParityFixture:
 class TestGhzFixture:
     def test_ghz_accepted_with_certainty(self):
         L = fixture("ghz")
-        assert exact_accept_probability(L, b"\x01", Witness(ghz_witness())) == pytest.approx(1.0)
+        w = Witness(ghz_witness(), DEFAULT_WITNESS_COPIES)
+        assert exact_accept_probability(L, b"\x01", w) == pytest.approx(1.0)
 
     def test_phase_flipped_ghz_rejected(self):
         L = fixture("ghz")
         minus = StateVector(3, [2 ** -0.5, 0, 0, 0, 0, 0, 0, -(2 ** -0.5)])
-        assert exact_accept_probability(L, b"\x01", Witness(minus)) == pytest.approx(0.0)
+        w = Witness(minus, DEFAULT_WITNESS_COPIES)
+        assert exact_accept_probability(L, b"\x01", w) == pytest.approx(0.0)
 
     def test_no_instance_rejects_everything(self):
         L = fixture("ghz")
-        assert exact_accept_probability(L, b"\x00", Witness(ghz_witness())) == pytest.approx(0.0)
+        w = Witness(ghz_witness(), DEFAULT_WITNESS_COPIES)
+        assert exact_accept_probability(L, b"\x00", w) == pytest.approx(0.0)
 
     def test_width_mismatch(self):
         L = fixture("ghz")
@@ -79,7 +83,7 @@ class TestGhzFixture:
 
     def test_sampled_acceptance_matches_exact(self):
         L = fixture("ghz")
-        hits = sum(qma_verify(L, b"\x01", Witness(ghz_witness()), Drbg(i))
+        hits = sum(qma_verify(L, b"\x01", Witness(ghz_witness(), DEFAULT_WITNESS_COPIES), Drbg(i))
                    for i in range(200))
         assert hits == 200  # exact probability is 1
 
@@ -184,7 +188,8 @@ class TestReferences:
 
     def test_null_language_rejects(self):
         L = make_null_language(3)
-        assert exact_accept_probability(L, b"\x01", Witness(ghz_witness())) == pytest.approx(0.0)
+        w = Witness(ghz_witness(), DEFAULT_WITNESS_COPIES)
+        assert exact_accept_probability(L, b"\x01", w) == pytest.approx(0.0)
 
 
 class TestUniversalLanguage:

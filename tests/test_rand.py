@@ -34,8 +34,6 @@ class RefDrbg:
         if key is None:
             if isinstance(seed, int):
                 seed = seed.to_bytes(16, "big")
-            elif isinstance(seed, str):
-                seed = seed.encode()
             key = ref_hmac(b"qnk-drbg-v1", seed)
         self.key, self.counter = key, 0
 
@@ -76,11 +74,16 @@ def test_hmac_matches_stdlib(key_len, msg_len):
     assert _hmac(key, msg) == ref_hmac(key, msg)
 
 
-@pytest.mark.parametrize("seed", (0, 2 ** 64 - 1, "a label", b"", b"\xff" * 70))
+@pytest.mark.parametrize("seed", (0, 2 ** 64 - 1, b"a label", b"", b"\xff" * 70))
 def test_drbg_in_sequence(seed):
     d, ref = Drbg(seed), RefDrbg(seed)
     for n in DRAWS + DRAWS[::-1]:
         assert d.bytes(n) == ref.bytes(n)
+
+
+def test_drbg_takes_no_text_seed():
+    with pytest.raises(TypeError):
+        Drbg("a label")
 
 
 def test_drbg_children():

@@ -22,7 +22,10 @@ from qnk.cvqc import (
     toy_keygen,
     toy_prove,
 )
-from qnk.qma import PseudoDetCircuit, Witness, amplify, fixture, make_policy_language, qma_verify
+from qnk.qma import (
+    DEFAULT_WITNESS_COPIES, PseudoDetCircuit, Witness, amplify, fixture, make_policy_language,
+    qma_verify,
+)
 from qnk.qsim import (
     QuantumCircuit, StateVector, accept_probability, history_state, parse_circuit, run_circuit,
 )
@@ -65,7 +68,7 @@ def test_judge_accepts_matches_per_rep_runs():
     for seed in SEEDS:
         drbg = Drbg(seed)
         want = reference_hits(circ, MIXED, lang.reps, drbg, "judge") > lang.reps // 2
-        assert judge_accepts(claim, Witness(MIXED), drbg) == want, seed
+        assert judge_accepts(claim, Witness(MIXED, DEFAULT_WITNESS_COPIES), drbg) == want, seed
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -78,7 +81,7 @@ def test_qma_verify_matches_per_rep_runs(reps):
     for seed in SEEDS:
         drbg = Drbg(seed)
         want = 1 if reference_hits(circ, MIXED, L.reps, drbg, "judge") > L.reps // 2 else 0
-        assert qma_verify(L, b"\x01", Witness(MIXED), drbg) == want, seed
+        assert qma_verify(L, b"\x01", Witness(MIXED, DEFAULT_WITNESS_COPIES), drbg) == want, seed
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -165,12 +168,12 @@ def test_toy_prove_simulates_once_per_call(monkeypatch, checked, sims):
 
 def test_judge_accepts_simulates_once(monkeypatch):
     calls = count_calls(monkeypatch, qma, "accept_probability")
-    judge_accepts(claim_for(GHZ, b"\x01"), Witness(MIXED), Drbg(1))
+    judge_accepts(claim_for(GHZ, b"\x01"), Witness(MIXED, DEFAULT_WITNESS_COPIES), Drbg(1))
     assert len(calls) == 1
 
 
 def test_qma_verify_and_pseudo_det_run_simulate_once(monkeypatch):
     calls = count_calls(monkeypatch, qma, "accept_probability")
-    qma_verify(amplify(GHZ, 5), b"\x01", Witness(MIXED), Drbg(1))
+    qma_verify(amplify(GHZ, 5), b"\x01", Witness(MIXED, DEFAULT_WITNESS_COPIES), Drbg(1))
     PseudoDetCircuit(HTH, 5, MAP).run([], Drbg(1))
     assert len(calls) == 2

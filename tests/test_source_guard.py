@@ -59,6 +59,10 @@ comprehension or a nested function.
 A record with one field wraps a value its callers could hold themselves and
 adds a `.field` read at each use, so no `@dataclass` in `src/qnk` has exactly
 one field.
+A default is an option, and an option that no caller takes is dead weight:
+each defaulted parameter of a function, method or `@dataclass` field that
+code in `src/qnk` or `perfbench/` calls is left out by at least one such
+call.
 """
 import ast
 import re
@@ -408,15 +412,20 @@ def test_attacks_encode_pattern():
     assert encodes_outside_entry(ast.parse(adapter)) == [2]
 
 
+def records(tree):
+    """Each `@dataclass` class in `tree`, with its fields: the annotated
+    class attributes that are not a `ClassVar`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield node, [s for s in node.body if isinstance(s, ast.AnnAssign)
+                         and isinstance(s.target, ast.Name)
+                         and "ClassVar" not in ast.unparse(s.annotation)]
+
+
 def single_field_records(tree) -> list:
-    """Name of each `@dataclass` class with exactly one field (an annotated
-    class attribute that is not a `ClassVar`)."""
-    return [node.name for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
-            and sum(isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                    and "ClassVar" not in ast.unparse(s.annotation)
-                    for s in node.body) == 1]
+    """Name of each `@dataclass` class with exactly one field."""
+    return [node.name for node, fields in records(tree) if len(fields) == 1]
 
 
 def test_no_single_field_record():
@@ -430,3 +439,90 @@ def test_single_field_record_pattern():
     assert single_field_records(ast.parse(one + "    h: bytes\n")) == []
     assert single_field_records(ast.parse(one + "    CAP: ClassVar[int] = 16\n")) == ["Proof"]
     assert single_field_records(ast.parse(one.replace("@dataclass(frozen=True)\n", ""))) == []
+
+
+CALLERS = SRC + sorted((Path(__file__).resolve().parents[1] / "perfbench").rglob("*.py"))
+
+
+def defaulted_parameters(tree):
+    """(name a call uses, position or None, parameter) for every defaulted
+    parameter of a module-level function, a method (by its own name, or by
+    its class's name for `__init__`) and a `@dataclass` field. The position
+    counts the arguments a call passes, so `self` and `cls` are not counted;
+    a keyword-only parameter has none."""
+    for name, fn in top_level_functions(tree):
+        owner, _, attr = name.rpartition(".")
+        if attr.startswith("__") and attr != "__init__":
+            continue
+        a = fn.args
+        positional = [x.arg for x in (*a.posonlyargs, *a.args)]
+        if owner and positional[:1] in (["self"], ["cls"]) and not any(
+                ast.unparse(d) == "staticmethod" for d in fn.decorator_list):
+            positional = positional[1:]
+        called = owner if attr == "__init__" else attr
+        for i, p in enumerate(positional[len(positional) - len(a.defaults):],
+                              len(positional) - len(a.defaults)):
+            yield called, i, p
+        for x, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield called, None, x.arg
+    for cls, fields in records(tree):
+        for i, s in enumerate(fields):
+            if s.value is not None and not (
+                    isinstance(s.value, ast.Call) and getattr(s.value.func, "id", None) == "field"
+                    and not {k.arg for k in s.value.keywords} & {"default", "default_factory"}):
+                yield cls.name, i, s.target.id
+
+
+def omits(call, position, param) -> bool:
+    """Whether `call` certainly leaves `param` to its default."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg in (None, param) for k in call.keywords):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def overridden_defaults(definitions, callers) -> list:
+    """`module: function(parameter)` for each defaulted parameter in
+    `definitions` (module name -> tree) that every call in the trees
+    `callers` passes. A call is matched to a definition by name alone; a
+    definition nothing calls is not judged."""
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{module}: {name}({param})"
+            for module, tree in definitions.items()
+            for name, position, param in defaulted_parameters(tree)
+            if calls.get(name) and not any(omits(c, position, param) for c in calls[name])]
+
+
+def test_every_default_is_used():
+    """A default that every caller in `src/qnk` and `perfbench/` overrides is
+    an option nobody takes, so the parameter is required. This fails when
+    any removed default comes back: the nonce-rule `drbg` of
+    `qfhe.qfhe_eval`, `context` of `wire.seal`, `expect_tag` of
+    `wire.open_envelope`, `toy_params` of `cvqc.base_keygen`, `only` of
+    `selftest.run_all`, or the fields `cvqc.CvqcProof.h`, `cvqc.Claim.reps`,
+    `qma.Witness.copies` and `qsim.QuantumCircuit.gates`."""
+    definitions = {p.name: ast.parse(p.read_text()) for p in SRC}
+    callers = [ast.parse(p.read_text()) for p in CALLERS]
+    assert overridden_defaults(definitions, callers) == []
+
+
+def test_overridden_default_pattern():
+    lib = ast.parse("def seal(data, context=b''):\n    return data\n"
+                    "@dataclass\nclass Proof:\n    pi: bytes\n    key: bytes = field(repr=False)\n"
+                    "    h: bytes = b''\n"
+                    "class Box:\n    def put(self, x, *, tag=None):\n        return x, tag\n")
+    passes = ast.parse("seal(b'x', b'c')\nseal(data=b'', context=b'')\n"
+                       "Proof(b'', b'k', b'h')\nBox().put(1, tag=2)\n")
+    assert overridden_defaults({"lib.py": lib}, [passes]) == [
+        "lib.py: seal(context)", "lib.py: put(tag)", "lib.py: Proof(h)"]
+    omits_each = ast.parse("seal(b'x')\nProof(b'', b'k')\nBox().put(1)\n")
+    assert overridden_defaults({"lib.py": lib}, [passes, omits_each]) == []
+    unknown = ast.parse("seal(*parts)\nProof(**fields)\n")
+    assert overridden_defaults({"lib.py": lib}, [passes, unknown]) == [
+        "lib.py: seal(context)", "lib.py: put(tag)", "lib.py: Proof(h)"]
